@@ -30,10 +30,8 @@ from .estimators import (
     estimate_lambda,
     mle_objective,
     ms_sort,
-    region_bitmap,
     sieve_mle,
     theoretical_phi,
-    uncertainty_region,
 )
 from .experiments import (
     ExperimentSpec,
@@ -83,7 +81,6 @@ from .perms import (
     to_inversion_table,
 )
 from .theory import (
-    RateCurve,
     bernoulli_kl,
     binomial_tail_bounds,
     model_kl,

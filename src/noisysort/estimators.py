@@ -94,7 +94,6 @@ class MsConfig:
     threshold_scale: multiplier on the threshold coefficient (see
         CALIBRATED_THRESHOLD_SCALE; 1.0 is the literal theoretical constant).
     lambda_hat_override: use this margin instead of an estimated one.
-    tie_break: final-sort tie rule; only "index" (ascending item) exists.
     """
 
     stages: int
@@ -102,7 +101,6 @@ class MsConfig:
     c1: float = 8.0
     threshold_scale: float = 1.0
     lambda_hat_override: float | None = None
-    tie_break: str = "index"
 
     def __post_init__(self) -> None:
         if self.stages < 1:
@@ -111,78 +109,84 @@ class MsConfig:
             raise ValueError("constants must be positive")
         if self.lambda_hat_override is not None and not 0 < self.lambda_hat_override < 0.5:
             raise ValueError("lambda_hat_override must lie in (0, 1/2)")
-        if self.tie_break != "index":
-            raise ValueError(f"unknown tie_break {self.tie_break!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class MsState:
-    """Snapshot of one stage: scores, certainty partition, thresholds.
+    """Snapshot of one stage: scores, gate outcome and certainty partition.
 
-    Row i of the boolean matrices partitions [n]: ``below[i]`` are items
-    judged certainly weaker than i, ``above[i]`` certainly stronger,
-    ``uncertain[i]`` still open (always including i itself).  When the gate
-    fires, certainties are re-derived from the current scores; at high
-    signal this grows the certain sets monotonically with overwhelming
-    probability, but monotone growth is not enforced deterministically.
-    Stage 0 is the all-uncertain starting state with no scores.
+    Row i splits [n] into items certainly weaker than i (``below``),
+    certainly stronger (``above``) and still open (``uncertain``, always
+    holding i).  A row changes only when its gate fires, and is then
+    re-derived from that stage's scores alone (so certain sets need not grow
+    monotonically); per row the state keeps the stage ``last[i]`` of its last
+    firing (0: never), that stage's ``tau[i]`` (+inf: never) and the
+    certain-set sizes.  With S the scores of stage last[i], j is below i iff
+    fl(S_j - S_i) < -tau[i] and above iff fl(S_j - S_i) > tau[i]: the very
+    comparison that decided it, so the dense views built on demand are exact.
+    ``history`` holds the scores of stages 0..stage (stage 0 all zero, no
+    ``scores``), shared between states.
     """
 
     stage: int
-    scores: np.ndarray | None
-    uncertain: np.ndarray
-    below: np.ndarray
-    above: np.ndarray
-    thresholds: np.ndarray | None
+    history: tuple[np.ndarray, ...]
+    last: np.ndarray
+    tau: np.ndarray
+    below_counts: np.ndarray
+    above_counts: np.ndarray
     gate_fired: np.ndarray | None
 
     @property
     def n(self) -> int:
-        return self.uncertain.shape[0]
+        return len(self.last)
+
+    @property
+    def scores(self) -> np.ndarray | None:
+        return self.history[self.stage] if self.stage else None
 
     def region_size(self) -> int:
         """|{(i, j) : j still uncertain relative to i}|, diagonal included."""
-        return int(self.uncertain.sum())
+        return self.n * self.n - int(self.below_counts.sum() + self.above_counts.sum())
+
+    def _gaps(self) -> np.ndarray:
+        held = np.stack(self.history)[self.last]
+        return held - held.diagonal()[:, None]
+
+    @property
+    def below(self) -> np.ndarray:
+        return self._gaps() < -self.tau[:, None]
+
+    @property
+    def above(self) -> np.ndarray:
+        return self._gaps() > self.tau[:, None]
+
+    @property
+    def uncertain(self) -> np.ndarray:
+        return np.abs(self._gaps()) <= self.tau[:, None]
 
 
 def initial_ms_state(n: int) -> MsState:
-    return MsState(
-        stage=0,
-        scores=None,
-        uncertain=np.ones((n, n), dtype=bool),
-        below=np.zeros((n, n), dtype=bool),
-        above=np.zeros((n, n), dtype=bool),
-        thresholds=None,
-        gate_fired=None,
-    )
+    none = np.zeros(n, dtype=np.int64)  # never fired, nothing certain; read-only
+    return MsState(stage=0, history=(np.zeros(n),), last=none, tau=np.full(n, np.inf),
+                   below_counts=none, above_counts=none, gate_fired=None)
 
 
-def uncertainty_region(state: MsState) -> frozenset[tuple[int, int]]:
-    """The uncertain pairs as an explicit (1-indexed) set; O(n^2) memory."""
-    rows, cols = np.nonzero(state.uncertain)
-    return frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))
+def _count_below(ordered: np.ndarray, centre: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Per entry r: #{x in sorted ``ordered`` : fl(x - centre[r]) < limit[r]}.
 
-
-def region_bitmap(state: MsState) -> np.ndarray:
-    """Dense 0/1 view of the uncertainty region; entry (i, j) = 1 iff open."""
-    return state.uncertain.astype(np.uint8)
-
-
-def _partition_rows(
-    scores: np.ndarray, tau: np.ndarray, rows: np.ndarray, chunk: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Certainty partition for the given rows from score differences."""
-    n = len(scores)
-    below = np.empty((len(rows), n), dtype=bool)
-    above = np.empty((len(rows), n), dtype=bool)
-    for start in range(0, len(rows), chunk):
-        sel = rows[start:start + chunk]
-        diff = scores[None, :] - scores[sel, None]
-        thr = tau[sel, None]
-        below[start:start + chunk] = diff < -thr
-        above[start:start + chunk] = diff > thr
-    uncertain = ~(below | above)
-    return uncertain, below, above
+    fl(x - c) is monotone in x, so these x are a prefix.  searchsorted on the
+    rounded bound c + limit lands within rounding of its end; the fix-up
+    steps over runs of equal scores until the exact test agrees.
+    """
+    padded = np.concatenate(([-np.inf], ordered, [np.inf]))  # always / never below
+    k = np.searchsorted(padded, centre + limit)
+    while True:
+        down = np.flatnonzero(padded[k - 1] - centre >= limit)
+        k[down] = np.searchsorted(padded, padded[k[down] - 1])
+        up = np.flatnonzero(padded[k] - centre < limit)
+        k[up] = np.searchsorted(padded, padded[k[up]], side="right")
+        if not (len(down) or len(up)):
+            return k - 1
 
 
 def ms_sort(
@@ -234,11 +238,8 @@ def ms_sort(
     log_nt = math.log(n * t_count)
     gate_floor = config.c1 * n * n * t_count / big_n * log_nt
     tau_coeff = config.threshold_scale * (10.0 + 2.0 * config.c0) * n
-    chunk = max(1, (1 << 22) // max(n, 1))
 
     prev = states[0]
-    scores = np.zeros(n)
-    pairs_all = np.arange(n)
     for t, sample in enumerate(stage_samples, start=1):
         n_t = totals[t - 1]
         if n_t < 1:
@@ -248,37 +249,36 @@ def ms_sort(
         se = sample.second - 1
         wins = sample.first_wins.astype(np.float64)
         losses = (sample.num - sample.first_wins).astype(np.float64)
-        keep_f = prev.uncertain[fi, se]
-        keep_s = prev.uncertain[se, fi]
+        # j is open for i iff |fl(S_j - S_i)| <= tau_i at stage last[i]
+        past = np.stack(prev.history)
+        at_f, at_s = prev.last[fi], prev.last[se]
+        keep_f = np.abs(past[at_f, se] - past[at_f, fi]) <= prev.tau[fi]
+        keep_s = np.abs(past[at_s, fi] - past[at_s, se]) <= prev.tau[se]
         raw = np.bincount(fi[keep_f], weights=wins[keep_f], minlength=n)
         raw += np.bincount(se[keep_s], weights=losses[keep_s], minlength=n)
-        below_counts = prev.below.sum(axis=1)
-        above_counts = prev.above.sum(axis=1)
         scores = (
             scale * raw
-            + (0.5 + lam_hat) * below_counts
-            + (0.5 - lam_hat) * above_counts
+            + (0.5 + lam_hat) * prev.below_counts
+            + (0.5 - lam_hat) * prev.above_counts
         )
 
-        sizes_prev = prev.uncertain.sum(axis=1)
+        sizes_prev = n - prev.below_counts - prev.above_counts
         fired = sizes_prev >= gate_floor
         tau = tau_coeff * np.sqrt(sizes_prev * t_count / big_n * log_nt)
-        below = prev.below.copy()
-        above = prev.above.copy()
-        uncertain = prev.uncertain.copy()
-        if fired.any():
-            rows = pairs_all[fired]
-            unc_f, bel_f, abv_f = _partition_rows(scores, tau, rows, chunk)
-            uncertain[rows] = unc_f
-            below[rows] = bel_f
-            above[rows] = abv_f
+        rows = np.flatnonzero(fired)
+        ordered = np.sort(scores)
+        below = prev.below_counts.copy()
+        below[rows] = _count_below(ordered, scores[rows], -tau[rows])
+        above = prev.above_counts.copy()
+        # fl(S_j - S_i) > tau iff fl((-S_j) - (-S_i)) < -tau: rounding is symmetric
+        above[rows] = _count_below(-ordered[::-1], -scores[rows], -tau[rows])
         prev = MsState(
             stage=t,
-            scores=scores.copy(),
-            uncertain=uncertain,
-            below=below,
-            above=above,
-            thresholds=tau,
+            history=prev.history + (scores,),
+            last=np.where(fired, t, prev.last),
+            tau=np.where(fired, tau, prev.tau),
+            below_counts=below,
+            above_counts=above,
             gate_fired=fired,
         )
         states.append(prev)

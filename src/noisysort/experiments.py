@@ -29,7 +29,6 @@ from .estimators import (
     brute_force_mle,
     estimate_lambda,
     ms_sort,
-    region_bitmap,
     sieve_mle,
     theoretical_phi,
 )
@@ -119,6 +118,8 @@ class ExperimentSpec:
                 raise ValueError(f"unknown sampling model {s!r}")
         if self.pi_star not in ("identity", "random"):
             raise ValueError("pi_star must be 'identity' or 'random'")
+        if self.workers is not None and (type(self.workers) is not int or self.workers < 1):
+            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
 
     def budget_params(self) -> tuple[tuple[str, float], ...]:
         if self.alphas is not None:
@@ -127,9 +128,13 @@ class ExperimentSpec:
 
     def effective_workers(self) -> int:
         if self.workers is not None:
-            return max(1, self.workers)
-        env = os.environ.get(WORKERS_ENV_VAR)
-        return max(1, int(env)) if env else 1
+            return self.workers
+        env = os.environ.get(WORKERS_ENV_VAR, "").strip()
+        if not env:
+            return 1
+        if not env.isdecimal() or int(env) < 1:
+            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {env!r}")
+        return int(env)
 
 
 @dataclass(frozen=True)
@@ -547,6 +552,6 @@ def emit_regions(states: list[MsState], out_dir: str | Path) -> list[Path]:
     paths = []
     for state in states:
         path = out / f"stage_{state.stage}.pbm"
-        write_pbm(region_bitmap(state), path)
+        write_pbm(state.uncertain, path)
         paths.append(path)
     return paths

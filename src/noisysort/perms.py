@@ -115,13 +115,6 @@ def kendall_tau(pi: Permutation, sigma: Permutation) -> int:
     return _count_inversions(word)
 
 
-def kendall_tau_brute(pi: Permutation, sigma: Permutation) -> int:
-    """Quadratic pair-enumeration count; oracle for kendall_tau."""
-    _check_same_n(pi, sigma)
-    p, s = pi.to_array(), sigma.to_array()
-    return int(np.sum((s[:, None] < s[None, :]) & (p[:, None] > p[None, :])))
-
-
 def l1_distance(pi: Permutation, sigma: Permutation) -> int:
     """Spearman's footrule: sum of absolute rank displacements."""
     _check_same_n(pi, sigma)

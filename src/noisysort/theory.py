@@ -4,7 +4,6 @@ binomial tail bounds, and reference rate curves for plot overlays."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import WITH_REPLACEMENT, WITHOUT_REPLACEMENT
 from .perms import Permutation, kendall_tau
@@ -77,34 +76,19 @@ def model_kl(
     return kl_per_discordant_pair(rate, lam) * d
 
 
-@dataclass(frozen=True)
-class RateCurve:
-    """A reference curve value for error-vs-parameter overlays.
+def rate_curve(kind: str, n: int, budget: float, lam: float) -> float:
+    """Evaluate a reference rate curve (see RATE_KINDS) for error overlays.
 
     All curves are capped at n(n-1)/2, the Kendall tau diameter: no estimator
     can do worse, so the cap is where rates go trivial.
     """
-
-    kind: str
-    n: int
-    budget: float
-    lam: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in RATE_KINDS:
-            raise ValueError(f"unknown rate kind {self.kind!r}; know {RATE_KINDS}")
-
-    def value(self) -> float:
-        return rate_curve(self.kind, self.n, self.budget, self.lam)
-
-
-def rate_curve(kind: str, n: int, budget: float, lam: float) -> float:
-    """Evaluate a reference rate curve (see RATE_KINDS), capped at n(n-1)/2."""
+    if kind not in RATE_KINDS:
+        raise ValueError(f"unknown rate kind {kind!r}; know {RATE_KINDS}")
+    if not 0 < lam < 0.5:
+        raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
     cap = n * (n - 1) / 2
     if budget <= 0:
         return cap
-    if not 0 < lam < 0.5:
-        raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
     if kind == "minimax_o1":
         raw = n / (budget * lam ** 2)
     elif kind == "minimax_o2":
@@ -113,9 +97,7 @@ def rate_curve(kind: str, n: int, budget: float, lam: float) -> float:
         if n < 3:
             raise ValueError("ms_upper needs n >= 3")
         raw = (n ** 3 / budget) * math.log(n) * math.log(math.log(n))
-    elif kind in ("lower_o1", "lower_o2"):
+    else:  # lower_o1, lower_o2
         scale = n / budget if kind == "lower_o1" else n ** 3 / budget
         raw = min(scale / lam ** 2, scale / math.log(1 / (1 - 2 * lam)))
-    else:
-        raise ValueError(f"unknown rate kind {kind!r}; know {RATE_KINDS}")
     return min(raw, cap)

@@ -6,6 +6,7 @@ trust the code paths they check.
 """
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -28,6 +29,13 @@ def inversion_histogram(n):
     for perm in itertools.permutations(range(1, n + 1)):
         hist[brute_inversions(perm)] += 1
     return hist
+
+
+def kendall_tau_brute(pi, sigma):
+    """Quadratic pair-enumeration count of discordant pairs."""
+    assert pi.n == sigma.n
+    p, s = pi.to_array(), sigma.to_array()
+    return int(np.sum((s[:, None] < s[None, :]) & (p[:, None] > p[None, :])))
 
 
 def make_dataset(n, records, kind=WITH_REPLACEMENT, budget=None, seed=0):
@@ -92,3 +100,53 @@ def observation_kl_oracle(pi, sigma, kind, n, budget, lam):
         p_vec += [a / m, (1 - a) / m]
         q_vec += [b / m, (1 - b) / m]
     return budget * categorical_kl(p_vec, q_vec)
+
+
+def dense_ms_states(stage_samples, lam_hat, config):
+    """Reference multistage sorter holding the certainty partition as dense
+    n x n bool matrices, copied every stage and re-derived row by row from
+    the stage scores wherever the gate fires.
+
+    Returns (ranks, states): the final ranks (ascending score, ties by item
+    index) and, for stages 0..T, dicts of scores, gate_fired, uncertain,
+    below and above.
+    """
+    n = stage_samples[0].n
+    totals = [s.total_comparisons() for s in stage_samples]
+    big_n = sum(totals)
+    t_count = config.stages
+    log_nt = math.log(n * t_count)
+    gate_floor = config.c1 * n * n * t_count / big_n * log_nt
+    tau_coeff = config.threshold_scale * (10.0 + 2.0 * config.c0) * n
+    uncertain = np.ones((n, n), dtype=bool)
+    below = np.zeros((n, n), dtype=bool)
+    above = np.zeros((n, n), dtype=bool)
+    states = [dict(scores=None, gate_fired=None, uncertain=uncertain, below=below, above=above)]
+    for t, sample in enumerate(stage_samples, start=1):
+        scale = math.comb(n, 2) / totals[t - 1]
+        fi, se = sample.first - 1, sample.second - 1
+        wins = sample.first_wins.astype(np.float64)
+        losses = (sample.num - sample.first_wins).astype(np.float64)
+        keep_f = uncertain[fi, se]
+        keep_s = uncertain[se, fi]
+        raw = np.bincount(fi[keep_f], weights=wins[keep_f], minlength=n)
+        raw += np.bincount(se[keep_s], weights=losses[keep_s], minlength=n)
+        scores = (
+            scale * raw
+            + (0.5 + lam_hat) * below.sum(axis=1)
+            + (0.5 - lam_hat) * above.sum(axis=1)
+        )
+        sizes = uncertain.sum(axis=1)
+        fired = sizes >= gate_floor
+        tau = tau_coeff * np.sqrt(sizes * t_count / big_n * log_nt)
+        uncertain, below, above = uncertain.copy(), below.copy(), above.copy()
+        for i in np.flatnonzero(fired):
+            diff = scores - scores[i]
+            below[i] = diff < -tau[i]
+            above[i] = diff > tau[i]
+            uncertain[i] = ~(below[i] | above[i])
+        states.append(dict(scores=scores, gate_fired=fired, uncertain=uncertain,
+                           below=below, above=above))
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[np.argsort(scores, kind="stable")] = np.arange(1, n + 1)
+    return ranks, states

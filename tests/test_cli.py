@@ -149,6 +149,16 @@ class TestExitCodes:
     def test_bad_value_is_one(self, capsys):
         assert main(["count-inversions", "--n", "4", "--k", "99"]) == 1
 
+    def test_bad_worker_count_is_one(self, tmp_path, capsys, monkeypatch):
+        args = ["experiment", "scaling-n", "--n-values", "20", "--alphas", "0.4",
+                "--replicates", "1", "--estimators", "ms", "--sampling", "with",
+                "--out", str(tmp_path / "r.csv")]
+        assert main([*args, "--workers", "0"]) == 1
+        assert "workers" in capsys.readouterr().err
+        monkeypatch.setenv("NOISYSORT_WORKERS", "abc")
+        assert main(args) == 1
+        assert "NOISYSORT_WORKERS" in capsys.readouterr().err
+
     def test_cap_refusal_is_two(self, capsys):
         code = main(["experiment", "scaling-n", "--n-values", "50000",
                      "--alphas", "0.1", "--replicates", "1"])

@@ -1,27 +1,32 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from noisysort.counting import greedy_maximal_packing, PackingSet
 from noisysort.errors import ResourceCapError, SizeMismatchError
 from noisysort.estimators import (
     CALIBRATED_THRESHOLD_SCALE,
     MsConfig,
+    _count_below,
     borda_sort,
     brute_force_mle,
     estimate_lambda,
     initial_ms_state,
     mle_objective,
     ms_sort,
-    region_bitmap,
     sieve_mle,
     theoretical_phi,
-    uncertainty_region,
 )
 from noisysort.model import (
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
+    ComparisonDataset,
+    SamplingTag,
+    random_member_matrix,
     relabel_items,
     sample_with_replacement,
     sample_without_replacement,
@@ -39,7 +44,7 @@ from noisysort.perms import (
 )
 
 
-from oracles import make_dataset, noise_free_full
+from oracles import dense_ms_states, make_dataset, noise_free_full
 
 
 class TestBordaSort:
@@ -240,16 +245,13 @@ class TestMsSort:
             ms_sort(uneven, 0.3, MsConfig(stages=2))
         with pytest.raises(ValueError):
             MsConfig(stages=0)
-        with pytest.raises(ValueError):
-            MsConfig(stages=1, tie_break="coin flip")
 
 
 class TestUncertaintyRegion:
     def test_initial_state_is_everything(self):
         st = initial_ms_state(3)
-        assert uncertainty_region(st) == frozenset(
-            (i, j) for i in range(1, 4) for j in range(1, 4)
-        )
+        assert st.uncertain.all() and st.uncertain.shape == (3, 3)
+        assert not st.below.any() and not st.above.any()
         assert st.region_size() == 9
 
     def test_diagonal_always_present(self):
@@ -257,14 +259,140 @@ class TestUncertaintyRegion:
         cfg = MsConfig(stages=2, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
         _, states = ms_sort(samples, 0.45, cfg)
         for st in states:
-            region = uncertainty_region(st)
-            for i in range(1, 51):
-                assert (i, i) in region
+            assert st.uncertain.diagonal().all()
 
-    def test_bitmap_matches_region(self):
+    def test_dense_view_shape_and_count(self):
         st = initial_ms_state(4)
-        bm = region_bitmap(st)
-        assert bm.shape == (4, 4) and bm.dtype == np.uint8 and bm.sum() == 16
+        assert st.uncertain.shape == (4, 4) and st.uncertain.sum() == 16
+
+
+def _with_replacement_case(n, lam, total, stages, seed, law="star"):
+    matrix = star_matrix(n, lam) if law == "star" else random_member_matrix(n, lam, 0.05, seed)
+    return split_with_replacement(
+        Permutation.identity(n), matrix, stage_budgets(total, stages), seed
+    )
+
+
+def _without_replacement_case(n, lam, p, stages, seed):
+    full = sample_without_replacement(Permutation.identity(n), star_matrix(n, lam), p, seed)
+    return split_without_replacement(full, stages, seed + 1)
+
+
+# (id, stage samples, lam, config); the ids name what the gate does
+DENSE_REFERENCE_CASES = [
+    ("star-all-then-some", lambda: _with_replacement_case(120, 0.4, 20_000, 3, 4),
+     0.4, MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)),
+    ("star-high-signal", lambda: _with_replacement_case(300, 0.45, 5 * math.comb(300, 2), 3, 2),
+     0.45, MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)),
+    ("star-theoretical-scale", lambda: _with_replacement_case(120, 0.4, 20_000, 3, 4),
+     0.4, MsConfig(stages=3, threshold_scale=1.0)),
+    ("star-gate-never", lambda: _with_replacement_case(60, 0.4, 3_000, 2, 9),
+     0.4, MsConfig(stages=2, c1=1e12, threshold_scale=CALIBRATED_THRESHOLD_SCALE)),
+    ("star-small-ties", lambda: _with_replacement_case(12, 0.3, 200, 2, 5),
+     0.3, MsConfig(stages=2, c1=0.01, threshold_scale=CALIBRATED_THRESHOLD_SCALE)),
+    ("random-member", lambda: _with_replacement_case(
+        100, 0.3, 5 * math.comb(100, 2), 3, 7, law="random"),
+     0.3, MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)),
+    ("random-member-theoretical-scale", lambda: _with_replacement_case(
+        100, 0.3, 5 * math.comb(100, 2), 3, 7, law="random"),
+     0.3, MsConfig(stages=3, threshold_scale=1.0)),
+    ("without-replacement", lambda: _without_replacement_case(80, 0.35, 0.9, 2, 3),
+     0.35, MsConfig(stages=2, c1=0.5, threshold_scale=CALIBRATED_THRESHOLD_SCALE)),
+]
+
+
+class TestDenseReference:
+    """ms_sort's per-row state against the dense n x n partition it replaced."""
+
+    @pytest.mark.parametrize("lam_offset", [0.0, -0.1])
+    @pytest.mark.parametrize(
+        "make, lam, config", [c[1:] for c in DENSE_REFERENCE_CASES],
+        ids=[c[0] for c in DENSE_REFERENCE_CASES],
+    )
+    def test_matches_dense_reference_every_stage(self, make, lam, config, lam_offset):
+        samples = make()
+        lam_hat = lam + lam_offset
+        pi_hat, states = ms_sort(samples, lam_hat, config)
+        ranks, expected = dense_ms_states(samples, lam_hat, config)
+        assert np.array_equal(pi_hat.to_array(), ranks)
+        assert len(states) == len(expected)
+        for st, ref in zip(states, expected):
+            if ref["scores"] is None:
+                assert st.scores is None and st.gate_fired is None
+            else:
+                assert np.array_equal(st.scores, ref["scores"])
+                assert np.array_equal(st.gate_fired, ref["gate_fired"])
+            assert st.region_size() == int(ref["uncertain"].sum())
+            assert np.array_equal(st.below, ref["below"])
+            assert np.array_equal(st.above, ref["above"])
+            assert np.array_equal(st.uncertain, ref["uncertain"])
+
+    def test_cases_cover_every_gate_outcome(self):
+        outcomes = set()
+        kinds = set()
+        for _, make, lam, config in DENSE_REFERENCE_CASES:
+            samples = make()
+            kinds.add(samples[0].tag.kind)
+            _, states = ms_sort(samples, lam, config)
+            for st in states[1:]:
+                fired = st.gate_fired
+                outcomes.add("all" if fired.all() else "some" if fired.any() else "none")
+        assert outcomes == {"all", "some", "none"}
+        assert kinds == {WITH_REPLACEMENT, WITHOUT_REPLACEMENT}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    levels=hst.lists(hst.integers(0, 6), min_size=1, max_size=40),
+    base=hst.sampled_from([0.0, 1.0, 0.1, 3e7, -5e12, 1e17]),
+    step=hst.sampled_from([1.0, 0.1, 1e-3, 0.3]),
+    pick=hst.lists(hst.tuples(hst.integers(0, 39), hst.integers(0, 39),
+                              hst.floats(0, 10)), min_size=1, max_size=20),
+    from_gap=hst.booleans(),
+)
+def test_count_below_matches_dense_count(levels, base, step, pick, from_gap):
+    # tied scores, tau equal to an exact score gap, and scores large enough
+    # that rounding in S_j - S_i decides membership
+    scores = base + step * np.asarray(levels, dtype=np.float64)
+    n = len(scores)
+    rows = np.array([i % n for i, _, _ in pick])
+    if from_gap:
+        tau = np.array([abs(scores[j % n] - scores[i % n]) for i, j, _ in pick])
+    else:
+        tau = np.array([u * step for _, _, u in pick])
+    gaps = scores[None, :] - scores[rows, None]
+    ordered = np.sort(scores)
+    below = _count_below(ordered, scores[rows], -tau)
+    above = _count_below(-ordered[::-1], -scores[rows], -tau)
+    assert np.array_equal(below, (gaps < -tau[:, None]).sum(axis=1))
+    assert np.array_equal(above, (gaps > tau[:, None]).sum(axis=1))
+
+
+def _uniform_pairs_stage(n, total, rng):
+    """One with-replacement stage over n items without building the n x n law."""
+    first = rng.integers(1, n, size=total)
+    second = rng.integers(first + 1, n + 1)
+    keys, counts = np.unique(first * (n + 1) + second, return_counts=True)
+    first, second = keys // (n + 1), keys % (n + 1)
+    wins = rng.binomial(counts, 0.25)  # first is the weaker item under the identity
+    return ComparisonDataset(n=n, first=first, second=second, num=counts, first_wins=wins,
+                             tag=SamplingTag(WITH_REPLACEMENT, total))
+
+
+@pytest.mark.parametrize("c1", [8.0, 1e-3])  # default gate, and one firing on every row
+def test_ms_sort_allocates_no_dense_matrix(c1):
+    n, total, stages = 6000, 60_000, 3
+    rng = np.random.default_rng(6000)
+    samples = [_uniform_pairs_stage(n, b, rng) for b in stage_budgets(total, stages)]
+    config = MsConfig(stages=stages, c1=c1, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+    tracemalloc.start()
+    try:
+        _, states = ms_sort(samples, 0.25, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states[1].gate_fired.all() == (c1 < 1)
+    assert peak < n * n / 4
 
 
 class TestMleObjective:

@@ -50,6 +50,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec(kind="scaling_everything")
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.0, True])
+    def test_workers_field_must_be_positive_integer(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            small_spec(workers=workers)
+
+    @pytest.mark.parametrize("value", ["-3", "0", "abc", "2.5"])
+    def test_workers_env_must_be_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv("NOISYSORT_WORKERS", value)
+        with pytest.raises(ValueError, match="NOISYSORT_WORKERS"):
+            small_spec().effective_workers()
+
+    def test_workers_env_read_when_field_unset(self, monkeypatch):
+        monkeypatch.setenv("NOISYSORT_WORKERS", "3")
+        assert small_spec().effective_workers() == 3
+        assert small_spec(workers=2).effective_workers() == 2
+        monkeypatch.delenv("NOISYSORT_WORKERS")
+        assert small_spec().effective_workers() == 1
+
     def test_default_stage_count(self):
         assert default_stage_count(4) == 1
         assert default_stage_count(500) == 3

@@ -13,12 +13,13 @@ from noisysort.perms import (
     from_inversion_table,
     invert,
     kendall_tau,
-    kendall_tau_brute,
     l1_distance,
     linf_distance,
     random_permutation,
     to_inversion_table,
 )
+
+from oracles import kendall_tau_brute
 
 
 def perm(*vals):

@@ -7,7 +7,6 @@ from scipy import integrate
 from noisysort.model import WITH_REPLACEMENT, WITHOUT_REPLACEMENT
 from noisysort.perms import Permutation, kendall_tau, random_permutation
 from noisysort.theory import (
-    RateCurve,
     bernoulli_kl,
     bernoulli_kl_lower_bound,
     binomial_tail_bounds,
@@ -164,8 +163,15 @@ class TestRateCurves:
             value = rate_curve(kind, n, budget, lam)
             assert 0 <= value <= n * (n - 1) / 2
 
-    def test_rate_curve_dataclass(self):
-        curve = RateCurve(kind="minimax_o2", n=10, budget=1000, lam=0.25)
-        assert curve.value() == pytest.approx(16.0)
+    def test_value_and_validation(self):
+        assert rate_curve("minimax_o2", 10, 1000, 0.25) == pytest.approx(16.0)
         with pytest.raises(ValueError):
-            RateCurve(kind="bogus", n=10, budget=1, lam=0.2)
+            rate_curve("bogus", 10, 1, 0.2)
+
+    def test_validates_before_the_cap(self):
+        # a non-positive budget returns the cap, but only for valid inputs
+        assert rate_curve("minimax_o2", 10, 0, 0.25) == 45.0
+        with pytest.raises(ValueError):
+            rate_curve("bogus", 10, 0, 0.2)
+        with pytest.raises(ValueError):
+            rate_curve("minimax_o2", 10, 0, 0.9)
