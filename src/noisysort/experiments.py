@@ -35,6 +35,7 @@ from .estimators import (
 from .model import (
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
+    ComparisonDataset,
     ProbabilityMatrix,
     derive_seed,
     merge_datasets,
@@ -210,6 +211,33 @@ class MsRun:
     lambda_hat: float
 
 
+def _draw_pipeline_data(
+    pi_star: Permutation,
+    matrix: ProbabilityMatrix,
+    sampling: str,
+    total: int,
+    stages: int,
+    seed: int,
+    p: float | None = None,
+    lambda_hat: float | None = None,
+) -> tuple[list[ComparisonDataset], float | None, ComparisonDataset | None]:
+    """(stage samples, margin, full dataset or None) of one run; see run_ms_pipeline."""
+    if sampling == WITH_REPLACEMENT:
+        halves = [] if lambda_hat is not None else [total - total // 2, total // 2]
+        parts = split_with_replacement(
+            pi_star, matrix, halves + stage_budgets(total, stages), derive_seed(seed, 0)
+        )
+        if lambda_hat is None:
+            lambda_hat = estimate_lambda(parts[0], parts[1])
+        return parts[len(halves):], lambda_hat, None
+    if sampling == WITHOUT_REPLACEMENT:
+        if p is None:
+            raise ValueError("without-replacement runs need p")
+        full = sample_without_replacement(pi_star, matrix, p, derive_seed(seed, 0))
+        return split_without_replacement(full, stages, derive_seed(seed, 1)), lambda_hat, full
+    raise ValueError(f"unknown sampling model {sampling!r}")
+
+
 def run_ms_pipeline(
     pi_star: Permutation,
     matrix: ProbabilityMatrix,
@@ -231,30 +259,11 @@ def run_ms_pipeline(
     with-replacement samples only.
     """
     lam_hat = config.lambda_hat_override if config.lambda_hat_override is not None else lambda_hat
-    if sampling == WITH_REPLACEMENT:
-        if lam_hat is None:
-            half = total - total // 2
-            parts = split_with_replacement(
-                pi_star, matrix, [half, total // 2] + stage_budgets(total, stages),
-                derive_seed(seed, 0),
-            )
-            lam_hat = estimate_lambda(parts[0], parts[1])
-            stage_samples = parts[2:]
-        else:
-            stage_samples = split_with_replacement(
-                pi_star, matrix, stage_budgets(total, stages), derive_seed(seed, 0)
-            )
-    elif sampling == WITHOUT_REPLACEMENT:
-        if lam_hat is None:
-            raise ValueError(
-                "without-replacement runs need an explicit margin (lambda_hat)"
-            )
-        if p is None:
-            raise ValueError("without-replacement runs need p")
-        full = sample_without_replacement(pi_star, matrix, p, derive_seed(seed, 0))
-        stage_samples = split_without_replacement(full, stages, derive_seed(seed, 1))
-    else:
-        raise ValueError(f"unknown sampling model {sampling!r}")
+    if sampling == WITHOUT_REPLACEMENT and lam_hat is None:
+        raise ValueError("without-replacement runs need an explicit margin (lambda_hat)")
+    stage_samples, lam_hat, _ = _draw_pipeline_data(
+        pi_star, matrix, sampling, total, stages, seed, p, lam_hat
+    )
     pi_hat, states = ms_sort(stage_samples, lam_hat, config)
     return MsRun(permutation=pi_hat, states=states, lambda_hat=lam_hat)
 
@@ -274,7 +283,6 @@ def _run_cell_replicate(
     budget_value: float,
     sampling: str,
     seed: int,
-    capture_states: bool = False,
 ) -> tuple[list[ResultRow], list[MsState] | None]:
     budget_col, total = _resolve_budget(budget_kind, budget_value, n, sampling)
     rng_misc = np.random.default_rng(derive_seed(seed, 9))
@@ -292,47 +300,33 @@ def _run_cell_replicate(
     if "random" not in estimators:
         estimators.append("random")  # sanity-floor control always present
 
+    # one draw per replicate: ms sorts the stage samples; the other estimators
+    # pool them (the without-replacement draw is its own pool)
+    stage_samples, lam_hat, pooled = _draw_pipeline_data(
+        pi_star, matrix, sampling, total, stages, seed,
+        p=budget_col if sampling == WITHOUT_REPLACEMENT else None,
+        lambda_hat=spec.lambda_hat,
+    )
     rows: list[ResultRow] = []
     states: list[MsState] | None = None
-    merged = None
-
-    def merged_dataset():
-        nonlocal merged
-        if merged is None:
-            if sampling == WITH_REPLACEMENT:
-                parts = split_with_replacement(
-                    pi_star, matrix, stage_budgets(total, stages), derive_seed(seed, 0)
-                )
-                merged = merge_datasets(parts)
-            else:
-                merged = sample_without_replacement(
-                    pi_star, matrix, budget_col, derive_seed(seed, 0)
-                )
-        return merged
-
     for estimator in estimators:
         start = time.perf_counter()
+        if estimator in ("borda", "mle", "sieve") and pooled is None:
+            pooled = merge_datasets(stage_samples)
         if estimator == "ms":
-            run = run_ms_pipeline(
-                pi_star, matrix, sampling, total, stages, config, seed,
-                p=budget_col if sampling == WITHOUT_REPLACEMENT else None,
-                lambda_hat=spec.lambda_hat,
-            )
-            pi_hat = run.permutation
-            if capture_states:
-                states = run.states
+            pi_hat, states = ms_sort(stage_samples, lam_hat, config)
         elif estimator == "borda":
-            pi_hat = borda_sort(merged_dataset())
+            pi_hat = borda_sort(pooled)
         elif estimator == "random":
             pi_hat = random_permutation(n, rng_misc)
         elif estimator == "mle":
-            pi_hat = brute_force_mle(merged_dataset())
+            pi_hat = brute_force_mle(pooled)
         elif estimator == "sieve":
             phi = theoretical_phi(sampling, n, total if sampling == WITH_REPLACEMENT
                                   else budget_col, spec.lam)
             radius = int(min(max(phi, 1), max_inversions(n)))
             net = greedy_maximal_packing(n, radius)
-            pi_hat = sieve_mle(merged_dataset(), net)
+            pi_hat = sieve_mle(pooled, net)
         else:  # pragma: no cover - spec validation rejects unknown ids
             raise ValueError(f"unknown estimator {estimator!r}")
         elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -395,9 +389,7 @@ def _run_region_snapshot(spec: ExperimentSpec) -> list[ResultRow]:
     out_dir = Path(spec.regions_dir)
     for rep in range(spec.replicates):
         seed = derive_seed(spec.master_seed, 0, 0, 0, rep)
-        rows, states = _run_cell_replicate(
-            spec, n, bkind, bval, sampling, seed, capture_states=True
-        )
+        rows, states = _run_cell_replicate(spec, n, bkind, bval, sampling, seed)
         all_rows.extend(rows)
         if rep == 0 and states is not None:
             emit_regions(states, out_dir)

@@ -1,4 +1,7 @@
-"""Comparison probability matrices and comparison-data generation.
+"""Comparison laws and comparison-data generation.
+
+A law gives the win probability of any two ranks; the star law is closed
+form and stores no n x n table (see ``ProbabilityMatrix``).
 
 Two sampling schemes produce a ``ComparisonDataset``:
 
@@ -42,26 +45,45 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityMatrix:
-    """An n x n win-probability matrix with margin ``lam`` around 1/2.
+    """A win-probability law on n ranked items with margin ``lam`` around 1/2.
 
-    entries[i-1, j-1] is the probability that the rank-i item beats the
-    rank-j item; rows for stronger items dominate: entries >= 1/2 + lam
-    below the diagonal, <= 1/2 - lam above, exactly 1/2 on it.
+    ``win_prob(i, j)`` is the probability that the rank-i item beats the
+    rank-j item: at least 1/2 + lam when i > j (stronger items rank higher),
+    one minus that when i < j, exactly 1/2 when i == j.  ``entries`` is the
+    table it reads.  For a general member of the class that is the n x n
+    matrix, entries[i-1, j-1], checked for membership once at construction.
+    For the star law it is the three values (1/2 - lam, 1/2, 1/2 + lam),
+    indexed by sign(i - j) + 1, so the law takes O(1) memory at any n.
+    ``dense()`` builds the n x n matrix of either on demand.
     """
 
-    entries: np.ndarray
+    n: int
     lam: float
+    entries: np.ndarray
 
     def __post_init__(self) -> None:
         if not 0 < self.lam < 0.5:
             raise ValueError(f"lam must lie in (0, 1/2), got {self.lam}")
-        err = membership_violation(self.entries, self.lam)
+        if self.entries.ndim == 1:
+            star = np.array([0.5 - self.lam, 0.5, 0.5 + self.lam])
+            err = None if np.array_equal(self.entries, star) else "1-D table is not the star law"
+        elif self.entries.shape != (self.n, self.n):
+            err = f"shape {self.entries.shape} for n={self.n}"
+        else:
+            err = membership_violation(self.entries, self.lam)
         if err is not None:
             raise ValueError(f"matrix not in the margin-{self.lam} class: {err}")
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+    def win_prob(self, rank_i: np.ndarray, rank_j: np.ndarray) -> np.ndarray:
+        """P(the rank_i item beats the rank_j item), elementwise (1-indexed ranks)."""
+        if self.entries.ndim == 1:
+            return self.entries[np.sign(rank_i - rank_j) + 1]
+        return self.entries[rank_i - 1, rank_j - 1]
+
+    def dense(self) -> np.ndarray:
+        """The n x n matrix of win_prob (memory n^2; intended for small n)."""
+        ranks = np.arange(1, self.n + 1)
+        return self.win_prob(ranks[:, None], ranks[None, :])
 
 
 def membership_violation(entries: np.ndarray, lam: float) -> str | None:
@@ -84,11 +106,8 @@ def membership_violation(entries: np.ndarray, lam: float) -> str | None:
 
 
 def star_matrix(n: int, lam: float) -> ProbabilityMatrix:
-    """The canonical matrix: 1/2 + lam below the diagonal, 1/2 - lam above."""
-    entries = np.full((n, n), 0.5 - lam)
-    entries[np.tril_indices(n, -1)] = 0.5 + lam
-    np.fill_diagonal(entries, 0.5)
-    return ProbabilityMatrix(entries=entries, lam=lam)
+    """The canonical law: the stronger item wins with probability 1/2 + lam."""
+    return ProbabilityMatrix(n=n, lam=lam, entries=np.array([0.5 - lam, 0.5, 0.5 + lam]))
 
 
 def random_member_matrix(n: int, lam: float, eta: float, seed: int) -> ProbabilityMatrix:
@@ -104,9 +123,8 @@ def random_member_matrix(n: int, lam: float, eta: float, seed: int) -> Probabili
     entries = np.full((n, n), 0.5)
     lower = np.tril_indices(n, -1)
     entries[lower] = 0.5 + lam + rng.random(len(lower[0])) * (0.5 - lam - eta)
-    entries[np.triu_indices(n, 1)] = 0.0  # placeholder, mirrored next
-    entries = np.where(np.triu(np.ones((n, n), dtype=bool), 1), 1.0 - entries.T, entries)
-    return ProbabilityMatrix(entries=entries, lam=lam)
+    entries[lower[1], lower[0]] = 1.0 - entries[lower]
+    return ProbabilityMatrix(n=n, lam=lam, entries=entries)
 
 
 @dataclass(frozen=True)
@@ -200,25 +218,17 @@ def _sorted_pair_dataset(
     tag: SamplingTag,
     seed: int,
 ) -> ComparisonDataset:
+    """The records with num > 0, of pairs already strictly increasing in (first, second)."""
     keep = num > 0
-    first, second, num, wins = first[keep], second[keep], num[keep], wins[keep]
-    order = np.lexsort((second, first))
     return ComparisonDataset(
         n=n,
-        first=first[order].astype(np.int64),
-        second=second[order].astype(np.int64),
-        num=num[order].astype(np.int64),
-        first_wins=wins[order].astype(np.int64),
+        first=first[keep].astype(np.int64, copy=False),
+        second=second[keep].astype(np.int64, copy=False),
+        num=num[keep].astype(np.int64, copy=False),
+        first_wins=wins[keep].astype(np.int64, copy=False),
         tag=tag,
         seed=seed,
     )
-
-
-def _win_probs(pi_star: Permutation, matrix: ProbabilityMatrix,
-               first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """P(first beats second) for each pair, under ranks pi_star."""
-    ranks = pi_star.to_array()
-    return matrix.entries[ranks[first - 1] - 1, ranks[second - 1] - 1]
 
 
 def sample_without_replacement(
@@ -235,6 +245,7 @@ def sample_without_replacement(
     if matrix.n != n:
         raise SizeMismatchError(f"matrix n={matrix.n} vs permutation n={n}")
     rng = np.random.default_rng(seed)
+    ranks = pi_star.to_array()
     firsts, seconds, winss = [], [], []
     for i in range(1, n):
         row_second = np.arange(i + 1, n + 1, dtype=np.int64)
@@ -242,7 +253,7 @@ def sample_without_replacement(
         if not observed.any():
             continue
         js = row_second[observed]
-        q = _win_probs(pi_star, matrix, np.full(len(js), i, dtype=np.int64), js)
+        q = matrix.win_prob(ranks[i - 1], ranks[js - 1])
         wins = rng.binomial(1, q)
         firsts.append(np.full(len(js), i, dtype=np.int64))
         seconds.append(js)
@@ -283,7 +294,8 @@ def sample_with_replacement(
     offsets = _pair_row_offsets(n)
     first = np.searchsorted(offsets, idx, side="right").astype(np.int64)
     second = (idx - offsets[first - 1] + first + 1).astype(np.int64)
-    q = _win_probs(pi_star, matrix, first, second)
+    ranks = pi_star.to_array()
+    q = matrix.win_prob(ranks[first - 1], ranks[second - 1])
     wins = rng.binomial(counts, q)
     return _sorted_pair_dataset(
         n, first, second, counts, wins, SamplingTag(WITH_REPLACEMENT, total), seed,
@@ -391,8 +403,10 @@ def relabel_items(dataset: ComparisonDataset, rho: Permutation) -> ComparisonDat
     first = np.where(flip, b, a)
     second = np.where(flip, a, b)
     wins = np.where(flip, dataset.num - dataset.first_wins, dataset.first_wins)
+    order = np.lexsort((second, first))
     return _sorted_pair_dataset(
-        dataset.n, first, second, dataset.num.copy(), wins, dataset.tag, dataset.seed,
+        dataset.n, first[order], second[order], dataset.num[order], wins[order],
+        dataset.tag, dataset.seed,
     )
 
 
@@ -412,7 +426,8 @@ def true_scores(pi_star: Permutation, matrix: ProbabilityMatrix) -> TrueScores:
     """
     if matrix.n != pi_star.n:
         raise SizeMismatchError(f"matrix n={matrix.n} vs permutation n={pi_star.n}")
-    sums = matrix.entries.sum(axis=1) - np.diag(matrix.entries)
+    entries = matrix.dense()
+    sums = entries.sum(axis=1) - np.diag(entries)
     return TrueScores(n=matrix.n, s_star=tuple(float(v) for v in sums))
 
 
@@ -443,24 +458,13 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
     budget = int(head[2]) if kind == WITH_REPLACEMENT else float(head[2])
     records: dict[tuple[int, int], tuple[int, int]] = {}
     for line in text[1:]:
-        i, j, m, a = (int(tok) for tok in line.split())
-        if i < j:
-            records.setdefault((i, j), (m, a))
-            if records[(i, j)][0] != m:
-                raise ValueError(f"inconsistent counts for pair ({i}, {j})")
-        else:
-            m_rev, a_fwd = records.get((j, i), (m, m - a))
-            if (j, i) in records and (m_rev != m or a_fwd != m - a):
-                raise ValueError(f"inconsistent records for pair ({j}, {i})")
-            records[(j, i)] = (m, m - a)
-    if records:
-        pairs = sorted(records)
-        first = np.array([p[0] for p in pairs], dtype=np.int64)
-        second = np.array([p[1] for p in pairs], dtype=np.int64)
-        num = np.array([records[p][0] for p in pairs], dtype=np.int64)
-        wins = np.array([records[p][1] for p in pairs], dtype=np.int64)
-    else:
-        first = second = num = wins = np.empty(0, dtype=np.int64)
+        i, j, m, a = map(int, line.split())
+        # both lines of a pair state (count, wins of the smaller index)
+        key, record = ((i, j), (m, a)) if i < j else ((j, i), (m, m - a))
+        if records.setdefault(key, record) != record:
+            raise ValueError(f"inconsistent records for pair {key}")
+    rows = [key + records[key] for key in sorted(records)]
+    first, second, num, wins = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
     return ComparisonDataset(
         n=n, first=first, second=second, num=num, first_wins=wins,
         tag=SamplingTag(kind, budget), seed=seed,

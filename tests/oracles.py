@@ -38,6 +38,23 @@ def kendall_tau_brute(pi, sigma):
     return int(np.sum((s[:, None] < s[None, :]) & (p[:, None] > p[None, :])))
 
 
+# Dataset-file bodies whose two records of pair (1, 2) disagree, in three orders.
+DISAGREEING_RECORDS = (
+    ["2 1 3 1", "1 2 3 0"],  # reverse, then a forward line with other wins
+    ["1 2 3 1", "1 2 3 2"],  # two forward lines
+    ["1 2 3 1", "2 1 3 1"],  # forward, then a reverse line with other wins
+)
+
+
+def dense_star_entries(n, lam):
+    """The star law as a dense n x n matrix, built the way it once was stored:
+    1/2 + lam below the diagonal, 1/2 - lam above, exactly 1/2 on it."""
+    entries = np.full((n, n), 0.5 - lam)
+    entries[np.tril_indices(n, -1)] = 0.5 + lam
+    np.fill_diagonal(entries, 0.5)
+    return entries
+
+
 def make_dataset(n, records, kind=WITH_REPLACEMENT, budget=None, seed=0):
     """records: list of (first, second, num, first_wins) with first < second."""
     if records:

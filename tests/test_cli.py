@@ -1,9 +1,13 @@
 import math
 
+import pytest
+
 from noisysort.cli import main
 from noisysort.counting import count_at_most_k_inversions
 from noisysort.model import read_dataset
 from noisysort.perms import Permutation
+
+from oracles import DISAGREEING_RECORDS
 
 
 class TestSmallCommands:
@@ -95,6 +99,15 @@ class TestSimulateAndRunMs:
         code = main(["run-ms", "--in", str(f), "--T", "1", "--out",
                      str(tmp_path / "p.txt")])
         assert code == 1
+
+    @pytest.mark.parametrize("lines", DISAGREEING_RECORDS)
+    def test_run_ms_rejects_disagreeing_records(self, tmp_path, capsys, lines):
+        f = tmp_path / "stage0.txt"
+        f.write_text("\n".join(["3 with_replacement 3 0", *lines]) + "\n")
+        code = main(["run-ms", "--in", str(f), "--T", "1", "--lambda-hat", "0.3",
+                     "--out", str(tmp_path / "p.txt")])
+        assert code == 1
+        assert "inconsistent records" in capsys.readouterr().err
 
 
 class TestExperimentCommand:

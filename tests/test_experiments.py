@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from noisysort import experiments, model
 from noisysort.errors import ResourceCapError
 from noisysort.experiments import (
     ExperimentSpec,
@@ -140,6 +143,47 @@ class TestRunExperiment:
         results = run_lambda_accuracy(spec)
         assert len(results) == 2
         assert all(abs(r.lambda_hat - 0.3) == r.abs_error for r in results)
+
+
+class TestOneDrawPerReplicate:
+    def _count_calls(self, monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_borda_pools_the_stage_samples(self, monkeypatch):
+        # split_with_replacement looks the sampler up in its own module
+        with_calls = self._count_calls(monkeypatch, model, "sample_with_replacement")
+        without_calls = self._count_calls(monkeypatch, experiments,
+                                          "sample_without_replacement")
+        spec = small_spec(replicates=3, stages=2, estimators=("ms", "borda"),
+                          sampling=(WITH_REPLACEMENT, WITHOUT_REPLACEMENT))
+        rows = run_experiment(spec)
+        assert len(rows) == 2 * 3 * 3
+        assert len(with_calls) == 3 * 2  # T per replicate
+        assert len(without_calls) == 3  # one full dataset per replicate
+
+    @pytest.mark.parametrize("sampling", [WITH_REPLACEMENT, WITHOUT_REPLACEMENT])
+    def test_default_path_allocates_no_dense_matrix(self, sampling):
+        n = 6000
+        spec = ExperimentSpec(
+            kind="scaling_n", n_values=(n,), alphas=(0.001,), lam=0.25, lambda_hat=0.25,
+            stages=3, replicates=1, estimators=("ms", "borda"), sampling=(sampling,),
+        )
+        tracemalloc.start()
+        try:
+            rows = run_experiment(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {r.estimator for r in rows} == {"ms", "borda", "random"}
+        assert peak < n * n / 4
 
 
 class TestSummaries:

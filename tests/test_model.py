@@ -1,12 +1,17 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import stats
 
 from noisysort.model import (
     WITH_REPLACEMENT,
     ComparisonDataset,
+    ProbabilityMatrix,
     SamplingTag,
     derive_seed,
     membership_violation,
@@ -25,20 +30,23 @@ from noisysort.model import (
 )
 from noisysort.perms import Permutation, random_permutation
 
+from oracles import DISAGREEING_RECORDS, dense_star_entries
+
 
 class TestStarMatrix:
     def test_two_by_two(self):
         m = star_matrix(2, 0.25)
-        assert np.allclose(m.entries, [[0.5, 0.25], [0.75, 0.5]])
+        assert np.allclose(m.dense(), [[0.5, 0.25], [0.75, 0.5]])
 
     def test_entries_take_three_values(self):
         m = star_matrix(5, 0.1)
-        assert set(np.round(m.entries.ravel(), 12)) == {0.4, 0.5, 0.6}
+        assert set(np.round(m.dense().ravel(), 12)) == {0.4, 0.5, 0.6}
 
     def test_skew_symmetry(self):
         m = star_matrix(6, 0.3)
         off = ~np.eye(6, dtype=bool)
-        assert np.allclose((m.entries + m.entries.T)[off], 1.0)
+        entries = m.dense()
+        assert np.allclose((entries + entries.T)[off], 1.0)
 
     def test_row_sum_closed_form(self):
         for n in (1, 2, 7, 23, 50):
@@ -55,12 +63,50 @@ class TestStarMatrix:
             star_matrix(4, 0.0)
 
 
+class TestClosedFormStarLaw:
+    @pytest.mark.parametrize("n, lam", [(1, 0.25), (2, 0.25), (7, 0.1), (40, 0.3),
+                                        (101, 0.45), (64, 1e-3), (33, 0.2 + 1e-9)])
+    def test_win_prob_matches_dense_reference(self, n, lam):
+        law = star_matrix(n, lam)
+        reference = dense_star_entries(n, lam)
+        ranks = np.arange(1, n + 1)
+        for i in ranks:  # every rank pair, the diagonal included, bit for bit
+            got = law.win_prob(np.full(n, i), ranks)
+            assert got.dtype == reference.dtype and np.array_equal(got, reference[i - 1])
+        assert np.array_equal(law.dense(), reference)
+        assert membership_violation(law.dense(), lam) is None
+
+    @pytest.mark.parametrize("order", ["identity", "random"])
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    def test_samplers_draw_same_data_under_both_laws(self, order, seed):
+        n, lam = 45, 0.2
+        pi = (Permutation.identity(n) if order == "identity"
+              else random_permutation(n, np.random.default_rng(seed)))
+        closed = star_matrix(n, lam)
+        dense = ProbabilityMatrix(n=n, lam=lam, entries=dense_star_entries(n, lam))
+        assert sample_with_replacement(pi, closed, 3000, seed).same_data(
+            sample_with_replacement(pi, dense, 3000, seed))
+        assert sample_without_replacement(pi, closed, 0.6, seed).same_data(
+            sample_without_replacement(pi, dense, 0.6, seed))
+
+    def test_star_law_stores_no_dense_table(self):
+        assert star_matrix(100_000, 0.25).entries.nbytes == 3 * 8
+
+    def test_tables_are_validated(self):
+        with pytest.raises(ValueError):  # a 1-D table other than the star law's
+            ProbabilityMatrix(n=5, lam=0.2, entries=np.array([0.4, 0.5, 0.7]))
+        with pytest.raises(ValueError):  # a dense table of the wrong size
+            ProbabilityMatrix(n=5, lam=0.2, entries=dense_star_entries(4, 0.2))
+        with pytest.raises(ValueError):  # a dense table outside the class
+            ProbabilityMatrix(n=4, lam=0.3, entries=dense_star_entries(4, 0.2))
+
+
 class TestMembership:
     def test_star_accepted(self):
-        assert membership_violation(star_matrix(6, 0.2).entries, 0.2) is None
+        assert membership_violation(star_matrix(6, 0.2).dense(), 0.2) is None
 
     def test_single_violated_entry_rejected(self):
-        entries = star_matrix(6, 0.2).entries.copy()
+        entries = star_matrix(6, 0.2).dense()
         entries[3, 1] = 0.6  # needs >= 0.7
         entries[1, 3] = 0.4
         assert membership_violation(entries, 0.2) is not None
@@ -68,6 +114,7 @@ class TestMembership:
     def test_random_member_is_valid(self):
         m = random_member_matrix(8, 0.2, 0.05, seed=4)
         assert membership_violation(m.entries, 0.2) is None
+        assert np.array_equal(m.dense(), m.entries)
         # strictly inside the band somewhere (not the star matrix)
         assert np.any(m.entries[np.tril_indices(8, -1)] > 0.7 + 1e-9)
 
@@ -276,6 +323,20 @@ class TestMergeAndIO:
         write_dataset(d, path)
         assert read_dataset(path).same_data(d)
 
+    @pytest.mark.parametrize("lines", DISAGREEING_RECORDS)
+    def test_read_rejects_disagreeing_records(self, tmp_path, lines):
+        path = tmp_path / "data.txt"
+        path.write_text("\n".join(["3 with_replacement 3 0", *lines]) + "\n")
+        with pytest.raises(ValueError, match="inconsistent"):
+            read_dataset(path)
+
+    def test_read_accepts_agreeing_records_in_any_order(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("3 with_replacement 5 0\n2 1 3 2\n2 3 2 2\n1 2 3 1\n3 2 2 0\n")
+        d = read_dataset(path)
+        assert d.first.tolist() == [1, 2] and d.second.tolist() == [2, 3]
+        assert d.num.tolist() == [3, 2] and d.first_wins.tolist() == [1, 2]
+
     def test_dataset_invariants_on_construction(self):
         with pytest.raises(ValueError):
             ComparisonDataset(
@@ -299,3 +360,33 @@ class TestSeedDerivation:
         assert derive_seed(42, 0) != derive_seed(42, 1)
         assert derive_seed(42, 0, 1) != derive_seed(42, 1, 0)
         assert derive_seed(42) != derive_seed(43)
+
+
+def _strictly_increasing(d):
+    key = d.first * (d.n + 1) + d.second
+    return bool(np.all(np.diff(key) > 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=hst.integers(2, 30), seed=hst.integers(0, 2**32 - 1),
+       total=hst.integers(1, 600), p=hst.floats(0.02, 1.0), parts=hst.integers(1, 4))
+def test_every_producer_returns_pairs_in_order(n, seed, total, p, parts):
+    rng = np.random.default_rng(seed)
+    pi = random_permutation(n, rng)
+    law = star_matrix(n, 0.2)
+    with_r = sample_with_replacement(pi, law, total, seed)
+    without = sample_without_replacement(pi, law, p, seed)
+    produced = [with_r, without, relabel_items(with_r, random_permutation(n, rng)),
+                merge_datasets([with_r, sample_with_replacement(pi, law, total, seed + 1)])]
+    split = split_without_replacement(without, parts, seed)
+    produced += split + [merge_datasets(split)]
+    with tempfile.TemporaryDirectory() as tmp:  # the reader on shuffled lines
+        path = Path(tmp) / "data.txt"
+        write_dataset(with_r, path)
+        head, *lines = path.read_text().splitlines()
+        rng.shuffle(lines)
+        path.write_text("\n".join([head, *lines]) + "\n")
+        back = read_dataset(path)
+    assert back.same_data(with_r)
+    produced.append(back)
+    assert all(_strictly_increasing(d) for d in produced)
