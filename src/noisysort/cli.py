@@ -95,14 +95,9 @@ def _cmd_run_ms(args) -> int:
         matrix = star_matrix(args.n, args.lam)
         pi_star = _load_pi_star(args.pi_star, args.n)
         kind = _SAMPLING_TOKENS[args.model]
-        run = run_ms_pipeline(
-            pi_star, matrix, kind,
-            total=int(args.budget) if kind == WITH_REPLACEMENT
-            else round(float(args.budget) * args.n * (args.n - 1) / 2),
-            stages=args.stages, config=config, seed=args.seed,
-            p=float(args.budget) if kind == WITHOUT_REPLACEMENT else None,
-            lambda_hat=args.lambda_hat,
-        )
+        budget = int(args.budget) if kind == WITH_REPLACEMENT else float(args.budget)
+        run = run_ms_pipeline(pi_star, matrix, kind, budget, args.stages, config, args.seed,
+                              lambda_hat=args.lambda_hat)
         pi_hat, states = run.permutation, run.states
     Path(args.out).write_text(pi_hat.to_line() + "\n")
     if args.regions_dir:
@@ -201,6 +196,10 @@ _SCALAR_KEYS = {"kind": str, "lam": float, "lambda_hat": float, "stages": int,
                 "out": str, "summary_out": str, "timings_out": str}
 
 
+def _margin(text: str) -> float | None:
+    return None if text == "none" else float(text)
+
+
 def _parse_config_file(path: str) -> dict:
     """Flat key = value text; '#' comments; comma-separated lists."""
     values: dict = {}
@@ -219,53 +218,32 @@ def _parse_config_file(path: str) -> dict:
             values[key] = None if val.lower() == "none" else _SCALAR_KEYS[key](val)
         else:
             raise ValueError(f"unknown config key {key!r}")
-    if "sampling" in values:
-        values["sampling"] = tuple(_SAMPLING_TOKENS.get(s, s) for s in values["sampling"])
     return values
 
 
-def _cmd_experiment(args) -> int:
-    settings = dict(_EXPERIMENT_DEFAULTS[args.which])
-    if args.config:
-        file_values = _parse_config_file(args.config)
-        if "alphas" in file_values:
-            settings.pop("budgets", None)
-        if "budgets" in file_values:
-            settings.pop("alphas", None)
-        settings.update(file_values)
-    overrides = {
-        "n_values": tuple(args.n_values) if args.n_values else None,
-        "alphas": tuple(args.alphas) if args.alphas else None,
-        "budgets": tuple(args.budgets) if args.budgets else None,
-        "lam": args.lam,
-        "stages": args.stages,
-        "replicates": args.replicates,
-        "master_seed": args.master_seed,
-        "estimators": tuple(args.estimators) if args.estimators else None,
-        "c0": args.c0, "c1": args.c1, "threshold_scale": args.threshold_scale,
-        "workers": args.workers, "max_n": args.max_n, "max_budget": args.max_budget,
-        "pi_star": args.pi_star, "regions_dir": args.regions_dir,
-    }
-    if args.sampling:
-        overrides["sampling"] = tuple(_SAMPLING_TOKENS[s] for s in args.sampling)
-    if args.lambda_hat is not None:
-        overrides["lambda_hat"] = None if args.lambda_hat == "none" else float(args.lambda_hat)
-    for key, value in overrides.items():
-        if value is not None:
-            settings[key] = value
-    if args.paper_scale:
-        settings["n_values"] = _PAPER_SCALE_GRID
-    if args.alphas:
-        settings.pop("budgets", None)
-    if args.budgets:
-        settings.pop("alphas", None)
+def _layer(settings: dict, values: dict) -> None:
+    """Lay ``values`` over ``settings``; giving alphas or budgets drops the other."""
+    for key, other in (("alphas", "budgets"), ("budgets", "alphas")):
+        if key in values:
+            settings.pop(other, None)
+    settings.update(values)
+    if "sampling" in values:
+        settings["sampling"] = tuple(_SAMPLING_TOKENS.get(s, s) for s in values["sampling"])
 
-    out = args.out if args.out is not None else settings.pop("out", None) or "results.csv"
-    settings.pop("out", None)
-    summary_out = args.summary_out if args.summary_out is not None else settings.pop("summary_out", None)
-    settings.pop("summary_out", None)
-    timings_out = args.timings_out if args.timings_out is not None else settings.pop("timings_out", None)
-    settings.pop("timings_out", None)
+
+def _cmd_experiment(args) -> int:
+    # the experiment parser suppresses absent flags, so vars(args) holds only given ones
+    settings = dict(_EXPERIMENT_DEFAULTS[args.which])
+    if "config" in args:
+        _layer(settings, _parse_config_file(args.config))
+    config_keys = _LIST_KEYS | _SCALAR_KEYS
+    _layer(settings, {key: tuple(v) if isinstance(v, list) else v
+                      for key, v in vars(args).items() if key in config_keys})
+    if "paper_scale" in args:
+        settings["n_values"] = _PAPER_SCALE_GRID
+    out = settings.pop("out", None) or "results.csv"
+    summary_out = settings.pop("summary_out", None)
+    timings_out = settings.pop("timings_out", None)
     if settings.get("kind") == "region_snapshot" and not settings.get("regions_dir"):
         settings["regions_dir"] = "regions"
     spec = ExperimentSpec(**settings)
@@ -350,33 +328,34 @@ def build_parser() -> _Parser:
     p_th.add_argument("--kind", choices=RATE_KINDS, default="minimax_o2")
     p_th.set_defaults(func=_cmd_theory)
 
-    p_ex = sub.add_parser("experiment", help="run a seeded experiment grid")
+    p_ex = sub.add_parser("experiment", help="run a seeded experiment grid",
+                          argument_default=argparse.SUPPRESS)
     p_ex.add_argument("which", choices=tuple(_EXPERIMENT_DEFAULTS))
-    p_ex.add_argument("--config", default=None, help="flat key = value file")
-    p_ex.add_argument("--n-values", dest="n_values", type=int, nargs="+", default=None)
-    p_ex.add_argument("--alphas", type=float, nargs="+", default=None)
-    p_ex.add_argument("--budgets", type=int, nargs="+", default=None)
-    p_ex.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_ex.add_argument("--lambda-hat", dest="lambda_hat", default=None,
-                      help="margin override, or 'none' to estimate it")
-    p_ex.add_argument("--stages", type=int, default=None)
-    p_ex.add_argument("--replicates", type=int, default=None)
-    p_ex.add_argument("--master-seed", dest="master_seed", type=int, default=None)
-    p_ex.add_argument("--estimators", nargs="+", default=None)
-    p_ex.add_argument("--sampling", nargs="+", choices=("with", "without"), default=None)
-    p_ex.add_argument("--c0", type=float, default=None)
-    p_ex.add_argument("--c1", type=float, default=None)
-    p_ex.add_argument("--threshold-scale", dest="threshold_scale", type=float, default=None)
-    p_ex.add_argument("--workers", type=int, default=None)
-    p_ex.add_argument("--max-n", dest="max_n", type=int, default=None)
-    p_ex.add_argument("--max-budget", dest="max_budget", type=int, default=None)
-    p_ex.add_argument("--pi-star", dest="pi_star", choices=("identity", "random"), default=None)
+    p_ex.add_argument("--config", help="flat key = value file")
+    p_ex.add_argument("--n-values", dest="n_values", type=int, nargs="+")
+    p_ex.add_argument("--alphas", type=float, nargs="+")
+    p_ex.add_argument("--budgets", type=int, nargs="+")
+    p_ex.add_argument("--lambda", dest="lam", type=float)
+    p_ex.add_argument("--lambda-hat", dest="lambda_hat", type=_margin,
+                      help="fixed margin, or 'none' to estimate it")
+    p_ex.add_argument("--stages", type=int)
+    p_ex.add_argument("--replicates", type=int)
+    p_ex.add_argument("--master-seed", dest="master_seed", type=int)
+    p_ex.add_argument("--estimators", nargs="+")
+    p_ex.add_argument("--sampling", nargs="+", choices=("with", "without"))
+    p_ex.add_argument("--c0", type=float)
+    p_ex.add_argument("--c1", type=float)
+    p_ex.add_argument("--threshold-scale", dest="threshold_scale", type=float)
+    p_ex.add_argument("--workers", type=int)
+    p_ex.add_argument("--max-n", dest="max_n", type=int)
+    p_ex.add_argument("--max-budget", dest="max_budget", type=int)
+    p_ex.add_argument("--pi-star", dest="pi_star", choices=("identity", "random"))
     p_ex.add_argument("--paper-scale", action="store_true",
                       help="use the full-size n grid instead of the desk-scale default")
-    p_ex.add_argument("--out", default=None, help="results CSV (default results.csv)")
-    p_ex.add_argument("--summary-out", dest="summary_out", default=None)
-    p_ex.add_argument("--timings-out", dest="timings_out", default=None)
-    p_ex.add_argument("--regions-dir", dest="regions_dir", default=None)
+    p_ex.add_argument("--out", help="results CSV (default results.csv)")
+    p_ex.add_argument("--summary-out", dest="summary_out")
+    p_ex.add_argument("--timings-out", dest="timings_out")
+    p_ex.add_argument("--regions-dir", dest="regions_dir")
     p_ex.set_defaults(func=_cmd_experiment)
 
     return parser

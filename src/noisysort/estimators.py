@@ -93,22 +93,18 @@ class MsConfig:
         its uncertain set is still larger than c1 * n^2 * (T/N) * log(nT).
     threshold_scale: multiplier on the threshold coefficient (see
         CALIBRATED_THRESHOLD_SCALE; 1.0 is the literal theoretical constant).
-    lambda_hat_override: use this margin instead of an estimated one.
     """
 
     stages: int
     c0: float = 1.0
     c1: float = 8.0
     threshold_scale: float = 1.0
-    lambda_hat_override: float | None = None
 
     def __post_init__(self) -> None:
         if self.stages < 1:
             raise ValueError("stages must be >= 1")
         if self.c0 <= 0 or self.c1 <= 0 or self.threshold_scale <= 0:
             raise ValueError("constants must be positive")
-        if self.lambda_hat_override is not None and not 0 < self.lambda_hat_override < 0.5:
-            raise ValueError("lambda_hat_override must lie in (0, 1/2)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,9 +215,8 @@ def ms_sort(
     n = stage_samples[0].n
     if any(s.n != n for s in stage_samples):
         raise SizeMismatchError("stage samples disagree on n")
-    lam_hat = config.lambda_hat_override if config.lambda_hat_override is not None else lambda_hat
-    if lam_hat is None or not 0 < lam_hat < 0.5:
-        raise ValueError(f"need an estimated margin in (0, 1/2), got {lam_hat}")
+    if lambda_hat is None or not 0 < lambda_hat < 0.5:
+        raise ValueError(f"need an estimated margin in (0, 1/2), got {lambda_hat}")
 
     states = [initial_ms_state(n)]
     if n == 1:
@@ -258,8 +253,8 @@ def ms_sort(
         raw += np.bincount(se[keep_s], weights=losses[keep_s], minlength=n)
         scores = (
             scale * raw
-            + (0.5 + lam_hat) * prev.below_counts
-            + (0.5 - lam_hat) * prev.above_counts
+            + (0.5 + lambda_hat) * prev.below_counts
+            + (0.5 - lambda_hat) * prev.above_counts
         )
 
         sizes_prev = n - prev.below_counts - prev.above_counts

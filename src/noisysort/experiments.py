@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .counting import greedy_maximal_packing, max_inversions
+from .counting import PackingSet, greedy_maximal_packing, max_inversions
 from .errors import ResourceCapError
 from .estimators import (
     CALIBRATED_THRESHOLD_SCALE,
@@ -47,6 +48,7 @@ from .model import (
 )
 from .perms import (
     Permutation,
+    compose,
     kendall_tau,
     l1_distance,
     linf_distance,
@@ -121,6 +123,15 @@ class ExperimentSpec:
             raise ValueError("pi_star must be 'identity' or 'random'")
         if self.workers is not None and (type(self.workers) is not int or self.workers < 1):
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
+        cells = len(self.n_values) * len(self.budget_params()) * len(self.sampling)
+        if self.kind == "region_snapshot" and (
+            cells != 1 or "ms" not in self.estimators or self.pi_star != "identity"
+            or self.regions_dir is None
+        ):
+            raise ValueError("region snapshots take one grid cell, the ms estimator, "
+                             "the identity pi_star and a regions_dir")
+        if self.kind == "lambda_accuracy" and tuple(self.sampling) != (WITH_REPLACEMENT,):
+            raise ValueError("lambda_accuracy samples with replacement only")
 
     def budget_params(self) -> tuple[tuple[str, float], ...]:
         if self.alphas is not None:
@@ -190,16 +201,31 @@ def _check_caps(spec: ExperimentSpec) -> None:
                 )
 
 
-def _resolve_budget(kind: str, value: float, n: int, sampling: str) -> tuple[float, int]:
-    """(budget column value, absolute comparison count N) for one cell."""
+def _replicates(spec: ExperimentSpec) -> Iterator[tuple[int, str, float, str, int]]:
+    """(n, budget kind, budget value, sampling, seed) of every (cell, replicate)."""
+    for i_n, n in enumerate(spec.n_values):
+        for i_b, (bkind, bval) in enumerate(spec.budget_params()):
+            for i_s, sampling in enumerate(spec.sampling):
+                for rep in range(spec.replicates):
+                    seed = derive_seed(spec.master_seed, i_n, i_b, i_s, rep)
+                    yield n, bkind, bval, sampling, seed
+
+
+def _pi_star(spec: ExperimentSpec, n: int, seed: int) -> Permutation:
+    if spec.pi_star == "identity":
+        return Permutation.identity(n)
+    return random_permutation(n, np.random.default_rng(derive_seed(seed, 8)))
+
+
+def _resolve_budget(kind: str, value: float, n: int, sampling: str) -> float:
+    """A cell's budget: N comparisons (a whole float), or p without replacement."""
     pairs = math.comb(n, 2)
     if sampling == WITHOUT_REPLACEMENT:
         p = value if kind == "alpha" else value / pairs
         if not 0 < p <= 1:
             raise ValueError(f"per-pair probability {p} outside (0, 1]")
-        return p, round(p * pairs)
-    total = round(value * pairs) if kind == "alpha" else int(value)
-    return float(total), total
+        return p
+    return float(round(value * pairs) if kind == "alpha" else int(value))
 
 
 @dataclass(frozen=True)
@@ -215,14 +241,14 @@ def _draw_pipeline_data(
     pi_star: Permutation,
     matrix: ProbabilityMatrix,
     sampling: str,
-    total: int,
+    budget: float,
     stages: int,
     seed: int,
-    p: float | None = None,
     lambda_hat: float | None = None,
 ) -> tuple[list[ComparisonDataset], float | None, ComparisonDataset | None]:
     """(stage samples, margin, full dataset or None) of one run; see run_ms_pipeline."""
     if sampling == WITH_REPLACEMENT:
+        total = int(budget)
         halves = [] if lambda_hat is not None else [total - total // 2, total // 2]
         parts = split_with_replacement(
             pi_star, matrix, halves + stage_budgets(total, stages), derive_seed(seed, 0)
@@ -231,9 +257,7 @@ def _draw_pipeline_data(
             lambda_hat = estimate_lambda(parts[0], parts[1])
         return parts[len(halves):], lambda_hat, None
     if sampling == WITHOUT_REPLACEMENT:
-        if p is None:
-            raise ValueError("without-replacement runs need p")
-        full = sample_without_replacement(pi_star, matrix, p, derive_seed(seed, 0))
+        full = sample_without_replacement(pi_star, matrix, budget, derive_seed(seed, 0))
         return split_without_replacement(full, stages, derive_seed(seed, 1)), lambda_hat, full
     raise ValueError(f"unknown sampling model {sampling!r}")
 
@@ -242,38 +266,44 @@ def run_ms_pipeline(
     pi_star: Permutation,
     matrix: ProbabilityMatrix,
     sampling: str,
-    total: int,
+    budget: float,
     stages: int,
     config: MsConfig,
     seed: int,
-    p: float | None = None,
     lambda_hat: float | None = None,
 ) -> MsRun:
     """Generate data and run the multistage sorter end to end.
 
-    With-replacement: ``total`` comparisons split evenly across stages; if no
-    margin is supplied, an extra ``total`` comparisons are generated and used
-    to estimate it (two half samples).  Without-replacement: one dataset with
-    per-pair probability ``p``, comparisons scattered uniformly across
-    stages; a margin must be supplied since the estimator's contract covers
+    With-replacement: ``budget`` is the number N of comparisons, split
+    evenly across stages; if no margin is supplied, an extra N comparisons
+    are generated and used to estimate it (two half samples).
+    Without-replacement: ``budget`` is the per-pair probability p of one
+    dataset whose comparisons are scattered uniformly across stages; a
+    margin must be supplied since the estimator's contract covers
     with-replacement samples only.
     """
-    lam_hat = config.lambda_hat_override if config.lambda_hat_override is not None else lambda_hat
-    if sampling == WITHOUT_REPLACEMENT and lam_hat is None:
+    if sampling == WITHOUT_REPLACEMENT and lambda_hat is None:
         raise ValueError("without-replacement runs need an explicit margin (lambda_hat)")
     stage_samples, lam_hat, _ = _draw_pipeline_data(
-        pi_star, matrix, sampling, total, stages, seed, p, lam_hat
+        pi_star, matrix, sampling, budget, stages, seed, lambda_hat
     )
     pi_hat, states = ms_sort(stage_samples, lam_hat, config)
     return MsRun(permutation=pi_hat, states=states, lambda_hat=lam_hat)
 
 
-def _distances(pi_hat: Permutation, pi_star: Permutation) -> tuple[int, int, int]:
-    return (
-        kendall_tau(pi_hat, pi_star),
-        l1_distance(pi_hat, pi_star),
-        linf_distance(pi_hat, pi_star),
-    )
+def _sieve_net(n: int, phi: float, seed: int) -> PackingSet:
+    """Greedy packing of S_n at radius phi (clipped to [1, max inversions]),
+    relabelled by a random rho drawn from ``seed``.
+
+    The greedy scan keeps the identity first, so without the relabelling a
+    one-member net would be {identity} whatever the data.  Left
+    multiplication preserves Kendall distances, so the result is still a
+    maximal packing at the same radius.
+    """
+    radius = int(min(max(phi, 1), max_inversions(n)))
+    rho = random_permutation(n, np.random.default_rng(seed))
+    net = greedy_maximal_packing(n, radius)
+    return PackingSet(n, radius, tuple(compose(rho, pi) for pi in net.members))
 
 
 def _run_cell_replicate(
@@ -284,13 +314,9 @@ def _run_cell_replicate(
     sampling: str,
     seed: int,
 ) -> tuple[list[ResultRow], list[MsState] | None]:
-    budget_col, total = _resolve_budget(budget_kind, budget_value, n, sampling)
+    budget = _resolve_budget(budget_kind, budget_value, n, sampling)
     rng_misc = np.random.default_rng(derive_seed(seed, 9))
-    pi_star = (
-        Permutation.identity(n)
-        if spec.pi_star == "identity"
-        else random_permutation(n, np.random.default_rng(derive_seed(seed, 8)))
-    )
+    pi_star = _pi_star(spec, n, seed)
     matrix = star_matrix(n, spec.lam)
     stages = spec.stages if spec.stages is not None else default_stage_count(n)
     config = MsConfig(
@@ -303,9 +329,7 @@ def _run_cell_replicate(
     # one draw per replicate: ms sorts the stage samples; the other estimators
     # pool them (the without-replacement draw is its own pool)
     stage_samples, lam_hat, pooled = _draw_pipeline_data(
-        pi_star, matrix, sampling, total, stages, seed,
-        p=budget_col if sampling == WITHOUT_REPLACEMENT else None,
-        lambda_hat=spec.lambda_hat,
+        pi_star, matrix, sampling, budget, stages, seed, spec.lambda_hat
     )
     rows: list[ResultRow] = []
     states: list[MsState] | None = None
@@ -322,19 +346,16 @@ def _run_cell_replicate(
         elif estimator == "mle":
             pi_hat = brute_force_mle(pooled)
         elif estimator == "sieve":
-            phi = theoretical_phi(sampling, n, total if sampling == WITH_REPLACEMENT
-                                  else budget_col, spec.lam)
-            radius = int(min(max(phi, 1), max_inversions(n)))
-            net = greedy_maximal_packing(n, radius)
-            pi_hat = sieve_mle(pooled, net)
+            phi = theoretical_phi(sampling, n, budget, spec.lam)
+            pi_hat = sieve_mle(pooled, _sieve_net(n, phi, derive_seed(seed, 10)))
         else:  # pragma: no cover - spec validation rejects unknown ids
             raise ValueError(f"unknown estimator {estimator!r}")
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        d_kt, l1, linf = _distances(pi_hat, pi_star)
         rows.append(ResultRow(
-            kind=spec.kind, n=n, sampling=sampling, budget=budget_col,
+            kind=spec.kind, n=n, sampling=sampling, budget=budget,
             lam=spec.lam, seed=seed, estimator=estimator,
-            d_kt=d_kt, l1=l1, linf=linf, runtime_ms=elapsed_ms,
+            d_kt=kendall_tau(pi_hat, pi_star), l1=l1_distance(pi_hat, pi_star),
+            linf=linf_distance(pi_hat, pi_star), runtime_ms=elapsed_ms,
         ))
     return rows, states
 
@@ -342,28 +363,23 @@ def _run_cell_replicate(
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run a distance-measured experiment grid; rows in canonical order.
 
-    For region snapshots, per-stage bitmaps land in ``spec.regions_dir``
-    (which must be set) together with a region_sizes.csv.
+    For region snapshots, replicate 0 also writes its per-stage bitmaps and
+    a region_sizes.csv to ``spec.regions_dir``.
     """
     if spec.kind == "lambda_accuracy":
         raise ValueError("use run_lambda_accuracy for the lambda_accuracy kind")
     _check_caps(spec)
-    if spec.kind == "region_snapshot":
-        return _run_region_snapshot(spec)
 
-    jobs = []
-    for i_n, n in enumerate(spec.n_values):
-        for i_b, (bkind, bval) in enumerate(spec.budget_params()):
-            for i_s, sampling in enumerate(spec.sampling):
-                for rep in range(spec.replicates):
-                    seed = derive_seed(spec.master_seed, i_n, i_b, i_s, rep)
-                    jobs.append((n, bkind, bval, sampling, seed))
-
-    def run_job(job):
-        n, bkind, bval, sampling, seed = job
-        rows, _ = _run_cell_replicate(spec, n, bkind, bval, sampling, seed)
+    def run_job(indexed_job):
+        index, job = indexed_job
+        rows, states = _run_cell_replicate(spec, *job)
+        if index == 0 and spec.kind == "region_snapshot":
+            emit_regions(states, spec.regions_dir)
+            _write_csv(Path(spec.regions_dir) / "region_sizes.csv", ("stage", "region_size"),
+                       ((st.stage, st.region_size()) for st in states))
         return rows
 
+    jobs = list(enumerate(_replicates(spec)))
     workers = spec.effective_workers()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -375,57 +391,23 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     return rows
 
 
-def _run_region_snapshot(spec: ExperimentSpec) -> list[ResultRow]:
-    if spec.regions_dir is None:
-        raise ValueError("region snapshots need regions_dir")
-    if len(spec.n_values) != 1 or len(spec.budget_params()) != 1:
-        raise ValueError("region snapshots take a single grid cell")
-    if spec.pi_star != "identity":
-        raise ValueError("region snapshots order items by the identity")
-    n = spec.n_values[0]
-    bkind, bval = spec.budget_params()[0]
-    sampling = spec.sampling[0]
-    all_rows: list[ResultRow] = []
-    out_dir = Path(spec.regions_dir)
-    for rep in range(spec.replicates):
-        seed = derive_seed(spec.master_seed, 0, 0, 0, rep)
-        rows, states = _run_cell_replicate(spec, n, bkind, bval, sampling, seed)
-        all_rows.extend(rows)
-        if rep == 0 and states is not None:
-            emit_regions(states, out_dir)
-            sizes = [(st.stage, st.region_size()) for st in states]
-            lines = ["stage,region_size"] + [f"{t},{c}" for t, c in sizes]
-            (out_dir / "region_sizes.csv").write_text("\n".join(lines) + "\n")
-    all_rows.sort(key=lambda r: (r.kind, r.n, r.sampling, r.budget, r.lam, r.seed, r.estimator))
-    return all_rows
-
-
 def run_lambda_accuracy(spec: ExperimentSpec) -> list[LambdaResult]:
     """Margin-estimation accuracy runs (with-replacement sampling)."""
     if spec.kind != "lambda_accuracy":
         raise ValueError("spec.kind must be lambda_accuracy")
     _check_caps(spec)
     results: list[LambdaResult] = []
-    for i_n, n in enumerate(spec.n_values):
-        matrix = star_matrix(n, spec.lam)
-        for i_b, (bkind, bval) in enumerate(spec.budget_params()):
-            _, total = _resolve_budget(bkind, bval, n, WITH_REPLACEMENT)
-            for rep in range(spec.replicates):
-                seed = derive_seed(spec.master_seed, i_n, i_b, 0, rep)
-                pi_star = (
-                    Permutation.identity(n)
-                    if spec.pi_star == "identity"
-                    else random_permutation(n, np.random.default_rng(derive_seed(seed, 8)))
-                )
-                half = total - total // 2
-                s1, s2 = split_with_replacement(
-                    pi_star, matrix, [half, total // 2], derive_seed(seed, 0)
-                )
-                lam_hat = estimate_lambda(s1, s2)
-                results.append(LambdaResult(
-                    n=n, budget=total, lam=spec.lam, seed=seed,
-                    lambda_hat=lam_hat, abs_error=abs(lam_hat - spec.lam),
-                ))
+    for n, bkind, bval, sampling, seed in _replicates(spec):
+        total = int(_resolve_budget(bkind, bval, n, sampling))
+        s1, s2 = split_with_replacement(
+            _pi_star(spec, n, seed), star_matrix(n, spec.lam),
+            [total - total // 2, total // 2], derive_seed(seed, 0),
+        )
+        lam_hat = estimate_lambda(s1, s2)
+        results.append(LambdaResult(
+            n=n, budget=total, lam=spec.lam, seed=seed,
+            lambda_hat=lam_hat, abs_error=abs(lam_hat - spec.lam),
+        ))
     return results
 
 
@@ -488,6 +470,12 @@ def _format_value(v) -> str:
     return str(v)
 
 
+def _write_csv(path: str | Path, header: tuple[str, ...], lines: Iterable[Iterable]) -> None:
+    """A header line, then one comma-separated line per sequence of values."""
+    text = [",".join(header)] + [",".join(map(_format_value, values)) for values in lines]
+    Path(path).write_text("\n".join(text) + "\n")
+
+
 def rows_to_csv(rows: list[ResultRow], path: str | Path,
                 timings_path: str | Path | None = None) -> None:
     """Write rows in the documented column order (timings separate).
@@ -495,35 +483,19 @@ def rows_to_csv(rows: list[ResultRow], path: str | Path,
     The canonical file is a pure function of the experiment spec and master
     seed; wall-clock timings are not, so they only ever go to the sidecar.
     """
-    lines = [",".join(RESULT_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(_format_value(getattr(r, c)) for c in RESULT_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, RESULT_COLUMNS, ([getattr(r, c) for c in RESULT_COLUMNS] for r in rows))
     if timings_path is not None:
-        tlines = [",".join(RESULT_COLUMNS[:7]) + ",runtime_ms"]
-        for r in rows:
-            tlines.append(
-                ",".join(_format_value(getattr(r, c)) for c in RESULT_COLUMNS[:7])
-                + f",{r.runtime_ms:.3f}"
-            )
-        Path(timings_path).write_text("\n".join(tlines) + "\n")
+        key = RESULT_COLUMNS[:7]
+        _write_csv(timings_path, key + ("runtime_ms",),
+                   ([getattr(r, c) for c in key] + [f"{r.runtime_ms:.3f}"] for r in rows))
 
 
 def summary_to_csv(rows: list[SummaryRow], path: str | Path) -> None:
-    cols = ("kind", "n", "sampling", "budget", "lam", "estimator", "count",
-            "d_kt_mean", "d_kt_std", "d_kt_min", "d_kt_max", "l1_mean", "linf_mean")
-    lines = [",".join(cols)]
-    for r in rows:
-        lines.append(",".join(_format_value(getattr(r, c)) for c in cols))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, tuple(f.name for f in fields(SummaryRow)), map(astuple, rows))
 
 
 def lambda_results_to_csv(results: list[LambdaResult], path: str | Path) -> None:
-    cols = ("n", "budget", "lam", "seed", "lambda_hat", "abs_error")
-    lines = [",".join(cols)]
-    for r in results:
-        lines.append(",".join(_format_value(getattr(r, c)) for c in cols))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, tuple(f.name for f in fields(LambdaResult)), map(astuple, results))
 
 
 def write_pbm(mask: np.ndarray, path: str | Path) -> None:

@@ -448,6 +448,7 @@ def write_dataset(dataset: ComparisonDataset, path: str | Path) -> None:
 
 
 def read_dataset(path: str | Path) -> ComparisonDataset:
+    """Read the write_dataset format; ValueError on any inconsistent file."""
     text = Path(path).read_text().strip().splitlines()
     if not text:
         raise ValueError(f"empty dataset file {path}")
@@ -465,7 +466,12 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
             raise ValueError(f"inconsistent records for pair {key}")
     rows = [key + records[key] for key in sorted(records)]
     first, second, num, wins = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
-    return ComparisonDataset(
+    dataset = ComparisonDataset(
         n=n, first=first, second=second, num=num, first_wins=wins,
         tag=SamplingTag(kind, budget), seed=seed,
     )
+    if kind == WITH_REPLACEMENT and budget != dataset.total_comparisons():
+        raise ValueError(f"header budget {budget} but {dataset.total_comparisons()} comparisons")
+    if kind == WITHOUT_REPLACEMENT and (not 0 < budget <= 1 or np.any(num != 1)):
+        raise ValueError("without-replacement data needs p in (0, 1] and one comparison per pair")
+    return dataset

@@ -45,6 +45,13 @@ DISAGREEING_RECORDS = (
     ["1 2 3 1", "2 1 3 1"],  # forward, then a reverse line with other wins
 )
 
+# Dataset files whose header disagrees with their records.
+BAD_HEADER_FILES = (
+    ["3 with_replacement 99 0", "1 2 3 1"],  # budget 99 over 3 comparisons
+    ["3 without_replacement 0.5 0", "1 2 3 1"],  # a pair compared 3 times
+    ["3 without_replacement 7.5 0", "1 2 1 1"],  # p outside (0, 1]
+)
+
 
 def dense_star_entries(n, lam):
     """The star law as a dense n x n matrix, built the way it once was stored:

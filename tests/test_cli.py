@@ -1,13 +1,16 @@
+import argparse
+import dataclasses
 import math
 
 import pytest
 
-from noisysort.cli import main
+from noisysort.cli import _LIST_KEYS, _SCALAR_KEYS, build_parser, main
+from noisysort.experiments import ExperimentSpec
 from noisysort.counting import count_at_most_k_inversions
 from noisysort.model import read_dataset
 from noisysort.perms import Permutation
 
-from oracles import DISAGREEING_RECORDS
+from oracles import BAD_HEADER_FILES, DISAGREEING_RECORDS
 
 
 class TestSmallCommands:
@@ -109,6 +112,15 @@ class TestSimulateAndRunMs:
         assert code == 1
         assert "inconsistent records" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines", BAD_HEADER_FILES)
+    def test_run_ms_rejects_header_disagreeing_with_records(self, tmp_path, capsys, lines):
+        f = tmp_path / "stage0.txt"
+        f.write_text("\n".join(lines) + "\n")
+        code = main(["run-ms", "--in", str(f), "--T", "1", "--lambda-hat", "0.3",
+                     "--out", str(tmp_path / "p.txt")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_tiny_grid_writes_csv(self, tmp_path, capsys):
@@ -134,6 +146,43 @@ class TestExperimentCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 3  # flag override: 1 replicate, not 2
         assert all(",20," in line for line in lines[1:])
+
+    def test_every_spec_field_is_a_config_key_and_a_flag(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest for a in sub.choices["experiment"]._actions}
+        config_keys = set(_LIST_KEYS) | set(_SCALAR_KEYS)
+        fields = {f.name for f in dataclasses.fields(ExperimentSpec)} - {"kind"}
+        outputs = {"out", "summary_out", "timings_out"}
+        assert fields | outputs <= config_keys
+        assert fields | outputs <= flags
+
+    def test_lambda_hat_none_flag_estimates_the_margin(self, tmp_path):
+        args = ["experiment", "scaling-n", "--n-values", "40", "--alphas", "0.5",
+                "--replicates", "2", "--stages", "2", "--estimators", "ms", "borda",
+                "--sampling", "with"]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("lambda_hat = none\n")
+        outs = {name: tmp_path / f"{name}.csv" for name in ("flag", "config", "fixed")}
+        assert main([*args, "--lambda-hat", "none", "--out", str(outs["flag"])]) == 0
+        assert main([*args, "--config", str(cfg), "--out", str(outs["config"])]) == 0
+        assert main([*args, "--out", str(outs["fixed"])]) == 0
+        assert outs["flag"].read_bytes() == outs["config"].read_bytes()
+        assert outs["flag"].read_bytes() != outs["fixed"].read_bytes()
+
+    @pytest.mark.parametrize("which,extra", [
+        ("regions", ["--pi-star", "random"]),
+        ("regions", ["--estimators", "borda"]),
+        ("regions", ["--n-values", "30", "40"]),
+        ("regions", ["--sampling", "with", "without"]),
+        ("lambda", ["--sampling", "without"]),
+    ])
+    def test_spec_constraints_exit_one(self, tmp_path, capsys, which, extra):
+        code = main(["experiment", which, "--n-values", "30", *extra,
+                     "--out", str(tmp_path / "r.csv"), "--regions-dir", str(tmp_path / "reg")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_lambda_experiment(self, tmp_path):
         out = tmp_path / "lam.csv"

@@ -225,13 +225,6 @@ class TestMsSort:
         pi_hat, _ = ms_sort(buckets, lam, cfg)
         assert kendall_tau(pi_hat, Permutation.identity(n)) < n * (n - 1) / 8
 
-    def test_override_takes_precedence(self):
-        samples = ms_inputs(30, 0.3, 600, 1, master_seed=5)
-        cfg = MsConfig(stages=1, lambda_hat_override=0.3)
-        pi_a, _ = ms_sort(samples, None, cfg)
-        pi_b, _ = ms_sort(samples, 0.1, cfg)
-        assert pi_a == pi_b
-
     def test_input_validation(self):
         samples = ms_inputs(20, 0.3, 400, 2, master_seed=5)
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from noisysort import experiments, model
+from noisysort.counting import greedy_maximal_packing
 from noisysort.errors import ResourceCapError
 from noisysort.experiments import (
     ExperimentSpec,
@@ -18,7 +19,8 @@ from noisysort.experiments import (
     write_pbm,
 )
 from noisysort.estimators import initial_ms_state
-from noisysort.model import WITH_REPLACEMENT, WITHOUT_REPLACEMENT
+from noisysort.model import WITH_REPLACEMENT, WITHOUT_REPLACEMENT, derive_seed
+from noisysort.perms import Permutation, enumerate_permutations, kendall_tau
 
 
 def small_spec(**overrides):
@@ -71,6 +73,25 @@ class TestSpecValidation:
         monkeypatch.delenv("NOISYSORT_WORKERS")
         assert small_spec().effective_workers() == 1
 
+    @pytest.mark.parametrize("bad", [
+        dict(n_values=(40, 50)), dict(alphas=(0.5, 1.0)),
+        dict(sampling=(WITH_REPLACEMENT, WITHOUT_REPLACEMENT)), dict(estimators=("borda",)),
+        dict(pi_star="random"), dict(regions_dir=None),
+    ])
+    def test_region_snapshot_constraints(self, tmp_path, bad):
+        fields = dict(kind="region_snapshot", n_values=(40,), alphas=(1.0,),
+                      estimators=("ms",), regions_dir=str(tmp_path))
+        small_spec(**fields)
+        with pytest.raises(ValueError, match="region snapshots"):
+            small_spec(**{**fields, **bad})
+
+    def test_lambda_accuracy_samples_with_replacement_only(self):
+        fields = dict(kind="lambda_accuracy", budgets=(2000,), alphas=None)
+        small_spec(**fields)
+        for sampling in [(WITHOUT_REPLACEMENT,), (WITH_REPLACEMENT, WITHOUT_REPLACEMENT)]:
+            with pytest.raises(ValueError, match="with replacement only"):
+                small_spec(**fields, sampling=sampling)
+
     def test_default_stage_count(self):
         assert default_stage_count(4) == 1
         assert default_stage_count(500) == 3
@@ -120,6 +141,33 @@ class TestRunExperiment:
         rows = run_experiment(spec)
         assert any(r.estimator == "ms" for r in rows)
 
+    def test_seeds_follow_the_grid_position(self):
+        spec = small_spec(n_values=(20, 25), alphas=(0.3, 0.6), replicates=2,
+                          sampling=(WITH_REPLACEMENT, WITHOUT_REPLACEMENT), estimators=("ms",))
+        seeds = {(r.n, r.sampling, r.budget, r.seed) for r in run_experiment(spec)}
+        expected = set()
+        for i_n, n in enumerate(spec.n_values):
+            for i_b, alpha in enumerate(spec.alphas):
+                for i_s, sampling in enumerate(spec.sampling):
+                    budget = float(round(alpha * n * (n - 1) / 2)) \
+                        if sampling == WITH_REPLACEMENT else alpha
+                    expected |= {(n, sampling, budget, derive_seed(5, i_n, i_b, i_s, rep))
+                                 for rep in range(2)}
+        assert seeds == expected
+        lam_spec = small_spec(kind="lambda_accuracy", n_values=(20, 25), alphas=None,
+                              budgets=(300, 600), replicates=2)
+        assert [r.seed for r in run_lambda_accuracy(lam_spec)] == [
+            derive_seed(5, i_n, i_b, 0, rep)
+            for i_n in range(2) for i_b in range(2) for rep in range(2)]
+
+    def test_sieve_not_pinned_to_the_identity(self):
+        # at n=6 the sieve radius covers S_6, so its net has a single member
+        spec = small_spec(kind="mle_small_n", n_values=(6,), alphas=(1.0,), lam=0.25,
+                          lambda_hat=0.25, stages=1, replicates=20, estimators=("sieve",),
+                          sampling=(WITHOUT_REPLACEMENT,))
+        sieve = [r.d_kt for r in run_experiment(spec) if r.estimator == "sieve"]
+        assert len(sieve) == 20 and any(sieve)
+
     def test_small_n_mle_and_sieve(self):
         spec = small_spec(
             kind="mle_small_n", n_values=(5,), alphas=(1.0,),
@@ -143,6 +191,27 @@ class TestRunExperiment:
         results = run_lambda_accuracy(spec)
         assert len(results) == 2
         assert all(abs(r.lambda_hat - 0.3) == r.abs_error for r in results)
+
+
+class TestSieveNet:
+    @pytest.mark.parametrize("n,phi", [(4, 1.0), (5, 3.0), (5, 0.2), (6, 500.0)])
+    def test_relabelled_net_is_a_maximal_packing(self, n, phi):
+        plain = greedy_maximal_packing(n, max(1, min(int(phi), n * (n - 1) // 2)))
+        for seed in range(3):
+            net = experiments._sieve_net(n, phi, seed)
+            assert net.epsilon == plain.epsilon and len(net) == len(plain)
+            members = net.members
+            assert len(set(members)) == len(members)
+            assert all(kendall_tau(a, b) > net.epsilon
+                       for k, a in enumerate(members) for b in members[k + 1:])
+            assert all(any(kendall_tau(pi, m) <= net.epsilon for m in members)
+                       for pi in enumerate_permutations(n))
+
+    def test_one_member_net_is_not_always_the_identity(self):
+        centres = {experiments._sieve_net(6, 500.0, seed).members for seed in range(10)}
+        assert len(centres) > 1
+        assert all(len(c) == 1 for c in centres)
+        assert centres != {(Permutation.identity(6),)}
 
 
 class TestOneDrawPerReplicate:

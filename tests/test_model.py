@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 from scipy import stats
 
@@ -30,7 +30,7 @@ from noisysort.model import (
 )
 from noisysort.perms import Permutation, random_permutation
 
-from oracles import DISAGREEING_RECORDS, dense_star_entries
+from oracles import BAD_HEADER_FILES, DISAGREEING_RECORDS, dense_star_entries
 
 
 class TestStarMatrix:
@@ -330,6 +330,13 @@ class TestMergeAndIO:
         with pytest.raises(ValueError, match="inconsistent"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("lines", BAD_HEADER_FILES)
+    def test_read_rejects_header_disagreeing_with_records(self, tmp_path, lines):
+        path = tmp_path / "data.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            read_dataset(path)
+
     def test_read_accepts_agreeing_records_in_any_order(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("3 with_replacement 5 0\n2 1 3 2\n2 3 2 2\n1 2 3 1\n3 2 2 0\n")
@@ -390,3 +397,51 @@ def test_every_producer_returns_pairs_in_order(n, seed, total, p, parts):
     assert back.same_data(with_r)
     produced.append(back)
     assert all(_strictly_increasing(d) for d in produced)
+
+
+CORRUPTIONS = ("drop_token", "non_integer", "disagree", "index_zero", "index_above_n",
+               "self_pair", "header_budget")
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=hst.integers(2, 12), seed=hst.integers(0, 2**32 - 1), total=hst.integers(1, 200),
+       p=hst.floats(0.05, 1.0), with_r=hst.booleans(), corruption=hst.sampled_from(CORRUPTIONS),
+       data=hst.data())
+def test_dataset_file_round_trip_and_corruption(n, seed, total, p, with_r, corruption, data):
+    pi = random_permutation(n, np.random.default_rng(seed))
+    law = star_matrix(n, 0.2)
+    d = (sample_with_replacement(pi, law, total, seed) if with_r
+         else sample_without_replacement(pi, law, p, seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.txt"
+        write_dataset(d, path)
+        back = read_dataset(path)
+        assert back.same_data(d) and back.tag == d.tag and back.seed == d.seed
+        head, *lines = path.read_text().splitlines()
+        assume(lines)
+        k = data.draw(hst.integers(0, len(lines) - 1))
+        i, j, m, a = lines[k].split()
+        if corruption == "drop_token":
+            tokens = lines[k].split()
+            del tokens[data.draw(hst.integers(0, 3))]
+            lines[k] = " ".join(tokens)
+        elif corruption == "non_integer":
+            tokens = lines[k].split()
+            tokens[data.draw(hst.integers(0, 3))] = data.draw(hst.sampled_from(["x", "1.5", ""]))
+            lines[k] = " ".join(tokens)
+        elif corruption == "disagree":
+            lines.append(f"{i} {j} {m} {(int(a) + 1) % (int(m) + 1)}")
+        elif corruption == "index_zero":
+            lines[k] = f"0 {j} {m} {a}"
+        elif corruption == "index_above_n":
+            lines[k] = f"{i} {n + data.draw(hst.integers(1, 3))} {m} {a}"
+        elif corruption == "self_pair":
+            lines[k] = f"{j} {j} {m} {a}"
+        else:
+            tokens = head.split()
+            tokens[2] = (str(d.total_comparisons() + data.draw(hst.sampled_from([-2, -1, 1, 7])))
+                         if with_r else data.draw(hst.sampled_from(["0", "-0.5", "1.5", "nan"])))
+            head = " ".join(tokens)
+        path.write_text("\n".join([head, *lines]) + "\n")
+        with pytest.raises(ValueError):
+            read_dataset(path)
