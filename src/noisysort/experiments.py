@@ -80,7 +80,8 @@ class ExperimentSpec:
     without-replacement sampling the per-pair probability is the fraction
     (or budget / C(n,2)).  ``lambda_hat`` fixes the margin handed to the
     multistage sorter; None estimates it from an extra sample of equal size
-    (with-replacement sampling only).  ``stages`` of None picks
+    (with-replacement sampling only, so ms with without-replacement sampling
+    needs a fixed margin).  ``stages`` of None picks
     default_stage_count(n) per cell.
     """
 
@@ -132,6 +133,10 @@ class ExperimentSpec:
                              "the identity pi_star and a regions_dir")
         if self.kind == "lambda_accuracy" and tuple(self.sampling) != (WITH_REPLACEMENT,):
             raise ValueError("lambda_accuracy samples with replacement only")
+        ms_without = "ms" in self.estimators and WITHOUT_REPLACEMENT in self.sampling
+        if self.lambda_hat is None and ms_without:
+            raise ValueError("ms on without-replacement samples needs a fixed lambda_hat; "
+                             "the margin is estimated with replacement only")
 
     def budget_params(self) -> tuple[tuple[str, float], ...]:
         if self.alphas is not None:

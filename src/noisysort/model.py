@@ -20,6 +20,7 @@ seed reproduces the dataset bit for bit.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -437,37 +438,50 @@ def write_dataset(dataset: ComparisonDataset, path: str | Path) -> None:
     Header: ``n model_tag budget seed``; then one line ``i j N_ij A_ij``
     per ordered pair with N_ij > 0, 1-indexed, sorted by (i, j).
     """
-    lines = [f"{dataset.n} {dataset.tag.kind} {dataset.tag.budget_str()} {dataset.seed}"]
-    fwd = np.stack([dataset.first, dataset.second, dataset.num, dataset.first_wins], axis=1)
-    rev = np.stack([dataset.second, dataset.first, dataset.num,
-                    dataset.num - dataset.first_wins], axis=1)
-    both = np.concatenate([fwd, rev], axis=0)
-    both = both[np.lexsort((both[:, 1], both[:, 0]))]
-    lines.extend(f"{i} {j} {m} {a}" for i, j, m, a in both.tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+    f, s, m, w = dataset.first, dataset.second, dataset.num, dataset.first_wins
+    rows = np.concatenate([np.stack([f, s, m, w], axis=1), np.stack([s, f, m, m - w], axis=1)])
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    header = f"{dataset.n} {dataset.tag.kind} {dataset.tag.budget_str()} {dataset.seed}\n"
+    Path(path).write_text(header + ("%d %d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def read_dataset(path: str | Path) -> ComparisonDataset:
-    """Read the write_dataset format; ValueError on any inconsistent file."""
-    text = Path(path).read_text().strip().splitlines()
+    """Read the write_dataset format; ValueError on any inconsistent file.
+
+    Every line after the header must be exactly four integers: blank and
+    ``#`` lines are errors, not skipped.
+    """
+    text = Path(path).read_text().strip()
     if not text:
         raise ValueError(f"empty dataset file {path}")
-    head = text[0].split()
+    header, _, body = text.partition("\n")
+    head = header.split()
     if len(head) != 4:
-        raise ValueError(f"bad header in {path!s}: {text[0]!r}")
+        raise ValueError(f"bad header in {path!s}: {header!r}")
     n, kind, seed = int(head[0]), head[1], int(head[3])
+    if n < 1:
+        raise ValueError(f"bad header in {path!s}: n must be >= 1, got {n}")
     budget = int(head[2]) if kind == WITH_REPLACEMENT else float(head[2])
-    records: dict[tuple[int, int], tuple[int, int]] = {}
-    for line in text[1:]:
-        i, j, m, a = map(int, line.split())
-        # both lines of a pair state (count, wins of the smaller index)
-        key, record = ((i, j), (m, a)) if i < j else ((j, i), (m, m - a))
-        if records.setdefault(key, record) != record:
-            raise ValueError(f"inconsistent records for pair {key}")
-    rows = [key + records[key] for key in sorted(records)]
-    first, second, num, wins = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
+    rows = np.empty((0, 4), dtype=np.int64)
+    if body:  # loadtxt warns on no data and skips blank lines: count the lines it parsed
+        rows = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
+        if rows.shape != (body.count("\n") + 1, 4):
+            raise ValueError(f"every record line of {path!s} must be four integers")
+    i, j, m, a = rows.T
+    # both lines of a pair state (count, wins of the smaller index)
+    fwd = i < j
+    first, second, wins = np.where(fwd, i, j), np.where(fwd, j, i), np.where(fwd, a, m - a)
+    order = np.lexsort((second, first))
+    first, second, num, wins = first[order], second[order], m[order], wins[order]
+    repeat = (first[1:] == first[:-1]) & (second[1:] == second[:-1])
+    clash = np.flatnonzero(repeat & ((num[1:] != num[:-1]) | (wins[1:] != wins[:-1])))
+    if len(clash):
+        k = clash[0]
+        raise ValueError(f"inconsistent records for pair {(int(first[k]), int(second[k]))}")
+    keep = np.ones(len(first), dtype=bool)
+    keep[1:] = ~repeat
     dataset = ComparisonDataset(
-        n=n, first=first, second=second, num=num, first_wins=wins,
+        n=n, first=first[keep], second=second[keep], num=num[keep], first_wins=wins[keep],
         tag=SamplingTag(kind, budget), seed=seed,
     )
     if kind == WITH_REPLACEMENT and budget != dataset.total_comparisons():

@@ -8,6 +8,7 @@ trust the code paths they check.
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +52,60 @@ BAD_HEADER_FILES = (
     ["3 without_replacement 0.5 0", "1 2 3 1"],  # a pair compared 3 times
     ["3 without_replacement 7.5 0", "1 2 1 1"],  # p outside (0, 1]
 )
+
+# Dataset files that break the line rules: every record line is exactly four
+# integers, and the header's n is at least 1.
+BAD_LINE_FILES = (
+    ["3 with_replacement 6 0", "1 2 3 1", "", "2 1 3 2", "2 3 3 1"],  # a blank line
+    ["3 with_replacement 3 0", "# comment", "1 2 3 1"],  # a comment line
+    ["3 with_replacement 3 0", "1 2 3 1 5"],  # a fifth token
+)
+BAD_N_FILES = (
+    ["-3 with_replacement 0 0"],
+    ["0 with_replacement 0 0"],
+)
+
+
+def line_write_dataset(dataset, path):
+    """Reference writer: one f-string per ordered-pair line."""
+    lines = [f"{dataset.n} {dataset.tag.kind} {dataset.tag.budget_str()} {dataset.seed}"]
+    fwd = np.stack([dataset.first, dataset.second, dataset.num, dataset.first_wins], axis=1)
+    rev = np.stack([dataset.second, dataset.first, dataset.num,
+                    dataset.num - dataset.first_wins], axis=1)
+    both = np.concatenate([fwd, rev], axis=0)
+    both = both[np.lexsort((both[:, 1], both[:, 0]))]
+    lines.extend(f"{i} {j} {m} {a}" for i, j, m, a in both.tolist())
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def line_read_dataset(path):
+    """Reference reader: a dict of (smaller index, larger index) records
+    filled one line at a time, each line split and converted with int()."""
+    text = Path(path).read_text().strip().splitlines()
+    if not text:
+        raise ValueError(f"empty dataset file {path}")
+    head = text[0].split()
+    if len(head) != 4:
+        raise ValueError(f"bad header in {path!s}: {text[0]!r}")
+    n, kind, seed = int(head[0]), head[1], int(head[3])
+    budget = int(head[2]) if kind == WITH_REPLACEMENT else float(head[2])
+    records = {}
+    for line in text[1:]:
+        i, j, m, a = map(int, line.split())
+        key, record = ((i, j), (m, a)) if i < j else ((j, i), (m, m - a))
+        if records.setdefault(key, record) != record:
+            raise ValueError(f"inconsistent records for pair {key}")
+    rows = [key + records[key] for key in sorted(records)]
+    first, second, num, wins = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
+    dataset = ComparisonDataset(
+        n=n, first=first, second=second, num=num, first_wins=wins,
+        tag=SamplingTag(kind, budget), seed=seed,
+    )
+    if kind == WITH_REPLACEMENT and budget != dataset.total_comparisons():
+        raise ValueError(f"header budget {budget} but {dataset.total_comparisons()} comparisons")
+    if kind == WITHOUT_REPLACEMENT and (not 0 < budget <= 1 or np.any(num != 1)):
+        raise ValueError("without-replacement data needs p in (0, 1] and one comparison per pair")
+    return dataset
 
 
 def dense_star_entries(n, lam):

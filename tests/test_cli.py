@@ -10,7 +10,7 @@ from noisysort.counting import count_at_most_k_inversions
 from noisysort.model import read_dataset
 from noisysort.perms import Permutation
 
-from oracles import BAD_HEADER_FILES, DISAGREEING_RECORDS
+from oracles import BAD_HEADER_FILES, BAD_LINE_FILES, BAD_N_FILES, DISAGREEING_RECORDS
 
 
 class TestSmallCommands:
@@ -121,6 +121,16 @@ class TestSimulateAndRunMs:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines", BAD_LINE_FILES + BAD_N_FILES)
+    def test_run_ms_rejects_bad_lines_and_header_n(self, tmp_path, capsys, lines):
+        f = tmp_path / "stage0.txt"
+        f.write_text("\n".join(lines) + "\n")
+        code = main(["run-ms", "--in", str(f), "--T", "1", "--lambda-hat", "0.3",
+                     "--out", str(tmp_path / "p.txt")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "p.txt").exists()
+
 
 class TestExperimentCommand:
     def test_tiny_grid_writes_csv(self, tmp_path, capsys):
@@ -176,6 +186,7 @@ class TestExperimentCommand:
         ("regions", ["--n-values", "30", "40"]),
         ("regions", ["--sampling", "with", "without"]),
         ("lambda", ["--sampling", "without"]),
+        ("scaling-n", ["--lambda-hat", "none", "--sampling", "with", "without"]),
     ])
     def test_spec_constraints_exit_one(self, tmp_path, capsys, which, extra):
         code = main(["experiment", which, "--n-values", "30", *extra,

@@ -92,6 +92,19 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="with replacement only"):
                 small_spec(**fields, sampling=sampling)
 
+    def test_estimated_margin_needs_with_replacement_for_ms(self):
+        sampling = (WITH_REPLACEMENT, WITHOUT_REPLACEMENT)
+        with pytest.raises(ValueError, match="fixed lambda_hat"):
+            small_spec(lambda_hat=None, sampling=sampling)
+        with pytest.raises(ValueError, match="fixed lambda_hat"):
+            small_spec(lambda_hat=None, sampling=(WITHOUT_REPLACEMENT,), estimators=("ms",))
+        small_spec(lambda_hat=0.3, sampling=sampling)
+        small_spec(lambda_hat=None, sampling=(WITH_REPLACEMENT,))
+        # borda needs no margin, so a borda-only without-replacement grid still runs
+        rows = run_experiment(small_spec(lambda_hat=None, sampling=sampling,
+                                         estimators=("borda",), replicates=1))
+        assert {r.sampling for r in rows} == set(sampling)
+
     def test_default_stage_count(self):
         assert default_stage_count(4) == 1
         assert default_stage_count(500) == 3

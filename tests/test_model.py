@@ -1,5 +1,6 @@
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy import stats
 
 from noisysort.model import (
     WITH_REPLACEMENT,
+    WITHOUT_REPLACEMENT,
     ComparisonDataset,
     ProbabilityMatrix,
     SamplingTag,
@@ -30,7 +32,15 @@ from noisysort.model import (
 )
 from noisysort.perms import Permutation, random_permutation
 
-from oracles import BAD_HEADER_FILES, DISAGREEING_RECORDS, dense_star_entries
+from oracles import (
+    BAD_HEADER_FILES,
+    BAD_N_FILES,
+    DISAGREEING_RECORDS,
+    dense_star_entries,
+    line_read_dataset,
+    line_write_dataset,
+    make_dataset,
+)
 
 
 class TestStarMatrix:
@@ -337,6 +347,13 @@ class TestMergeAndIO:
         with pytest.raises(ValueError):
             read_dataset(path)
 
+    @pytest.mark.parametrize("lines", BAD_N_FILES)
+    def test_read_rejects_header_n_below_one(self, tmp_path, lines):
+        path = tmp_path / "data.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="bad header.*n must be >= 1"):
+            read_dataset(path)
+
     def test_read_accepts_agreeing_records_in_any_order(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("3 with_replacement 5 0\n2 1 3 2\n2 3 2 2\n1 2 3 1\n3 2 2 0\n")
@@ -400,7 +417,44 @@ def test_every_producer_returns_pairs_in_order(n, seed, total, p, parts):
 
 
 CORRUPTIONS = ("drop_token", "non_integer", "disagree", "index_zero", "index_above_n",
-               "self_pair", "header_budget")
+               "self_pair", "header_budget", "blank_line", "comment_line", "fifth_token")
+
+
+def _corrupt(head, lines, corruption, data, d):
+    """The header and record lines of a written dataset ``d``, broken one way."""
+    lines = list(lines)
+    k = data.draw(hst.integers(0, len(lines) - 1))
+    i, j, m, a = lines[k].split()
+    if corruption == "drop_token":
+        tokens = lines[k].split()
+        del tokens[data.draw(hst.integers(0, 3))]
+        lines[k] = " ".join(tokens)
+    elif corruption == "non_integer":
+        tokens = lines[k].split()
+        tokens[data.draw(hst.integers(0, 3))] = data.draw(hst.sampled_from(["x", "1.5", ""]))
+        lines[k] = " ".join(tokens)
+    elif corruption == "disagree":
+        lines.append(f"{i} {j} {m} {(int(a) + 1) % (int(m) + 1)}")
+    elif corruption == "index_zero":
+        lines[k] = f"0 {j} {m} {a}"
+    elif corruption == "index_above_n":
+        lines[k] = f"{i} {d.n + data.draw(hst.integers(1, 3))} {m} {a}"
+    elif corruption == "self_pair":
+        lines[k] = f"{j} {j} {m} {a}"
+    elif corruption == "blank_line":  # before line k, so never a trailing one
+        lines.insert(k, data.draw(hst.sampled_from(["", " ", "\t"])))
+    elif corruption == "comment_line":
+        comment = data.draw(hst.sampled_from(["#", "# comment", f"# {lines[k]}"]))
+        lines.insert(data.draw(hst.integers(0, len(lines))), comment)
+    elif corruption == "fifth_token":
+        lines[k] += f" {data.draw(hst.sampled_from([a, '0', '7']))}"
+    else:
+        tokens = head.split()
+        tokens[2] = (str(d.total_comparisons() + data.draw(hst.sampled_from([-2, -1, 1, 7])))
+                     if d.tag.kind == WITH_REPLACEMENT
+                     else data.draw(hst.sampled_from(["0", "-0.5", "1.5", "nan"])))
+        head = " ".join(tokens)
+    return head, lines
 
 
 @settings(max_examples=80, deadline=None)
@@ -419,29 +473,43 @@ def test_dataset_file_round_trip_and_corruption(n, seed, total, p, with_r, corru
         assert back.same_data(d) and back.tag == d.tag and back.seed == d.seed
         head, *lines = path.read_text().splitlines()
         assume(lines)
-        k = data.draw(hst.integers(0, len(lines) - 1))
-        i, j, m, a = lines[k].split()
-        if corruption == "drop_token":
-            tokens = lines[k].split()
-            del tokens[data.draw(hst.integers(0, 3))]
-            lines[k] = " ".join(tokens)
-        elif corruption == "non_integer":
-            tokens = lines[k].split()
-            tokens[data.draw(hst.integers(0, 3))] = data.draw(hst.sampled_from(["x", "1.5", ""]))
-            lines[k] = " ".join(tokens)
-        elif corruption == "disagree":
-            lines.append(f"{i} {j} {m} {(int(a) + 1) % (int(m) + 1)}")
-        elif corruption == "index_zero":
-            lines[k] = f"0 {j} {m} {a}"
-        elif corruption == "index_above_n":
-            lines[k] = f"{i} {n + data.draw(hst.integers(1, 3))} {m} {a}"
-        elif corruption == "self_pair":
-            lines[k] = f"{j} {j} {m} {a}"
-        else:
-            tokens = head.split()
-            tokens[2] = (str(d.total_comparisons() + data.draw(hst.sampled_from([-2, -1, 1, 7])))
-                         if with_r else data.draw(hst.sampled_from(["0", "-0.5", "1.5", "nan"])))
-            head = " ".join(tokens)
+        head, lines = _corrupt(head, lines, corruption, data, d)
         path.write_text("\n".join([head, *lines]) + "\n")
         with pytest.raises(ValueError):
             read_dataset(path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=hst.integers(1, 12), seed=hst.integers(0, 2**32 - 1), total=hst.integers(0, 200),
+       p=hst.floats(0.05, 1.0), with_r=hst.booleans(), member=hst.booleans(),
+       corruption=hst.sampled_from(CORRUPTIONS), data=hst.data())
+def test_whole_array_io_matches_line_reference(n, seed, total, p, with_r, member, corruption,
+                                               data):
+    """The numpy writer and reader agree with the line-by-line reference on
+    random datasets (both samplings, both laws, empty samples) and reject
+    every corrupted file the reference rejects."""
+    kind = WITH_REPLACEMENT if with_r else WITHOUT_REPLACEMENT
+    if n < 2 or total == 0:
+        d = make_dataset(n, [], kind, budget=0 if with_r else p, seed=seed)
+    else:
+        pi = random_permutation(n, np.random.default_rng(seed))
+        law = random_member_matrix(n, 0.2, 0.05, seed) if member else star_matrix(n, 0.2)
+        d = (sample_with_replacement(pi, law, total, seed) if with_r
+             else sample_without_replacement(pi, law, p, seed))
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. numpy's "input contained no data"
+        path, ref_path = Path(tmp) / "data.txt", Path(tmp) / "ref.txt"
+        write_dataset(d, path)
+        line_write_dataset(d, ref_path)
+        assert path.read_bytes() == ref_path.read_bytes()
+        back, ref = read_dataset(path), line_read_dataset(path)
+        assert back.same_data(ref) and back.same_data(d)
+        assert back.tag == ref.tag and back.seed == ref.seed
+        head, *lines = path.read_text().splitlines()
+        if lines:
+            head, lines = _corrupt(head, lines, corruption, data, d)
+            path.write_text("\n".join([head, *lines]) + "\n")
+            with pytest.raises(ValueError):
+                line_read_dataset(path)
+            with pytest.raises(ValueError):
+                read_dataset(path)
