@@ -51,9 +51,7 @@ from .model import (
     ComparisonDataset,
     ProbabilityMatrix,
     SamplingTag,
-    TrueScores,
     derive_seed,
-    merge_datasets,
     random_member_matrix,
     read_dataset,
     relabel_items,
@@ -63,7 +61,6 @@ from .model import (
     split_without_replacement,
     stage_budgets,
     star_matrix,
-    true_scores,
     write_dataset,
 )
 from .perms import (

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .perms import (
     ENUMERATION_CAP,
     Permutation,
@@ -136,16 +138,24 @@ def greedy_maximal_packing(
     Scans candidates in the order given (lexicographic for the default
     universe) and keeps those more than epsilon from everything kept so far.
     Maximality makes the result an epsilon-net of the universe as well.
+
+    Kept members are rows of pair orders (pi(a) > pi(b), a < b), so a
+    candidate's Kendall distances to all of them take one numpy pass.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     if universe is None:
         universe = enumerate_permutations(n, cap=cap)
+    first, second = np.triu_indices(n, 1)  # the pairs a < b, 0-indexed
+    orders = np.empty((0, len(first)), dtype=bool)
     kept: list[Permutation] = []
     for pi in universe:
         if pi.n != n:
             raise ValueError(f"universe member has n={pi.n}, expected {n}")
-        if all(kendall_tau(pi, member) > epsilon for member in kept):
+        ranks = pi.to_array()
+        row = ranks[first] > ranks[second]
+        if (np.count_nonzero(orders != row, axis=1) > epsilon).all():
+            orders = np.vstack([orders, row])  # a copy costs no more than the check
             kept.append(pi)
     return PackingSet(n=n, epsilon=epsilon, members=tuple(kept))
 

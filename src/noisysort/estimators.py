@@ -10,7 +10,9 @@ shrinking the score variance stage over stage.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,9 @@ LAMBDA_CLAMP = 1e-6
 # actually resolve pairs.
 CALIBRATED_THRESHOLD_SCALE = 0.125
 
+# Candidates per numpy pass of the maximizers: memory stays a few (chunk x C(n,2)) arrays
+_CANDIDATE_CHUNK = 4096
+
 
 def _ranks_from_scores(scores: np.ndarray) -> Permutation:
     """Ascending score order, ties broken by ascending item index."""
@@ -40,9 +45,21 @@ def _ranks_from_scores(scores: np.ndarray) -> Permutation:
     return Permutation.from_array(ranks)
 
 
-def borda_sort(dataset: ComparisonDataset) -> Permutation:
-    """Rank items by total win counts, weakest first."""
-    return _ranks_from_scores(dataset.win_totals().astype(np.float64))
+def _sample_n(samples: Sequence[ComparisonDataset]) -> int:
+    """The n shared by a non-empty sequence of samples."""
+    if not samples:
+        raise ValueError("no samples")
+    n = samples[0].n
+    if any(s.n != n for s in samples):
+        raise SizeMismatchError("samples disagree on n")
+    return n
+
+
+def borda_sort(samples: Sequence[ComparisonDataset]) -> Permutation:
+    """Rank items by their win totals summed over ``samples`` (no combined copy
+    of the samples is built), weakest first."""
+    _sample_n(samples)
+    return _ranks_from_scores(sum(s.win_totals() for s in samples).astype(np.float64))
 
 
 def estimate_lambda(sample1: ComparisonDataset, sample2: ComparisonDataset) -> float:
@@ -58,9 +75,7 @@ def estimate_lambda(sample1: ComparisonDataset, sample2: ComparisonDataset) -> f
     with N the combined size of the two samples.  The result is clamped into
     (1e-6, 1/2 - 1e-6) so downstream corrections stay well-defined.
     """
-    if sample1.n != sample2.n:
-        raise SizeMismatchError(f"sample sizes differ: {sample1.n} vs {sample2.n}")
-    n = sample1.n
+    n = _sample_n([sample1, sample2])
     if n < 4:
         raise ValueError(f"margin estimation needs n >= 4, got n={n}")
     for s in (sample1, sample2):
@@ -73,7 +88,7 @@ def estimate_lambda(sample1: ComparisonDataset, sample2: ComparisonDataset) -> f
     norm = math.comb(gap, 2)
     if norm == 0:
         raise ValueError(f"n={n} leaves no pairs beyond the n/2 rank gap")
-    ranks = borda_sort(sample1).to_array()
+    ranks = borda_sort([sample1]).to_array()
     ra = ranks[sample2.first - 1]
     rb = ranks[sample2.second - 1]
     win_sum = int(np.where(ra - rb > gap, sample2.first_wins, 0).sum())
@@ -212,9 +227,7 @@ def ms_sort(
         raise ValueError(
             f"got {len(stage_samples)} stage samples for {config.stages} stages"
         )
-    n = stage_samples[0].n
-    if any(s.n != n for s in stage_samples):
-        raise SizeMismatchError("stage samples disagree on n")
+    n = _sample_n(stage_samples)
     if lambda_hat is None or not 0 < lambda_hat < 0.5:
         raise ValueError(f"need an estimated margin in (0, 1/2), got {lambda_hat}")
 
@@ -281,49 +294,55 @@ def ms_sort(
     return _ranks_from_scores(scores), states
 
 
+def _best_candidate(
+    samples: Sequence[ComparisonDataset], candidates: Iterable[Permutation]
+) -> tuple[Permutation, int]:
+    """The candidate maximizing the objective summed over ``samples``, and the
+    maximum; ties go to the lexicographically smallest one-line map, whatever
+    the candidate order.  Candidates are scored as stacked rank vectors."""
+    best: Permutation | None = None
+    best_obj = -1
+    candidates = iter(candidates)
+    while chunk := list(itertools.islice(candidates, _CANDIDATE_CHUNK)):
+        ranks = np.array([pi.map for pi in chunk], dtype=np.int64)
+        objective = np.zeros(len(chunk), dtype=np.int64)
+        for s in samples:
+            ahead = ranks[:, s.first - 1] > ranks[:, s.second - 1]
+            objective += np.where(ahead, s.first_wins, s.num - s.first_wins).sum(axis=1)
+        top = int(objective.max())
+        if top >= best_obj:
+            tied = [chunk[k] for k in np.flatnonzero(objective == top)]
+            if top == best_obj:
+                tied.append(best)
+            best, best_obj = min(tied, key=lambda pi: pi.map), top
+    assert best is not None
+    return best, best_obj
+
+
 def mle_objective(dataset: ComparisonDataset, pi: Permutation) -> int:
     """Total wins along the order ``pi``: sum of A[i, j] over pi(i) > pi(j)."""
     if pi.n != dataset.n:
         raise SizeMismatchError(f"permutation n={pi.n} vs dataset n={dataset.n}")
-    if dataset.num_pairs == 0:
-        return 0
-    ranks = pi.to_array()
-    ra = ranks[dataset.first - 1]
-    rb = ranks[dataset.second - 1]
-    return int(np.where(ra > rb, dataset.first_wins,
-                        dataset.num - dataset.first_wins).sum())
+    return _best_candidate([dataset], [pi])[1]
 
 
-def brute_force_mle(dataset: ComparisonDataset, cap: int = ENUMERATION_CAP) -> Permutation:
-    """Exhaustive objective maximizer; first maximizer in lexicographic order."""
-    best: Permutation | None = None
-    best_obj = -1
-    for pi in enumerate_permutations(dataset.n, cap=cap):
-        obj = mle_objective(dataset, pi)
-        if obj > best_obj:
-            best, best_obj = pi, obj
-    assert best is not None
-    return best
+def brute_force_mle(samples: Sequence[ComparisonDataset],
+                    cap: int = ENUMERATION_CAP) -> Permutation:
+    """Exhaustive maximizer of the objective summed over ``samples`` (no combined
+    copy is built); ties go to the lexicographically smallest one-line map."""
+    return _best_candidate(samples, enumerate_permutations(_sample_n(samples), cap=cap))[0]
 
 
-def sieve_mle(dataset: ComparisonDataset, net: PackingSet) -> Permutation:
-    """Objective maximizer restricted to a net of the permutation space.
-
-    Ties resolve to the lexicographically smallest maximizer regardless of
-    member order.
-    """
-    if net.n != dataset.n:
-        raise SizeMismatchError(f"net n={net.n} vs dataset n={dataset.n}")
+def sieve_mle(samples: Sequence[ComparisonDataset], net: PackingSet) -> Permutation:
+    """Maximizer of the objective summed over ``samples``, restricted to a net
+    of the permutation space; ties resolve to the lexicographically smallest
+    maximizer regardless of member order."""
+    n = _sample_n(samples)
+    if net.n != n:
+        raise SizeMismatchError(f"net n={net.n} vs dataset n={n}")
     if not net.members:
         raise ValueError("empty net")
-    best: Permutation | None = None
-    best_obj = -1
-    for pi in net.members:
-        obj = mle_objective(dataset, pi)
-        if obj > best_obj or (obj == best_obj and best is not None and pi.map < best.map):
-            best, best_obj = pi, obj
-    assert best is not None
-    return best
+    return _best_candidate(samples, net.members)[0]
 
 
 def theoretical_phi(kind: str, n: int, budget: float, lam: float) -> float:

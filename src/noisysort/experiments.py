@@ -39,7 +39,6 @@ from .model import (
     ComparisonDataset,
     ProbabilityMatrix,
     derive_seed,
-    merge_datasets,
     sample_without_replacement,
     split_with_replacement,
     split_without_replacement,
@@ -250,8 +249,9 @@ def _draw_pipeline_data(
     stages: int,
     seed: int,
     lambda_hat: float | None = None,
-) -> tuple[list[ComparisonDataset], float | None, ComparisonDataset | None]:
-    """(stage samples, margin, full dataset or None) of one run; see run_ms_pipeline."""
+) -> tuple[list[ComparisonDataset], float | None]:
+    """(stage samples, margin) of one run, see run_ms_pipeline; every estimator
+    reads these samples.  Without replacement they partition the one draw."""
     if sampling == WITH_REPLACEMENT:
         total = int(budget)
         halves = [] if lambda_hat is not None else [total - total // 2, total // 2]
@@ -260,10 +260,10 @@ def _draw_pipeline_data(
         )
         if lambda_hat is None:
             lambda_hat = estimate_lambda(parts[0], parts[1])
-        return parts[len(halves):], lambda_hat, None
+        return parts[len(halves):], lambda_hat
     if sampling == WITHOUT_REPLACEMENT:
         full = sample_without_replacement(pi_star, matrix, budget, derive_seed(seed, 0))
-        return split_without_replacement(full, stages, derive_seed(seed, 1)), lambda_hat, full
+        return split_without_replacement(full, stages, derive_seed(seed, 1)), lambda_hat
     raise ValueError(f"unknown sampling model {sampling!r}")
 
 
@@ -289,7 +289,7 @@ def run_ms_pipeline(
     """
     if sampling == WITHOUT_REPLACEMENT and lambda_hat is None:
         raise ValueError("without-replacement runs need an explicit margin (lambda_hat)")
-    stage_samples, lam_hat, _ = _draw_pipeline_data(
+    stage_samples, lam_hat = _draw_pipeline_data(
         pi_star, matrix, sampling, budget, stages, seed, lambda_hat
     )
     pi_hat, states = ms_sort(stage_samples, lam_hat, config)
@@ -331,28 +331,25 @@ def _run_cell_replicate(
     if "random" not in estimators:
         estimators.append("random")  # sanity-floor control always present
 
-    # one draw per replicate: ms sorts the stage samples; the other estimators
-    # pool them (the without-replacement draw is its own pool)
-    stage_samples, lam_hat, pooled = _draw_pipeline_data(
+    # one draw per replicate, read by every estimator as its stage samples
+    stage_samples, lam_hat = _draw_pipeline_data(
         pi_star, matrix, sampling, budget, stages, seed, spec.lambda_hat
     )
     rows: list[ResultRow] = []
     states: list[MsState] | None = None
     for estimator in estimators:
         start = time.perf_counter()
-        if estimator in ("borda", "mle", "sieve") and pooled is None:
-            pooled = merge_datasets(stage_samples)
         if estimator == "ms":
             pi_hat, states = ms_sort(stage_samples, lam_hat, config)
         elif estimator == "borda":
-            pi_hat = borda_sort(pooled)
+            pi_hat = borda_sort(stage_samples)
         elif estimator == "random":
             pi_hat = random_permutation(n, rng_misc)
         elif estimator == "mle":
-            pi_hat = brute_force_mle(pooled)
+            pi_hat = brute_force_mle(stage_samples)
         elif estimator == "sieve":
             phi = theoretical_phi(sampling, n, budget, spec.lam)
-            pi_hat = sieve_mle(pooled, _sieve_net(n, phi, derive_seed(seed, 10)))
+            pi_hat = sieve_mle(stage_samples, _sieve_net(n, phi, derive_seed(seed, 10)))
         else:  # pragma: no cover - spec validation rejects unknown ids
             raise ValueError(f"unknown estimator {estimator!r}")
         elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -21,6 +21,7 @@ seed reproduces the dataset bit for bit.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -186,19 +187,6 @@ class ComparisonDataset:
             self.second - 1, weights=self.num - self.first_wins, minlength=self.n
         )
         return totals.astype(np.int64)
-
-    def wins_dense(self) -> np.ndarray:
-        """Full n x n win-count matrix A (memory n^2; intended for small n)."""
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        a[self.first - 1, self.second - 1] = self.first_wins
-        a[self.second - 1, self.first - 1] = self.num - self.first_wins
-        return a
-
-    def counts_dense(self) -> np.ndarray:
-        c = np.zeros((self.n, self.n), dtype=np.int64)
-        c[self.first - 1, self.second - 1] = self.num
-        c[self.second - 1, self.first - 1] = self.num
-        return c
 
     def same_data(self, other: "ComparisonDataset") -> bool:
         return (
@@ -367,32 +355,6 @@ def split_without_replacement(
     return out
 
 
-def merge_datasets(datasets: list[ComparisonDataset]) -> ComparisonDataset:
-    """Pool several datasets over the same items into one."""
-    if not datasets:
-        raise ValueError("nothing to merge")
-    n = datasets[0].n
-    if any(d.n != n for d in datasets):
-        raise SizeMismatchError("datasets have different n")
-    first = np.concatenate([d.first for d in datasets])
-    second = np.concatenate([d.second for d in datasets])
-    num = np.concatenate([d.num for d in datasets])
-    wins = np.concatenate([d.first_wins for d in datasets])
-    # collapse duplicate pairs
-    key = (first - 1) * n + (second - 1)
-    uniq, inverse = np.unique(key, return_inverse=True)
-    num_m = np.bincount(inverse, weights=num).astype(np.int64)
-    wins_m = np.bincount(inverse, weights=wins).astype(np.int64)
-    first_m = (uniq // n + 1).astype(np.int64)
-    second_m = (uniq % n + 1).astype(np.int64)
-    total = sum(d.total_comparisons() for d in datasets)
-    kind = datasets[0].tag.kind
-    budget = total if kind == WITH_REPLACEMENT else datasets[0].tag.budget
-    return _sorted_pair_dataset(
-        n, first_m, second_m, num_m, wins_m, SamplingTag(kind, budget), datasets[0].seed,
-    )
-
-
 def relabel_items(dataset: ComparisonDataset, rho: Permutation) -> ComparisonDataset:
     """Rename item i to rho(i) everywhere, keeping outcomes intact."""
     if rho.n != dataset.n:
@@ -411,27 +373,6 @@ def relabel_items(dataset: ComparisonDataset, rho: Permutation) -> ComparisonDat
     )
 
 
-@dataclass(frozen=True)
-class TrueScores:
-    """Row sums of the probability matrix, indexed by rank (weakest first)."""
-
-    n: int
-    s_star: tuple[float, ...]
-
-
-def true_scores(pi_star: Permutation, matrix: ProbabilityMatrix) -> TrueScores:
-    """Expected-win scores by rank: s_star[r-1] = sum_{r' != r} M[r, r'].
-
-    For the canonical matrix this equals lam*(2r - n - 1) + (n - 1)/2,
-    strictly increasing in rank.
-    """
-    if matrix.n != pi_star.n:
-        raise SizeMismatchError(f"matrix n={matrix.n} vs permutation n={pi_star.n}")
-    entries = matrix.dense()
-    sums = entries.sum(axis=1) - np.diag(entries)
-    return TrueScores(n=matrix.n, s_star=tuple(float(v) for v in sums))
-
-
 def write_dataset(dataset: ComparisonDataset, path: str | Path) -> None:
     """Write the documented text format.
 
@@ -445,27 +386,55 @@ def write_dataset(dataset: ComparisonDataset, path: str | Path) -> None:
     Path(path).write_text(header + ("%d %d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _int64(token: str) -> int | None:
+    """``token`` as an int64 under np.loadtxt's rule for a record token
+    (optional sign, ASCII decimal digits), or None if it breaks that rule."""
+    if _DECIMAL.fullmatch(token) and -2**63 <= int(token) < 2**63:
+        return int(token)
+    return None
+
+
 def read_dataset(path: str | Path) -> ComparisonDataset:
     """Read the write_dataset format; ValueError on any inconsistent file.
 
     Every line after the header must be exactly four integers: blank and
-    ``#`` lines are errors, not skipped.
+    ``#`` lines are errors, not skipped.  The header's n and with-replacement
+    budget follow the records' integer rule (ASCII decimal int64), and its
+    seed the same digits at any size; a bad record line is reported by its
+    line number in the file.
     """
-    text = Path(path).read_text().strip()
+    text = Path(path).read_text()
+    skipped = text.count("\n", 0, len(text) - len(text.lstrip()))  # lines before the header
+    text = text.strip()
     if not text:
         raise ValueError(f"empty dataset file {path}")
     header, _, body = text.partition("\n")
     head = header.split()
     if len(head) != 4:
         raise ValueError(f"bad header in {path!s}: {header!r}")
-    n, kind, seed = int(head[0]), head[1], int(head[3])
+    n, kind = _int64(head[0]), head[1]
+    # seeds such as derive_seed's reach 2**64: only the records' digit syntax applies
+    seed = int(head[3]) if _DECIMAL.fullmatch(head[3]) else None
+    budget = _int64(head[2]) if kind == WITH_REPLACEMENT else float(head[2])
+    if n is None or seed is None or budget is None:
+        raise ValueError(f"bad header in {path!s}: {header!r}")
     if n < 1:
         raise ValueError(f"bad header in {path!s}: n must be >= 1, got {n}")
-    budget = int(head[2]) if kind == WITH_REPLACEMENT else float(head[2])
     rows = np.empty((0, 4), dtype=np.int64)
     if body:  # loadtxt warns on no data and skips blank lines: count the lines it parsed
-        rows = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
-        if rows.shape != (body.count("\n") + 1, 4):
+        try:
+            rows = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
+        except ValueError:
+            rows = None
+        if rows is None or rows.shape != (body.count("\n") + 1, 4):
+            for line_no, line in enumerate(body.split("\n"), start=skipped + 2):
+                tokens = line.split()
+                if len(tokens) != 4 or any(_int64(t) is None for t in tokens):
+                    raise ValueError(f"{path!s}, line {line_no}: a record line must be "
+                                     f"four integers, got {line!r}")
             raise ValueError(f"every record line of {path!s} must be four integers")
     i, j, m, a = rows.T
     # both lines of a pair state (count, wins of the smaller index)

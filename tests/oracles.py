@@ -8,11 +8,15 @@ trust the code paths they check.
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from noisysort.counting import PackingSet
+from noisysort.errors import SizeMismatchError
 from noisysort.model import WITH_REPLACEMENT, WITHOUT_REPLACEMENT, ComparisonDataset, SamplingTag
+from noisysort.perms import kendall_tau
 
 
 def brute_inversions(values):
@@ -51,6 +55,8 @@ BAD_HEADER_FILES = (
     ["3 with_replacement 99 0", "1 2 3 1"],  # budget 99 over 3 comparisons
     ["3 without_replacement 0.5 0", "1 2 3 1"],  # a pair compared 3 times
     ["3 without_replacement 7.5 0", "1 2 1 1"],  # p outside (0, 1]
+    ["1_0 with_replacement 1 0", "1 2 1 1"],  # n = 10 to int(), not an ASCII decimal
+    ["3 with_replacement 3 1_0", "1 2 3 1"],  # the seed, likewise
 )
 
 # Dataset files that break the line rules: every record line is exactly four
@@ -106,6 +112,98 @@ def line_read_dataset(path):
     if kind == WITHOUT_REPLACEMENT and (not 0 < budget <= 1 or np.any(num != 1)):
         raise ValueError("without-replacement data needs p in (0, 1] and one comparison per pair")
     return dataset
+
+
+def wins_dense(dataset):
+    """Full n x n win-count matrix A of a dataset."""
+    a = np.zeros((dataset.n, dataset.n), dtype=np.int64)
+    a[dataset.first - 1, dataset.second - 1] = dataset.first_wins
+    a[dataset.second - 1, dataset.first - 1] = dataset.num - dataset.first_wins
+    return a
+
+
+def counts_dense(dataset):
+    """Full n x n comparison-count matrix N of a dataset."""
+    c = np.zeros((dataset.n, dataset.n), dtype=np.int64)
+    c[dataset.first - 1, dataset.second - 1] = dataset.num
+    c[dataset.second - 1, dataset.first - 1] = dataset.num
+    return c
+
+
+@dataclass(frozen=True)
+class TrueScores:
+    """Row sums of the probability matrix, indexed by rank (weakest first)."""
+
+    n: int
+    s_star: tuple[float, ...]
+
+
+def true_scores(pi_star, matrix):
+    """Expected-win scores by rank: s_star[r-1] = sum_{r' != r} M[r, r'].
+
+    For the canonical matrix this equals lam*(2r - n - 1) + (n - 1)/2,
+    strictly increasing in rank.
+    """
+    if matrix.n != pi_star.n:
+        raise SizeMismatchError(f"matrix n={matrix.n} vs permutation n={pi_star.n}")
+    entries = matrix.dense()
+    sums = entries.sum(axis=1) - np.diag(entries)
+    return TrueScores(n=matrix.n, s_star=tuple(float(v) for v in sums))
+
+
+def merge_datasets(datasets):
+    """Pool several datasets over the same items into one: the former
+    library merge, kept as the reference the stage-sample estimators must match."""
+    if not datasets:
+        raise ValueError("nothing to merge")
+    n = datasets[0].n
+    if any(d.n != n for d in datasets):
+        raise SizeMismatchError("datasets have different n")
+    first = np.concatenate([d.first for d in datasets])
+    second = np.concatenate([d.second for d in datasets])
+    num = np.concatenate([d.num for d in datasets])
+    wins = np.concatenate([d.first_wins for d in datasets])
+    # collapse duplicate pairs
+    key = (first - 1) * n + (second - 1)
+    uniq, inverse = np.unique(key, return_inverse=True)
+    num_m = np.bincount(inverse, weights=num).astype(np.int64)
+    wins_m = np.bincount(inverse, weights=wins).astype(np.int64)
+    first_m = (uniq // n + 1).astype(np.int64)
+    second_m = (uniq % n + 1).astype(np.int64)
+    total = sum(d.total_comparisons() for d in datasets)
+    kind = datasets[0].tag.kind
+    budget = total if kind == WITH_REPLACEMENT else datasets[0].tag.budget
+    return ComparisonDataset(
+        n=n, first=first_m, second=second_m, num=num_m, first_wins=wins_m,
+        tag=SamplingTag(kind, budget), seed=datasets[0].seed,
+    )
+
+
+def loop_mle_objective(dataset, pi):
+    """Total wins along the order ``pi``, summed over the dense win matrix."""
+    a = wins_dense(dataset)
+    ranks = pi.to_array()
+    return int(a[ranks[:, None] > ranks[None, :]].sum())
+
+
+def loop_mle(dataset, members):
+    """Reference maximizer: one objective call per member, keeping the
+    lexicographically smallest maximizer."""
+    best, best_obj = None, -1
+    for pi in members:
+        obj = loop_mle_objective(dataset, pi)
+        if obj > best_obj or (obj == best_obj and pi.map < best.map):
+            best, best_obj = pi, obj
+    return best
+
+
+def loop_greedy_packing(n, epsilon, universe):
+    """Reference greedy packing: one kendall_tau call per (candidate, kept member)."""
+    kept = []
+    for pi in universe:
+        if all(kendall_tau(pi, member) > epsilon for member in kept):
+            kept.append(pi)
+    return PackingSet(n=n, epsilon=epsilon, members=tuple(kept))
 
 
 def dense_star_entries(n, lam):

@@ -329,7 +329,7 @@ def test_12_certainty_soundness():
 
 def test_13_mle_oracles():
     for pi_star in enumerate_permutations(5):
-        assert brute_force_mle(noise_free_full(pi_star)) == pi_star
+        assert brute_force_mle([noise_free_full(pi_star)]) == pi_star
     net = greedy_maximal_packing(6, 0)
     assert len(net) == 720
     matrix = star_matrix(6, 0.25)
@@ -338,7 +338,7 @@ def test_13_mle_oracles():
         d = sample_with_replacement(
             Permutation.identity(6), matrix, 60, derive_seed(MASTER_SEED + 13, seed)
         )
-        agreements += sieve_mle(d, net) == brute_force_mle(d)
+        agreements += sieve_mle([d], net) == brute_force_mle([d])
     report(13, agreements == 50,
            "exhaustive maximizer recovers every latent order in S_5 noise-free; "
            f"radius-0 net maximizer agrees on {agreements}/50 noisy datasets at n=6")

@@ -15,9 +15,9 @@ from noisysort.counting import (
     sparse_vg_packing,
 )
 from noisysort.errors import ResourceCapError
-from noisysort.perms import Permutation, enumerate_permutations, kendall_tau
+from noisysort.perms import Permutation, enumerate_permutations, kendall_tau, random_permutation
 
-from oracles import inversion_histogram
+from oracles import inversion_histogram, loop_greedy_packing
 
 
 class TestCounting:
@@ -128,6 +128,21 @@ class TestGreedyPacking:
                 assert kendall_tau(a, b) > eps
         for pi in enumerate_permutations(n):
             assert min(kendall_tau(pi, m) for m in members) <= eps
+
+    @pytest.mark.parametrize("n,eps", [(1, 0), (3, 0), (4, 1), (5, 0), (5, 2), (5, 4),
+                                       (6, 3), (6, 7), (6, 15)])
+    def test_matches_pairwise_loop(self, n, eps):
+        universe = list(enumerate_permutations(n))
+        assert greedy_maximal_packing(n, eps) == loop_greedy_packing(n, eps, universe)
+
+    def test_custom_universe_matches_pairwise_loop(self):
+        # random members with repeats, then a ball in lexicographic order
+        rng = np.random.default_rng(4)
+        universe = [random_permutation(6, rng) for _ in range(150)]
+        universe += ball_members(Permutation((2, 1, 4, 3, 6, 5)), 3)
+        for eps in (0, 1, 2, 5):
+            packing = greedy_maximal_packing(6, eps, universe=universe)
+            assert packing == loop_greedy_packing(6, eps, universe)
 
 
 class TestSparsePacking:

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from noisysort import estimators
 from noisysort.counting import greedy_maximal_packing, PackingSet
 from noisysort.errors import ResourceCapError, SizeMismatchError
 from noisysort.estimators import (
@@ -38,13 +40,22 @@ from noisysort.model import (
 from noisysort.perms import (
     Permutation,
     compose,
+    enumerate_permutations,
     invert,
     kendall_tau,
     random_permutation,
 )
 
 
-from oracles import dense_ms_states, make_dataset, noise_free_full
+from oracles import (
+    dense_ms_states,
+    loop_mle,
+    loop_mle_objective,
+    make_dataset,
+    merge_datasets,
+    noise_free_full,
+    wins_dense,
+)
 
 
 class TestBordaSort:
@@ -52,27 +63,27 @@ class TestBordaSort:
         d = make_dataset(4, [(1, 2, 1, 0), (3, 4, 1, 0)])
         # wins: item2 and item4 have 1 each... make truly all-zero instead
         d = make_dataset(4, [])
-        assert borda_sort(d) == Permutation.identity(4)
+        assert borda_sort([d]) == Permutation.identity(4)
 
     def test_increasing_wins_recover_order(self):
         d = noise_free_full(Permutation.identity(5))
-        assert borda_sort(d) == Permutation.identity(5)
+        assert borda_sort([d]) == Permutation.identity(5)
         pi = Permutation((3, 1, 4, 2, 5))
-        assert borda_sort(noise_free_full(pi)) == pi
+        assert borda_sort([noise_free_full(pi)]) == pi
 
     def test_noisy_large_sample_close_but_not_exact(self):
         n, lam = 100, 0.45
         dks = []
         for seed in range(3):
             d = sample_without_replacement(Permutation.identity(n), star_matrix(n, lam), 1.0, seed)
-            dks.append(kendall_tau(borda_sort(d), Permutation.identity(n)))
+            dks.append(kendall_tau(borda_sort([d]), Permutation.identity(n)))
         assert max(dks) > 0
         assert all(dk < 0.05 * n * (n - 1) / 4 for dk in dks)
 
     def test_tie_break_by_index(self):
         # items 2 and 3 tie on wins; 2 must come first
         d = make_dataset(3, [(1, 2, 2, 0), (1, 3, 2, 0)])
-        assert borda_sort(d) == Permutation((1, 2, 3))
+        assert borda_sort([d]) == Permutation((1, 2, 3))
 
 
 class TestEstimateLambda:
@@ -82,7 +93,7 @@ class TestEstimateLambda:
         s1 = make_dataset(4, [(1, 2, 1, 0), (1, 3, 1, 0), (1, 4, 1, 0),
                               (2, 3, 1, 0), (2, 4, 1, 0), (3, 4, 1, 0)])
         s2 = make_dataset(4, [(1, 4, 1, 0), (1, 2, 9, 4)])
-        assert borda_sort(s1) == Permutation.identity(4)
+        assert borda_sort([s1]) == Permutation.identity(4)
         assert estimate_lambda(s1, s2) == pytest.approx(0.25)
 
     def test_index_set_size_identity(self):
@@ -142,7 +153,7 @@ class TestMsSort:
         for seed in (0, 1, 2):
             d = sample_with_replacement(Permutation.identity(40), star_matrix(40, 0.3), 900, seed)
             pi_hat, states = ms_sort([d], 0.3, MsConfig(stages=1))
-            assert pi_hat == borda_sort(d)
+            assert pi_hat == borda_sort([d])
             assert len(states) == 2
 
     def test_partition_invariant_every_stage(self):
@@ -405,7 +416,7 @@ class TestMleObjective:
 
     def test_matrix_traversal_oracle(self):
         d = sample_with_replacement(Permutation.identity(8), star_matrix(8, 0.2), 400, 9)
-        a = d.wins_dense()
+        a = wins_dense(d)
         rng = np.random.default_rng(1)
         for _ in range(10):
             pi = random_permutation(8, rng)
@@ -436,28 +447,28 @@ class TestBruteForceMle:
         rng = np.random.default_rng(3)
         for _ in range(5):
             pi_star = random_permutation(5, rng)
-            assert brute_force_mle(noise_free_full(pi_star)) == pi_star
+            assert brute_force_mle([noise_free_full(pi_star)]) == pi_star
 
     def test_empty_dataset_gives_identity(self):
-        assert brute_force_mle(make_dataset(4, [])) == Permutation.identity(4)
+        assert brute_force_mle([make_dataset(4, [])]) == Permutation.identity(4)
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
-            brute_force_mle(make_dataset(11, []))
+            brute_force_mle([make_dataset(11, [])])
 
 
 class TestSieveMle:
     def test_singleton_net(self):
         d = sample_with_replacement(Permutation.identity(5), star_matrix(5, 0.2), 100, 7)
         net = PackingSet(n=5, epsilon=0, members=(Permutation.identity(5),))
-        assert sieve_mle(d, net) == Permutation.identity(5)
+        assert sieve_mle([d], net) == Permutation.identity(5)
 
     def test_full_net_equals_brute_force(self):
         net = greedy_maximal_packing(5, 0)
         assert len(net) == 120
         for seed in range(10):
             d = sample_with_replacement(Permutation.identity(5), star_matrix(5, 0.25), 60, seed)
-            assert sieve_mle(d, net) == brute_force_mle(d)
+            assert sieve_mle([d], net) == brute_force_mle([d])
 
     def test_noise_free_error_bounded_by_net_radius(self):
         phi = 3
@@ -465,13 +476,76 @@ class TestSieveMle:
         rng = np.random.default_rng(8)
         for _ in range(10):
             pi_star = random_permutation(6, rng)
-            pi_hat = sieve_mle(noise_free_full(pi_star), net)
+            pi_hat = sieve_mle([noise_free_full(pi_star)], net)
             assert kendall_tau(pi_hat, pi_star) <= phi
 
     def test_empty_net_rejected(self):
         d = make_dataset(4, [])
         with pytest.raises(ValueError):
-            sieve_mle(d, PackingSet(n=4, epsilon=1, members=()))
+            sieve_mle([d], PackingSet(n=4, epsilon=1, members=()))
+
+
+class TestStageSampleInput:
+    def test_tied_net_in_any_order_gives_smallest_maximizer(self):
+        # only (1, 2) is compared and 2 lost it: every member with pi(1) > pi(2)
+        # ties, and the smallest one-line map among them is (2, 1, 3, 4)
+        members = list(enumerate_permutations(4))
+        np.random.default_rng(3).shuffle(members)
+        net = PackingSet(n=4, epsilon=0, members=tuple(members))
+        samples = [make_dataset(4, []), make_dataset(4, [(1, 2, 1, 1)])]
+        for chunk in (1, 5, 4096):
+            with mock.patch.object(estimators, "_CANDIDATE_CHUNK", chunk):
+                assert sieve_mle(samples, net) == Permutation((2, 1, 3, 4))
+                assert brute_force_mle(samples) == Permutation((2, 1, 3, 4))
+                assert sieve_mle(samples[:1], net) == Permutation.identity(4)
+
+    def test_samples_must_share_n(self):
+        samples = [make_dataset(4, []), make_dataset(5, [])]
+        for estimator in (borda_sort, brute_force_mle):
+            with pytest.raises(SizeMismatchError):
+                estimator(samples)
+            with pytest.raises(ValueError):
+                estimator([])
+
+
+def _borda_oracle(dataset):
+    ranks = np.empty(dataset.n, dtype=np.int64)
+    ranks[np.argsort(wins_dense(dataset).sum(axis=1), kind="stable")] = np.arange(1, dataset.n + 1)
+    return Permutation.from_array(ranks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=hst.integers(2, 6), with_r=hst.booleans(), stages=hst.integers(1, 4),
+       total=hst.integers(1, 40), p=hst.floats(0.05, 1.0), empty=hst.booleans(),
+       radius=hst.integers(0, 4), chunk=hst.sampled_from([1, 7, 4096]),
+       seed=hst.integers(0, 2**32 - 1))
+def test_stage_sample_estimators_match_pooled_oracles(n, with_r, stages, total, p, empty,
+                                                       radius, chunk, seed):
+    """borda, mle and sieve on the stage samples equal the reference estimators
+    on their merge, for both samplings, with empty stage samples and a
+    shuffled net whose members often tie."""
+    rng = np.random.default_rng(seed)
+    pi_star = random_permutation(n, rng)
+    law = star_matrix(n, 0.2)
+    if with_r:
+        samples = split_with_replacement(pi_star, law, stage_budgets(total + stages, stages), seed)
+        blank = make_dataset(n, [], WITH_REPLACEMENT, budget=0)
+    else:
+        draw = sample_without_replacement(pi_star, law, p, seed)
+        samples = split_without_replacement(draw, stages, seed)
+        blank = make_dataset(n, [], WITHOUT_REPLACEMENT, budget=p)
+    if empty:
+        samples.insert(int(rng.integers(len(samples) + 1)), blank)
+    merged = merge_datasets(samples)
+    members = list(greedy_maximal_packing(n, radius).members)
+    rng.shuffle(members)
+    net = PackingSet(n=n, epsilon=radius, members=tuple(members))
+    assert borda_sort(samples) == _borda_oracle(merged)
+    with mock.patch.object(estimators, "_CANDIDATE_CHUNK", chunk):
+        assert brute_force_mle(samples) == loop_mle(merged, enumerate_permutations(n))
+        assert sieve_mle(samples, net) == loop_mle(merged, net.members)
+    for pi in members[:5]:
+        assert sum(mle_objective(s, pi) for s in samples) == loop_mle_objective(merged, pi)
 
 
 class TestTheoreticalPhi:

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 from scipy import stats
 
+from noisysort import model
 from noisysort.model import (
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
@@ -17,7 +18,6 @@ from noisysort.model import (
     SamplingTag,
     derive_seed,
     membership_violation,
-    merge_datasets,
     random_member_matrix,
     read_dataset,
     relabel_items,
@@ -27,7 +27,6 @@ from noisysort.model import (
     split_without_replacement,
     stage_budgets,
     star_matrix,
-    true_scores,
     write_dataset,
 )
 from noisysort.perms import Permutation, random_permutation
@@ -36,10 +35,13 @@ from oracles import (
     BAD_HEADER_FILES,
     BAD_N_FILES,
     DISAGREEING_RECORDS,
+    counts_dense,
     dense_star_entries,
     line_read_dataset,
     line_write_dataset,
     make_dataset,
+    true_scores,
+    wins_dense,
 )
 
 
@@ -149,8 +151,8 @@ class TestWithoutReplacement:
         d = sample_without_replacement(Permutation.identity(20), star_matrix(20, 0.3), 1.0, 5)
         assert d.num_pairs == math.comb(20, 2)
         assert (d.num == 1).all()
-        a = d.wins_dense()
-        c = d.counts_dense()
+        a = wins_dense(d)
+        c = counts_dense(d)
         assert np.array_equal(a + a.T, c)
         assert (np.diag(a) == 0).all() and (np.diag(c) == 0).all()
 
@@ -241,8 +243,8 @@ class TestSplits:
     def test_without_split_partitions_counts_and_wins(self):
         d = sample_without_replacement(Permutation.identity(30), star_matrix(30, 0.2), 0.8, 21)
         parts = split_without_replacement(d, 4, 99)
-        assert np.array_equal(sum(p.counts_dense() for p in parts), d.counts_dense())
-        assert np.array_equal(sum(p.wins_dense() for p in parts), d.wins_dense())
+        assert np.array_equal(sum(counts_dense(p) for p in parts), counts_dense(d))
+        assert np.array_equal(sum(wins_dense(p) for p in parts), wins_dense(d))
 
     def test_without_split_single_bucket_is_same_dataset(self):
         d = sample_without_replacement(Permutation.identity(10), star_matrix(10, 0.2), 0.5, 3)
@@ -289,8 +291,8 @@ class TestDeterminismAndEquivalence:
         c1 = np.zeros((n, n))
         c2 = np.zeros((n, n))
         for seed in range(reps):
-            c1 += sample_without_replacement(Permutation.identity(n), m, p, seed).counts_dense()
-            c2 += sample_with_replacement(Permutation.identity(n), m, total, seed).counts_dense()
+            c1 += counts_dense(sample_without_replacement(Permutation.identity(n), m, p, seed))
+            c2 += counts_dense(sample_with_replacement(Permutation.identity(n), m, total, seed))
         off = ~np.eye(n, dtype=bool)
         mean1 = c1[off].mean() / reps
         mean2 = c2[off].mean() / reps
@@ -304,19 +306,12 @@ class TestRelabeling:
         d = sample_with_replacement(Permutation.identity(15), star_matrix(15, 0.25), 900, 8)
         rho = random_permutation(15, rng)
         d2 = relabel_items(d, rho)
-        a, a2 = d.wins_dense(), d2.wins_dense()
+        a, a2 = wins_dense(d), wins_dense(d2)
         r = rho.to_array() - 1
         assert np.array_equal(a2[np.ix_(r, r)], a)
 
 
 class TestMergeAndIO:
-    def test_merge_totals(self):
-        parts = split_with_replacement(Permutation.identity(12), star_matrix(12, 0.2),
-                                       [300, 200, 100], 5)
-        merged = merge_datasets(parts)
-        assert merged.total_comparisons() == 600
-        assert np.array_equal(merged.wins_dense(), sum(p.wins_dense() for p in parts))
-
     def test_file_roundtrip(self, tmp_path):
         d = sample_with_replacement(Permutation.identity(25), star_matrix(25, 0.2), 700, 13)
         path = tmp_path / "data.txt"
@@ -326,6 +321,13 @@ class TestMergeAndIO:
         assert d2.tag == d.tag and d2.seed == d.seed
         header = path.read_text().splitlines()[0].split()
         assert header == ["25", WITH_REPLACEMENT, "700", "13"]
+
+    def test_file_roundtrip_keeps_a_seed_past_int64(self, tmp_path):
+        seed = derive_seed(1, 3)  # derive_seed gives uint64 seeds
+        assert seed >= 2**63
+        d = sample_with_replacement(Permutation.identity(6), star_matrix(6, 0.2), 30, seed)
+        write_dataset(d, tmp_path / "data.txt")
+        assert read_dataset(tmp_path / "data.txt").seed == seed
 
     def test_file_roundtrip_without(self, tmp_path):
         d = sample_without_replacement(Permutation.identity(15), star_matrix(15, 0.2), 0.45, 3)
@@ -352,6 +354,17 @@ class TestMergeAndIO:
         path = tmp_path / "data.txt"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="bad header.*n must be >= 1"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("text,line", [
+        ("3 with_replacement 3 0\n1 2 3 1\n1 2 x 1\n", 3),  # a non-integer token
+        ("3 with_replacement 3 0\n1 2 1_0 1\n", 2),  # int() takes 1_0, the rule does not
+        ("\n\n3 with_replacement 6 0\n1 2 3 1\n\n2 1 3 2\n", 5),  # blank line after two
+    ])
+    def test_read_names_file_and_line_of_bad_record(self, tmp_path, text, line):
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"data.txt, line {line}:"):
             read_dataset(path)
 
     def test_read_accepts_agreeing_records_in_any_order(self, tmp_path):
@@ -400,10 +413,8 @@ def test_every_producer_returns_pairs_in_order(n, seed, total, p, parts):
     law = star_matrix(n, 0.2)
     with_r = sample_with_replacement(pi, law, total, seed)
     without = sample_without_replacement(pi, law, p, seed)
-    produced = [with_r, without, relabel_items(with_r, random_permutation(n, rng)),
-                merge_datasets([with_r, sample_with_replacement(pi, law, total, seed + 1)])]
-    split = split_without_replacement(without, parts, seed)
-    produced += split + [merge_datasets(split)]
+    produced = [with_r, without, relabel_items(with_r, random_permutation(n, rng))]
+    produced += split_without_replacement(without, parts, seed)
     with tempfile.TemporaryDirectory() as tmp:  # the reader on shuffled lines
         path = Path(tmp) / "data.txt"
         write_dataset(with_r, path)
@@ -414,6 +425,20 @@ def test_every_producer_returns_pairs_in_order(n, seed, total, p, parts):
     assert back.same_data(with_r)
     produced.append(back)
     assert all(_strictly_increasing(d) for d in produced)
+
+
+@settings(max_examples=300, deadline=None)
+@given(token=hst.text(alphabet="0123456789+-_ .x\u0663\uff14", min_size=1, max_size=21)
+       | hst.integers(-2**64, 2**64).map(str))
+def test_header_integer_rule_is_the_record_rule(token):
+    """A header integer parses exactly when np.loadtxt takes it as a record
+    token, and to the same value."""
+    assume(token.strip() == token and " " not in token)
+    try:
+        expected = int(np.loadtxt([f"{token} 0"], dtype=np.int64, ndmin=2, comments=None)[0, 0])
+    except ValueError:
+        expected = None
+    assert model._int64(token) == expected
 
 
 CORRUPTIONS = ("drop_token", "non_integer", "disagree", "index_zero", "index_above_n",
