@@ -20,7 +20,7 @@ import numpy as np
 from .counting import PackingSet
 from .errors import SizeMismatchError
 from .model import WITH_REPLACEMENT, WITHOUT_REPLACEMENT, ComparisonDataset
-from .perms import ENUMERATION_CAP, Permutation, enumerate_permutations
+from .perms import ENUMERATION_CAP, Permutation, enumerate_maps
 
 LAMBDA_CLAMP = 1e-6
 
@@ -295,16 +295,16 @@ def ms_sort(
 
 
 def _best_candidate(
-    samples: Sequence[ComparisonDataset], candidates: Iterable[Permutation]
-) -> tuple[Permutation, int]:
-    """The candidate maximizing the objective summed over ``samples``, and the
-    maximum; ties go to the lexicographically smallest one-line map, whatever
-    the candidate order.  Candidates are scored as stacked rank vectors."""
-    best: Permutation | None = None
+    samples: Sequence[ComparisonDataset], maps: Iterable[tuple[int, ...]]
+) -> tuple[tuple[int, ...], int]:
+    """The one-line map maximizing the objective summed over ``samples``, and
+    the maximum; ties go to the lexicographically smallest map, whatever the
+    candidate order.  Candidates are scored as stacked rank vectors."""
+    best: tuple[int, ...] | None = None
     best_obj = -1
-    candidates = iter(candidates)
-    while chunk := list(itertools.islice(candidates, _CANDIDATE_CHUNK)):
-        ranks = np.array([pi.map for pi in chunk], dtype=np.int64)
+    maps = iter(maps)
+    while chunk := list(itertools.islice(maps, _CANDIDATE_CHUNK)):
+        ranks = np.array(chunk, dtype=np.int64)
         objective = np.zeros(len(chunk), dtype=np.int64)
         for s in samples:
             ahead = ranks[:, s.first - 1] > ranks[:, s.second - 1]
@@ -314,7 +314,7 @@ def _best_candidate(
             tied = [chunk[k] for k in np.flatnonzero(objective == top)]
             if top == best_obj:
                 tied.append(best)
-            best, best_obj = min(tied, key=lambda pi: pi.map), top
+            best, best_obj = min(tied), top
     assert best is not None
     return best, best_obj
 
@@ -323,14 +323,14 @@ def mle_objective(dataset: ComparisonDataset, pi: Permutation) -> int:
     """Total wins along the order ``pi``: sum of A[i, j] over pi(i) > pi(j)."""
     if pi.n != dataset.n:
         raise SizeMismatchError(f"permutation n={pi.n} vs dataset n={dataset.n}")
-    return _best_candidate([dataset], [pi])[1]
+    return _best_candidate([dataset], [pi.map])[1]
 
 
 def brute_force_mle(samples: Sequence[ComparisonDataset],
                     cap: int = ENUMERATION_CAP) -> Permutation:
     """Exhaustive maximizer of the objective summed over ``samples`` (no combined
     copy is built); ties go to the lexicographically smallest one-line map."""
-    return _best_candidate(samples, enumerate_permutations(_sample_n(samples), cap=cap))[0]
+    return Permutation(_best_candidate(samples, enumerate_maps(_sample_n(samples), cap=cap))[0])
 
 
 def sieve_mle(samples: Sequence[ComparisonDataset], net: PackingSet) -> Permutation:
@@ -342,7 +342,7 @@ def sieve_mle(samples: Sequence[ComparisonDataset], net: PackingSet) -> Permutat
         raise SizeMismatchError(f"net n={net.n} vs dataset n={n}")
     if not net.members:
         raise ValueError("empty net")
-    return _best_candidate(samples, net.members)[0]
+    return Permutation(_best_candidate(samples, (pi.map for pi in net.members))[0])
 
 
 def theoretical_phi(kind: str, n: int, budget: float, lam: float) -> float:

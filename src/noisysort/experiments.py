@@ -283,7 +283,7 @@ def run_ms_pipeline(
     evenly across stages; if no margin is supplied, an extra N comparisons
     are generated and used to estimate it (two half samples).
     Without-replacement: ``budget`` is the per-pair probability p of one
-    dataset whose comparisons are scattered uniformly across stages; a
+    dataset whose pairs each get one uniform stage label; a
     margin must be supplied since the estimator's contract covers
     with-replacement samples only.
     """

@@ -6,7 +6,9 @@ form and stores no n x n table (see ``ProbabilityMatrix``).
 Two sampling schemes produce a ``ComparisonDataset``:
 
 * without replacement: every unordered pair is observed once with
-  probability p, independently;
+  probability p, independently.  The observed pairs are one Bernoulli(p)
+  process over the numbered pair cells, drawn as Geometric(p) gaps, and the
+  multistage split gives each observed pair one uniform stage label;
 * with replacement: a fixed number N of comparisons, each between a
   uniformly drawn pair.
 
@@ -21,6 +23,7 @@ seed reproduces the dataset bit for bit.
 from __future__ import annotations
 
 import io
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -152,7 +155,9 @@ class ComparisonDataset:
 
     Parallel arrays hold one entry per compared unordered pair: items
     ``first < second`` (1-indexed), the comparison count, and how many of
-    those ``first`` won.  Pairs are stored sorted by (first, second).
+    those ``first`` won.  Pairs are strictly increasing in (first, second),
+    and a without-replacement record holds exactly one comparison; both are
+    checked at construction.
     """
 
     n: int
@@ -172,6 +177,10 @@ class ComparisonDataset:
             or np.any(m < 1) or np.any(w < 0) or np.any(w > m)
         ):
             raise ValueError("invalid pair record (ordering, range, or win count)")
+        if np.any((f[1:] < f[:-1]) | ((f[1:] == f[:-1]) & (s[1:] <= s[:-1]))):
+            raise ValueError("pairs are not strictly increasing in (first, second)")
+        if self.tag.kind == WITHOUT_REPLACEMENT and np.any(m != 1):
+            raise ValueError("a without-replacement record holds exactly one comparison")
 
     @property
     def num_pairs(self) -> int:
@@ -198,26 +207,12 @@ class ComparisonDataset:
         )
 
 
-def _sorted_pair_dataset(
-    n: int,
-    first: np.ndarray,
-    second: np.ndarray,
-    num: np.ndarray,
-    wins: np.ndarray,
-    tag: SamplingTag,
-    seed: int,
-) -> ComparisonDataset:
-    """The records with num > 0, of pairs already strictly increasing in (first, second)."""
-    keep = num > 0
-    return ComparisonDataset(
-        n=n,
-        first=first[keep].astype(np.int64, copy=False),
-        second=second[keep].astype(np.int64, copy=False),
-        num=num[keep].astype(np.int64, copy=False),
-        first_wins=wins[keep].astype(np.int64, copy=False),
-        tag=tag,
-        seed=seed,
-    )
+def _pair_items(n: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, second) of ascending pair cells, numbered 0..C(n,2)-1 in (first, second) order."""
+    row_sizes = np.arange(n - 1, -1, -1, dtype=np.int64)  # row i holds the n - i pairs (i, j > i)
+    offsets = np.concatenate(([0], np.cumsum(row_sizes)))  # offsets[i]: pairs in rows 1..i
+    first = np.repeat(np.arange(1, n + 1, dtype=np.int64), np.diff(np.searchsorted(cells, offsets)))
+    return first, cells - offsets[first - 1] + first + 1
 
 
 def sample_without_replacement(
@@ -225,44 +220,32 @@ def sample_without_replacement(
 ) -> ComparisonDataset:
     """Observe each unordered pair once with probability ``p``.
 
-    Draws go row by row (pairs (i, i+1), ..., (i, n) for i = 1..n-1), which
-    pins the consumption order of the random stream.
+    The C(n,2) pair cells are numbered in (first, second) order.  The
+    observed cells are the running sums of Geometric(p) gaps: an exact
+    Bernoulli(p) process whose memory is proportional to the observed pairs,
+    not to the cells.  One uniform draw per observed pair, against its
+    ``win_prob``, then decides whether ``first`` won.
     """
     if not 0 < p <= 1:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     n = pi_star.n
     if matrix.n != n:
         raise SizeMismatchError(f"matrix n={matrix.n} vs permutation n={n}")
+    num_cells = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
+    # six standard deviations past the expected count: one draw nearly always passes the last cell
+    size = int(p * num_cells + 6 * math.sqrt(p * num_cells) + 10)
+    cells = np.cumsum(rng.geometric(p, size=size)) - 1
+    while cells[-1] < num_cells - 1:
+        cells = np.concatenate([cells, cells[-1] + np.cumsum(rng.geometric(p, size=size))])
+    first, second = _pair_items(n, cells[: np.searchsorted(cells, num_cells)])
+    del cells
     ranks = pi_star.to_array()
-    firsts, seconds, winss = [], [], []
-    for i in range(1, n):
-        row_second = np.arange(i + 1, n + 1, dtype=np.int64)
-        observed = rng.random(n - i) < p
-        if not observed.any():
-            continue
-        js = row_second[observed]
-        q = matrix.win_prob(ranks[i - 1], ranks[js - 1])
-        wins = rng.binomial(1, q)
-        firsts.append(np.full(len(js), i, dtype=np.int64))
-        seconds.append(js)
-        winss.append(wins)
-    if firsts:
-        first = np.concatenate(firsts)
-        second = np.concatenate(seconds)
-        wins = np.concatenate(winss)
-    else:
-        first = second = wins = np.empty(0, dtype=np.int64)
-    return _sorted_pair_dataset(
-        n, first, second, np.ones(len(first), dtype=np.int64), wins,
-        SamplingTag(WITHOUT_REPLACEMENT, p), seed,
+    wins = rng.random(len(first)) < matrix.win_prob(ranks[first - 1], ranks[second - 1])
+    return ComparisonDataset(
+        n=n, first=first, second=second, num=np.ones(len(first), dtype=np.int64),
+        first_wins=wins.astype(np.int64), tag=SamplingTag(WITHOUT_REPLACEMENT, p), seed=seed,
     )
-
-
-def _pair_row_offsets(n: int) -> np.ndarray:
-    """offsets[i] = number of pairs (a, b), a < b, with a <= i (1-indexed i)."""
-    counts = np.arange(n - 1, -1, -1, dtype=np.int64)  # row i has n - i pairs
-    return np.concatenate(([0], np.cumsum(counts)))
 
 
 def sample_with_replacement(
@@ -280,14 +263,13 @@ def sample_with_replacement(
     rng = np.random.default_rng(seed)
     cells = rng.integers(0, num_cells, size=total)
     idx, counts = np.unique(cells, return_counts=True)
-    offsets = _pair_row_offsets(n)
-    first = np.searchsorted(offsets, idx, side="right").astype(np.int64)
-    second = (idx - offsets[first - 1] + first + 1).astype(np.int64)
+    del cells  # free the N draws before the per-pair arrays are allocated
+    first, second = _pair_items(n, idx)
     ranks = pi_star.to_array()
-    q = matrix.win_prob(ranks[first - 1], ranks[second - 1])
-    wins = rng.binomial(counts, q)
-    return _sorted_pair_dataset(
-        n, first, second, counts, wins, SamplingTag(WITH_REPLACEMENT, total), seed,
+    wins = rng.binomial(counts, matrix.win_prob(ranks[first - 1], ranks[second - 1]))
+    return ComparisonDataset(
+        n=n, first=first, second=second, num=counts, first_wins=wins,
+        tag=SamplingTag(WITH_REPLACEMENT, total), seed=seed,
     )
 
 
@@ -325,11 +307,11 @@ def split_with_replacement(
 def split_without_replacement(
     dataset: ComparisonDataset, parts: int, seed: int
 ) -> list[ComparisonDataset]:
-    """Assign each observed comparison to one of ``parts`` buckets uniformly.
+    """Give each observed pair one of ``parts`` stage labels, uniformly.
 
-    Win and loss outcomes of every pair are multinomially scattered, so
-    per-pair counts across buckets sum to the originals and wins partition
-    likewise.
+    A without-replacement pair holds one comparison, so the stages partition
+    the pairs.  Ordering the pairs stably by label makes each stage one slice
+    that stays sorted by (first, second).
     """
     if parts < 1:
         raise ValueError("parts must be positive")
@@ -338,21 +320,17 @@ def split_without_replacement(
     if parts == 1:
         return [dataset]
     rng = np.random.default_rng(seed)
-    pvals = np.full(parts, 1.0 / parts)
-    if dataset.num_pairs:
-        wins_split = rng.multinomial(dataset.first_wins, pvals)
-        losses_split = rng.multinomial(dataset.num - dataset.first_wins, pvals)
-    else:
-        wins_split = losses_split = np.zeros((0, parts), dtype=np.int64)
-    out = []
-    for t in range(parts):
-        wins_t = wins_split[:, t]
-        num_t = wins_t + losses_split[:, t]
-        out.append(_sorted_pair_dataset(
-            dataset.n, dataset.first, dataset.second, num_t, wins_t,
-            dataset.tag, derive_seed(seed, t),
-        ))
-    return out
+    labels = rng.integers(0, parts, size=dataset.num_pairs, dtype=np.min_scalar_type(parts - 1))
+    order = np.argsort(labels, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=parts))))
+    first, second, wins = (a[order] for a in (dataset.first, dataset.second, dataset.first_wins))
+    return [
+        ComparisonDataset(  # every count is 1, so any slice of the counts serves
+            n=dataset.n, first=first[lo:hi], second=second[lo:hi], num=dataset.num[lo:hi],
+            first_wins=wins[lo:hi], tag=dataset.tag, seed=derive_seed(seed, t),
+        )
+        for t, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
 
 
 def relabel_items(dataset: ComparisonDataset, rho: Permutation) -> ComparisonDataset:
@@ -367,9 +345,9 @@ def relabel_items(dataset: ComparisonDataset, rho: Permutation) -> ComparisonDat
     second = np.where(flip, a, b)
     wins = np.where(flip, dataset.num - dataset.first_wins, dataset.first_wins)
     order = np.lexsort((second, first))
-    return _sorted_pair_dataset(
-        dataset.n, first[order], second[order], dataset.num[order], wins[order],
-        dataset.tag, dataset.seed,
+    return ComparisonDataset(
+        n=dataset.n, first=first[order], second=second[order], num=dataset.num[order],
+        first_wins=wins[order], tag=dataset.tag, seed=dataset.seed,
     )
 
 
@@ -380,8 +358,15 @@ def write_dataset(dataset: ComparisonDataset, path: str | Path) -> None:
     per ordered pair with N_ij > 0, 1-indexed, sorted by (i, j).
     """
     f, s, m, w = dataset.first, dataset.second, dataset.num, dataset.first_wins
-    rows = np.concatenate([np.stack([f, s, m, w], axis=1), np.stack([s, f, m, m - w], axis=1)])
-    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    # the forward rows (f, s) are in order; a stable sort by s orders the reverse rows (s, f)
+    back = np.argsort(s, kind="stable")
+    rev_i = s[back]
+    k = np.arange(len(f))
+    rows = np.empty((2 * len(f), 4), dtype=np.int64)
+    # a line (i, j) follows every line of a smaller i, and for equal i the reverse lines (j < i)
+    rows[k + np.searchsorted(rev_i, f, side="right")] = np.stack([f, s, m, w], axis=1)
+    rows[k + np.searchsorted(f, rev_i, side="left")] = np.stack(
+        [rev_i, f[back], m[back], (m - w)[back]], axis=1)
     header = f"{dataset.n} {dataset.tag.kind} {dataset.tag.budget_str()} {dataset.seed}\n"
     Path(path).write_text(header + ("%d %d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
@@ -455,6 +440,6 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
     )
     if kind == WITH_REPLACEMENT and budget != dataset.total_comparisons():
         raise ValueError(f"header budget {budget} but {dataset.total_comparisons()} comparisons")
-    if kind == WITHOUT_REPLACEMENT and (not 0 < budget <= 1 or np.any(num != 1)):
-        raise ValueError("without-replacement data needs p in (0, 1] and one comparison per pair")
+    if kind == WITHOUT_REPLACEMENT and not 0 < budget <= 1:
+        raise ValueError(f"without-replacement data needs p in (0, 1], got {budget}")
     return dataset

@@ -15,7 +15,13 @@ import numpy as np
 
 from noisysort.counting import PackingSet
 from noisysort.errors import SizeMismatchError
-from noisysort.model import WITH_REPLACEMENT, WITHOUT_REPLACEMENT, ComparisonDataset, SamplingTag
+from noisysort.model import (
+    WITH_REPLACEMENT,
+    WITHOUT_REPLACEMENT,
+    ComparisonDataset,
+    SamplingTag,
+    derive_seed,
+)
 from noisysort.perms import kendall_tau
 
 
@@ -177,6 +183,46 @@ def merge_datasets(datasets):
         n=n, first=first_m, second=second_m, num=num_m, first_wins=wins_m,
         tag=SamplingTag(kind, budget), seed=datasets[0].seed,
     )
+
+
+def row_sample_without_replacement(pi_star, matrix, p, seed):
+    """The former library sampler, kept as the reference of the one-draw
+    sampler: a Bernoulli(p) draw per pair and a win draw, row by row."""
+    n = pi_star.n
+    rng = np.random.default_rng(seed)
+    ranks = pi_star.to_array()
+    firsts, seconds, winss = [], [], []
+    for i in range(1, n):
+        row_second = np.arange(i + 1, n + 1, dtype=np.int64)
+        observed = rng.random(n - i) < p
+        js = row_second[observed]
+        firsts.append(np.full(len(js), i, dtype=np.int64))
+        seconds.append(js)
+        winss.append(rng.binomial(1, matrix.win_prob(ranks[i - 1], ranks[js - 1])))
+    first, second, wins = (np.concatenate(a) if a else np.empty(0, dtype=np.int64)
+                           for a in (firsts, seconds, winss))
+    return ComparisonDataset(
+        n=n, first=first, second=second, num=np.ones(len(first), dtype=np.int64),
+        first_wins=wins, tag=SamplingTag(WITHOUT_REPLACEMENT, p), seed=seed,
+    )
+
+
+def multinomial_split_without_replacement(dataset, parts, seed):
+    """The former library split, kept as the reference of the stage labels:
+    wins and losses of every pair scattered by two multinomial draws."""
+    rng = np.random.default_rng(seed)
+    pvals = np.full(parts, 1.0 / parts)
+    wins_split = rng.multinomial(dataset.first_wins, pvals).reshape(-1, parts)
+    losses_split = rng.multinomial(dataset.num - dataset.first_wins, pvals).reshape(-1, parts)
+    stages = []
+    for t in range(parts):
+        num = wins_split[:, t] + losses_split[:, t]
+        keep = num > 0
+        stages.append(ComparisonDataset(
+            n=dataset.n, first=dataset.first[keep], second=dataset.second[keep], num=num[keep],
+            first_wins=wins_split[keep, t], tag=dataset.tag, seed=derive_seed(seed, t),
+        ))
+    return stages
 
 
 def loop_mle_objective(dataset, pi):

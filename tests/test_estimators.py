@@ -92,7 +92,7 @@ class TestEstimateLambda:
         # win sum X = 1, and with N = 16: (2/16) * C(4,2)/C(2,2) * 1 - 1/2 = 1/4
         s1 = make_dataset(4, [(1, 2, 1, 0), (1, 3, 1, 0), (1, 4, 1, 0),
                               (2, 3, 1, 0), (2, 4, 1, 0), (3, 4, 1, 0)])
-        s2 = make_dataset(4, [(1, 4, 1, 0), (1, 2, 9, 4)])
+        s2 = make_dataset(4, [(1, 2, 9, 4), (1, 4, 1, 0)])
         assert borda_sort([s1]) == Permutation.identity(4)
         assert estimate_lambda(s1, s2) == pytest.approx(0.25)
 

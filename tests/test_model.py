@@ -1,11 +1,12 @@
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 from scipy import stats
 
@@ -40,6 +41,8 @@ from oracles import (
     line_read_dataset,
     line_write_dataset,
     make_dataset,
+    multinomial_split_without_replacement,
+    row_sample_without_replacement,
     true_scores,
     wins_dense,
 )
@@ -148,13 +151,73 @@ class TestTrueScores:
 
 class TestWithoutReplacement:
     def test_p_one_observes_every_pair_once(self):
-        d = sample_without_replacement(Permutation.identity(20), star_matrix(20, 0.3), 1.0, 5)
-        assert d.num_pairs == math.comb(20, 2)
-        assert (d.num == 1).all()
-        a = wins_dense(d)
-        c = counts_dense(d)
-        assert np.array_equal(a + a.T, c)
-        assert (np.diag(a) == 0).all() and (np.diag(c) == 0).all()
+        for n in (1, 2, 20):
+            d = sample_without_replacement(Permutation.identity(n), star_matrix(n, 0.3), 1.0, 5)
+            assert d.num_pairs == math.comb(n, 2)
+            assert (d.num == 1).all()
+            a = wins_dense(d)
+            c = counts_dense(d)
+            assert np.array_equal(a + a.T, c)
+            assert (np.diag(a) == 0).all() and (np.diag(c) == 0).all()
+
+    def test_single_item_gives_empty_data_and_stages(self):
+        for p in (0.3, 1.0):
+            d = sample_without_replacement(Permutation.identity(1), star_matrix(1, 0.3), p, 5)
+            assert d.num_pairs == 0
+            stages = split_without_replacement(d, 3, 6)
+            assert len(stages) == 3 and all(s.num_pairs == 0 for s in stages)
+
+    def test_matches_row_sampler_and_multinomial_split_in_distribution(self):
+        # The one-draw sampler and stage labels replace a per-row Bernoulli
+        # loop and a multinomial scatter: same law, another random stream.
+        # Over 2000 seeds, the per-pair observation and first-win frequencies
+        # and the per-(pair, stage) frequencies of the two paths agree within
+        # |z| <= 4.5 (two-sample z on a proportion), and so do their sums over
+        # the pairs, which see a shift shared by all pairs.  With 80 z-values
+        # a false alarm has probability under 1e-3.  The law gives every pair
+        # its own win probability, so a pair decoded as another shows.
+        n, p, parts, reps = 6, 0.4, 3, 2000
+        pi = Permutation((3, 6, 1, 5, 2, 4))
+        law = random_member_matrix(n, 0.1, 0.05, seed=2)
+        counts = {}
+        for path, sample, split in (
+            ("new", sample_without_replacement, split_without_replacement),
+            ("old", row_sample_without_replacement, multinomial_split_without_replacement),
+        ):
+            observed = np.zeros(n * n)
+            won = np.zeros(n * n)
+            staged = np.zeros((parts, n * n))
+            for seed in range(reps):
+                d = sample(pi, law, p, seed)
+                cell = (d.first - 1) * n + d.second - 1
+                observed[cell] += 1
+                won[cell] += d.first_wins
+                for t, stage in enumerate(split(d, parts, derive_seed(seed, 1))):
+                    staged[t, (stage.first - 1) * n + stage.second - 1] += 1
+            counts[path] = np.concatenate([observed, won, staged.ravel()])
+        upper = np.triu(np.ones((n, n), dtype=bool), 1).ravel()
+        cells = np.tile(upper, 2 + parts)
+        new, old = counts["new"][cells], counts["old"][cells]
+        pooled = (new + old) / (2 * reps)
+        var = 2 * reps * pooled * (1 - pooled)  # of new - old, per cell
+        groups = np.repeat(np.arange(2 + parts), math.comb(n, 2))
+        z = np.concatenate([(new - old) / np.sqrt(var),
+                            np.bincount(groups, new - old) / np.sqrt(np.bincount(groups, var))])
+        assert len(z) == 80 and np.all(pooled > 0)
+        assert np.max(np.abs(z)) <= 4.5
+
+    def test_draws_nothing_the_size_of_all_pairs(self):
+        # memory follows the observed pairs (about 18000 here), not the C(n,2) cells
+        n, p = 6000, 0.001
+        pi, law = Permutation.identity(n), star_matrix(n, 0.2)
+        tracemalloc.start()
+        try:
+            d = sample_without_replacement(pi, law, p, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(d.num_pairs - p * math.comb(n, 2)) < 6 * math.sqrt(p * math.comb(n, 2))
+        assert peak < math.comb(n, 2)
 
     def test_high_signal_win_rate(self):
         n, lam = 100, 0.49
@@ -261,6 +324,14 @@ class TestSplits:
                 sd = math.sqrt(total * (1 / parts) * (1 - 1 / parts))
                 diffs.append((b.total_comparisons() - total / parts) / sd)
         assert np.max(np.abs(diffs)) <= 4.0
+
+    def test_stage_labels_hold_any_number_of_parts(self):
+        # more stages than a uint8 label can name
+        d = sample_without_replacement(Permutation.identity(40), star_matrix(40, 0.2), 1.0, 8)
+        stages = split_without_replacement(d, 300, 9)
+        assert len(stages) == 300
+        assert np.array_equal(sum(counts_dense(s) for s in stages), counts_dense(d))
+        assert sum(s.num_pairs > 0 for s in stages[256:]) > 0
 
     def test_without_split_requires_without_dataset(self):
         d = sample_with_replacement(Permutation.identity(10), star_matrix(10, 0.2), 100, 1)
@@ -390,6 +461,24 @@ class TestMergeAndIO:
                 tag=SamplingTag(WITH_REPLACEMENT, 1), seed=0,
             )
 
+    @pytest.mark.parametrize("first, second", [([1, 1], [2, 2]), ([1, 1], [3, 2]),
+                                               ([2, 1], [3, 3])])
+    def test_dataset_rejects_repeated_or_unordered_pairs(self, first, second):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ComparisonDataset(
+                n=3, first=np.array(first), second=np.array(second),
+                num=np.array([1, 1]), first_wins=np.array([0, 1]),
+                tag=SamplingTag(WITH_REPLACEMENT, 2), seed=0,
+            )
+
+    def test_without_replacement_record_holds_one_comparison(self):
+        with pytest.raises(ValueError, match="one comparison"):
+            ComparisonDataset(
+                n=3, first=np.array([1]), second=np.array([2]),
+                num=np.array([2]), first_wins=np.array([1]),
+                tag=SamplingTag(WITHOUT_REPLACEMENT, 0.5), seed=0,
+            )
+
 
 class TestSeedDerivation:
     def test_deterministic_and_distinct(self):
@@ -407,6 +496,7 @@ def _strictly_increasing(d):
 @settings(max_examples=40, deadline=None)
 @given(n=hst.integers(2, 30), seed=hst.integers(0, 2**32 - 1),
        total=hst.integers(1, 600), p=hst.floats(0.02, 1.0), parts=hst.integers(1, 4))
+@example(n=2, seed=0, total=1, p=1.0, parts=3)
 def test_every_producer_returns_pairs_in_order(n, seed, total, p, parts):
     rng = np.random.default_rng(seed)
     pi = random_permutation(n, rng)
