@@ -257,13 +257,19 @@ def ms_sort(
         se = sample.second - 1
         wins = sample.first_wins.astype(np.float64)
         losses = (sample.num - sample.first_wins).astype(np.float64)
-        # j is open for i iff |fl(S_j - S_i)| <= tau_i at stage last[i]
-        past = np.stack(prev.history)
-        at_f, at_s = prev.last[fi], prev.last[se]
-        keep_f = np.abs(past[at_f, se] - past[at_f, fi]) <= prev.tau[fi]
-        keep_s = np.abs(past[at_s, fi] - past[at_s, se]) <= prev.tau[se]
-        raw = np.bincount(fi[keep_f], weights=wins[keep_f], minlength=n)
-        raw += np.bincount(se[keep_s], weights=losses[keep_s], minlength=n)
+        # j is open for i iff |fl(S_j - S_i)| <= tau_i, S the scores of stage last[i]:
+        # one pass per held stage s (other rows pass with tau = inf; never-fired
+        # rows are in none); closed records weigh 0.0, which changes no sum's bits.
+        for s in np.unique(prev.last[prev.last > 0]):
+            limit = np.where(prev.last == s, prev.tau, np.inf)
+            gap = prev.history[s][se] - prev.history[s][fi]
+            np.abs(gap, out=gap)  # fl(a-b) = -fl(b-a)
+            wins *= gap <= limit[fi]
+            losses *= gap <= limit[se]
+            del gap  # record-sized arrays go early: they set the heap's peak
+        raw = np.bincount(fi, weights=wins, minlength=n)
+        raw += np.bincount(se, weights=losses, minlength=n)
+        del fi, se, wins, losses
         scores = (
             scale * raw
             + (0.5 + lambda_hat) * prev.below_counts

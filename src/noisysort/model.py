@@ -262,8 +262,10 @@ def sample_with_replacement(
     num_cells = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
     cells = rng.integers(0, num_cells, size=total)
-    idx, counts = np.unique(cells, return_counts=True)
-    del cells  # free the N draws before the per-pair arrays are allocated
+    cells.sort()  # the drawn pairs are the runs of equal cells
+    starts = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1])))
+    idx, counts = cells[starts], np.diff(starts, append=total)
+    del cells, starts  # free the N draws before the per-pair arrays are allocated
     first, second = _pair_items(n, idx)
     ranks = pi_star.to_array()
     wins = rng.binomial(counts, matrix.win_prob(ranks[first - 1], ranks[second - 1]))

@@ -89,16 +89,28 @@ def _check_same_n(pi: Permutation, sigma: Permutation) -> int:
 
 
 def _count_inversions(values: np.ndarray) -> int:
-    """Number of pairs k < l with values[k] > values[l], by recursive merging."""
+    """Number of pairs k < l with values[k] > values[l], by bottom-up merging.
+
+    Per width w, one stable sort of block-pair-offset keys merges all pairs of
+    w-blocks; a right-block element jumps exactly the left ones greater than
+    it.  Timsort merges presorted runs in linear time: O(m log m) in all.
+    """
     m = values.size
-    if m <= 32:
-        return int(np.sum(np.triu(values[:, None] > values[None, :], 1)))
-    mid = m // 2
-    left, right = values[:mid], values[mid:]
-    inv = _count_inversions(left) + _count_inversions(right)
-    sorted_left = np.sort(left)
-    # cross pairs: for each y in right, count x in left with x > y
-    inv += int(mid * right.size - np.searchsorted(sorted_left, right, side="right").sum())
+    if m < 2:
+        return 0
+    a = values - values.min()
+    span = int(a.max()) + 1
+    inv, w = 0, 1
+    while w < m:
+        pair = np.arange(m) // (2 * w)
+        keys = a + pair * span
+        order = np.argsort(keys, kind="stable")  # ties keep left before right
+        right = order // w % 2 == 1
+        # left-block elements of the same pair merged up to each slot
+        left_merged = np.cumsum(~right) - pair * w
+        inv += int((w - left_merged[right]).sum())
+        a = keys[order] - pair * span
+        w *= 2
     return inv
 
 

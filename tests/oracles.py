@@ -42,6 +42,19 @@ def inversion_histogram(n):
     return hist
 
 
+def recursive_inversions(values):
+    """Pairs k < l with values[k] > values[l], by recursive halving: the
+    former library count, kept as the reference of the level-by-level one."""
+    m = values.size
+    if m <= 32:
+        return int(np.sum(np.triu(values[:, None] > values[None, :], 1)))
+    mid = m // 2
+    left, right = values[:mid], values[mid:]
+    inv = recursive_inversions(left) + recursive_inversions(right)
+    # cross pairs: for each y in right, count x in left with x > y
+    return inv + int(mid * right.size - np.searchsorted(np.sort(left), right, side="right").sum())
+
+
 def kendall_tau_brute(pi, sigma):
     """Quadratic pair-enumeration count of discordant pairs."""
     assert pi.n == sigma.n
@@ -182,6 +195,24 @@ def merge_datasets(datasets):
     return ComparisonDataset(
         n=n, first=first_m, second=second_m, num=num_m, first_wins=wins_m,
         tag=SamplingTag(kind, budget), seed=datasets[0].seed,
+    )
+
+
+def unique_sample_with_replacement(pi_star, matrix, total, seed):
+    """The former with-replacement sampler, kept as the reference of the
+    run-length count: np.unique finds the drawn pair cells and their counts,
+    and the cells map to pairs through np.triu_indices."""
+    n = pi_star.n
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(0, n * (n - 1) // 2, size=total)
+    idx, counts = np.unique(cells, return_counts=True)
+    rows, cols = np.triu_indices(n, 1)
+    first, second = rows[idx] + 1, cols[idx] + 1
+    ranks = pi_star.to_array()
+    wins = rng.binomial(counts, matrix.win_prob(ranks[first - 1], ranks[second - 1]))
+    return ComparisonDataset(
+        n=n, first=first, second=second, num=counts, first_wins=wins,
+        tag=SamplingTag(WITH_REPLACEMENT, total), seed=seed,
     )
 
 

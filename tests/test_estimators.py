@@ -290,6 +290,8 @@ DENSE_REFERENCE_CASES = [
      0.45, MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)),
     ("star-theoretical-scale", lambda: _with_replacement_case(120, 0.4, 20_000, 3, 4),
      0.4, MsConfig(stages=3, threshold_scale=1.0)),
+    ("star-four-stages", lambda: _with_replacement_case(120, 0.4, 30_000, 4, 4),
+     0.4, MsConfig(stages=4, threshold_scale=CALIBRATED_THRESHOLD_SCALE)),
     ("star-gate-never", lambda: _with_replacement_case(60, 0.4, 3_000, 2, 9),
      0.4, MsConfig(stages=2, c1=1e12, threshold_scale=CALIBRATED_THRESHOLD_SCALE)),
     ("star-small-ties", lambda: _with_replacement_case(12, 0.3, 200, 2, 5),
@@ -334,6 +336,7 @@ class TestDenseReference:
     def test_cases_cover_every_gate_outcome(self):
         outcomes = set()
         kinds = set()
+        held = set()  # the stages rows hold as a stage tests its open records
         for _, make, lam, config in DENSE_REFERENCE_CASES:
             samples = make()
             kinds.add(samples[0].tag.kind)
@@ -341,7 +344,14 @@ class TestDenseReference:
             for st in states[1:]:
                 fired = st.gate_fired
                 outcomes.add("all" if fired.all() else "some" if fired.any() else "none")
+            for st in states[:-1]:
+                stages = set(st.last.tolist())
+                # every row starts with n open items, so all rows first fire at
+                # stage 1 or none do: never-fired rows sit beside no fired row
+                assert stages == {0} or 0 not in stages
+                held.add("none fired" if stages == {0} else len(stages))
         assert outcomes == {"all", "some", "none"}
+        assert held == {"none fired", 1, 2, 3}
         assert kinds == {WITH_REPLACEMENT, WITHOUT_REPLACEMENT}
 
 

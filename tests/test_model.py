@@ -44,6 +44,7 @@ from oracles import (
     multinomial_split_without_replacement,
     row_sample_without_replacement,
     true_scores,
+    unique_sample_with_replacement,
     wins_dense,
 )
 
@@ -254,6 +255,17 @@ class TestWithReplacement:
     def test_budget_exact(self):
         d = sample_with_replacement(Permutation.identity(30), star_matrix(30, 0.2), 12345, 2)
         assert d.total_comparisons() == 12345
+
+    # n=2 puts every draw in one cell; N=1 draws one comparison
+    @pytest.mark.parametrize("n, total, seed", [
+        (2, 1, 0), (2, 57, 1), (9, 1, 2), (30, 12345, 3), (300, 400, 4), (600, 200_000, 5),
+    ])
+    def test_run_lengths_match_unique(self, n, total, seed):
+        pi = random_permutation(n, np.random.default_rng(seed))
+        law = star_matrix(n, 0.2)
+        d = sample_with_replacement(pi, law, total, seed)
+        assert d.same_data(unique_sample_with_replacement(pi, law, total, seed))
+        assert d.num.dtype == np.int64
 
     def test_win_distribution_chi_square(self):
         # conditioned on the pair, the stronger item's wins are

@@ -19,7 +19,7 @@ from noisysort.perms import (
     to_inversion_table,
 )
 
-from oracles import kendall_tau_brute
+from oracles import kendall_tau_brute, recursive_inversions
 
 
 def perm(*vals):
@@ -71,6 +71,27 @@ class TestKendallTau:
             n = int(rng.integers(1, 301))
             pi, sigma = rand_perm(rng, n), rand_perm(rng, n)
             assert kendall_tau(pi, sigma) == kendall_tau_brute(pi, sigma)
+
+    def test_matches_recursive_count_and_brute_force_small_n(self):
+        rng = np.random.default_rng(8)
+        for n in range(71):
+            for _ in range(3):
+                pi, sigma = rand_perm(rng, n), rand_perm(rng, n)
+                word = np.empty(n, dtype=np.int64)
+                word[sigma.to_array() - 1] = pi.to_array()
+                d = kendall_tau(pi, sigma)
+                assert d == kendall_tau_brute(pi, sigma) == recursive_inversions(word)
+
+    @pytest.mark.parametrize("n", [4000, 8000])
+    def test_matches_recursive_count_large_n(self, n):
+        rng = np.random.default_rng(n)
+        near = np.arange(1, n + 1)
+        swaps = rng.integers(0, n - 1, size=25)
+        for k in swaps:
+            near[k], near[k + 1] = near[k + 1], near[k]
+        for word in (rng.permutation(n) + 1, near, near[::-1].copy()):
+            assert kendall_tau(Permutation.from_array(word), Permutation.identity(n)) \
+                == recursive_inversions(word)
 
     def test_metric_axioms_on_random_triples(self):
         rng = np.random.default_rng(11)
