@@ -62,38 +62,43 @@ def borda_sort(samples: Sequence[ComparisonDataset]) -> Permutation:
     return _ranks_from_scores(sum(s.win_totals() for s in samples).astype(np.float64))
 
 
-def estimate_lambda(sample1: ComparisonDataset, sample2: ComparisonDataset) -> float:
+def estimate_lambda(halves: Iterable[ComparisonDataset]) -> float:
     """Estimate the win margin from two independent with-replacement samples.
 
-    Sorts items by win count in ``sample1``; pairs separated by more than
-    n/2 positions in that order are near-certainly ordered correctly, so
-    their win frequency in ``sample2`` concentrates at 1/2 + margin.  The
+    Sorts items by win count in the first half; pairs separated by more
+    than n/2 positions in that order are near-certainly ordered correctly, so
+    their win frequency in the second concentrates at 1/2 + margin.  The
     win sum over those pairs is rescaled by the index-set size and recentred:
 
         lambda_hat = (2/N) * C(n,2) / C(n//2, 2) * win_sum - 1/2
 
-    with N the combined size of the two samples.  The result is clamped into
-    (1e-6, 1/2 - 1e-6) so downstream corrections stay well-defined.
+    with N the combined size of the two halves.  The result is clamped into
+    (1e-6, 1/2 - 1e-6) so downstream corrections stay well-defined.  The first
+    half is reduced to its ranks and size before the second is pulled.
     """
-    n = _sample_n([sample1, sample2])
+    halves = iter(halves)
+    first = next(halves, None)
+    n = 0 if first is None else first.n
     if n < 4:
-        raise ValueError(f"margin estimation needs n >= 4, got n={n}")
-    for s in (sample1, sample2):
-        if s.tag.kind != WITH_REPLACEMENT:
-            raise ValueError("margin estimation expects with-replacement samples")
-    total = sample1.total_comparisons() + sample2.total_comparisons()
+        raise ValueError(f"margin estimation needs two samples of n >= 4, got n={n}")
+    if first.tag.kind != WITH_REPLACEMENT:
+        raise ValueError("margin estimation expects with-replacement samples")
+    ranks, total = borda_sort([first]).to_array(), first.total_comparisons()
+    del first
+    second = next(halves, None)
+    if second is None or second.n != n or next(halves, None) is not None:
+        raise ValueError(f"margin estimation takes exactly two samples of n={n}")
+    if second.tag.kind != WITH_REPLACEMENT:
+        raise ValueError("margin estimation expects with-replacement samples")
+    total += second.total_comparisons()
     if total < 1:
         raise ValueError("empty samples")
     gap = n // 2
-    norm = math.comb(gap, 2)
-    if norm == 0:
-        raise ValueError(f"n={n} leaves no pairs beyond the n/2 rank gap")
-    ranks = borda_sort([sample1]).to_array()
-    ra = ranks[sample2.first - 1]
-    rb = ranks[sample2.second - 1]
-    win_sum = int(np.where(ra - rb > gap, sample2.first_wins, 0).sum())
-    win_sum += int(np.where(rb - ra > gap, sample2.num - sample2.first_wins, 0).sum())
-    raw = (2.0 / total) * math.comb(n, 2) / norm * win_sum - 0.5
+    ra = ranks[second.first - 1]
+    rb = ranks[second.second - 1]
+    win_sum = int(np.where(ra - rb > gap, second.first_wins, 0).sum())
+    win_sum += int(np.where(rb - ra > gap, second.num - second.first_wins, 0).sum())
+    raw = (2.0 / total) * math.comb(n, 2) / math.comb(gap, 2) * win_sum - 0.5
     return float(min(max(raw, LAMBDA_CLAMP), 0.5 - LAMBDA_CLAMP))
 
 
@@ -201,9 +206,11 @@ def _count_below(ordered: np.ndarray, centre: np.ndarray, limit: np.ndarray) -> 
 
 
 def ms_sort(
-    stage_samples: list[ComparisonDataset],
+    stage_samples: Iterable[ComparisonDataset],
     lambda_hat: float | None,
     config: MsConfig,
+    *,
+    counts: Sequence[int] | None = None,
 ) -> tuple[Permutation, list[MsState]]:
     """Multistage sorting over per-stage comparison samples.
 
@@ -222,41 +229,51 @@ def ms_sort(
     permutation sorts the last scores ascending (ties by item index).
     Returns the permutation and the per-stage states, starting with the
     all-uncertain stage 0.
+
+    N is needed before stage 1: a lazy iterator of stages comes with the ``counts``
+    N_t (else a list is made); stage t + 1 is pulled once stage t's records are dropped.
     """
-    if len(stage_samples) != config.stages:
-        raise ValueError(
-            f"got {len(stage_samples)} stage samples for {config.stages} stages"
-        )
-    n = _sample_n(stage_samples)
+    if counts is None:
+        stage_samples = list(stage_samples)
+        counts = [s.total_comparisons() for s in stage_samples]
+        _sample_n(stage_samples)
+    t_count = config.stages
+    if len(counts) != t_count:
+        raise ValueError(f"got {len(counts)} stage samples for {t_count} stages")
     if lambda_hat is None or not 0 < lambda_hat < 0.5:
         raise ValueError(f"need an estimated margin in (0, 1/2), got {lambda_hat}")
-
+    stages = iter(stage_samples)
+    sample = next(stages, None)
+    if sample is None:
+        raise ValueError(f"got no stage samples for {t_count} stages")
+    n = sample.n
     states = [initial_ms_state(n)]
     if n == 1:
         return Permutation.identity(1), states
 
-    totals = [s.total_comparisons() for s in stage_samples]
-    if all(s.tag.kind == WITH_REPLACEMENT for s in stage_samples):
-        if max(totals) - min(totals) > 1:
-            raise ValueError(f"stage budgets differ by more than one: {totals}")
-    big_n = sum(totals)
-    if big_n < 1:
-        raise ValueError("no comparisons across stages")
-    t_count = config.stages
+    if sample.tag.kind == WITH_REPLACEMENT and max(counts) - min(counts) > 1:
+        raise ValueError(f"stage budgets differ by more than one: {list(counts)}")
+    if min(counts) < 1:
+        raise ValueError(f"stage {counts.index(min(counts)) + 1} sample has no comparisons")
+    big_n = sum(counts)
     log_nt = math.log(n * t_count)
     gate_floor = config.c1 * n * n * t_count / big_n * log_nt
     tau_coeff = config.threshold_scale * (10.0 + 2.0 * config.c0) * n
 
     prev = states[0]
-    for t, sample in enumerate(stage_samples, start=1):
-        n_t = totals[t - 1]
-        if n_t < 1:
-            raise ValueError(f"stage {t} sample has no comparisons")
+    for t, n_t in enumerate(counts, start=1):
+        if sample is None:
+            raise ValueError(f"got {t - 1} stage samples for {t_count} stages")
+        if sample.n != n:
+            raise SizeMismatchError("samples disagree on n")
+        if sample.total_comparisons() != n_t:
+            raise ValueError(f"stage {t} holds {sample.total_comparisons()} comparisons, not {n_t}")
         scale = math.comb(n, 2) / n_t
         fi = sample.first - 1
         se = sample.second - 1
         wins = sample.first_wins.astype(np.float64)
         losses = (sample.num - sample.first_wins).astype(np.float64)
+        del sample  # the records below are copies
         # j is open for i iff |fl(S_j - S_i)| <= tau_i, S the scores of stage last[i]:
         # one pass per held stage s (other rows pass with tau = inf; never-fired
         # rows are in none); closed records weigh 0.0, which changes no sum's bits.
@@ -270,6 +287,7 @@ def ms_sort(
         raw = np.bincount(fi, weights=wins, minlength=n)
         raw += np.bincount(se, weights=losses, minlength=n)
         del fi, se, wins, losses
+        sample = next(stages, None)  # drawn with no record of this stage alive
         scores = (
             scale * raw
             + (0.5 + lambda_hat) * prev.below_counts
@@ -296,7 +314,8 @@ def ms_sort(
             gate_fired=fired,
         )
         states.append(prev)
-
+    if sample is not None:
+        raise ValueError(f"more than {t_count} stage samples")
     return _ranks_from_scores(scores), states
 
 

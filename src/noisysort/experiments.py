@@ -10,6 +10,7 @@ not reproducible) and can be written to a sidecar file instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
@@ -38,9 +39,9 @@ from .model import (
     WITHOUT_REPLACEMENT,
     ComparisonDataset,
     ProbabilityMatrix,
+    _draw_stages,
     derive_seed,
     sample_without_replacement,
-    split_with_replacement,
     split_without_replacement,
     stage_budgets,
     star_matrix,
@@ -111,11 +112,15 @@ class ExperimentSpec:
             raise ValueError("empty n grid")
         if (self.alphas is None) == (self.budgets is None):
             raise ValueError("give exactly one of alphas / budgets")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        if self.replicates < 1 or self.stages is not None and self.stages < 1:
+            raise ValueError("replicates and stages must be >= 1")
         bad = [e for e in self.estimators if e not in ESTIMATOR_IDS]
         if bad:
             raise ValueError(f"unknown estimators {bad}; know {ESTIMATOR_IDS}")
+        if len(set(self.estimators)) != len(self.estimators):
+            raise ValueError(f"duplicate estimators in {list(self.estimators)}")
+        if not 0 < self.lam < 0.5 or self.lambda_hat is not None and not 0 < self.lambda_hat < 0.5:
+            raise ValueError(f"lam and lambda_hat must lie in (0, 1/2): {self.lam}, {self.lambda_hat}")
         for s in self.sampling:
             if s not in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
                 raise ValueError(f"unknown sampling model {s!r}")
@@ -123,9 +128,9 @@ class ExperimentSpec:
             raise ValueError("pi_star must be 'identity' or 'random'")
         if self.workers is not None and (type(self.workers) is not int or self.workers < 1):
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
-        cells = len(self.n_values) * len(self.budget_params()) * len(self.sampling)
+        cells = list(itertools.product(self.n_values, self.budget_params(), self.sampling))
         if self.kind == "region_snapshot" and (
-            cells != 1 or "ms" not in self.estimators or self.pi_star != "identity"
+            len(cells) != 1 or "ms" not in self.estimators or self.pi_star != "identity"
             or self.regions_dir is None
         ):
             raise ValueError("region snapshots take one grid cell, the ms estimator, "
@@ -136,6 +141,8 @@ class ExperimentSpec:
         if self.lambda_hat is None and ms_without:
             raise ValueError("ms on without-replacement samples needs a fixed lambda_hat; "
                              "the margin is estimated with replacement only")
+        for n, (bkind, bval), sampling in cells:  # a cell that cannot run raises here
+            _cell_plan(self, n, bkind, bval, sampling)
 
     def budget_params(self) -> tuple[tuple[str, float], ...]:
         if self.alphas is not None:
@@ -188,23 +195,6 @@ class LambdaResult:
     abs_error: float
 
 
-def _check_caps(spec: ExperimentSpec) -> None:
-    for n in spec.n_values:
-        if n > spec.max_n:
-            raise ResourceCapError(
-                f"n={n} exceeds the configured cap max_n={spec.max_n}"
-            )
-        for kind, value in spec.budget_params():
-            total = value * math.comb(n, 2) if kind == "alpha" else value
-            if spec.lambda_hat is None:
-                total *= 2  # margin estimation doubles the sample
-            if total > spec.max_budget:
-                raise ResourceCapError(
-                    f"budget {int(total)} at n={n} exceeds the configured cap "
-                    f"max_budget={spec.max_budget}"
-                )
-
-
 def _replicates(spec: ExperimentSpec) -> Iterator[tuple[int, str, float, str, int]]:
     """(n, budget kind, budget value, sampling, seed) of every (cell, replicate)."""
     for i_n, n in enumerate(spec.n_values):
@@ -221,15 +211,33 @@ def _pi_star(spec: ExperimentSpec, n: int, seed: int) -> Permutation:
     return random_permutation(n, np.random.default_rng(derive_seed(seed, 8)))
 
 
-def _resolve_budget(kind: str, value: float, n: int, sampling: str) -> float:
-    """A cell's budget: N comparisons (a whole float), or p without replacement."""
+def _cell_plan(spec: ExperimentSpec, n: int, kind: str, value: float,
+               sampling: str) -> tuple[float, int]:
+    """A cell's (budget: N comparisons as a whole float, or p without replacement;
+    stages).  ValueError, naming the cell, if it cannot run; ResourceCapError over a cap."""
+    cell = f"cell n={n}, {kind}={value:g}, {sampling}"
+    estimated = spec.kind == "lambda_accuracy" or spec.lambda_hat is None
+    least_n = 4 if estimated and sampling == WITH_REPLACEMENT else 2
+    if n < least_n:
+        raise ValueError(f"{cell}: n must be >= {least_n}")
+    if n > spec.max_n:
+        raise ResourceCapError(f"n={n} exceeds the configured cap max_n={spec.max_n}")
     pairs = math.comb(n, 2)
+    drawn = (value * pairs if kind == "alpha" else value) * (2 if spec.lambda_hat is None else 1)
+    if drawn > spec.max_budget:  # a margin to estimate doubles the sample
+        raise ResourceCapError(f"budget {int(drawn)} at n={n} exceeds the configured cap "
+                               f"max_budget={spec.max_budget}")
+    stages = spec.stages if spec.stages is not None else default_stage_count(n)
     if sampling == WITHOUT_REPLACEMENT:
         p = value if kind == "alpha" else value / pairs
         if not 0 < p <= 1:
-            raise ValueError(f"per-pair probability {p} outside (0, 1]")
-        return p
-    return float(round(value * pairs) if kind == "alpha" else int(value))
+            raise ValueError(f"{cell}: per-pair probability {p} outside (0, 1]")
+        return p, stages
+    total = float(round(value * pairs) if kind == "alpha" else int(value))
+    least = 2 if spec.kind == "lambda_accuracy" else max(stages, 1 + estimated)
+    if total < least:
+        raise ValueError(f"{cell}: {total:g} comparisons, fewer than the {least} it needs")
+    return total, stages
 
 
 @dataclass(frozen=True)
@@ -249,21 +257,21 @@ def _draw_pipeline_data(
     stages: int,
     seed: int,
     lambda_hat: float | None = None,
-) -> tuple[list[ComparisonDataset], float | None]:
-    """(stage samples, margin) of one run, see run_ms_pipeline; every estimator
-    reads these samples.  Without replacement they partition the one draw."""
+) -> tuple[Iterable[ComparisonDataset], list[int] | None, float | None]:
+    """(stage samples, their counts, margin) of one run, see run_ms_pipeline.  With
+    replacement each stage is drawn when pulled, after the margin halves, drawn one
+    after the other; without, the stages partition one draw (counts None)."""
     if sampling == WITH_REPLACEMENT:
-        total = int(budget)
+        total, master = int(budget), derive_seed(seed, 0)
         halves = [] if lambda_hat is not None else [total - total // 2, total // 2]
-        parts = split_with_replacement(
-            pi_star, matrix, halves + stage_budgets(total, stages), derive_seed(seed, 0)
-        )
-        if lambda_hat is None:
-            lambda_hat = estimate_lambda(parts[0], parts[1])
-        return parts[len(halves):], lambda_hat
+        counts = stage_budgets(total, stages)
+        parts = _draw_stages(pi_star, matrix, counts, master, len(halves))
+        if halves:
+            lambda_hat = estimate_lambda(_draw_stages(pi_star, matrix, halves, master))
+        return parts, counts, lambda_hat
     if sampling == WITHOUT_REPLACEMENT:
         full = sample_without_replacement(pi_star, matrix, budget, derive_seed(seed, 0))
-        return split_without_replacement(full, stages, derive_seed(seed, 1)), lambda_hat
+        return split_without_replacement(full, stages, derive_seed(seed, 1)), None, lambda_hat
     raise ValueError(f"unknown sampling model {sampling!r}")
 
 
@@ -289,10 +297,10 @@ def run_ms_pipeline(
     """
     if sampling == WITHOUT_REPLACEMENT and lambda_hat is None:
         raise ValueError("without-replacement runs need an explicit margin (lambda_hat)")
-    stage_samples, lam_hat = _draw_pipeline_data(
+    stage_samples, counts, lam_hat = _draw_pipeline_data(
         pi_star, matrix, sampling, budget, stages, seed, lambda_hat
     )
-    pi_hat, states = ms_sort(stage_samples, lam_hat, config)
+    pi_hat, states = ms_sort(stage_samples, lam_hat, config, counts=counts)
     return MsRun(permutation=pi_hat, states=states, lambda_hat=lam_hat)
 
 
@@ -319,11 +327,10 @@ def _run_cell_replicate(
     sampling: str,
     seed: int,
 ) -> tuple[list[ResultRow], list[MsState] | None]:
-    budget = _resolve_budget(budget_kind, budget_value, n, sampling)
+    budget, stages = _cell_plan(spec, n, budget_kind, budget_value, sampling)
     rng_misc = np.random.default_rng(derive_seed(seed, 9))
     pi_star = _pi_star(spec, n, seed)
     matrix = star_matrix(n, spec.lam)
-    stages = spec.stages if spec.stages is not None else default_stage_count(n)
     config = MsConfig(
         stages=stages, c0=spec.c0, c1=spec.c1, threshold_scale=spec.threshold_scale
     )
@@ -331,16 +338,18 @@ def _run_cell_replicate(
     if "random" not in estimators:
         estimators.append("random")  # sanity-floor control always present
 
-    # one draw per replicate, read by every estimator as its stage samples
-    stage_samples, lam_hat = _draw_pipeline_data(
+    # one draw per replicate; kept as a list only when borda, mle or sieve read it too
+    stage_samples, counts, lam_hat = _draw_pipeline_data(
         pi_star, matrix, sampling, budget, stages, seed, spec.lambda_hat
     )
+    if {"borda", "mle", "sieve"} & set(estimators):
+        stage_samples = list(stage_samples)
     rows: list[ResultRow] = []
     states: list[MsState] | None = None
     for estimator in estimators:
         start = time.perf_counter()
         if estimator == "ms":
-            pi_hat, states = ms_sort(stage_samples, lam_hat, config)
+            pi_hat, states = ms_sort(stage_samples, lam_hat, config, counts=counts)
         elif estimator == "borda":
             pi_hat = borda_sort(stage_samples)
         elif estimator == "random":
@@ -370,7 +379,6 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """
     if spec.kind == "lambda_accuracy":
         raise ValueError("use run_lambda_accuracy for the lambda_accuracy kind")
-    _check_caps(spec)
 
     def run_job(indexed_job):
         index, job = indexed_job
@@ -397,15 +405,13 @@ def run_lambda_accuracy(spec: ExperimentSpec) -> list[LambdaResult]:
     """Margin-estimation accuracy runs (with-replacement sampling)."""
     if spec.kind != "lambda_accuracy":
         raise ValueError("spec.kind must be lambda_accuracy")
-    _check_caps(spec)
     results: list[LambdaResult] = []
     for n, bkind, bval, sampling, seed in _replicates(spec):
-        total = int(_resolve_budget(bkind, bval, n, sampling))
-        s1, s2 = split_with_replacement(
+        total = int(_cell_plan(spec, n, bkind, bval, sampling)[0])
+        lam_hat = estimate_lambda(_draw_stages(
             _pi_star(spec, n, seed), star_matrix(n, spec.lam),
             [total - total // 2, total // 2], derive_seed(seed, 0),
-        )
-        lam_hat = estimate_lambda(s1, s2)
+        ))
         results.append(LambdaResult(
             n=n, budget=total, lam=spec.lam, seed=seed,
             lambda_hat=lam_hat, abs_error=abs(lam_hat - spec.lam),

@@ -25,6 +25,7 @@ from __future__ import annotations
 import io
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -287,6 +288,15 @@ def stage_budgets(total: int, parts: int) -> list[int]:
     return [base + (1 if t < rem else 0) for t in range(parts)]
 
 
+def _draw_stages(pi_star: Permutation, matrix: ProbabilityMatrix, budgets: list[int],
+                 master_seed: int, first_key: int = 0) -> Iterator[ComparisonDataset]:
+    """split_with_replacement's datasets keyed from ``first_key``, each drawn when pulled."""
+    if not budgets or any(b < 1 for b in budgets):
+        raise ValueError(f"budgets must be positive, got {budgets}")
+    return (sample_with_replacement(pi_star, matrix, b, derive_seed(master_seed, first_key + k))
+            for k, b in enumerate(budgets))
+
+
 def split_with_replacement(
     pi_star: Permutation,
     matrix: ProbabilityMatrix,
@@ -298,12 +308,7 @@ def split_with_replacement(
     All share pi_star and the matrix; dataset k uses the child seed derived
     from (master_seed, k), so the streams are independent and auditable.
     """
-    if not budgets or any(b < 1 for b in budgets):
-        raise ValueError(f"budgets must be positive, got {budgets}")
-    return [
-        sample_with_replacement(pi_star, matrix, b, derive_seed(master_seed, k))
-        for k, b in enumerate(budgets)
-    ]
+    return list(_draw_stages(pi_star, matrix, budgets, master_seed))
 
 
 def split_without_replacement(

@@ -187,6 +187,15 @@ class TestExperimentCommand:
         ("regions", ["--sampling", "with", "without"]),
         ("lambda", ["--sampling", "without"]),
         ("scaling-n", ["--lambda-hat", "none", "--sampling", "with", "without"]),
+        # cells that cannot run are rejected before the first job starts
+        ("scaling-n", ["--n-values", "300", "2", "--sampling", "with", "--replicates", "3"]),
+        ("scaling-n", ["--n-values", "1"]),
+        ("scaling-n", ["--alphas", "0"]),
+        ("scaling-n", ["--sampling", "without", "--alphas", "1.5"]),
+        ("scaling-n", ["--lambda", "0.5"]),
+        ("scaling-n", ["--lambda-hat", "0.7"]),
+        ("scaling-n", ["--n-values", "3", "--lambda-hat", "none", "--sampling", "with"]),
+        ("scaling-n", ["--estimators", "ms", "ms", "borda"]),
     ])
     def test_spec_constraints_exit_one(self, tmp_path, capsys, which, extra):
         code = main(["experiment", which, "--n-values", "30", *extra,

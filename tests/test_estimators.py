@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -94,7 +95,7 @@ class TestEstimateLambda:
                               (2, 3, 1, 0), (2, 4, 1, 0), (3, 4, 1, 0)])
         s2 = make_dataset(4, [(1, 2, 9, 4), (1, 4, 1, 0)])
         assert borda_sort([s1]) == Permutation.identity(4)
-        assert estimate_lambda(s1, s2) == pytest.approx(0.25)
+        assert estimate_lambda([s1, s2]) == pytest.approx(0.25)
 
     def test_index_set_size_identity(self):
         # pairs with rank gap above n//2 number exactly C(n//2, 2)
@@ -111,26 +112,40 @@ class TestEstimateLambda:
             s1, s2 = split_with_replacement(
                 Permutation.identity(n), m, [total // 2, total // 2], seed
             )
-            errs.append(abs(estimate_lambda(s1, s2) - lam))
+            errs.append(abs(estimate_lambda([s1, s2]) - lam))
         assert np.median(errs) < 0.02
 
     def test_clamped_into_open_interval(self):
         # all wide-gap comparisons lost: raw estimate falls below zero
         s1 = noise_free_full(Permutation.identity(4))
         s2 = make_dataset(4, [(1, 4, 10, 10)])  # item 1 beats item 4 ten times
-        est = estimate_lambda(s1, s2)
+        est = estimate_lambda([s1, s2])
         assert est == pytest.approx(1e-6)
 
     def test_requires_with_replacement(self):
         s1 = noise_free_full(Permutation.identity(6))
         bad = make_dataset(6, [(1, 2, 1, 0)], kind=WITHOUT_REPLACEMENT, budget=0.5)
         with pytest.raises(ValueError):
-            estimate_lambda(bad, s1)
+            estimate_lambda([bad, s1])
 
     def test_small_n_rejected(self):
         s = noise_free_full(Permutation.identity(3))
         with pytest.raises(ValueError):
-            estimate_lambda(s, s)
+            estimate_lambda([s, s])
+
+    def test_first_half_is_dropped_before_the_second_is_pulled(self):
+        halves = split_with_replacement(
+            Permutation.identity(60), star_matrix(60, 0.25), [3000, 3000], 8)
+        expected = estimate_lambda(halves)
+        # the second half is read after the stream is found to hold no third
+        assert estimate_lambda(_checked_stream(halves, last_dies=False)) == expected
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_exactly_two_halves(self, count):
+        halves = split_with_replacement(
+            Permutation.identity(10), star_matrix(10, 0.25), [200] * 3, 8)[:count]
+        with pytest.raises(ValueError):
+            estimate_lambda(iter(halves))
 
 
 def ms_inputs(n, lam, total, stages, master_seed, lam_hat=None):
@@ -139,6 +154,26 @@ def ms_inputs(n, lam, total, stages, master_seed, lam_hat=None):
         Permutation.identity(n), m, stage_budgets(total, stages), master_seed
     )
     return samples
+
+
+def _copy(sample):
+    return ComparisonDataset(n=sample.n, first=sample.first.copy(), second=sample.second.copy(),
+                             num=sample.num.copy(), first_wins=sample.first_wins.copy(),
+                             tag=sample.tag, seed=sample.seed)
+
+
+def _checked_stream(samples, last_dies=True):
+    """Fresh copies of ``samples``, one at a time; each copy must be dead
+    before the next one is built, and (``last_dies``) the last one before
+    the reader asks for one more."""
+    alive = None
+    for sample in samples:
+        assert alive is None or alive() is None, "the previous sample is still referenced"
+        copy = _copy(sample)
+        alive = weakref.ref(copy)
+        yield copy
+        del copy
+    assert not last_dies or alive() is None, "the last sample is still referenced"
 
 
 class TestMsSort:
@@ -250,6 +285,32 @@ class TestMsSort:
         with pytest.raises(ValueError):
             MsConfig(stages=0)
 
+    def test_streamed_stages_match_the_list_and_die_one_by_one(self):
+        samples = ms_inputs(120, 0.4, 20_000, 3, master_seed=4)
+        cfg = MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        pi_list, states_list = ms_sort(samples, 0.4, cfg)
+        counts = [s.total_comparisons() for s in samples]
+        pi_stream, states_stream = ms_sort(_checked_stream(samples), 0.4, cfg, counts=counts)
+        assert pi_stream == pi_list
+        assert states_list[1].gate_fired.any()
+        for a, b in zip(states_list, states_stream, strict=True):
+            assert all(np.array_equal(x, y) for x, y in zip(a.history, b.history, strict=True))
+            for name in ("last", "tau", "below_counts", "above_counts"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("pulled, match", [
+        (lambda s: s[:2], "got 2 stage samples for 3 stages"),
+        (lambda s: s[:0], "got no stage samples"),
+        (lambda s: s + s[:1], "more than 3 stage samples"),
+        (lambda s: [s[0], ms_inputs(31, 0.3, 3_001, 3, master_seed=6)[1]], "disagree on n"),
+        (lambda s: [s[0], s[1], s[0]], "stage 3 holds 1001 comparisons, not 1000"),
+    ])
+    def test_stream_errors(self, pulled, match):
+        samples = ms_inputs(30, 0.3, 3_001, 3, master_seed=6)
+        counts = [s.total_comparisons() for s in samples]
+        with pytest.raises(ValueError, match=match):
+            ms_sort(iter(pulled(samples)), 0.3, MsConfig(stages=3), counts=counts)
+
 
 class TestUncertaintyRegion:
     def test_initial_state_is_everything(self):
@@ -304,6 +365,10 @@ DENSE_REFERENCE_CASES = [
      0.3, MsConfig(stages=3, threshold_scale=1.0)),
     ("without-replacement", lambda: _without_replacement_case(80, 0.35, 0.9, 2, 3),
      0.35, MsConfig(stages=2, c1=0.5, threshold_scale=CALIBRATED_THRESHOLD_SCALE)),
+    # every pair once per stage, so stage-1 scores are 0..5 and, at this scale,
+    # tau is exactly 2.0: stage 2 keeps the records at a gap of exactly tau open
+    ("star-gap-at-tau", lambda: [noise_free_full(Permutation.identity(6))] * 2,
+     0.3, MsConfig(stages=2, c1=0.5, threshold_scale=0.027862011325805236)),
 ]
 
 
@@ -332,6 +397,16 @@ class TestDenseReference:
             assert np.array_equal(st.below, ref["below"])
             assert np.array_equal(st.above, ref["above"])
             assert np.array_equal(st.uncertain, ref["uncertain"])
+
+    def test_a_case_holds_a_score_gap_exactly_at_tau(self):
+        # pins the open-record boundary |S_j - S_i| <= tau_i of fired rows
+        _, make, lam, config = next(c for c in DENSE_REFERENCE_CASES if c[0] == "star-gap-at-tau")
+        samples = make()
+        _, states = ms_sort(samples, lam, config)
+        fired = states[1]
+        assert fired.gate_fired.all() and np.all(fired.tau == 2.0)
+        gaps = np.abs(fired.scores[samples[1].second - 1] - fired.scores[samples[1].first - 1])
+        assert np.any(gaps == 2.0) and np.any(gaps > 2.0)
 
     def test_cases_cover_every_gate_outcome(self):
         outcomes = set()

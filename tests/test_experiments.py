@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,12 +16,26 @@ from noisysort.experiments import (
     rows_to_csv,
     run_experiment,
     run_lambda_accuracy,
+    run_ms_pipeline,
     summarize,
     write_pbm,
 )
-from noisysort.estimators import initial_ms_state
-from noisysort.model import WITH_REPLACEMENT, WITHOUT_REPLACEMENT, derive_seed
-from noisysort.perms import Permutation, enumerate_permutations, kendall_tau
+from noisysort.estimators import (
+    CALIBRATED_THRESHOLD_SCALE,
+    MsConfig,
+    estimate_lambda,
+    initial_ms_state,
+    ms_sort,
+)
+from noisysort.model import (
+    WITH_REPLACEMENT,
+    WITHOUT_REPLACEMENT,
+    derive_seed,
+    split_with_replacement,
+    stage_budgets,
+    star_matrix,
+)
+from noisysort.perms import Permutation, enumerate_permutations, kendall_tau, random_permutation
 
 
 def small_spec(**overrides):
@@ -104,6 +119,26 @@ class TestSpecValidation:
         rows = run_experiment(small_spec(lambda_hat=None, sampling=sampling,
                                          estimators=("borda",), replicates=1))
         assert {r.sampling for r in rows} == set(sampling)
+
+    @pytest.mark.parametrize("fields, match", [
+        (dict(n_values=(30, 1)), "cell n=1, alpha=0.5, with_replacement: n must be >= 2"),
+        (dict(n_values=(30, 3), lambda_hat=None), "cell n=3, .*: n must be >= 4"),
+        (dict(n_values=(30, 2), stages=None, alphas=(0.1,)),
+         "cell n=2, alpha=0.1, with_replacement: 0 comparisons, fewer than the 1"),
+        (dict(budgets=(2,), alphas=None, stages=3), "cell n=30, absolute=2, .*fewer than the 3"),
+        (dict(budgets=(1,), alphas=None, stages=1, lambda_hat=None), "fewer than the 2"),
+        (dict(kind="lambda_accuracy", budgets=(1,), alphas=None), "fewer than the 2"),
+        (dict(alphas=(0.0,)), "cell n=30, alpha=0, with_replacement: 0 comparisons"),
+        (dict(alphas=(-0.5,), sampling=(WITHOUT_REPLACEMENT,)), "per-pair probability -0.5"),
+        (dict(alphas=(1.5,), sampling=(WITHOUT_REPLACEMENT,)), "per-pair probability 1.5"),
+        (dict(lam=0.5), "lam and lambda_hat"),
+        (dict(lambda_hat=0.0), "lam and lambda_hat"),
+        (dict(stages=0), "stages must be >= 1"),
+        (dict(estimators=("ms", "ms", "borda")), "duplicate estimators"),
+    ])
+    def test_cells_that_cannot_run_are_rejected_up_front(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            small_spec(**fields)
 
     def test_default_stage_count(self):
         assert default_stage_count(4) == 1
@@ -225,6 +260,44 @@ class TestSieveNet:
         assert len(centres) > 1
         assert all(len(c) == 1 for c in centres)
         assert centres != {(Permutation.identity(6),)}
+
+
+class TestStreamedStages:
+    """The with-replacement stages drawn as ms_sort pulls them, against the
+    eager split they replaced."""
+
+    @pytest.mark.parametrize("lambda_hat", [0.3, None])
+    def test_pipeline_matches_ms_sort_on_the_eager_split(self, lambda_hat):
+        n, total, stages, seed = 150, 40_000, 3, 17
+        pi_star = random_permutation(n, np.random.default_rng(seed))
+        law = star_matrix(n, 0.3)
+        config = MsConfig(stages=stages, c1=1.0, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        run = run_ms_pipeline(pi_star, law, WITH_REPLACEMENT, total, stages, config, seed,
+                              lambda_hat=lambda_hat)
+        halves = [] if lambda_hat is not None else [total - total // 2, total // 2]
+        parts = split_with_replacement(pi_star, law, halves + stage_budgets(total, stages),
+                                       derive_seed(seed, 0))
+        lam_hat = lambda_hat if lambda_hat is not None else estimate_lambda(parts[:2])
+        pi_hat, states = ms_sort(parts[len(halves):], lam_hat, config)
+        assert run.lambda_hat == lam_hat
+        assert run.permutation == pi_hat
+        assert states[-1].gate_fired.any()
+        for a, b in zip(run.states, states, strict=True):
+            assert all(np.array_equal(x, y) for x, y in zip(a.history, b.history, strict=True))
+            for name in ("last", "tau", "below_counts", "above_counts"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("lambda_hat", [0.3, None])
+    def test_streamed_ms_rows_match_the_listed_grid(self, lambda_hat):
+        def rows(estimators):
+            spec = small_spec(n_values=(30, 45), lambda_hat=lambda_hat, replicates=3,
+                              estimators=estimators, pi_star="random")
+            return [astuple(r)[:-1] for r in run_experiment(spec)]  # all but runtime_ms
+
+        listed = rows(("ms", "borda", "random"))
+        streamed = rows(("ms",))
+        assert streamed == [r for r in listed if r[6] in ("ms", "random")]
+        assert {r[6] for r in listed} == {"ms", "borda", "random"}
 
 
 class TestOneDrawPerReplicate:

@@ -2,6 +2,7 @@ import math
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,24 @@ class TestSplits:
         budgets = [250, 250] + [100] * 5
         ds = split_with_replacement(Permutation.identity(12), star_matrix(12, 0.2), budgets, 7)
         assert [d.total_comparisons() for d in ds] == budgets
+
+    def test_lazy_stages_are_drawn_when_pulled_and_not_held(self, monkeypatch):
+        pi, law = Permutation.identity(12), star_matrix(12, 0.2)
+        eager = split_with_replacement(pi, law, [300, 300, 200], 7)
+        calls = []
+        original = model.sample_with_replacement
+        monkeypatch.setattr(model, "sample_with_replacement",
+                            lambda *args: calls.append(args) or original(*args))
+        with pytest.raises(ValueError, match="budgets must be positive"):
+            model._draw_stages(pi, law, [300, 0], 7)
+        stages = model._draw_stages(pi, law, [300, 200], 7, first_key=1)
+        assert calls == []
+        first = next(stages)
+        assert len(calls) == 1 and first.same_data(eager[1])
+        alive = weakref.ref(first)
+        del first
+        assert alive() is None
+        assert next(stages).same_data(eager[2]) and next(stages, None) is None
 
     def test_distinct_derived_seeds(self):
         ds = split_with_replacement(Permutation.identity(12), star_matrix(12, 0.2), [300, 300], 7)
