@@ -164,21 +164,26 @@ class MsState:
         """|{(i, j) : j still uncertain relative to i}|, diagonal included."""
         return self.n * self.n - int(self.below_counts.sum() + self.above_counts.sum())
 
-    def _gaps(self) -> np.ndarray:
-        held = np.stack(self.history)[self.last]
-        return held - held.diagonal()[:, None]
+    def _gaps(self, rows: slice) -> np.ndarray:
+        """fl(S_j - S_i) for the rows i in ``rows``, S the scores of stage last[i]."""
+        held = np.stack(self.history)[self.last[rows]]
+        return held - held[np.arange(len(held)), np.arange(self.n)[rows]][:, None]
 
     @property
     def below(self) -> np.ndarray:
-        return self._gaps() < -self.tau[:, None]
+        return self._gaps(slice(None)) < -self.tau[:, None]
 
     @property
     def above(self) -> np.ndarray:
-        return self._gaps() > self.tau[:, None]
+        return self._gaps(slice(None)) > self.tau[:, None]
+
+    def uncertain_rows(self, rows: slice) -> np.ndarray:
+        """The rows ``rows`` of ``uncertain``, in O(rows x n) memory."""
+        return np.abs(self._gaps(rows)) <= self.tau[rows, None]
 
     @property
     def uncertain(self) -> np.ndarray:
-        return np.abs(self._gaps()) <= self.tau[:, None]
+        return self.uncertain_rows(slice(None))
 
 
 def initial_ms_state(n: int) -> MsState:

@@ -39,10 +39,10 @@ from .model import (
     WITHOUT_REPLACEMENT,
     ComparisonDataset,
     ProbabilityMatrix,
+    _draw_pairs,
     _draw_stages,
+    _label_stages,
     derive_seed,
-    sample_without_replacement,
-    split_without_replacement,
     stage_budgets,
     star_matrix,
 )
@@ -232,6 +232,9 @@ def _cell_plan(spec: ExperimentSpec, n: int, kind: str, value: float,
         p = value if kind == "alpha" else value / pairs
         if not 0 < p <= 1:
             raise ValueError(f"{cell}: per-pair probability {p} outside (0, 1]")
+        if "ms" in spec.estimators and p * pairs < stages:
+            raise ValueError(f"{cell}: {p * pairs:g} pairs expected, "
+                             f"fewer than the {stages} stages of ms")
         return p, stages
     total = float(round(value * pairs) if kind == "alpha" else int(value))
     least = 2 if spec.kind == "lambda_accuracy" else max(stages, 1 + estimated)
@@ -257,10 +260,10 @@ def _draw_pipeline_data(
     stages: int,
     seed: int,
     lambda_hat: float | None = None,
-) -> tuple[Iterable[ComparisonDataset], list[int] | None, float | None]:
-    """(stage samples, their counts, margin) of one run, see run_ms_pipeline.  With
-    replacement each stage is drawn when pulled, after the margin halves, drawn one
-    after the other; without, the stages partition one draw (counts None)."""
+) -> tuple[Iterable[ComparisonDataset], list[int], float | None]:
+    """(stage samples, their counts, margin) of one run, see run_ms_pipeline.  Each
+    stage is built when pulled.  With replacement it is drawn then, after the margin
+    halves, drawn one after the other; without, it is decoded from one compact draw."""
     if sampling == WITH_REPLACEMENT:
         total, master = int(budget), derive_seed(seed, 0)
         halves = [] if lambda_hat is not None else [total - total // 2, total // 2]
@@ -270,8 +273,11 @@ def _draw_pipeline_data(
             lambda_hat = estimate_lambda(_draw_stages(pi_star, matrix, halves, master))
         return parts, counts, lambda_hat
     if sampling == WITHOUT_REPLACEMENT:
-        full = sample_without_replacement(pi_star, matrix, budget, derive_seed(seed, 0))
-        return split_without_replacement(full, stages, derive_seed(seed, 1)), None, lambda_hat
+        draw_seed = derive_seed(seed, 0)
+        cells, won = _draw_pairs(pi_star, matrix, budget, draw_seed)
+        parts, counts = _label_stages(pi_star.n, cells, won, budget, stages,
+                                      derive_seed(seed, 1), draw_seed)
+        return parts, counts, lambda_hat
     raise ValueError(f"unknown sampling model {sampling!r}")
 
 
@@ -506,24 +512,26 @@ def lambda_results_to_csv(results: list[LambdaResult], path: str | Path) -> None
     _write_csv(path, tuple(f.name for f in fields(LambdaResult)), map(astuple, results))
 
 
-def write_pbm(mask: np.ndarray, path: str | Path) -> None:
-    """Plain PBM (P1): one text row per matrix row, 1 = black = uncertain."""
-    n_rows, n_cols = mask.shape
-    buf = np.full((n_rows, 2 * n_cols), ord(" "), dtype=np.uint8)
-    buf[:, 0::2] = ord("0") + mask.astype(np.uint8)
-    buf[:, -1] = ord("\n")
-    with open(path, "wb") as fh:
-        fh.write(f"P1\n{n_cols} {n_rows}\n".encode())
-        fh.write(buf.tobytes())
+# Rows per block of a region bitmap: a snapshot holds a few block x n arrays, not n x n
+_PBM_BLOCK_ROWS = 256
 
 
 def emit_regions(states: list[MsState], out_dir: str | Path) -> list[Path]:
-    """One bitmap per stage: pixel (i, j) black iff j is uncertain for i."""
+    """One plain PBM (P1) bitmap per stage, one text row per item i: pixel (i, j)
+    is 1 (black) iff j is uncertain for i.  Rows are built and written in blocks."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for state in states:
+        n = state.n
         path = out / f"stage_{state.stage}.pbm"
-        write_pbm(state.uncertain, path)
+        with open(path, "wb") as fh:
+            fh.write(f"P1\n{n} {n}\n".encode())
+            for lo in range(0, n, _PBM_BLOCK_ROWS):
+                mask = state.uncertain_rows(slice(lo, lo + _PBM_BLOCK_ROWS))
+                buf = np.full((len(mask), 2 * n), ord(" "), dtype=np.uint8)
+                buf[:, 0::2] = ord("0") + mask.astype(np.uint8)
+                buf[:, -1] = ord("\n")
+                fh.write(buf.tobytes())
         paths.append(path)
     return paths

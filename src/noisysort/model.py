@@ -216,6 +216,60 @@ def _pair_items(n: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, cells - offsets[first - 1] + first + 1
 
 
+def _pair_cells(n: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The pair cells of (first, second): the inverse of _pair_items."""
+    rows_before = first - 1  # they hold (n - 1) + ... + (n - rows_before) cells
+    return rows_before * (2 * n - 1 - rows_before) // 2 + second - first - 1
+
+
+# Observed pairs decoded per pass of the win draw: its temporaries stay a few MB
+_WIN_CHUNK = 1 << 16
+
+
+def _draw_pairs(pi_star: Permutation, matrix: ProbabilityMatrix, p: float,
+                seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """sample_without_replacement's draw, compact: the ascending observed pair cells
+    (int64) and whether ``first`` won each (bool).  The bits are drawn, and their
+    pairs decoded, _WIN_CHUNK pairs at a time: the generator's stream is the one of
+    a single call."""
+    if not 0 < p <= 1:
+        raise ValueError(f"p must lie in (0, 1], got {p}")
+    n = pi_star.n
+    if matrix.n != n:
+        raise SizeMismatchError(f"matrix n={matrix.n} vs permutation n={n}")
+    num_cells = n * (n - 1) // 2
+    rng = np.random.default_rng(seed)
+    # six standard deviations past the expected count: one draw nearly always passes the last cell
+    size = int(p * num_cells + 6 * math.sqrt(p * num_cells) + 10)
+
+    def steps() -> np.ndarray:  # gaps cut to one past the last cell keep a tiny p's sums finite
+        gaps = rng.geometric(p, size=size)
+        return np.cumsum(np.minimum(gaps, num_cells + 1, out=gaps), out=gaps)
+
+    cells = steps()
+    cells -= 1
+    while cells[-1] < num_cells - 1:
+        cells = np.concatenate([cells, cells[-1] + steps()])
+    cells = cells[: np.searchsorted(cells, num_cells)]
+    ranks = pi_star.to_array()
+    won = np.empty(len(cells), dtype=bool)
+    for lo in range(0, len(cells), _WIN_CHUNK):
+        first, second = _pair_items(n, cells[lo: lo + _WIN_CHUNK])
+        won[lo: lo + len(first)] = rng.random(len(first)) < matrix.win_prob(
+            ranks[first - 1], ranks[second - 1])
+    return cells, won
+
+
+def _decode(n: int, cells: np.ndarray, won: np.ndarray, p: float,
+            seed: int) -> ComparisonDataset:
+    """The without-replacement dataset of ascending pair cells and their first-won bits."""
+    first, second = _pair_items(n, cells)
+    return ComparisonDataset(
+        n=n, first=first, second=second, num=np.ones(len(cells), dtype=np.int64),
+        first_wins=won.astype(np.int64), tag=SamplingTag(WITHOUT_REPLACEMENT, p), seed=seed,
+    )
+
+
 def sample_without_replacement(
     pi_star: Permutation, matrix: ProbabilityMatrix, p: float, seed: int
 ) -> ComparisonDataset:
@@ -227,26 +281,7 @@ def sample_without_replacement(
     not to the cells.  One uniform draw per observed pair, against its
     ``win_prob``, then decides whether ``first`` won.
     """
-    if not 0 < p <= 1:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    n = pi_star.n
-    if matrix.n != n:
-        raise SizeMismatchError(f"matrix n={matrix.n} vs permutation n={n}")
-    num_cells = n * (n - 1) // 2
-    rng = np.random.default_rng(seed)
-    # six standard deviations past the expected count: one draw nearly always passes the last cell
-    size = int(p * num_cells + 6 * math.sqrt(p * num_cells) + 10)
-    cells = np.cumsum(rng.geometric(p, size=size)) - 1
-    while cells[-1] < num_cells - 1:
-        cells = np.concatenate([cells, cells[-1] + np.cumsum(rng.geometric(p, size=size))])
-    first, second = _pair_items(n, cells[: np.searchsorted(cells, num_cells)])
-    del cells
-    ranks = pi_star.to_array()
-    wins = rng.random(len(first)) < matrix.win_prob(ranks[first - 1], ranks[second - 1])
-    return ComparisonDataset(
-        n=n, first=first, second=second, num=np.ones(len(first), dtype=np.int64),
-        first_wins=wins.astype(np.int64), tag=SamplingTag(WITHOUT_REPLACEMENT, p), seed=seed,
-    )
+    return _decode(pi_star.n, *_draw_pairs(pi_star, matrix, p, seed), p, seed)
 
 
 def sample_with_replacement(
@@ -311,33 +346,46 @@ def split_with_replacement(
     return list(_draw_stages(pi_star, matrix, budgets, master_seed))
 
 
+def _label_stages(n: int, cells: np.ndarray, won: np.ndarray, p: float, parts: int,
+                  seed: int, whole_seed: int) -> tuple[Iterator[ComparisonDataset], list[int]]:
+    """(stages, their pair counts) of a compact without-replacement draw.
+
+    Each pair gets one of ``parts`` uniform stage labels, all drawn at once
+    from ``seed``; stage t is the pairs labelled t, decoded only when pulled
+    and keyed derive_seed(seed, t).  One part is the whole draw, keyed
+    ``whole_seed``, and draws no label.
+    """
+    if parts < 1:
+        raise ValueError("parts must be positive")
+    if parts == 1:  # decoded when pulled, as every stage is
+        return (_decode(n, cells, won, p, whole_seed) for _ in range(1)), [len(cells)]
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, parts, size=len(cells), dtype=np.min_scalar_type(parts - 1))
+
+    def stage(t: int) -> ComparisonDataset:
+        keep = labels == t
+        return _decode(n, cells[keep], won[keep], p, derive_seed(seed, t))
+
+    return (stage(t) for t in range(parts)), np.bincount(labels, minlength=parts).tolist()
+
+
 def split_without_replacement(
     dataset: ComparisonDataset, parts: int, seed: int
 ) -> list[ComparisonDataset]:
     """Give each observed pair one of ``parts`` stage labels, uniformly.
 
     A without-replacement pair holds one comparison, so the stages partition
-    the pairs.  Ordering the pairs stably by label makes each stage one slice
-    that stays sorted by (first, second).
+    the pairs; each stage keeps the (first, second) order.  One part returns
+    ``dataset`` itself.
     """
-    if parts < 1:
-        raise ValueError("parts must be positive")
     if dataset.tag.kind != WITHOUT_REPLACEMENT:
         raise ValueError("expected a without-replacement dataset")
     if parts == 1:
         return [dataset]
-    rng = np.random.default_rng(seed)
-    labels = rng.integers(0, parts, size=dataset.num_pairs, dtype=np.min_scalar_type(parts - 1))
-    order = np.argsort(labels, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=parts))))
-    first, second, wins = (a[order] for a in (dataset.first, dataset.second, dataset.first_wins))
-    return [
-        ComparisonDataset(  # every count is 1, so any slice of the counts serves
-            n=dataset.n, first=first[lo:hi], second=second[lo:hi], num=dataset.num[lo:hi],
-            first_wins=wins[lo:hi], tag=dataset.tag, seed=derive_seed(seed, t),
-        )
-        for t, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-    ]
+    n = dataset.n
+    cells = _pair_cells(n, dataset.first, dataset.second)
+    return list(_label_stages(n, cells, dataset.first_wins.astype(bool), dataset.tag.budget,
+                              parts, seed, dataset.seed)[0])
 
 
 def relabel_items(dataset: ComparisonDataset, rho: Permutation) -> ComparisonDataset:

@@ -256,6 +256,61 @@ def multinomial_split_without_replacement(dataset, parts, seed):
     return stages
 
 
+def whole_sample_without_replacement(pi_star, matrix, p, seed):
+    """The former library sampler, kept as the reference of the chunked win
+    draw: the Geometric(p) gaps summed in one call, every pair decoded at once
+    and its win bit drawn in one call."""
+    n = pi_star.n
+    num_cells = n * (n - 1) // 2
+    rng = np.random.default_rng(seed)
+    size = int(p * num_cells + 6 * math.sqrt(p * num_cells) + 10)
+    cells = np.cumsum(rng.geometric(p, size=size)) - 1
+    while cells[-1] < num_cells - 1:
+        cells = np.concatenate([cells, cells[-1] + np.cumsum(rng.geometric(p, size=size))])
+    cells = cells[: np.searchsorted(cells, num_cells)]
+    rows, cols = np.triu_indices(n, 1)
+    first, second = rows[cells] + 1, cols[cells] + 1
+    ranks = pi_star.to_array()
+    wins = rng.random(len(first)) < matrix.win_prob(ranks[first - 1], ranks[second - 1])
+    return ComparisonDataset(
+        n=n, first=first.astype(np.int64), second=second.astype(np.int64),
+        num=np.ones(len(first), dtype=np.int64), first_wins=wins.astype(np.int64),
+        tag=SamplingTag(WITHOUT_REPLACEMENT, p), seed=seed,
+    )
+
+
+def sorted_split_without_replacement(dataset, parts, seed):
+    """The former library split, kept as the reference of the streamed stages:
+    one uniform label per pair, the pairs ordered stably by label, and each
+    stage one slice of that order."""
+    if parts == 1:
+        return [dataset]
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, parts, size=dataset.num_pairs, dtype=np.min_scalar_type(parts - 1))
+    order = np.argsort(labels, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=parts))))
+    first, second, wins = (a[order] for a in (dataset.first, dataset.second, dataset.first_wins))
+    return [
+        ComparisonDataset(
+            n=dataset.n, first=first[lo:hi], second=second[lo:hi], num=dataset.num[lo:hi],
+            first_wins=wins[lo:hi], tag=dataset.tag, seed=derive_seed(seed, t),
+        )
+        for t, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
+
+
+def write_pbm(mask, path):
+    """The former dense region writer, kept as the reference of the row-block
+    one: plain PBM (P1), one text row per matrix row, 1 = black = uncertain."""
+    n_rows, n_cols = mask.shape
+    buf = np.full((n_rows, 2 * n_cols), ord(" "), dtype=np.uint8)
+    buf[:, 0::2] = ord("0") + mask.astype(np.uint8)
+    buf[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(f"P1\n{n_cols} {n_rows}\n".encode())
+        fh.write(buf.tobytes())
+
+
 def loop_mle_objective(dataset, pi):
     """Total wins along the order ``pi``, summed over the dense win matrix."""
     a = wins_dense(dataset)

@@ -196,6 +196,8 @@ class TestExperimentCommand:
         ("scaling-n", ["--lambda-hat", "0.7"]),
         ("scaling-n", ["--n-values", "3", "--lambda-hat", "none", "--sampling", "with"]),
         ("scaling-n", ["--estimators", "ms", "ms", "borda"]),
+        # fewer pairs expected than stages: a run would draw an empty stage
+        ("scaling-n", ["--alphas", "0.003", "--sampling", "without", "--replicates", "20"]),
     ])
     def test_spec_constraints_exit_one(self, tmp_path, capsys, which, extra):
         code = main(["experiment", which, "--n-values", "30", *extra,

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import weakref
 from dataclasses import astuple
 
 import numpy as np
@@ -18,11 +20,11 @@ from noisysort.experiments import (
     run_lambda_accuracy,
     run_ms_pipeline,
     summarize,
-    write_pbm,
 )
 from noisysort.estimators import (
     CALIBRATED_THRESHOLD_SCALE,
     MsConfig,
+    MsState,
     estimate_lambda,
     initial_ms_state,
     ms_sort,
@@ -36,6 +38,8 @@ from noisysort.model import (
     star_matrix,
 )
 from noisysort.perms import Permutation, enumerate_permutations, kendall_tau, random_permutation
+
+from oracles import write_pbm
 
 
 def small_spec(**overrides):
@@ -56,6 +60,15 @@ def small_spec(**overrides):
 
 
 class TestSpecValidation:
+    def test_sparse_without_cell_needs_a_pair_per_ms_stage(self):
+        # 0.003 * C(30, 2) = 1.3 pairs expected for the 2 stages of ms
+        sparse = dict(n_values=(30,), alphas=(0.003,), stages=None,
+                      sampling=(WITHOUT_REPLACEMENT,))
+        with pytest.raises(ValueError, match="cell n=30, alpha=0.003, without_replacement"):
+            small_spec(**sparse)
+        small_spec(**sparse, estimators=("borda",))
+        small_spec(**{**sparse, "alphas": (0.005,)})  # 2.2 pairs expected
+
     def test_requires_exactly_one_budget_form(self):
         with pytest.raises(ValueError):
             small_spec(alphas=(0.5,), budgets=(100,))
@@ -315,14 +328,13 @@ class TestOneDrawPerReplicate:
     def test_borda_pools_the_stage_samples(self, monkeypatch):
         # split_with_replacement looks the sampler up in its own module
         with_calls = self._count_calls(monkeypatch, model, "sample_with_replacement")
-        without_calls = self._count_calls(monkeypatch, experiments,
-                                          "sample_without_replacement")
+        without_calls = self._count_calls(monkeypatch, experiments, "_draw_pairs")
         spec = small_spec(replicates=3, stages=2, estimators=("ms", "borda"),
                           sampling=(WITH_REPLACEMENT, WITHOUT_REPLACEMENT))
         rows = run_experiment(spec)
         assert len(rows) == 2 * 3 * 3
         assert len(with_calls) == 3 * 2  # T per replicate
-        assert len(without_calls) == 3  # one full dataset per replicate
+        assert len(without_calls) == 3  # one compact draw per replicate
 
     @pytest.mark.parametrize("sampling", [WITH_REPLACEMENT, WITHOUT_REPLACEMENT])
     def test_default_path_allocates_no_dense_matrix(self, sampling):
@@ -339,6 +351,44 @@ class TestOneDrawPerReplicate:
             tracemalloc.stop()
         assert {r.estimator for r in rows} == {"ms", "borda", "random"}
         assert peak < n * n / 4
+
+
+class TestWithoutStream:
+    """Without replacement, one compact draw feeds stages built when pulled."""
+
+    @pytest.mark.parametrize("run", ["pipeline", "ms-only replicate"])
+    def test_each_stage_is_freed_before_the_next_is_built(self, monkeypatch, run):
+        alive = []
+        original = model._decode
+
+        def decode(*args):
+            assert all(ref() is None for ref in alive), "an earlier stage is still referenced"
+            dataset = original(*args)
+            alive.extend(weakref.ref(x) for x in (dataset, dataset.first, dataset.second,
+                                                 dataset.num, dataset.first_wins))
+            return dataset
+
+        monkeypatch.setattr(model, "_decode", decode)
+        if run == "pipeline":
+            run_ms_pipeline(Permutation.identity(60), star_matrix(60, 0.3), WITHOUT_REPLACEMENT,
+                            0.8, 3, MsConfig(stages=3), 4, lambda_hat=0.3)
+        else:
+            run_experiment(small_spec(n_values=(60,), alphas=(0.8,), stages=3, replicates=1,
+                                      estimators=("ms",), sampling=(WITHOUT_REPLACEMENT,)))
+        assert len(alive) == 3 * 5
+
+    def test_pipeline_peak_stays_under_six_pair_arrays(self):
+        # one int64 array over all pairs is 8 C(n,2) bytes
+        n = 2000
+        config = MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        tracemalloc.start()
+        try:
+            run_ms_pipeline(Permutation.identity(n), star_matrix(n, 0.25), WITHOUT_REPLACEMENT,
+                            1.0, 3, config, 0, lambda_hat=0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * math.comb(n, 2)
 
 
 class TestSummaries:
@@ -413,3 +463,34 @@ class TestCsvAndRegions:
         sizes = (out / "region_sizes.csv").read_text().splitlines()
         assert sizes[0] == "stage,region_size"
         assert sizes[1] == "0,1600"
+
+    @pytest.mark.parametrize("rows", [1, 7, 120, 1000])
+    def test_region_blocks_match_the_dense_bitmap(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(experiments, "_PBM_BLOCK_ROWS", rows)
+        samples = split_with_replacement(Permutation.identity(120), star_matrix(120, 0.4),
+                                         stage_budgets(30_000, 4), 4)
+        config = MsConfig(stages=4, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        _, states = ms_sort(samples, 0.4, config)
+        assert len(set(states[-2].last.tolist())) > 1  # rows hold different stages
+        paths = emit_regions(states, tmp_path / "blocks")
+        assert len(paths) == len(states)
+        for state, path in zip(states, paths):
+            write_pbm(state.uncertain, tmp_path / "dense.pbm")
+            assert path.read_bytes() == (tmp_path / "dense.pbm").read_bytes()
+
+    def test_region_snapshot_builds_no_dense_array(self, tmp_path):
+        # a dense n x n float64 view alone would take 8 n^2 bytes
+        n = 4000
+        rng = np.random.default_rng(3)
+        state = MsState(stage=1, history=(np.zeros(n), rng.random(n)),
+                        last=np.ones(n, dtype=np.int64), tau=rng.random(n) / 4,
+                        below_counts=np.zeros(n, dtype=np.int64),
+                        above_counts=np.zeros(n, dtype=np.int64), gate_fired=np.ones(n, bool))
+        tracemalloc.start()
+        try:
+            emit_regions([state], tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "stage_1.pbm").stat().st_size == len(f"P1\n{n} {n}\n") + 2 * n * n
+        assert peak < 2 * n * n

@@ -31,6 +31,7 @@ from noisysort.model import (
     star_matrix,
     write_dataset,
 )
+from noisysort.experiments import _draw_pipeline_data
 from noisysort.perms import Permutation, random_permutation
 
 from oracles import (
@@ -44,8 +45,10 @@ from oracles import (
     make_dataset,
     multinomial_split_without_replacement,
     row_sample_without_replacement,
+    sorted_split_without_replacement,
     true_scores,
     unique_sample_with_replacement,
+    whole_sample_without_replacement,
     wins_dense,
 )
 
@@ -368,6 +371,74 @@ class TestSplits:
         d = sample_with_replacement(Permutation.identity(10), star_matrix(10, 0.2), 100, 1)
         with pytest.raises(ValueError):
             split_without_replacement(d, 2, 1)
+
+
+def _identical(a, b):
+    """Same records with the same dtypes, tag and seed."""
+    fields = ("first", "second", "num", "first_wins")
+    return (a.same_data(b) and a.tag == b.tag and a.seed == b.seed
+            and all(getattr(a, f).dtype == getattr(b, f).dtype for f in fields))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=hst.integers(1, 40), seed=hst.integers(0, 2**32 - 1), p=hst.floats(1e-12, 1.0),
+       parts=hst.sampled_from([1, 2, 3, 300]), law=hst.sampled_from(["star", "random"]),
+       chunk=hst.sampled_from([1, 7, None]), pi_kind=hst.sampled_from(["identity", "random"]))
+@example(n=1, seed=0, p=0.5, parts=3, law="star", chunk=None, pi_kind="identity")
+@example(n=40, seed=1, p=1.0, parts=300, law="random", chunk=7, pi_kind="random")
+def test_stream_matches_the_sorted_split(n, seed, p, parts, law, chunk, pi_kind):
+    """The chunked compact draw and its streamed stages equal the one-call
+    sampler and the argsort-and-gather split, arrays, seeds and counts."""
+    rng = np.random.default_rng(seed)
+    pi = random_permutation(n, rng) if pi_kind == "random" else Permutation.identity(n)
+    matrix = star_matrix(n, 0.2) if law == "star" else random_member_matrix(n, 0.1, 0.05, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(model, "_WIN_CHUNK", chunk)
+        sample = sample_without_replacement(pi, matrix, p, seed)
+        split = split_without_replacement(sample, parts, seed + 1)
+        stages, counts, _ = _draw_pipeline_data(pi, matrix, WITHOUT_REPLACEMENT, p, parts, seed)
+        stages = list(stages)
+    assert _identical(sample, whole_sample_without_replacement(pi, matrix, p, seed))
+    expected = sorted_split_without_replacement(sample, parts, seed + 1)
+    assert len(split) == parts and all(map(_identical, split, expected))
+    draw = whole_sample_without_replacement(pi, matrix, p, derive_seed(seed, 0))
+    expected = sorted_split_without_replacement(draw, parts, derive_seed(seed, 1))
+    assert len(stages) == parts and all(map(_identical, stages, expected))
+    assert counts == [s.num_pairs for s in expected]
+
+
+class TestWithoutStream:
+    @pytest.mark.parametrize("n, p", [(1, 0.5), (1, 1.0), (3, 1e-300), (30, 5e-324)])
+    @pytest.mark.parametrize("parts", [1, 3])
+    def test_empty_draw_gives_empty_stages(self, n, p, parts):
+        # a tiny p must not overflow the running sums of its gaps
+        pi, law = Permutation.identity(n), star_matrix(n, 0.2)
+        assert sample_without_replacement(pi, law, p, 4).num_pairs == 0
+        stages, counts, _ = _draw_pipeline_data(pi, law, WITHOUT_REPLACEMENT, p, parts, 4)
+        stages = list(stages)
+        assert counts == [0] * parts
+        assert [s.seed for s in stages] == (
+            [derive_seed(4, 0)] if parts == 1 else [derive_seed(derive_seed(4, 1), t)
+                                                    for t in range(parts)])
+        assert all(s.num_pairs == 0 and s.n == n and s.tag.budget == p for s in stages)
+
+    def test_stages_are_built_when_pulled(self, monkeypatch):
+        built = []
+        original = model._decode
+        monkeypatch.setattr(model, "_decode", lambda *a: built.append(a[4]) or original(*a))
+        law = star_matrix(20, 0.2)
+        stages, counts, _ = _draw_pipeline_data(Permutation.identity(20), law,
+                                                WITHOUT_REPLACEMENT, 0.7, 3, 6)
+        assert built == [] and len(counts) == 3
+        next(stages)
+        assert built == [derive_seed(derive_seed(6, 1), 0)]
+
+    def test_pair_cells_invert_pair_items(self):
+        n = 9
+        cells = np.arange(math.comb(n, 2))
+        first, second = model._pair_items(n, cells)
+        assert np.array_equal(model._pair_cells(n, first, second), cells)
 
 
 class TestDeterminismAndEquivalence:
