@@ -28,7 +28,6 @@ from .estimators import (
     borda_sort,
     brute_force_mle,
     estimate_lambda,
-    mle_objective,
     ms_sort,
     sieve_mle,
     theoretical_phi,
@@ -58,7 +57,6 @@ from .model import (
     sample_with_replacement,
     sample_without_replacement,
     split_with_replacement,
-    split_without_replacement,
     stage_budgets,
     star_matrix,
     write_dataset,

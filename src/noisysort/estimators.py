@@ -131,17 +131,16 @@ class MsConfig:
 class MsState:
     """Snapshot of one stage: scores, gate outcome and certainty partition.
 
-    Row i splits [n] into items certainly weaker than i (``below``),
-    certainly stronger (``above``) and still open (``uncertain``, always
-    holding i).  A row changes only when its gate fires, and is then
-    re-derived from that stage's scores alone (so certain sets need not grow
-    monotonically); per row the state keeps the stage ``last[i]`` of its last
-    firing (0: never), that stage's ``tau[i]`` (+inf: never) and the
-    certain-set sizes.  With S the scores of stage last[i], j is below i iff
-    fl(S_j - S_i) < -tau[i] and above iff fl(S_j - S_i) > tau[i]: the very
-    comparison that decided it, so the dense views built on demand are exact.
-    ``history`` holds the scores of stages 0..stage (stage 0 all zero, no
-    ``scores``), shared between states.
+    Row i splits [n] into items certainly weaker than i (below), certainly
+    stronger (above) and still open (``uncertain``, always holding i).  A row
+    changes only when its gate fires, and is then re-derived from that stage's
+    scores alone (so certain sets need not grow monotonically); per row the
+    state keeps the stage ``last[i]`` of its last firing (0: never), that
+    stage's ``tau[i]`` (+inf: never) and the certain-set sizes.  With S the
+    scores of stage last[i], j is below i iff fl(S_j - S_i) < -tau[i] and
+    above iff fl(S_j - S_i) > tau[i]: the very comparison that decided it, so
+    ``uncertain``, built on demand, is exact.  ``history`` holds the scores of
+    stages 0..stage (stage 0 all zero, no ``scores``), shared between states.
     """
 
     stage: int
@@ -164,22 +163,11 @@ class MsState:
         """|{(i, j) : j still uncertain relative to i}|, diagonal included."""
         return self.n * self.n - int(self.below_counts.sum() + self.above_counts.sum())
 
-    def _gaps(self, rows: slice) -> np.ndarray:
-        """fl(S_j - S_i) for the rows i in ``rows``, S the scores of stage last[i]."""
-        held = np.stack(self.history)[self.last[rows]]
-        return held - held[np.arange(len(held)), np.arange(self.n)[rows]][:, None]
-
-    @property
-    def below(self) -> np.ndarray:
-        return self._gaps(slice(None)) < -self.tau[:, None]
-
-    @property
-    def above(self) -> np.ndarray:
-        return self._gaps(slice(None)) > self.tau[:, None]
-
     def uncertain_rows(self, rows: slice) -> np.ndarray:
         """The rows ``rows`` of ``uncertain``, in O(rows x n) memory."""
-        return np.abs(self._gaps(rows)) <= self.tau[rows, None]
+        held = np.stack(self.history)[self.last[rows]]
+        gaps = held - held[np.arange(len(held)), np.arange(self.n)[rows]][:, None]
+        return np.abs(gaps) <= self.tau[rows, None]
 
     @property
     def uncertain(self) -> np.ndarray:
@@ -347,13 +335,6 @@ def _best_candidate(
             best, best_obj = min(tied), top
     assert best is not None
     return best, best_obj
-
-
-def mle_objective(dataset: ComparisonDataset, pi: Permutation) -> int:
-    """Total wins along the order ``pi``: sum of A[i, j] over pi(i) > pi(j)."""
-    if pi.n != dataset.n:
-        raise SizeMismatchError(f"permutation n={pi.n} vs dataset n={dataset.n}")
-    return _best_candidate([dataset], [pi.map])[1]
 
 
 def brute_force_mle(samples: Sequence[ComparisonDataset],

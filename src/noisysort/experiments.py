@@ -478,15 +478,10 @@ def loglog_slope(xs: list[float], ys: list[float]) -> float:
     return float((lx * (ly - ly.mean())).sum() / (lx * lx).sum())
 
 
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_csv(path: str | Path, header: tuple[str, ...], lines: Iterable[Iterable]) -> None:
-    """A header line, then one comma-separated line per sequence of values."""
-    text = [",".join(header)] + [",".join(map(_format_value, values)) for values in lines]
+    """A header line, then one comma-separated line per sequence of values (floats as repr)."""
+    text = [",".join(header)] + [",".join(repr(v) if isinstance(v, float) else str(v)
+                                          for v in values) for values in lines]
     Path(path).write_text("\n".join(text) + "\n")
 
 

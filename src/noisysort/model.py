@@ -216,12 +216,6 @@ def _pair_items(n: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, cells - offsets[first - 1] + first + 1
 
 
-def _pair_cells(n: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """The pair cells of (first, second): the inverse of _pair_items."""
-    rows_before = first - 1  # they hold (n - 1) + ... + (n - rows_before) cells
-    return rows_before * (2 * n - 1 - rows_before) // 2 + second - first - 1
-
-
 # Observed pairs decoded per pass of the win draw: its temporaries stay a few MB
 _WIN_CHUNK = 1 << 16
 
@@ -369,25 +363,6 @@ def _label_stages(n: int, cells: np.ndarray, won: np.ndarray, p: float, parts: i
     return (stage(t) for t in range(parts)), np.bincount(labels, minlength=parts).tolist()
 
 
-def split_without_replacement(
-    dataset: ComparisonDataset, parts: int, seed: int
-) -> list[ComparisonDataset]:
-    """Give each observed pair one of ``parts`` stage labels, uniformly.
-
-    A without-replacement pair holds one comparison, so the stages partition
-    the pairs; each stage keeps the (first, second) order.  One part returns
-    ``dataset`` itself.
-    """
-    if dataset.tag.kind != WITHOUT_REPLACEMENT:
-        raise ValueError("expected a without-replacement dataset")
-    if parts == 1:
-        return [dataset]
-    n = dataset.n
-    cells = _pair_cells(n, dataset.first, dataset.second)
-    return list(_label_stages(n, cells, dataset.first_wins.astype(bool), dataset.tag.budget,
-                              parts, seed, dataset.seed)[0])
-
-
 def relabel_items(dataset: ComparisonDataset, rho: Permutation) -> ComparisonDataset:
     """Rename item i to rho(i) everywhere, keeping outcomes intact."""
     if rho.n != dataset.n:
@@ -406,24 +381,70 @@ def relabel_items(dataset: ComparisonDataset, rho: Permutation) -> ComparisonDat
     )
 
 
+def _limb_words() -> tuple[np.ndarray, np.ndarray]:
+    """A limb k < 10**4 as four ASCII digits in one uint32, at k + 10**4 * (a higher
+    limb is not 0): bare (0 bytes for leading zeros), else zero-padded.  The second
+    table serves the limbs above the lowest, where a bare 0 writes nothing."""
+    k, places = np.arange(10**4)[:, None], np.array([1000, 100, 10, 1])
+    padded = (k // places % 10 + ord("0")).astype(np.uint8)
+    bare = np.where((k < places) & (places > 1), 0, padded).astype(np.uint8)
+    low = np.concatenate([bare, padded]).view(np.uint32).ravel()
+    return low, np.concatenate([[0], low[1:]]).astype(np.uint32)
+
+
+_LOW_WORDS, _HIGH_WORDS = _limb_words()
+# Lines formatted per pass of write_dataset: its temporaries stay a few MB
+_WRITE_BLOCK_ROWS = 1 << 16
+
+
+def _format_lines(columns: tuple[np.ndarray, ...]) -> np.ndarray:
+    """ASCII text of the lines of non-negative int64 ``columns``, space separated.
+
+    Each column takes the base-10**4 limbs of its largest value: one unaligned
+    uint32 word per limb and line, then a separator byte.  A value's missing
+    top limbs and leading zeros are 0 bytes, dropped by one compress."""
+    limbs = [(len(str(values.max())) + 3) // 4 for values in columns]
+    width = sum(4 * count + 1 for count in limbs)
+    text = np.full((len(columns[0]), width), ord(" "), dtype=np.uint8)
+    text[:, -1] = ord("\n")
+    at = 0
+    for values, count in zip(columns, limbs):
+        for p in range(count - 1, -1, -1):  # limb p counted from the right
+            rest = values // 10 ** (4 * p) if p else values
+            if p < count - 1:
+                rest = rest % 10**4 + (rest >= 10**4) * 10**4
+            word = np.ndarray(len(text), dtype=np.uint32, buffer=text, offset=at, strides=(width,))
+            word[:] = (_HIGH_WORDS if p else _LOW_WORDS)[rest]
+            at += 4
+        at += 1
+    return text[text != 0]
+
+
 def write_dataset(dataset: ComparisonDataset, path: str | Path) -> None:
     """Write the documented text format.
 
     Header: ``n model_tag budget seed``; then one line ``i j N_ij A_ij``
-    per ordered pair with N_ij > 0, 1-indexed, sorted by (i, j).
+    per ordered pair with N_ij > 0, 1-indexed, sorted by (i, j).  The lines
+    are formatted _WRITE_BLOCK_ROWS at a time, with no Python object per value.
     """
     f, s, m, w = dataset.first, dataset.second, dataset.num, dataset.first_wins
-    # the forward rows (f, s) are in order; a stable sort by s orders the reverse rows (s, f)
-    back = np.argsort(s, kind="stable")
-    rev_i = s[back]
-    k = np.arange(len(f))
-    rows = np.empty((2 * len(f), 4), dtype=np.int64)
+    # the forward lines (f, s) are in order; a stable sort by s orders the reverse lines (s, f)
+    back = np.argsort(s.astype(np.min_scalar_type(dataset.n)), kind="stable")
     # a line (i, j) follows every line of a smaller i, and for equal i the reverse lines (j < i)
-    rows[k + np.searchsorted(rev_i, f, side="right")] = np.stack([f, s, m, w], axis=1)
-    rows[k + np.searchsorted(f, rev_i, side="left")] = np.stack(
-        [rev_i, f[back], m[back], (m - w)[back]], axis=1)
+    reverse = np.ones(2 * len(f), dtype=bool)  # whether each line is a reverse one
+    reverse[np.arange(len(f)) + np.searchsorted(s[back], f, side="right")] = False
+    pair = np.empty(2 * len(f), dtype=np.int64)  # the pair of each line, both kinds in order
+    pair[reverse] = back
+    del back
+    pair[~reverse] = np.arange(len(f))
     header = f"{dataset.n} {dataset.tag.kind} {dataset.tag.budget_str()} {dataset.seed}\n"
-    Path(path).write_text(header + ("%d %d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for lo in range(0, len(pair), _WRITE_BLOCK_ROWS):
+            at, rev = pair[lo: lo + _WRITE_BLOCK_ROWS], reverse[lo: lo + _WRITE_BLOCK_ROWS]
+            fi, se, num, wins = f[at], s[at], m[at], w[at]
+            fh.write(_format_lines((np.where(rev, se, fi), np.where(rev, fi, se), num,
+                                    np.where(rev, num - wins, wins))))
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
@@ -480,7 +501,12 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
     # both lines of a pair state (count, wins of the smaller index)
     fwd = i < j
     first, second, wins = np.where(fwd, i, j), np.where(fwd, j, i), np.where(fwd, a, m - a)
-    order = np.lexsort((second, first))
+    if len(rows) and not (first.min() >= 1 and second.max() <= n):  # before the casts below
+        raise ValueError("invalid pair record (ordering, range, or win count)")
+    # lexsort((second, first))'s order by two stable passes, radix sorts for n < 2**16
+    key = np.min_scalar_type(n)
+    order = np.argsort(second.astype(key), kind="stable")
+    order = order[np.argsort(first.astype(key)[order], kind="stable")]
     first, second, num, wins = first[order], second[order], m[order], wins[order]
     repeat = (first[1:] == first[:-1]) & (second[1:] == second[:-1])
     clash = np.flatnonzero(repeat & ((num[1:] != num[:-1]) | (wins[1:] != wins[:-1])))

@@ -50,7 +50,7 @@ class Permutation:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Permutation":
-        return cls(tuple(int(v) for v in arr))
+        return cls(tuple(np.asarray(arr).astype(np.int64).tolist()))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -201,4 +201,4 @@ def adjacent_transposition(n: int, k: int) -> Permutation:
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
-    return Permutation(tuple(int(v) for v in rng.permutation(n) + 1))
+    return Permutation(tuple((rng.permutation(n) + 1).tolist()))

@@ -15,11 +15,13 @@ import numpy as np
 
 from noisysort.counting import PackingSet
 from noisysort.errors import SizeMismatchError
+from noisysort.estimators import _best_candidate
 from noisysort.model import (
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
     ComparisonDataset,
     SamplingTag,
+    _label_stages,
     derive_seed,
 )
 from noisysort.perms import kendall_tau
@@ -238,6 +240,26 @@ def row_sample_without_replacement(pi_star, matrix, p, seed):
     )
 
 
+def pair_cells(n, first, second):
+    """The pair cells of (first, second): the inverse of model._pair_items."""
+    rows_before = first - 1  # they hold (n - 1) + ... + (n - rows_before) cells
+    return rows_before * (2 * n - 1 - rows_before) // 2 + second - first - 1
+
+
+def split_without_replacement(dataset, parts, seed):
+    """The former library split, now the list of the stages the pipeline
+    streams: each observed pair gets one of ``parts`` uniform stage labels
+    (model._label_stages) and each stage keeps the (first, second) order.
+    One part returns ``dataset`` itself."""
+    if dataset.tag.kind != WITHOUT_REPLACEMENT:
+        raise ValueError("expected a without-replacement dataset")
+    if parts == 1:
+        return [dataset]
+    cells = pair_cells(dataset.n, dataset.first, dataset.second)
+    return list(_label_stages(dataset.n, cells, dataset.first_wins.astype(bool),
+                              dataset.tag.budget, parts, seed, dataset.seed)[0])
+
+
 def multinomial_split_without_replacement(dataset, parts, seed):
     """The former library split, kept as the reference of the stage labels:
     wins and losses of every pair scattered by two multinomial draws."""
@@ -309,6 +331,14 @@ def write_pbm(mask, path):
     with open(path, "wb") as fh:
         fh.write(f"P1\n{n_cols} {n_rows}\n".encode())
         fh.write(buf.tobytes())
+
+
+def mle_objective(dataset, pi):
+    """Total wins along the order ``pi``: sum of A[i, j] over pi(i) > pi(j),
+    through the library's one-pass candidate scorer."""
+    if pi.n != dataset.n:
+        raise SizeMismatchError(f"permutation n={pi.n} vs dataset n={dataset.n}")
+    return _best_candidate([dataset], [pi.map])[1]
 
 
 def loop_mle_objective(dataset, pi):
@@ -459,3 +489,19 @@ def dense_ms_states(stage_samples, lam_hat, config):
     ranks = np.empty(n, dtype=np.int64)
     ranks[np.argsort(scores, kind="stable")] = np.arange(1, n + 1)
     return ranks, states
+
+
+def _score_gaps(state):
+    """The dense n x n fl(S_j - S_i) of an MsState, S the scores of stage last[i]."""
+    held = np.stack(state.history)[state.last]
+    return held - np.diag(held)[:, None]
+
+
+def certain_below(state):
+    """The items certainly below each row of an MsState: fl(S_j - S_i) < -tau[i]."""
+    return _score_gaps(state) < -state.tau[:, None]
+
+
+def certain_above(state):
+    """The items certainly above each row of an MsState: fl(S_j - S_i) > tau[i]."""
+    return _score_gaps(state) > state.tau[:, None]

@@ -56,7 +56,13 @@ from noisysort.perms import (
 )
 from noisysort.theory import binomial_tail_bounds, model_kl
 
-from oracles import inversion_histogram, noise_free_full, observation_kl_oracle
+from oracles import (
+    certain_above,
+    certain_below,
+    inversion_histogram,
+    noise_free_full,
+    observation_kl_oracle,
+)
 
 MASTER_SEED = 20260809
 
@@ -317,9 +323,9 @@ def test_12_certainty_soundness():
         ranks = pi_star.to_array()
         bad = 0
         for st in run.states[1:]:
-            rows, cols = np.nonzero(st.below)
+            rows, cols = np.nonzero(certain_below(st))
             bad += int(np.sum(ranks[cols] >= ranks[rows]))
-            rows, cols = np.nonzero(st.above)
+            rows, cols = np.nonzero(certain_above(st))
             bad += int(np.sum(ranks[cols] <= ranks[rows]))
         clean_seeds += bad == 0
     report(12, clean_seeds >= 9,

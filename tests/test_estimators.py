@@ -19,7 +19,6 @@ from noisysort.estimators import (
     brute_force_mle,
     estimate_lambda,
     initial_ms_state,
-    mle_objective,
     ms_sort,
     sieve_mle,
     theoretical_phi,
@@ -34,7 +33,6 @@ from noisysort.model import (
     sample_with_replacement,
     sample_without_replacement,
     split_with_replacement,
-    split_without_replacement,
     stage_budgets,
     star_matrix,
 )
@@ -49,12 +47,16 @@ from noisysort.perms import (
 
 
 from oracles import (
+    certain_above,
+    certain_below,
     dense_ms_states,
     loop_mle,
     loop_mle_objective,
     make_dataset,
+    mle_objective,
     merge_datasets,
     noise_free_full,
+    split_without_replacement,
     wins_dense,
 )
 
@@ -196,7 +198,8 @@ class TestMsSort:
         cfg = MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
         _, states = ms_sort(samples, 0.4, cfg)
         for st in states:
-            total = (st.uncertain.astype(int) + st.below.astype(int) + st.above.astype(int))
+            total = (st.uncertain.astype(int) + certain_below(st).astype(int)
+                     + certain_above(st).astype(int))
             assert (total == 1).all()
             assert st.uncertain.diagonal().all()
 
@@ -227,9 +230,9 @@ class TestMsSort:
             cfg = MsConfig(stages=2, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
             _, states = ms_sort(samples, lam, cfg)
             for st in states[1:]:
-                rows, cols = np.nonzero(st.below)
+                rows, cols = np.nonzero(certain_below(st))
                 assert np.all(ranks[cols] < ranks[rows])
-                rows, cols = np.nonzero(st.above)
+                rows, cols = np.nonzero(certain_above(st))
                 assert np.all(ranks[cols] > ranks[rows])
 
     def test_relabeling_equivariance(self):
@@ -316,7 +319,7 @@ class TestUncertaintyRegion:
     def test_initial_state_is_everything(self):
         st = initial_ms_state(3)
         assert st.uncertain.all() and st.uncertain.shape == (3, 3)
-        assert not st.below.any() and not st.above.any()
+        assert not certain_below(st).any() and not certain_above(st).any()
         assert st.region_size() == 9
 
     def test_diagonal_always_present(self):
@@ -394,8 +397,8 @@ class TestDenseReference:
                 assert np.array_equal(st.scores, ref["scores"])
                 assert np.array_equal(st.gate_fired, ref["gate_fired"])
             assert st.region_size() == int(ref["uncertain"].sum())
-            assert np.array_equal(st.below, ref["below"])
-            assert np.array_equal(st.above, ref["above"])
+            assert np.array_equal(certain_below(st), ref["below"])
+            assert np.array_equal(certain_above(st), ref["above"])
             assert np.array_equal(st.uncertain, ref["uncertain"])
 
     def test_a_case_holds_a_score_gap_exactly_at_tau(self):

@@ -26,7 +26,6 @@ from noisysort.model import (
     sample_with_replacement,
     sample_without_replacement,
     split_with_replacement,
-    split_without_replacement,
     stage_budgets,
     star_matrix,
     write_dataset,
@@ -44,8 +43,10 @@ from oracles import (
     line_write_dataset,
     make_dataset,
     multinomial_split_without_replacement,
+    pair_cells,
     row_sample_without_replacement,
     sorted_split_without_replacement,
+    split_without_replacement,
     true_scores,
     unique_sample_with_replacement,
     whole_sample_without_replacement,
@@ -438,7 +439,7 @@ class TestWithoutStream:
         n = 9
         cells = np.arange(math.comb(n, 2))
         first, second = model._pair_items(n, cells)
-        assert np.array_equal(model._pair_cells(n, first, second), cells)
+        assert np.array_equal(pair_cells(n, first, second), cells)
 
 
 class TestDeterminismAndEquivalence:
@@ -482,6 +483,45 @@ class TestRelabeling:
         a, a2 = wins_dense(d), wins_dense(d2)
         r = rho.to_array() - 1
         assert np.array_equal(a2[np.ix_(r, r)], a)
+
+
+def _wide_indices():
+    """n = 2**62: item indices of 1 to 19 digits (each width's smallest and
+    largest that fit), counts of 1 to 18 digits, zero wins on either side."""
+    widths = [(10 ** (d - 1), 10**d - 1) for d in range(2, 20)]
+    items = [1, 9] + [v for pair in widths for v in pair if v <= 2**62] + [2**62]
+    records = []
+    for k, (a, b) in enumerate(zip(items, items[1:])):
+        num = 10 ** (k % 18) + k
+        records.append((a, b, num, (0, num, num // 2)[k % 3]))
+    return make_dataset(2**62, records, seed=derive_seed(1, 3))
+
+
+def _wide_without():
+    """Without replacement at n = 10**18: indices across the limb boundaries."""
+    items = [1, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**12, 10**16, 10**18]
+    records = [(a, b, 1, k % 2) for k, (a, b) in enumerate(zip(items, items[1:]))]
+    return make_dataset(10**18, records, WITHOUT_REPLACEMENT, budget=0.25, seed=7)
+
+
+def _many_lines():
+    """All pairs of 300 items with counts of 1 to 7 digits: 89700 lines, past one block."""
+    first, second = np.triu_indices(300, 1)
+    rng = np.random.default_rng(5)
+    num = 10 ** rng.integers(0, 7, size=len(first)) + rng.integers(0, 9, size=len(first))
+    wins = rng.integers(0, num + 1)
+    return make_dataset(300, list(zip(first + 1, second + 1, num, wins)), seed=11)
+
+
+DIGIT_WIDTH_DATASETS = {
+    "wide_indices": _wide_indices,
+    "largest_count": lambda: make_dataset(2, [(1, 2, 2**63 - 1, 2**62)], seed=2**64 - 1),
+    "zero_wins": lambda: make_dataset(4, [(1, 2, 5, 0), (1, 4, 3, 3), (2, 3, 10**4, 0)]),
+    "empty_with": lambda: make_dataset(5, []),
+    "empty_without": lambda: make_dataset(3, [], WITHOUT_REPLACEMENT, budget=1.0, seed=9),
+    "wide_without": _wide_without,
+    "many_lines": _many_lines,
+}
 
 
 class TestMergeAndIO:
@@ -546,6 +586,38 @@ class TestMergeAndIO:
         d = read_dataset(path)
         assert d.first.tolist() == [1, 2] and d.second.tolist() == [2, 3]
         assert d.num.tolist() == [3, 2] and d.first_wins.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("name", sorted(DIGIT_WIDTH_DATASETS))
+    def test_io_matches_line_reference_at_every_digit_width(self, tmp_path, name):
+        d = DIGIT_WIDTH_DATASETS[name]()
+        path, ref_path = tmp_path / "data.txt", tmp_path / "ref.txt"
+        write_dataset(d, path)
+        line_write_dataset(d, ref_path)
+        assert path.read_bytes() == ref_path.read_bytes()
+        back = read_dataset(path)
+        assert back.same_data(d) and back.tag == d.tag and back.seed == d.seed
+
+    def test_digit_width_datasets_cover_every_width_and_a_block_boundary(self, tmp_path):
+        widths, lines = set(), 0
+        for make in DIGIT_WIDTH_DATASETS.values():
+            write_dataset(make(), tmp_path / "data.txt")
+            body = (tmp_path / "data.txt").read_text().splitlines()[1:]
+            widths.update(len(token) for line in body for token in line.split())
+            lines = max(lines, len(body))
+        assert widths == set(range(1, 20))
+        assert lines > model._WRITE_BLOCK_ROWS
+
+    def test_writer_peak_memory_per_pair(self, tmp_path):
+        # about 100 bytes per pair here, most of it one block's temporaries; the
+        # former writer, which held every value as a Python int, took 366
+        d = sample_with_replacement(Permutation.identity(20000), star_matrix(20000, 0.2), 10**5, 4)
+        tracemalloc.start()
+        try:
+            write_dataset(d, tmp_path / "data.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / d.num_pairs < 200
 
     def test_dataset_invariants_on_construction(self):
         with pytest.raises(ValueError):
