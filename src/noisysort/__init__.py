@@ -50,6 +50,7 @@ from .model import (
     ComparisonDataset,
     ProbabilityMatrix,
     SamplingTag,
+    StageSource,
     derive_seed,
     random_member_matrix,
     read_dataset,

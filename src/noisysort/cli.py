@@ -78,14 +78,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_run_ms(args) -> int:
-    config = MsConfig(
-        stages=args.stages, c0=args.c0, c1=args.c1,
-        threshold_scale=args.threshold_scale,
-    )
+    config = MsConfig(stages=args.stages, c1=args.c1, threshold_scale=args.threshold_scale)
     if args.infiles:
         samples = [read_dataset(f) for f in args.infiles]
-        if len(samples) != args.stages:
-            raise ValueError(f"{len(samples)} input files for {args.stages} stages")
         if args.lambda_hat is None:
             raise ValueError("--lambda-hat is required when stages come from files")
         pi_hat, states = ms_sort(samples, args.lambda_hat, config)
@@ -190,7 +185,7 @@ _PAPER_SCALE_GRID = (1000, 2000, 4000, 7000, 10000)
 _LIST_KEYS = {"n_values": int, "alphas": float, "budgets": int,
               "estimators": str, "sampling": str}
 _SCALAR_KEYS = {"kind": str, "lam": float, "lambda_hat": float, "stages": int,
-                "replicates": int, "master_seed": int, "c0": float, "c1": float,
+                "replicates": int, "master_seed": int, "c1": float,
                 "threshold_scale": float, "workers": int, "max_n": int,
                 "max_budget": int, "pi_star": str, "regions_dir": str,
                 "out": str, "summary_out": str, "timings_out": str}
@@ -290,7 +285,6 @@ def build_parser() -> _Parser:
     p_ms.add_argument("--budget", default=None)
     p_ms.add_argument("--seed", type=int, default=0)
     p_ms.add_argument("--T", dest="stages", type=int, required=True)
-    p_ms.add_argument("--c0", type=float, default=1.0)
     p_ms.add_argument("--c1", type=float, default=8.0)
     p_ms.add_argument("--threshold-scale", type=float, default=CALIBRATED_THRESHOLD_SCALE)
     p_ms.add_argument("--lambda-hat", dest="lambda_hat", type=float, default=None)
@@ -343,7 +337,6 @@ def build_parser() -> _Parser:
     p_ex.add_argument("--master-seed", dest="master_seed", type=int)
     p_ex.add_argument("--estimators", nargs="+")
     p_ex.add_argument("--sampling", nargs="+", choices=("with", "without"))
-    p_ex.add_argument("--c0", type=float)
     p_ex.add_argument("--c1", type=float)
     p_ex.add_argument("--threshold-scale", dest="threshold_scale", type=float)
     p_ex.add_argument("--workers", type=int)

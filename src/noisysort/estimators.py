@@ -12,20 +12,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .counting import PackingSet
 from .errors import SizeMismatchError
-from .model import WITH_REPLACEMENT, WITHOUT_REPLACEMENT, ComparisonDataset
+from .model import WITH_REPLACEMENT, WITHOUT_REPLACEMENT, ComparisonDataset, StageSource
 from .perms import ENUMERATION_CAP, Permutation, enumerate_maps
 
 LAMBDA_CLAMP = 1e-6
 
 # Multiplier on the score-deviation threshold, as a fraction of the
-# theoretical coefficient (10 + 2*c0).  1.0 is the literal theoretical value;
+# theoretical coefficient 12.  1.0 is the literal theoretical value;
 # it is provably inert at any feasible scale (the threshold then exceeds the
 # entire score range), so the harness runs with the calibrated value below,
 # which keeps the threshold at ~5-6 standard deviations of score noise:
@@ -45,24 +45,13 @@ def _ranks_from_scores(scores: np.ndarray) -> Permutation:
     return Permutation.from_array(ranks)
 
 
-def _sample_n(samples: Sequence[ComparisonDataset]) -> int:
-    """The n shared by a non-empty sequence of samples."""
-    if not samples:
-        raise ValueError("no samples")
-    n = samples[0].n
-    if any(s.n != n for s in samples):
-        raise SizeMismatchError("samples disagree on n")
-    return n
+def borda_sort(samples: StageSource | Iterable[ComparisonDataset]) -> Permutation:
+    """Rank items by their win totals summed over the stages of ``samples``, one
+    pass that builds no combined copy (see StageSource.of), weakest first."""
+    return _ranks_from_scores(sum(s.win_totals() for s in StageSource.of(samples)))
 
 
-def borda_sort(samples: Sequence[ComparisonDataset]) -> Permutation:
-    """Rank items by their win totals summed over ``samples`` (no combined copy
-    of the samples is built), weakest first."""
-    _sample_n(samples)
-    return _ranks_from_scores(sum(s.win_totals() for s in samples).astype(np.float64))
-
-
-def estimate_lambda(halves: Iterable[ComparisonDataset]) -> float:
+def estimate_lambda(halves: StageSource | Iterable[ComparisonDataset]) -> float:
     """Estimate the win margin from two independent with-replacement samples.
 
     Sorts items by win count in the first half; pairs separated by more
@@ -73,26 +62,22 @@ def estimate_lambda(halves: Iterable[ComparisonDataset]) -> float:
         lambda_hat = (2/N) * C(n,2) / C(n//2, 2) * win_sum - 1/2
 
     with N the combined size of the two halves.  The result is clamped into
-    (1e-6, 1/2 - 1e-6) so downstream corrections stay well-defined.  The first
-    half is reduced to its ranks and size before the second is pulled.
+    (1e-6, 1/2 - 1e-6) so downstream corrections stay well-defined.  The halves
+    are one pass over StageSource.of(halves).
     """
-    halves = iter(halves)
-    first = next(halves, None)
-    n = 0 if first is None else first.n
-    if n < 4:
-        raise ValueError(f"margin estimation needs two samples of n >= 4, got n={n}")
-    if first.tag.kind != WITH_REPLACEMENT:
-        raise ValueError("margin estimation expects with-replacement samples")
-    ranks, total = borda_sort([first]).to_array(), first.total_comparisons()
-    del first
-    second = next(halves, None)
-    if second is None or second.n != n or next(halves, None) is not None:
-        raise ValueError(f"margin estimation takes exactly two samples of n={n}")
-    if second.tag.kind != WITH_REPLACEMENT:
-        raise ValueError("margin estimation expects with-replacement samples")
-    total += second.total_comparisons()
+    source = StageSource.of(halves)
+    n, total = source.n, sum(source.counts)
+    if n < 4 or len(source.counts) != 2:
+        raise ValueError(f"margin estimation takes two samples of n >= 4, got "
+                         f"{len(source.counts)} of n={n}")
     if total < 1:
         raise ValueError("empty samples")
+    ranks = None
+    for second in source:  # the first half is reduced to its ranks before the second is pulled
+        if second.tag.kind != WITH_REPLACEMENT:
+            raise ValueError("margin estimation expects with-replacement samples")
+        if ranks is None:
+            ranks, second = borda_sort([second]).to_array(), None
     gap = n // 2
     ra = ranks[second.first - 1]
     rb = ranks[second.second - 1]
@@ -107,8 +92,6 @@ class MsConfig:
     """Tuning knobs of the multistage sorter.
 
     stages: number of stages (each consumes one sub-sample).
-    c0: margin-estimation deviation constant; enters the score threshold
-        through the coefficient (10 + 2*c0).
     c1: gate constant; a stage only re-decides certainties for item i when
         its uncertain set is still larger than c1 * n^2 * (T/N) * log(nT).
     threshold_scale: multiplier on the threshold coefficient (see
@@ -116,14 +99,13 @@ class MsConfig:
     """
 
     stages: int
-    c0: float = 1.0
     c1: float = 8.0
     threshold_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.stages < 1:
             raise ValueError("stages must be >= 1")
-        if self.c0 <= 0 or self.c1 <= 0 or self.threshold_scale <= 0:
+        if self.c1 <= 0 or self.threshold_scale <= 0:
             raise ValueError("constants must be positive")
 
 
@@ -199,11 +181,9 @@ def _count_below(ordered: np.ndarray, centre: np.ndarray, limit: np.ndarray) -> 
 
 
 def ms_sort(
-    stage_samples: Iterable[ComparisonDataset],
+    stage_samples: StageSource | Iterable[ComparisonDataset],
     lambda_hat: float | None,
     config: MsConfig,
-    *,
-    counts: Sequence[int] | None = None,
 ) -> tuple[Permutation, list[MsState]]:
     """Multistage sorting over per-stage comparison samples.
 
@@ -216,49 +196,44 @@ def ms_sort(
     then, where the uncertain set is still large enough (the gate), marks j
     certainly below/above i when S_j - S_i exits +-tau_i with
 
-        tau_i = scale * (10 + 2*c0) * n * sqrt(|uncertain_i| * T/N * log(nT));
+        tau_i = scale * 12 * n * sqrt(|uncertain_i| * T/N * log(nT));
 
     rows failing the gate carry their partition over unchanged.  The final
     permutation sorts the last scores ascending (ties by item index).
     Returns the permutation and the per-stage states, starting with the
     all-uncertain stage 0.
 
-    N is needed before stage 1: a lazy iterator of stages comes with the ``counts``
-    N_t (else a list is made); stage t + 1 is pulled once stage t's records are dropped.
+    One pass reads StageSource.of(stage_samples), whose counts give N before
+    stage 1; stage t + 1 is pulled once stage t's records are dropped.
     """
-    if counts is None:
-        stage_samples = list(stage_samples)
-        counts = [s.total_comparisons() for s in stage_samples]
-        _sample_n(stage_samples)
-    t_count = config.stages
+    source = StageSource.of(stage_samples)
+    counts, t_count = source.counts, config.stages
     if len(counts) != t_count:
         raise ValueError(f"got {len(counts)} stage samples for {t_count} stages")
     if lambda_hat is None or not 0 < lambda_hat < 0.5:
         raise ValueError(f"need an estimated margin in (0, 1/2), got {lambda_hat}")
-    stages = iter(stage_samples)
-    sample = next(stages, None)
-    if sample is None:
-        raise ValueError(f"got no stage samples for {t_count} stages")
-    n = sample.n
+    n = source.n
     states = [initial_ms_state(n)]
     if n == 1:
         return Permutation.identity(1), states
 
-    if sample.tag.kind == WITH_REPLACEMENT and max(counts) - min(counts) > 1:
-        raise ValueError(f"stage budgets differ by more than one: {list(counts)}")
     if min(counts) < 1:
         raise ValueError(f"stage {counts.index(min(counts)) + 1} sample has no comparisons")
     big_n = sum(counts)
     log_nt = math.log(n * t_count)
     gate_floor = config.c1 * n * n * t_count / big_n * log_nt
-    tau_coeff = config.threshold_scale * (10.0 + 2.0 * config.c0) * n
+    tau_coeff = config.threshold_scale * 12.0 * n
 
     prev = states[0]
+    stages = iter(source)
     for t, n_t in enumerate(counts, start=1):
+        sample = next(stages, None)  # pulled with no record of stage t - 1 alive
         if sample is None:
-            raise ValueError(f"got {t - 1} stage samples for {t_count} stages")
+            raise ValueError(f"got {t - 1 or 'no'} stage samples for {t_count} stages")
         if sample.n != n:
             raise SizeMismatchError("samples disagree on n")
+        if sample.tag.kind == WITH_REPLACEMENT and max(counts) - min(counts) > 1:
+            raise ValueError(f"stage budgets differ by more than one: {list(counts)}")
         if sample.total_comparisons() != n_t:
             raise ValueError(f"stage {t} holds {sample.total_comparisons()} comparisons, not {n_t}")
         scale = math.comb(n, 2) / n_t
@@ -280,7 +255,6 @@ def ms_sort(
         raw = np.bincount(fi, weights=wins, minlength=n)
         raw += np.bincount(se, weights=losses, minlength=n)
         del fi, se, wins, losses
-        sample = next(stages, None)  # drawn with no record of this stage alive
         scores = (
             scale * raw
             + (0.5 + lambda_hat) * prev.below_counts
@@ -307,17 +281,18 @@ def ms_sort(
             gate_fired=fired,
         )
         states.append(prev)
-    if sample is not None:
+    if next(stages, None) is not None:
         raise ValueError(f"more than {t_count} stage samples")
     return _ranks_from_scores(scores), states
 
 
 def _best_candidate(
-    samples: Sequence[ComparisonDataset], maps: Iterable[tuple[int, ...]]
+    samples: Iterable[ComparisonDataset], maps: Iterable[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], int]:
     """The one-line map maximizing the objective summed over ``samples``, and
     the maximum; ties go to the lexicographically smallest map, whatever the
-    candidate order.  Candidates are scored as stacked rank vectors."""
+    candidate order.  Candidates are scored as stacked rank vectors, and
+    ``samples`` is read once per chunk of them."""
     best: tuple[int, ...] | None = None
     best_obj = -1
     maps = iter(maps)
@@ -337,20 +312,21 @@ def _best_candidate(
     return best, best_obj
 
 
-def brute_force_mle(samples: Sequence[ComparisonDataset],
+def brute_force_mle(samples: StageSource | Iterable[ComparisonDataset],
                     cap: int = ENUMERATION_CAP) -> Permutation:
     """Exhaustive maximizer of the objective summed over ``samples`` (no combined
     copy is built); ties go to the lexicographically smallest one-line map."""
-    return Permutation(_best_candidate(samples, enumerate_maps(_sample_n(samples), cap=cap))[0])
+    source = StageSource.of(samples)
+    return Permutation(_best_candidate(source, enumerate_maps(source.n, cap=cap))[0])
 
 
-def sieve_mle(samples: Sequence[ComparisonDataset], net: PackingSet) -> Permutation:
+def sieve_mle(samples: StageSource | Iterable[ComparisonDataset], net: PackingSet) -> Permutation:
     """Maximizer of the objective summed over ``samples``, restricted to a net
     of the permutation space; ties resolve to the lexicographically smallest
     maximizer regardless of member order."""
-    n = _sample_n(samples)
-    if net.n != n:
-        raise SizeMismatchError(f"net n={net.n} vs dataset n={n}")
+    samples = StageSource.of(samples)
+    if net.n != samples.n:
+        raise SizeMismatchError(f"net n={net.n} vs dataset n={samples.n}")
     if not net.members:
         raise ValueError("empty net")
     return Permutation(_best_candidate(samples, (pi.map for pi in net.members))[0])

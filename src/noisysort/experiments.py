@@ -16,7 +16,7 @@ import os
 import time
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from .estimators import (
     CALIBRATED_THRESHOLD_SCALE,
     MsConfig,
     MsState,
+    _ranks_from_scores,
     borda_sort,
     brute_force_mle,
     estimate_lambda,
@@ -39,9 +40,8 @@ from .model import (
     WITHOUT_REPLACEMENT,
     ComparisonDataset,
     ProbabilityMatrix,
+    StageSource,
     _draw_pairs,
-    _draw_stages,
-    _label_stages,
     derive_seed,
     stage_budgets,
     star_matrix,
@@ -96,7 +96,6 @@ class ExperimentSpec:
     master_seed: int = 0
     estimators: tuple[str, ...] = ("ms", "borda", "random")
     sampling: tuple[str, ...] = (WITH_REPLACEMENT,)
-    c0: float = 1.0
     c1: float = 8.0
     threshold_scale: float = CALIBRATED_THRESHOLD_SCALE
     workers: int | None = None
@@ -260,24 +259,23 @@ def _draw_pipeline_data(
     stages: int,
     seed: int,
     lambda_hat: float | None = None,
-) -> tuple[Iterable[ComparisonDataset], list[int], float | None]:
-    """(stage samples, their counts, margin) of one run, see run_ms_pipeline.  Each
-    stage is built when pulled.  With replacement it is drawn then, after the margin
-    halves, drawn one after the other; without, it is decoded from one compact draw."""
+) -> tuple[StageSource, float | None]:
+    """(stage source, margin) of one run, see run_ms_pipeline; margin halves, if
+    any, are drawn first, one after the other."""
     if sampling == WITH_REPLACEMENT:
         total, master = int(budget), derive_seed(seed, 0)
         halves = [] if lambda_hat is not None else [total - total // 2, total // 2]
-        counts = stage_budgets(total, stages)
-        parts = _draw_stages(pi_star, matrix, counts, master, len(halves))
+        source = StageSource.with_replacement(pi_star, matrix, stage_budgets(total, stages),
+                                              master, len(halves))
         if halves:
-            lambda_hat = estimate_lambda(_draw_stages(pi_star, matrix, halves, master))
-        return parts, counts, lambda_hat
+            lambda_hat = estimate_lambda(
+                StageSource.with_replacement(pi_star, matrix, halves, master))
+        return source, lambda_hat
     if sampling == WITHOUT_REPLACEMENT:
         draw_seed = derive_seed(seed, 0)
         cells, won = _draw_pairs(pi_star, matrix, budget, draw_seed)
-        parts, counts = _label_stages(pi_star.n, cells, won, budget, stages,
-                                      derive_seed(seed, 1), draw_seed)
-        return parts, counts, lambda_hat
+        return StageSource.without_replacement(pi_star.n, cells, won, budget, stages,
+                                               derive_seed(seed, 1), draw_seed), lambda_hat
     raise ValueError(f"unknown sampling model {sampling!r}")
 
 
@@ -303,10 +301,10 @@ def run_ms_pipeline(
     """
     if sampling == WITHOUT_REPLACEMENT and lambda_hat is None:
         raise ValueError("without-replacement runs need an explicit margin (lambda_hat)")
-    stage_samples, counts, lam_hat = _draw_pipeline_data(
+    source, lam_hat = _draw_pipeline_data(
         pi_star, matrix, sampling, budget, stages, seed, lambda_hat
     )
-    pi_hat, states = ms_sort(stage_samples, lam_hat, config, counts=counts)
+    pi_hat, states = ms_sort(source, lam_hat, config)
     return MsRun(permutation=pi_hat, states=states, lambda_hat=lam_hat)
 
 
@@ -325,6 +323,17 @@ def _sieve_net(n: int, phi: float, seed: int) -> PackingSet:
     return PackingSet(n, radius, tuple(compose(rho, pi) for pi in net.members))
 
 
+def _tallied(source: StageSource, totals: np.ndarray) -> StageSource:
+    """``source``, adding each stage's win totals into ``totals`` as it is pulled."""
+    def stages() -> Iterator[ComparisonDataset]:
+        for stage in source:
+            np.add(totals, stage.win_totals(), out=totals)
+            yield stage
+            del stage  # stage t is released before t + 1 is built
+
+    return replace(source, stages=stages)
+
+
 def _run_cell_replicate(
     spec: ExperimentSpec,
     n: int,
@@ -337,34 +346,35 @@ def _run_cell_replicate(
     rng_misc = np.random.default_rng(derive_seed(seed, 9))
     pi_star = _pi_star(spec, n, seed)
     matrix = star_matrix(n, spec.lam)
-    config = MsConfig(
-        stages=stages, c0=spec.c0, c1=spec.c1, threshold_scale=spec.threshold_scale
-    )
-    estimators = list(spec.estimators)
+    config = MsConfig(stages=stages, c1=spec.c1, threshold_scale=spec.threshold_scale)
+    # ms first: when borda runs too, its win totals are summed from the stages ms pulls
+    estimators = sorted(spec.estimators, key=lambda e: e != "ms")
     if "random" not in estimators:
         estimators.append("random")  # sanity-floor control always present
 
-    # one draw per replicate; kept as a list only when borda, mle or sieve read it too
-    stage_samples, counts, lam_hat = _draw_pipeline_data(
+    # one draw per replicate, listed only for mle and sieve, which run at tiny n
+    source, lam_hat = _draw_pipeline_data(
         pi_star, matrix, sampling, budget, stages, seed, spec.lambda_hat
     )
-    if {"borda", "mle", "sieve"} & set(estimators):
-        stage_samples = list(stage_samples)
+    if {"mle", "sieve"} & set(estimators):
+        source = StageSource.of(list(source))
+    wins = np.zeros(n, dtype=np.int64) if {"ms", "borda"} <= set(estimators) else None
     rows: list[ResultRow] = []
     states: list[MsState] | None = None
     for estimator in estimators:
         start = time.perf_counter()
         if estimator == "ms":
-            pi_hat, states = ms_sort(stage_samples, lam_hat, config, counts=counts)
+            pi_hat, states = ms_sort(source if wins is None else _tallied(source, wins),
+                                     lam_hat, config)
         elif estimator == "borda":
-            pi_hat = borda_sort(stage_samples)
+            pi_hat = borda_sort(source) if wins is None else _ranks_from_scores(wins)
         elif estimator == "random":
             pi_hat = random_permutation(n, rng_misc)
         elif estimator == "mle":
-            pi_hat = brute_force_mle(stage_samples)
+            pi_hat = brute_force_mle(source)
         elif estimator == "sieve":
             phi = theoretical_phi(sampling, n, budget, spec.lam)
-            pi_hat = sieve_mle(stage_samples, _sieve_net(n, phi, derive_seed(seed, 10)))
+            pi_hat = sieve_mle(source, _sieve_net(n, phi, derive_seed(seed, 10)))
         else:  # pragma: no cover - spec validation rejects unknown ids
             raise ValueError(f"unknown estimator {estimator!r}")
         elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -414,10 +424,8 @@ def run_lambda_accuracy(spec: ExperimentSpec) -> list[LambdaResult]:
     results: list[LambdaResult] = []
     for n, bkind, bval, sampling, seed in _replicates(spec):
         total = int(_cell_plan(spec, n, bkind, bval, sampling)[0])
-        lam_hat = estimate_lambda(_draw_stages(
-            _pi_star(spec, n, seed), star_matrix(n, spec.lam),
-            [total - total // 2, total // 2], derive_seed(seed, 0),
-        ))
+        lam_hat = _draw_pipeline_data(_pi_star(spec, n, seed), star_matrix(n, spec.lam),
+                                      sampling, total, 1, seed)[1]  # draws only the halves
         results.append(LambdaResult(
             n=n, budget=total, lam=spec.lam, seed=seed,
             lambda_hat=lam_hat, abs_error=abs(lam_hat - spec.lam),

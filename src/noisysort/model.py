@@ -25,7 +25,7 @@ from __future__ import annotations
 import io
 import math
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -317,50 +317,68 @@ def stage_budgets(total: int, parts: int) -> list[int]:
     return [base + (1 if t < rem else 0) for t in range(parts)]
 
 
-def _draw_stages(pi_star: Permutation, matrix: ProbabilityMatrix, budgets: list[int],
-                 master_seed: int, first_key: int = 0) -> Iterator[ComparisonDataset]:
-    """split_with_replacement's datasets keyed from ``first_key``, each drawn when pulled."""
-    if not budgets or any(b < 1 for b in budgets):
-        raise ValueError(f"budgets must be positive, got {budgets}")
-    return (sample_with_replacement(pi_star, matrix, b, derive_seed(master_seed, first_key + k))
-            for k, b in enumerate(budgets))
+@dataclass(frozen=True, eq=False)
+class StageSource:
+    """A run's stage samples: ``n`` and the per-stage comparison ``counts`` up front, and
+    per pass a fresh ``stages()`` iterator that builds each stage when it is pulled."""
+
+    n: int
+    counts: tuple[int, ...]
+    stages: Callable[[], Iterator[ComparisonDataset]] = field(repr=False)
+
+    def __iter__(self) -> Iterator[ComparisonDataset]:
+        return self.stages()
+
+    @classmethod
+    def of(cls, samples: StageSource | Iterable[ComparisonDataset]) -> StageSource:
+        """``samples`` if it is a source, else a source over the listed samples."""
+        if isinstance(samples, StageSource):
+            return samples
+        samples = list(samples)
+        if not samples:
+            raise ValueError("got no stage samples")
+        if any(s.n != samples[0].n for s in samples):
+            raise SizeMismatchError("samples disagree on n")
+        counts = tuple(s.total_comparisons() for s in samples)
+        return cls(samples[0].n, counts, lambda: iter(samples))
+
+    @classmethod
+    def with_replacement(cls, pi_star: Permutation, matrix: ProbabilityMatrix,
+                         budgets: list[int], master_seed: int, first_key: int = 0) -> StageSource:
+        """With-replacement samples, one per budget entry; sample k is drawn from
+        derive_seed(master_seed, first_key + k), so every pass replays the first."""
+        if not budgets or any(b < 1 for b in budgets):
+            raise ValueError(f"budgets must be positive, got {budgets}")
+        return cls(pi_star.n, tuple(budgets), lambda: (  # the sampler is read from this module
+            sample_with_replacement(pi_star, matrix, b, derive_seed(master_seed, first_key + k))
+            for k, b in enumerate(budgets)))
+
+    @classmethod
+    def without_replacement(cls, n: int, cells: np.ndarray, won: np.ndarray, p: float,
+                            parts: int, seed: int, whole_seed: int) -> StageSource:
+        """The stages of a compact without-replacement draw: each pair gets one of ``parts``
+        uniform labels, drawn once from ``seed``; stage t is the pairs labelled t, keyed
+        derive_seed(seed, t).  One part is the whole draw, keyed ``whole_seed``."""
+        if parts < 1:
+            raise ValueError("parts must be positive")
+        if parts == 1:
+            return cls(n, (len(cells),),
+                       lambda: (_decode(n, cells, won, p, whole_seed) for _ in range(1)))
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, parts, size=len(cells), dtype=np.min_scalar_type(parts - 1))
+
+        def stage(t: int) -> ComparisonDataset:
+            keep = labels == t
+            return _decode(n, cells[keep], won[keep], p, derive_seed(seed, t))
+
+        return cls(n, tuple(np.bincount(labels, minlength=parts).tolist()),
+                   lambda: map(stage, range(parts)))
 
 
-def split_with_replacement(
-    pi_star: Permutation,
-    matrix: ProbabilityMatrix,
-    budgets: list[int],
-    master_seed: int,
-) -> list[ComparisonDataset]:
-    """Independent with-replacement datasets, one per budget entry.
-
-    All share pi_star and the matrix; dataset k uses the child seed derived
-    from (master_seed, k), so the streams are independent and auditable.
-    """
-    return list(_draw_stages(pi_star, matrix, budgets, master_seed))
-
-
-def _label_stages(n: int, cells: np.ndarray, won: np.ndarray, p: float, parts: int,
-                  seed: int, whole_seed: int) -> tuple[Iterator[ComparisonDataset], list[int]]:
-    """(stages, their pair counts) of a compact without-replacement draw.
-
-    Each pair gets one of ``parts`` uniform stage labels, all drawn at once
-    from ``seed``; stage t is the pairs labelled t, decoded only when pulled
-    and keyed derive_seed(seed, t).  One part is the whole draw, keyed
-    ``whole_seed``, and draws no label.
-    """
-    if parts < 1:
-        raise ValueError("parts must be positive")
-    if parts == 1:  # decoded when pulled, as every stage is
-        return (_decode(n, cells, won, p, whole_seed) for _ in range(1)), [len(cells)]
-    rng = np.random.default_rng(seed)
-    labels = rng.integers(0, parts, size=len(cells), dtype=np.min_scalar_type(parts - 1))
-
-    def stage(t: int) -> ComparisonDataset:
-        keep = labels == t
-        return _decode(n, cells[keep], won[keep], p, derive_seed(seed, t))
-
-    return (stage(t) for t in range(parts)), np.bincount(labels, minlength=parts).tolist()
+def split_with_replacement(pi_star: Permutation, matrix: ProbabilityMatrix, budgets: list[int],
+                           master_seed: int) -> list[ComparisonDataset]:
+    """The samples of StageSource.with_replacement, keyed from 0, as a list."""
+    return list(StageSource.with_replacement(pi_star, matrix, budgets, master_seed))
 
 
 def relabel_items(dataset: ComparisonDataset, rho: Permutation) -> ComparisonDataset:
@@ -480,7 +498,7 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
     # seeds such as derive_seed's reach 2**64: only the records' digit syntax applies
     seed = int(head[3]) if _DECIMAL.fullmatch(head[3]) else None
     budget = _int64(head[2]) if kind == WITH_REPLACEMENT else float(head[2])
-    if n is None or seed is None or budget is None:
+    if n is None or seed is None or budget is None or kind == WITH_REPLACEMENT and budget < 0:
         raise ValueError(f"bad header in {path!s}: {header!r}")
     if n < 1:
         raise ValueError(f"bad header in {path!s}: n must be >= 1, got {n}")
@@ -519,6 +537,9 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
         n=n, first=first[keep], second=second[keep], num=num[keep], first_wins=wins[keep],
         tag=SamplingTag(kind, budget), seed=seed,
     )
+    # counts are >= 1, so an int64 running sum that wraps turns negative where it does
+    if kind == WITH_REPLACEMENT and np.cumsum(dataset.num).min(initial=0) < 0:
+        raise ValueError(f"the comparison counts of {path!s} sum past int64")
     if kind == WITH_REPLACEMENT and budget != dataset.total_comparisons():
         raise ValueError(f"header budget {budget} but {dataset.total_comparisons()} comparisons")
     if kind == WITHOUT_REPLACEMENT and not 0 < budget <= 1:

@@ -21,7 +21,7 @@ from noisysort.model import (
     WITHOUT_REPLACEMENT,
     ComparisonDataset,
     SamplingTag,
-    _label_stages,
+    StageSource,
     derive_seed,
 )
 from noisysort.perms import kendall_tau
@@ -128,8 +128,9 @@ def line_read_dataset(path):
         n=n, first=first, second=second, num=num, first_wins=wins,
         tag=SamplingTag(kind, budget), seed=seed,
     )
-    if kind == WITH_REPLACEMENT and budget != dataset.total_comparisons():
-        raise ValueError(f"header budget {budget} but {dataset.total_comparisons()} comparisons")
+    total = sum(row[2] for row in rows)  # exact, in Python ints
+    if kind == WITH_REPLACEMENT and budget != total:
+        raise ValueError(f"header budget {budget} but {total} comparisons")
     if kind == WITHOUT_REPLACEMENT and (not 0 < budget <= 1 or np.any(num != 1)):
         raise ValueError("without-replacement data needs p in (0, 1] and one comparison per pair")
     return dataset
@@ -249,15 +250,15 @@ def pair_cells(n, first, second):
 def split_without_replacement(dataset, parts, seed):
     """The former library split, now the list of the stages the pipeline
     streams: each observed pair gets one of ``parts`` uniform stage labels
-    (model._label_stages) and each stage keeps the (first, second) order.
+    (model.StageSource.without_replacement) and each stage keeps the (first, second) order.
     One part returns ``dataset`` itself."""
     if dataset.tag.kind != WITHOUT_REPLACEMENT:
         raise ValueError("expected a without-replacement dataset")
     if parts == 1:
         return [dataset]
     cells = pair_cells(dataset.n, dataset.first, dataset.second)
-    return list(_label_stages(dataset.n, cells, dataset.first_wins.astype(bool),
-                              dataset.tag.budget, parts, seed, dataset.seed)[0])
+    return list(StageSource.without_replacement(dataset.n, cells, dataset.first_wins.astype(bool),
+                                                dataset.tag.budget, parts, seed, dataset.seed))
 
 
 def multinomial_split_without_replacement(dataset, parts, seed):
@@ -456,7 +457,7 @@ def dense_ms_states(stage_samples, lam_hat, config):
     t_count = config.stages
     log_nt = math.log(n * t_count)
     gate_floor = config.c1 * n * n * t_count / big_n * log_nt
-    tau_coeff = config.threshold_scale * (10.0 + 2.0 * config.c0) * n
+    tau_coeff = config.threshold_scale * 12.0 * n
     uncertain = np.ones((n, n), dtype=bool)
     below = np.zeros((n, n), dtype=bool)
     above = np.zeros((n, n), dtype=bool)

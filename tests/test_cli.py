@@ -230,6 +230,18 @@ class TestExitCodes:
         assert main(["count-inversions", "--n", "5"]) == 1  # missing --k
         assert main(["no-such-command"]) == 1
 
+    def test_c0_is_no_longer_settable(self, tmp_path, capsys):
+        # the threshold coefficient is threshold_scale * 12: c0 only duplicated the scale
+        out = str(tmp_path / "out")
+        assert main(["run-ms", "--generate", "--n", "30", "--budget", "900", "--T", "2",
+                     "--out", out, "--c0", "2"]) == 1
+        assert main(["experiment", "scaling-n", "--c0", "2", "--out", out]) == 1
+        assert capsys.readouterr().err.count("unrecognized arguments: --c0 2") == 2
+        config = tmp_path / "c0.cfg"
+        config.write_text("c0 = 1.0\n")
+        assert main(["experiment", "scaling-n", "--config", str(config), "--out", out]) == 1
+        assert "unknown config key 'c0'" in capsys.readouterr().err
+
     def test_bad_value_is_one(self, capsys):
         assert main(["count-inversions", "--n", "4", "--k", "99"]) == 1
 

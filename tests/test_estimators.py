@@ -28,6 +28,7 @@ from noisysort.model import (
     WITHOUT_REPLACEMENT,
     ComparisonDataset,
     SamplingTag,
+    StageSource,
     random_member_matrix,
     relabel_items,
     sample_with_replacement,
@@ -139,8 +140,9 @@ class TestEstimateLambda:
         halves = split_with_replacement(
             Permutation.identity(60), star_matrix(60, 0.25), [3000, 3000], 8)
         expected = estimate_lambda(halves)
-        # the second half is read after the stream is found to hold no third
-        assert estimate_lambda(_checked_stream(halves, last_dies=False)) == expected
+        # the second half is still held when the stream is asked for a third
+        stream = StageSource(60, (3000, 3000), lambda: _checked_stream(halves, last_dies=False))
+        assert estimate_lambda(stream) == expected
 
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_exactly_two_halves(self, count):
@@ -292,8 +294,9 @@ class TestMsSort:
         samples = ms_inputs(120, 0.4, 20_000, 3, master_seed=4)
         cfg = MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
         pi_list, states_list = ms_sort(samples, 0.4, cfg)
-        counts = [s.total_comparisons() for s in samples]
-        pi_stream, states_stream = ms_sort(_checked_stream(samples), 0.4, cfg, counts=counts)
+        counts = tuple(s.total_comparisons() for s in samples)
+        source = StageSource(120, counts, lambda: _checked_stream(samples))
+        pi_stream, states_stream = ms_sort(source, 0.4, cfg)
         assert pi_stream == pi_list
         assert states_list[1].gate_fired.any()
         for a, b in zip(states_list, states_stream, strict=True):
@@ -310,9 +313,9 @@ class TestMsSort:
     ])
     def test_stream_errors(self, pulled, match):
         samples = ms_inputs(30, 0.3, 3_001, 3, master_seed=6)
-        counts = [s.total_comparisons() for s in samples]
+        counts = tuple(s.total_comparisons() for s in samples)
         with pytest.raises(ValueError, match=match):
-            ms_sort(iter(pulled(samples)), 0.3, MsConfig(stages=3), counts=counts)
+            ms_sort(StageSource(30, counts, lambda: iter(pulled(samples))), 0.3, MsConfig(stages=3))
 
 
 class TestUncertaintyRegion:

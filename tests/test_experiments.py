@@ -25,6 +25,7 @@ from noisysort.estimators import (
     CALIBRATED_THRESHOLD_SCALE,
     MsConfig,
     MsState,
+    borda_sort,
     estimate_lambda,
     initial_ms_state,
     ms_sort,
@@ -37,7 +38,14 @@ from noisysort.model import (
     stage_budgets,
     star_matrix,
 )
-from noisysort.perms import Permutation, enumerate_permutations, kendall_tau, random_permutation
+from noisysort.perms import (
+    Permutation,
+    enumerate_permutations,
+    kendall_tau,
+    l1_distance,
+    linf_distance,
+    random_permutation,
+)
 
 from oracles import write_pbm
 
@@ -313,6 +321,34 @@ class TestStreamedStages:
         assert {r[6] for r in listed} == {"ms", "borda", "random"}
 
 
+class TestOneStageSource:
+    """A replicate's rows from one pass over its stage source, against ms_sort
+    and borda_sort on the listed stages."""
+
+    @pytest.mark.parametrize("sampling, lambda_hat", [
+        (WITH_REPLACEMENT, 0.3), (WITH_REPLACEMENT, None), (WITHOUT_REPLACEMENT, 0.3)])
+    def test_replicate_rows_match_the_listed_stages(self, sampling, lambda_hat):
+        n, seed = 80, 11
+        spec = small_spec(n_values=(n,), alphas=(0.6,), stages=3, lambda_hat=lambda_hat, c1=0.5,
+                          estimators=("borda", "ms", "random"), sampling=(sampling,),
+                          pi_star="random")
+        rows, states = experiments._run_cell_replicate(spec, n, "alpha", 0.6, sampling, seed)
+        budget, stages = experiments._cell_plan(spec, n, "alpha", 0.6, sampling)
+        pi_star = experiments._pi_star(spec, n, seed)
+        source, lam_hat = experiments._draw_pipeline_data(
+            pi_star, star_matrix(n, 0.3), sampling, budget, stages, seed, lambda_hat)
+        listed = list(source)
+        config = MsConfig(stages=3, c1=0.5, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        pi_ms, listed_states = ms_sort(listed, lam_hat, config)
+        expected = {"ms": pi_ms, "borda": borda_sort(listed),
+                    "random": random_permutation(n, np.random.default_rng(derive_seed(seed, 9)))}
+        assert states[-1].gate_fired.any()
+        assert [st.region_size() for st in states] == [st.region_size() for st in listed_states]
+        assert {r.estimator: (r.d_kt, r.l1, r.linf) for r in rows} == {
+            e: (kendall_tau(pi, pi_star), l1_distance(pi, pi_star), linf_distance(pi, pi_star))
+            for e, pi in expected.items()}
+
+
 class TestOneDrawPerReplicate:
     def _count_calls(self, monkeypatch, module, name):
         calls = []
@@ -326,15 +362,21 @@ class TestOneDrawPerReplicate:
         return calls
 
     def test_borda_pools_the_stage_samples(self, monkeypatch):
-        # split_with_replacement looks the sampler up in its own module
+        # the stage sources look the sampler and the decoder up in their own module
         with_calls = self._count_calls(monkeypatch, model, "sample_with_replacement")
+        decode_calls = self._count_calls(monkeypatch, model, "_decode")
         without_calls = self._count_calls(monkeypatch, experiments, "_draw_pairs")
         spec = small_spec(replicates=3, stages=2, estimators=("ms", "borda"),
                           sampling=(WITH_REPLACEMENT, WITHOUT_REPLACEMENT))
         rows = run_experiment(spec)
         assert len(rows) == 2 * 3 * 3
         assert len(with_calls) == 3 * 2  # T per replicate
+        assert len(decode_calls) == 3 * 2  # T per replicate
         assert len(without_calls) == 3  # one compact draw per replicate
+        with_calls.clear()
+        run_experiment(small_spec(replicates=3, stages=2, estimators=("ms", "borda"),
+                                  lambda_hat=None))
+        assert len(with_calls) == 3 * (2 + 2)  # the margin halves, then T
 
     @pytest.mark.parametrize("sampling", [WITH_REPLACEMENT, WITHOUT_REPLACEMENT])
     def test_default_path_allocates_no_dense_matrix(self, sampling):
@@ -356,7 +398,7 @@ class TestOneDrawPerReplicate:
 class TestWithoutStream:
     """Without replacement, one compact draw feeds stages built when pulled."""
 
-    @pytest.mark.parametrize("run", ["pipeline", "ms-only replicate"])
+    @pytest.mark.parametrize("run", ["pipeline", "ms-only replicate", "ms and borda replicate"])
     def test_each_stage_is_freed_before_the_next_is_built(self, monkeypatch, run):
         alive = []
         original = model._decode
@@ -372,9 +414,10 @@ class TestWithoutStream:
         if run == "pipeline":
             run_ms_pipeline(Permutation.identity(60), star_matrix(60, 0.3), WITHOUT_REPLACEMENT,
                             0.8, 3, MsConfig(stages=3), 4, lambda_hat=0.3)
-        else:
+        else:  # with borda, its win totals are summed in ms's pass
+            estimators = ("ms",) if run == "ms-only replicate" else ("borda", "ms")
             run_experiment(small_spec(n_values=(60,), alphas=(0.8,), stages=3, replicates=1,
-                                      estimators=("ms",), sampling=(WITHOUT_REPLACEMENT,)))
+                                      estimators=estimators, sampling=(WITHOUT_REPLACEMENT,)))
         assert len(alive) == 3 * 5
 
     def test_pipeline_peak_stays_under_six_pair_arrays(self):

@@ -18,6 +18,7 @@ from noisysort.model import (
     ComparisonDataset,
     ProbabilityMatrix,
     SamplingTag,
+    StageSource,
     derive_seed,
     membership_violation,
     random_member_matrix,
@@ -316,8 +317,8 @@ class TestSplits:
         monkeypatch.setattr(model, "sample_with_replacement",
                             lambda *args: calls.append(args) or original(*args))
         with pytest.raises(ValueError, match="budgets must be positive"):
-            model._draw_stages(pi, law, [300, 0], 7)
-        stages = model._draw_stages(pi, law, [300, 200], 7, first_key=1)
+            StageSource.with_replacement(pi, law, [300, 0], 7)
+        stages = iter(StageSource.with_replacement(pi, law, [300, 200], 7, first_key=1))
         assert calls == []
         first = next(stages)
         assert len(calls) == 1 and first.same_data(eager[1])
@@ -325,6 +326,20 @@ class TestSplits:
         del first
         assert alive() is None
         assert next(stages).same_data(eager[2]) and next(stages, None) is None
+
+    def test_a_second_pass_replays_the_first(self):
+        pi, law = random_permutation(40, np.random.default_rng(1)), star_matrix(40, 0.2)
+        cells, won = model._draw_pairs(pi, law, 0.6, 3)
+        for source in (StageSource.with_replacement(pi, law, [300, 200], 7, first_key=2),
+                       StageSource.without_replacement(40, cells, won, 0.6, 3, 5, 6),
+                       StageSource.without_replacement(40, cells, won, 0.6, 1, 5, 6),
+                       StageSource.of(split_with_replacement(pi, law, [100, 101], 1))):
+            once, again = list(source), list(source)
+            assert tuple(s.total_comparisons() for s in once) == source.counts
+            assert all(s.n == source.n == 40 for s in once)
+            assert all(a.same_data(b) and a.seed == b.seed
+                       for a, b in zip(once, again, strict=True))
+            assert StageSource.of(source) is source
 
     def test_distinct_derived_seeds(self):
         ds = split_with_replacement(Permutation.identity(12), star_matrix(12, 0.2), [300, 300], 7)
@@ -398,15 +413,15 @@ def test_stream_matches_the_sorted_split(n, seed, p, parts, law, chunk, pi_kind)
             patch.setattr(model, "_WIN_CHUNK", chunk)
         sample = sample_without_replacement(pi, matrix, p, seed)
         split = split_without_replacement(sample, parts, seed + 1)
-        stages, counts, _ = _draw_pipeline_data(pi, matrix, WITHOUT_REPLACEMENT, p, parts, seed)
-        stages = list(stages)
+        source, _ = _draw_pipeline_data(pi, matrix, WITHOUT_REPLACEMENT, p, parts, seed)
+        stages = list(source)
     assert _identical(sample, whole_sample_without_replacement(pi, matrix, p, seed))
     expected = sorted_split_without_replacement(sample, parts, seed + 1)
     assert len(split) == parts and all(map(_identical, split, expected))
     draw = whole_sample_without_replacement(pi, matrix, p, derive_seed(seed, 0))
     expected = sorted_split_without_replacement(draw, parts, derive_seed(seed, 1))
     assert len(stages) == parts and all(map(_identical, stages, expected))
-    assert counts == [s.num_pairs for s in expected]
+    assert source.counts == tuple(s.num_pairs for s in expected)
 
 
 class TestWithoutStream:
@@ -416,9 +431,9 @@ class TestWithoutStream:
         # a tiny p must not overflow the running sums of its gaps
         pi, law = Permutation.identity(n), star_matrix(n, 0.2)
         assert sample_without_replacement(pi, law, p, 4).num_pairs == 0
-        stages, counts, _ = _draw_pipeline_data(pi, law, WITHOUT_REPLACEMENT, p, parts, 4)
-        stages = list(stages)
-        assert counts == [0] * parts
+        source, _ = _draw_pipeline_data(pi, law, WITHOUT_REPLACEMENT, p, parts, 4)
+        stages = list(source)
+        assert source.counts == (0,) * parts
         assert [s.seed for s in stages] == (
             [derive_seed(4, 0)] if parts == 1 else [derive_seed(derive_seed(4, 1), t)
                                                     for t in range(parts)])
@@ -429,10 +444,10 @@ class TestWithoutStream:
         original = model._decode
         monkeypatch.setattr(model, "_decode", lambda *a: built.append(a[4]) or original(*a))
         law = star_matrix(20, 0.2)
-        stages, counts, _ = _draw_pipeline_data(Permutation.identity(20), law,
-                                                WITHOUT_REPLACEMENT, 0.7, 3, 6)
-        assert built == [] and len(counts) == 3
-        next(stages)
+        source, _ = _draw_pipeline_data(Permutation.identity(20), law,
+                                        WITHOUT_REPLACEMENT, 0.7, 3, 6)
+        assert built == [] and len(source.counts) == 3
+        next(iter(source))
         assert built == [derive_seed(derive_seed(6, 1), 0)]
 
     def test_pair_cells_invert_pair_items(self):
@@ -561,6 +576,22 @@ class TestMergeAndIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             read_dataset(path)
+
+    @pytest.mark.parametrize("lines, match", [
+        # the counts sum to 2**63, which wraps to the header's budget, -2**63
+        (["3 with_replacement -9223372036854775808 0", "1 2 4611686018427387904 0",
+          "1 3 4611686018427387904 0"], "bad header"),
+        # 2 * (2**63 - 1) + 2 = 2**64 wraps to the header's budget, 0
+        (["3 with_replacement 0 0", "1 2 9223372036854775807 0",
+          "1 3 9223372036854775807 0", "2 3 2 0"], "sum past int64"),
+    ])
+    def test_read_rejects_counts_summing_past_int64(self, tmp_path, lines, match):
+        path = tmp_path / "data.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=match):
+            read_dataset(path)
+        with pytest.raises(ValueError):
+            line_read_dataset(path)
 
     @pytest.mark.parametrize("lines", BAD_N_FILES)
     def test_read_rejects_header_n_below_one(self, tmp_path, lines):
