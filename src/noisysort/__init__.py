@@ -36,12 +36,12 @@ from .experiments import (
     ExperimentSpec,
     LambdaResult,
     ResultRow,
+    draw_stages,
     emit_regions,
     loglog_slope,
     rows_to_csv,
     run_experiment,
     run_lambda_accuracy,
-    run_ms_pipeline,
     summarize,
 )
 from .model import (

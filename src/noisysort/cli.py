@@ -15,12 +15,12 @@ from .errors import ResourceCapError
 from .estimators import CALIBRATED_THRESHOLD_SCALE, MsConfig, ms_sort
 from .experiments import (
     ExperimentSpec,
+    draw_stages,
     emit_regions,
     lambda_results_to_csv,
     rows_to_csv,
     run_experiment,
     run_lambda_accuracy,
-    run_ms_pipeline,
     summarize,
     summary_to_csv,
 )
@@ -80,20 +80,18 @@ def _cmd_simulate(args) -> int:
 def _cmd_run_ms(args) -> int:
     config = MsConfig(stages=args.stages, c1=args.c1, threshold_scale=args.threshold_scale)
     if args.infiles:
-        samples = [read_dataset(f) for f in args.infiles]
-        if args.lambda_hat is None:
+        samples, lam_hat = [read_dataset(f) for f in args.infiles], args.lambda_hat
+        if lam_hat is None:
             raise ValueError("--lambda-hat is required when stages come from files")
-        pi_hat, states = ms_sort(samples, args.lambda_hat, config)
     else:
         if args.n is None or args.budget is None:
             raise ValueError("either --in files or --generate parameters are required")
-        matrix = star_matrix(args.n, args.lam)
-        pi_star = _load_pi_star(args.pi_star, args.n)
         kind = _SAMPLING_TOKENS[args.model]
         budget = int(args.budget) if kind == WITH_REPLACEMENT else float(args.budget)
-        run = run_ms_pipeline(pi_star, matrix, kind, budget, args.stages, config, args.seed,
-                              lambda_hat=args.lambda_hat)
-        pi_hat, states = run.permutation, run.states
+        samples, lam_hat = draw_stages(_load_pi_star(args.pi_star, args.n),
+                                       star_matrix(args.n, args.lam), kind, budget,
+                                       args.stages, args.seed, args.lambda_hat)
+    pi_hat, states = ms_sort(samples, lam_hat, config)
     Path(args.out).write_text(pi_hat.to_line() + "\n")
     if args.regions_dir:
         emit_regions(states, args.regions_dir)
@@ -186,9 +184,8 @@ _LIST_KEYS = {"n_values": int, "alphas": float, "budgets": int,
               "estimators": str, "sampling": str}
 _SCALAR_KEYS = {"kind": str, "lam": float, "lambda_hat": float, "stages": int,
                 "replicates": int, "master_seed": int, "c1": float,
-                "threshold_scale": float, "workers": int, "max_n": int,
-                "max_budget": int, "pi_star": str, "regions_dir": str,
-                "out": str, "summary_out": str, "timings_out": str}
+                "threshold_scale": float, "workers": int, "pi_star": str,
+                "regions_dir": str, "out": str, "summary_out": str, "timings_out": str}
 
 
 def _margin(text: str) -> float | None:
@@ -340,8 +337,6 @@ def build_parser() -> _Parser:
     p_ex.add_argument("--c1", type=float)
     p_ex.add_argument("--threshold-scale", dest="threshold_scale", type=float)
     p_ex.add_argument("--workers", type=int)
-    p_ex.add_argument("--max-n", dest="max_n", type=int)
-    p_ex.add_argument("--max-budget", dest="max_budget", type=int)
     p_ex.add_argument("--pi-star", dest="pi_star", choices=("identity", "random"))
     p_ex.add_argument("--paper-scale", action="store_true",
                       help="use the full-size n grid instead of the desk-scale default")

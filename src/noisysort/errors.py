@@ -6,8 +6,9 @@ class SizeMismatchError(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """A requested computation exceeds a configured resource cap.
+    """A requested computation exceeds a resource cap: a configured limit, or
+    the physical memory an experiment cell is estimated to need.
 
     The message always names the cap so callers (and the CLI, which maps
-    this to exit code 2) can report what to raise.
+    this to exit code 2) can report what to raise or shrink.
     """

@@ -105,8 +105,9 @@ class MsConfig:
     def __post_init__(self) -> None:
         if self.stages < 1:
             raise ValueError("stages must be >= 1")
-        if self.c1 <= 0 or self.threshold_scale <= 0:
-            raise ValueError("constants must be positive")
+        if not (0 < self.c1 < math.inf and 0 < self.threshold_scale < math.inf):  # NaN fails
+            raise ValueError(f"c1 and threshold_scale must be finite and positive, "
+                             f"got {self.c1} and {self.threshold_scale}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -62,6 +62,13 @@ ESTIMATOR_IDS = ("ms", "borda", "random", "mle", "sieve")
 RESULT_COLUMNS = ("kind", "n", "sampling", "budget", "lam", "seed", "estimator",
                   "d_kt", "l1", "linf")
 WORKERS_ENV_VAR = "NOISYSORT_WORKERS"
+# Peak bytes of one ms + borda + random replicate per record of its largest draw, and per
+# item, both the largest measured with tracemalloc (rounded up) over n = 300-20000,
+# alpha = 0.01-1, T = 1-3, fixed and estimated margins.  The record bytes peak when
+# every compared pair is distinct and the gate fires (79.2 at n=20000, alpha=0.1, T=3)
+# and, without replacement, at T=1 (80.7); the item bytes at N of a few hundred (358).
+_RECORD_BYTES = {WITH_REPLACEMENT: 80, WITHOUT_REPLACEMENT: 81}
+_ITEM_BYTES = 360
 
 
 def default_stage_count(n: int) -> int:
@@ -99,8 +106,6 @@ class ExperimentSpec:
     c1: float = 8.0
     threshold_scale: float = CALIBRATED_THRESHOLD_SCALE
     workers: int | None = None
-    max_n: int = 10_000
-    max_budget: int = 200_000_000
     pi_star: str = "identity"
     regions_dir: str | None = None
 
@@ -127,6 +132,8 @@ class ExperimentSpec:
             raise ValueError("pi_star must be 'identity' or 'random'")
         if self.workers is not None and (type(self.workers) is not int or self.workers < 1):
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
+        # a bad c1 or threshold_scale fails here, not at the first replicate
+        MsConfig(stages=1, c1=self.c1, threshold_scale=self.threshold_scale)
         cells = list(itertools.product(self.n_values, self.budget_params(), self.sampling))
         if self.kind == "region_snapshot" and (
             len(cells) != 1 or "ms" not in self.estimators or self.pi_star != "identity"
@@ -213,19 +220,16 @@ def _pi_star(spec: ExperimentSpec, n: int, seed: int) -> Permutation:
 def _cell_plan(spec: ExperimentSpec, n: int, kind: str, value: float,
                sampling: str) -> tuple[float, int]:
     """A cell's (budget: N comparisons as a whole float, or p without replacement;
-    stages).  ValueError, naming the cell, if it cannot run; ResourceCapError over a cap."""
+    stages).  ValueError, naming the cell, if it cannot run; ResourceCapError if the
+    replicates of all workers at once would not fit in physical memory."""
     cell = f"cell n={n}, {kind}={value:g}, {sampling}"
     estimated = spec.kind == "lambda_accuracy" or spec.lambda_hat is None
     least_n = 4 if estimated and sampling == WITH_REPLACEMENT else 2
     if n < least_n:
         raise ValueError(f"{cell}: n must be >= {least_n}")
-    if n > spec.max_n:
-        raise ResourceCapError(f"n={n} exceeds the configured cap max_n={spec.max_n}")
     pairs = math.comb(n, 2)
-    drawn = (value * pairs if kind == "alpha" else value) * (2 if spec.lambda_hat is None else 1)
-    if drawn > spec.max_budget:  # a margin to estimate doubles the sample
-        raise ResourceCapError(f"budget {int(drawn)} at n={n} exceeds the configured cap "
-                               f"max_budget={spec.max_budget}")
+    if not math.isfinite(value * pairs if kind == "alpha" else value):
+        raise ValueError(f"{cell}: the budget is not a finite number")
     stages = spec.stages if spec.stages is not None else default_stage_count(n)
     if sampling == WITHOUT_REPLACEMENT:
         p = value if kind == "alpha" else value / pairs
@@ -234,24 +238,26 @@ def _cell_plan(spec: ExperimentSpec, n: int, kind: str, value: float,
         if "ms" in spec.estimators and p * pairs < stages:
             raise ValueError(f"{cell}: {p * pairs:g} pairs expected, "
                              f"fewer than the {stages} stages of ms")
-        return p, stages
-    total = float(round(value * pairs) if kind == "alpha" else int(value))
-    least = 2 if spec.kind == "lambda_accuracy" else max(stages, 1 + estimated)
-    if total < least:
-        raise ValueError(f"{cell}: {total:g} comparisons, fewer than the {least} it needs")
-    return total, stages
+        budget, records = p, p * pairs  # the whole draw lives while its stages are decoded
+    else:
+        total = float(round(value * pairs) if kind == "alpha" else int(value))
+        least = 2 if spec.kind == "lambda_accuracy" else max(stages, 1 + estimated)
+        if total < least:
+            raise ValueError(f"{cell}: {total:g} comparisons, fewer than the {least} it needs")
+        # one draw lives at a time: the largest is a stage or a margin half
+        budget = total
+        records = max(math.ceil(total / stages), math.ceil(total / 2) if estimated else 0)
+    workers = spec.effective_workers()
+    need = workers * (records * _RECORD_BYTES[sampling] + n * _ITEM_BYTES)
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise ResourceCapError(
+            f"{cell}: {workers} replicate(s) at once need about {need / 2**30:.3g} GiB, "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory")
+    return budget, stages
 
 
-@dataclass(frozen=True)
-class MsRun:
-    """Output of one full multistage pipeline run."""
-
-    permutation: Permutation
-    states: list[MsState]
-    lambda_hat: float
-
-
-def _draw_pipeline_data(
+def draw_stages(
     pi_star: Permutation,
     matrix: ProbabilityMatrix,
     sampling: str,
@@ -259,9 +265,18 @@ def _draw_pipeline_data(
     stages: int,
     seed: int,
     lambda_hat: float | None = None,
-) -> tuple[StageSource, float | None]:
-    """(stage source, margin) of one run, see run_ms_pipeline; margin halves, if
-    any, are drawn first, one after the other."""
+) -> tuple[StageSource, float]:
+    """The stage samples of one multistage run, and the margin to sort them with.
+
+    With replacement, ``budget`` is the number N of comparisons, split evenly
+    across the stages; with no margin given, an extra N comparisons are drawn
+    first, in two halves one after the other, and the margin is estimated from
+    them.  Without replacement, ``budget`` is the per-pair probability p of one
+    draw whose pairs each get one uniform stage label, and a margin must be
+    given, since the estimator's contract covers with-replacement samples only.
+    """
+    if sampling == WITHOUT_REPLACEMENT and lambda_hat is None:
+        raise ValueError("without-replacement runs need an explicit margin (lambda_hat)")
     if sampling == WITH_REPLACEMENT:
         total, master = int(budget), derive_seed(seed, 0)
         halves = [] if lambda_hat is not None else [total - total // 2, total // 2]
@@ -277,35 +292,6 @@ def _draw_pipeline_data(
         return StageSource.without_replacement(pi_star.n, cells, won, budget, stages,
                                                derive_seed(seed, 1), draw_seed), lambda_hat
     raise ValueError(f"unknown sampling model {sampling!r}")
-
-
-def run_ms_pipeline(
-    pi_star: Permutation,
-    matrix: ProbabilityMatrix,
-    sampling: str,
-    budget: float,
-    stages: int,
-    config: MsConfig,
-    seed: int,
-    lambda_hat: float | None = None,
-) -> MsRun:
-    """Generate data and run the multistage sorter end to end.
-
-    With-replacement: ``budget`` is the number N of comparisons, split
-    evenly across stages; if no margin is supplied, an extra N comparisons
-    are generated and used to estimate it (two half samples).
-    Without-replacement: ``budget`` is the per-pair probability p of one
-    dataset whose pairs each get one uniform stage label; a
-    margin must be supplied since the estimator's contract covers
-    with-replacement samples only.
-    """
-    if sampling == WITHOUT_REPLACEMENT and lambda_hat is None:
-        raise ValueError("without-replacement runs need an explicit margin (lambda_hat)")
-    source, lam_hat = _draw_pipeline_data(
-        pi_star, matrix, sampling, budget, stages, seed, lambda_hat
-    )
-    pi_hat, states = ms_sort(source, lam_hat, config)
-    return MsRun(permutation=pi_hat, states=states, lambda_hat=lam_hat)
 
 
 def _sieve_net(n: int, phi: float, seed: int) -> PackingSet:
@@ -352,10 +338,11 @@ def _run_cell_replicate(
     if "random" not in estimators:
         estimators.append("random")  # sanity-floor control always present
 
+    margin = spec.lambda_hat
+    if margin is None and sampling == WITHOUT_REPLACEMENT:
+        margin = spec.lam  # never read: the spec keeps ms, its one reader, off this cell
     # one draw per replicate, listed only for mle and sieve, which run at tiny n
-    source, lam_hat = _draw_pipeline_data(
-        pi_star, matrix, sampling, budget, stages, seed, spec.lambda_hat
-    )
+    source, lam_hat = draw_stages(pi_star, matrix, sampling, budget, stages, seed, margin)
     if {"mle", "sieve"} & set(estimators):
         source = StageSource.of(list(source))
     wins = np.zeros(n, dtype=np.int64) if {"ms", "borda"} <= set(estimators) else None
@@ -424,8 +411,8 @@ def run_lambda_accuracy(spec: ExperimentSpec) -> list[LambdaResult]:
     results: list[LambdaResult] = []
     for n, bkind, bval, sampling, seed in _replicates(spec):
         total = int(_cell_plan(spec, n, bkind, bval, sampling)[0])
-        lam_hat = _draw_pipeline_data(_pi_star(spec, n, seed), star_matrix(n, spec.lam),
-                                      sampling, total, 1, seed)[1]  # draws only the halves
+        lam_hat = draw_stages(_pi_star(spec, n, seed), star_matrix(n, spec.lam),
+                              sampling, total, 1, seed)[1]  # draws only the halves
         results.append(LambdaResult(
             n=n, budget=total, lam=spec.lam, seed=seed,
             lambda_hat=lam_hat, abs_error=abs(lam_hat - spec.lam),

@@ -25,16 +25,17 @@ from noisysort.estimators import (
     CALIBRATED_THRESHOLD_SCALE,
     MsConfig,
     brute_force_mle,
+    ms_sort,
     sieve_mle,
 )
 from noisysort.experiments import (
     ExperimentSpec,
     default_stage_count,
+    draw_stages,
     loglog_slope,
     rows_to_csv,
     run_experiment,
     run_lambda_accuracy,
-    run_ms_pipeline,
     summarize,
 )
 from noisysort.model import (
@@ -316,13 +317,12 @@ def test_12_certainty_soundness():
     for rep in range(10):
         seed = derive_seed(MASTER_SEED + 12, rep)
         pi_star = random_permutation(n, np.random.default_rng(derive_seed(seed, 8)))
-        run = run_ms_pipeline(
-            pi_star, matrix, WITH_REPLACEMENT, total, stages, config, seed,
-            lambda_hat=None,  # margin estimated from its own sample
-        )
+        # no lambda_hat: the margin is estimated from its own sample
+        _, states = ms_sort(*draw_stages(pi_star, matrix, WITH_REPLACEMENT, total, stages, seed),
+                            config)
         ranks = pi_star.to_array()
         bad = 0
-        for st in run.states[1:]:
+        for st in states[1:]:
             rows, cols = np.nonzero(certain_below(st))
             bad += int(np.sum(ranks[cols] >= ranks[rows]))
             rows, cols = np.nonzero(certain_above(st))

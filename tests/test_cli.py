@@ -198,6 +198,9 @@ class TestExperimentCommand:
         ("scaling-n", ["--estimators", "ms", "ms", "borda"]),
         # fewer pairs expected than stages: a run would draw an empty stage
         ("scaling-n", ["--alphas", "0.003", "--sampling", "without", "--replicates", "20"]),
+        # sorter constants that are not finite numbers (budgets: see TestExitCodes)
+        ("scaling-n", ["--threshold-scale", "inf"]),
+        ("scaling-n", ["--c1", "nan"]),
     ])
     def test_spec_constraints_exit_one(self, tmp_path, capsys, which, extra):
         code = main(["experiment", which, "--n-values", "30", *extra,
@@ -255,11 +258,47 @@ class TestExitCodes:
         assert main(args) == 1
         assert "NOISYSORT_WORKERS" in capsys.readouterr().err
 
-    def test_cap_refusal_is_two(self, capsys):
-        code = main(["experiment", "scaling-n", "--n-values", "50000",
-                     "--alphas", "0.1", "--replicates", "1"])
-        assert code == 2
-        assert "max_n" in capsys.readouterr().err
+    def test_cap_refusal_is_two(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        for budget in (["--alphas", "1.0"], ["--budgets", str(10**30)]):
+            code = main(["experiment", "scaling-n", "--n-values", "1000000", *budget,
+                         "--replicates", "1", "--out", str(out)])
+            assert code == 2
+            assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_budget_names_the_cell(self, capsys):
+        for alpha in ("inf", "nan"):
+            assert main(["experiment", "scaling-n", "--n-values", "30", "--alphas", alpha,
+                         "--sampling", "with"]) == 1
+            assert f"cell n=30, alpha={alpha}, with_replacement" in capsys.readouterr().err
+
+    def test_count_caps_are_gone(self, tmp_path, capsys):
+        # the memory rule replaced the max_n / max_budget caps
+        out = str(tmp_path / "out")
+        for flag in ("--max-n", "--max-budget"):
+            assert main(["experiment", "scaling-n", flag, "20000", "--out", out]) == 1
+            assert f"unrecognized arguments: {flag} 20000" in capsys.readouterr().err
+        config = tmp_path / "caps.cfg"
+        for key in ("max_n", "max_budget"):
+            config.write_text(f"{key} = 20000\n")
+            assert main(["experiment", "scaling-n", "--config", str(config), "--out", out]) == 1
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--budget", "1000", "--c1", "nan"], "finite and positive"),
+        (["--budget", "1000", "--c1", "-1"], "finite and positive"),
+        (["--budget", "1000", "--threshold-scale", "inf"], "finite and positive"),
+        (["--budget", "0.5", "--model", "without"], "explicit margin"),
+    ])
+    def test_run_ms_generate_rejects_bad_constants_and_a_missing_margin(self, tmp_path, capsys,
+                                                                        extra, message):
+        out = tmp_path / "p.txt"
+        lambda_hat = [] if "without" in extra else ["--lambda-hat", "0.25"]
+        assert main(["run-ms", "--generate", "--n", "50", "--T", "2", *lambda_hat, *extra,
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0

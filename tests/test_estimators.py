@@ -290,6 +290,15 @@ class TestMsSort:
         with pytest.raises(ValueError):
             MsConfig(stages=0)
 
+    @pytest.mark.parametrize("constants", [
+        dict(c1=0.0), dict(c1=-1.0), dict(c1=math.nan), dict(c1=math.inf),
+        dict(threshold_scale=0.0), dict(threshold_scale=math.nan),
+        dict(threshold_scale=math.inf)])
+    def test_constants_must_be_finite_and_positive(self, constants):
+        # a NaN c1 would never open the gate, an infinite scale never close a pair
+        with pytest.raises(ValueError, match="finite and positive"):
+            MsConfig(stages=2, **constants)
+
     def test_streamed_stages_match_the_list_and_die_one_by_one(self):
         samples = ms_inputs(120, 0.4, 20_000, 3, master_seed=4)
         cfg = MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)

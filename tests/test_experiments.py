@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 import weakref
 from dataclasses import astuple
@@ -13,12 +14,12 @@ from noisysort.experiments import (
     ExperimentSpec,
     ResultRow,
     default_stage_count,
+    draw_stages,
     emit_regions,
     loglog_slope,
     rows_to_csv,
     run_experiment,
     run_lambda_accuracy,
-    run_ms_pipeline,
     summarize,
 )
 from noisysort.estimators import (
@@ -156,6 +157,14 @@ class TestSpecValidation:
         (dict(lambda_hat=0.0), "lam and lambda_hat"),
         (dict(stages=0), "stages must be >= 1"),
         (dict(estimators=("ms", "ms", "borda")), "duplicate estimators"),
+        (dict(alphas=(math.inf,)), "cell n=30, alpha=inf, with_replacement: .* not a finite"),
+        (dict(alphas=(math.nan,)), "cell n=30, alpha=nan, with_replacement: .* not a finite"),
+        (dict(alphas=(1e307,)), "cell n=30, alpha=1e\\+307, .* not a finite"),  # N overflows
+        (dict(alphas=(math.inf,), sampling=(WITHOUT_REPLACEMENT,)), "alpha=inf, .* not a finite"),
+        (dict(budgets=(math.nan,), alphas=None), "cell n=30, absolute=nan, .* not a finite"),
+        (dict(c1=-1.0), "c1 and threshold_scale must be finite and positive"),
+        (dict(c1=math.nan), "c1 and threshold_scale must be finite and positive"),
+        (dict(threshold_scale=math.inf), "c1 and threshold_scale must be finite and positive"),
     ])
     def test_cells_that_cannot_run_are_rejected_up_front(self, fields, match):
         with pytest.raises(ValueError, match=match):
@@ -165,6 +174,88 @@ class TestSpecValidation:
         assert default_stage_count(4) == 1
         assert default_stage_count(500) == 3
         assert default_stage_count(10_000) == 3
+
+
+def physical_memory(monkeypatch, nbytes):
+    """Make os.sysconf report ``nbytes`` of physical memory."""
+    values = {"SC_PHYS_PAGES": nbytes, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", values.__getitem__)
+
+
+def traced_peak(run):
+    """run()'s result, and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryRule:
+    """A cell is refused when its replicates, one per worker, would not fit in
+    physical memory: records of the largest draw times bytes per record, plus
+    n times bytes per item."""
+
+    @pytest.mark.parametrize("sampling, lambda_hat", [
+        (WITH_REPLACEMENT, 0.3), (WITH_REPLACEMENT, None), (WITHOUT_REPLACEMENT, 0.3)])
+    @pytest.mark.parametrize("alpha", [0.05, 1.0])
+    def test_estimate_bounds_the_traced_peak(self, monkeypatch, sampling, lambda_hat, alpha):
+        fields = dict(n_values=(400,), alphas=(alpha,), stages=None, replicates=1,
+                      lambda_hat=lambda_hat, estimators=("ms", "borda", "random"),
+                      sampling=(sampling,), pi_star="random", workers=1)
+        spec = small_spec(**fields)
+        run_experiment(spec)  # numpy imports some modules on first use
+        peak = traced_peak(lambda: run_experiment(spec))[1]
+        physical_memory(monkeypatch, peak)
+        with pytest.raises(ResourceCapError):
+            small_spec(**fields)
+        physical_memory(monkeypatch, 3 * peak)  # and not far above it
+        small_spec(**fields)
+
+    @pytest.mark.parametrize("lambda_hat, records", [(0.3, 2000), (None, 3000)])
+    def test_estimate_is_the_largest_draw(self, monkeypatch, lambda_hat, records):
+        # 6000 comparisons: three stages of 2000, or margin halves of 3000 first
+        need = records * experiments._RECORD_BYTES[WITH_REPLACEMENT] + 50 * experiments._ITEM_BYTES
+        fields = dict(n_values=(50,), alphas=None, budgets=(6000,), stages=3,
+                      lambda_hat=lambda_hat)
+        physical_memory(monkeypatch, need)
+        small_spec(**fields, workers=1)
+        physical_memory(monkeypatch, need - 1)
+        with pytest.raises(ResourceCapError, match="1 replicate"):
+            small_spec(**fields, workers=1)
+        physical_memory(monkeypatch, 2 * need)  # one replicate per worker at once
+        small_spec(**fields, workers=2)
+        with pytest.raises(ResourceCapError, match="3 replicate"):
+            small_spec(**fields, workers=3)
+
+    def test_estimate_without_replacement_is_the_whole_draw(self, monkeypatch):
+        need = 0.5 * math.comb(50, 2) * experiments._RECORD_BYTES[WITHOUT_REPLACEMENT] \
+            + 50 * experiments._ITEM_BYTES
+        fields = dict(n_values=(50,), sampling=(WITHOUT_REPLACEMENT,), stages=3, workers=1)
+        physical_memory(monkeypatch, math.ceil(need))
+        small_spec(**fields)
+        physical_memory(monkeypatch, math.floor(need))
+        with pytest.raises(ResourceCapError):
+            small_spec(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        dict(n_values=(10**6,), alphas=(1.0,)),
+        dict(n_values=(10**6,), alphas=(1.0,), sampling=(WITHOUT_REPLACEMENT,)),
+        dict(budgets=(10**30,), alphas=None),
+    ])
+    def test_refusal_comes_before_allocation(self, fields):
+        def build():
+            with pytest.raises(ResourceCapError, match="physical memory"):
+                small_spec(**fields)
+
+        assert traced_peak(build)[1] < 4 * 2**20
+
+    def test_north_star_cell_is_accepted(self):
+        # built only: a run takes seconds and about 550 MB
+        spec = ExperimentSpec(kind="scaling_n", n_values=(20_000,), alphas=(0.1,), replicates=1,
+                              estimators=("ms", "borda", "random"), pi_star="random",
+                              sampling=(WITH_REPLACEMENT,))
+        assert spec.n_values == (20_000,)
 
 
 class TestRunExperiment:
@@ -247,10 +338,10 @@ class TestRunExperiment:
         assert {r.estimator for r in rows} == {"mle", "sieve", "borda", "random"}
 
     def test_cap_refusal_names_limit(self):
-        with pytest.raises(ResourceCapError, match="max_n"):
-            run_experiment(small_spec(n_values=(50_000,)))
-        with pytest.raises(ResourceCapError, match="max_budget"):
-            run_experiment(small_spec(alphas=(1.0,), n_values=(9000,), max_budget=1000))
+        with pytest.raises(ResourceCapError, match="cell n=1000000, .*physical memory"):
+            run_experiment(small_spec(n_values=(10**6,), alphas=(1.0,)))
+        with pytest.raises(ResourceCapError, match="cell n=30, absolute=1e\\+30, .*physical memory"):
+            run_experiment(small_spec(budgets=(10**30,), alphas=None))
 
     def test_lambda_kind_dispatch(self):
         spec = small_spec(kind="lambda_accuracy", budgets=(2000,), alphas=None,
@@ -293,17 +384,18 @@ class TestStreamedStages:
         pi_star = random_permutation(n, np.random.default_rng(seed))
         law = star_matrix(n, 0.3)
         config = MsConfig(stages=stages, c1=1.0, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
-        run = run_ms_pipeline(pi_star, law, WITH_REPLACEMENT, total, stages, config, seed,
-                              lambda_hat=lambda_hat)
+        source, run_lam_hat = draw_stages(pi_star, law, WITH_REPLACEMENT, total, stages, seed,
+                                          lambda_hat)
+        run_pi, run_states = ms_sort(source, run_lam_hat, config)
         halves = [] if lambda_hat is not None else [total - total // 2, total // 2]
         parts = split_with_replacement(pi_star, law, halves + stage_budgets(total, stages),
                                        derive_seed(seed, 0))
         lam_hat = lambda_hat if lambda_hat is not None else estimate_lambda(parts[:2])
         pi_hat, states = ms_sort(parts[len(halves):], lam_hat, config)
-        assert run.lambda_hat == lam_hat
-        assert run.permutation == pi_hat
+        assert run_lam_hat == lam_hat
+        assert run_pi == pi_hat
         assert states[-1].gate_fired.any()
-        for a, b in zip(run.states, states, strict=True):
+        for a, b in zip(run_states, states, strict=True):
             assert all(np.array_equal(x, y) for x, y in zip(a.history, b.history, strict=True))
             for name in ("last", "tau", "below_counts", "above_counts"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
@@ -335,8 +427,8 @@ class TestOneStageSource:
         rows, states = experiments._run_cell_replicate(spec, n, "alpha", 0.6, sampling, seed)
         budget, stages = experiments._cell_plan(spec, n, "alpha", 0.6, sampling)
         pi_star = experiments._pi_star(spec, n, seed)
-        source, lam_hat = experiments._draw_pipeline_data(
-            pi_star, star_matrix(n, 0.3), sampling, budget, stages, seed, lambda_hat)
+        source, lam_hat = draw_stages(pi_star, star_matrix(n, 0.3), sampling, budget, stages,
+                                      seed, lambda_hat)
         listed = list(source)
         config = MsConfig(stages=3, c1=0.5, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
         pi_ms, listed_states = ms_sort(listed, lam_hat, config)
@@ -385,12 +477,7 @@ class TestOneDrawPerReplicate:
             kind="scaling_n", n_values=(n,), alphas=(0.001,), lam=0.25, lambda_hat=0.25,
             stages=3, replicates=1, estimators=("ms", "borda"), sampling=(sampling,),
         )
-        tracemalloc.start()
-        try:
-            rows = run_experiment(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rows, peak = traced_peak(lambda: run_experiment(spec))
         assert {r.estimator for r in rows} == {"ms", "borda", "random"}
         assert peak < n * n / 4
 
@@ -412,25 +499,27 @@ class TestWithoutStream:
 
         monkeypatch.setattr(model, "_decode", decode)
         if run == "pipeline":
-            run_ms_pipeline(Permutation.identity(60), star_matrix(60, 0.3), WITHOUT_REPLACEMENT,
-                            0.8, 3, MsConfig(stages=3), 4, lambda_hat=0.3)
+            ms_sort(*draw_stages(Permutation.identity(60), star_matrix(60, 0.3),
+                                 WITHOUT_REPLACEMENT, 0.8, 3, 4, 0.3), MsConfig(stages=3))
         else:  # with borda, its win totals are summed in ms's pass
             estimators = ("ms",) if run == "ms-only replicate" else ("borda", "ms")
             run_experiment(small_spec(n_values=(60,), alphas=(0.8,), stages=3, replicates=1,
                                       estimators=estimators, sampling=(WITHOUT_REPLACEMENT,)))
         assert len(alive) == 3 * 5
 
+    def test_a_missing_margin_is_refused_before_the_draw(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_draw_pairs", lambda *args: pytest.fail("drew"))
+        with pytest.raises(ValueError, match="explicit margin"):
+            draw_stages(Permutation.identity(20), star_matrix(20, 0.3), WITHOUT_REPLACEMENT,
+                        0.5, 2, 0)
+
     def test_pipeline_peak_stays_under_six_pair_arrays(self):
         # one int64 array over all pairs is 8 C(n,2) bytes
         n = 2000
         config = MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
-        tracemalloc.start()
-        try:
-            run_ms_pipeline(Permutation.identity(n), star_matrix(n, 0.25), WITHOUT_REPLACEMENT,
-                            1.0, 3, config, 0, lambda_hat=0.25)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: ms_sort(*draw_stages(
+            Permutation.identity(n), star_matrix(n, 0.25), WITHOUT_REPLACEMENT, 1.0, 3, 0, 0.25),
+            config))
         assert peak < 6 * 8 * math.comb(n, 2)
 
 
@@ -529,11 +618,6 @@ class TestCsvAndRegions:
                         last=np.ones(n, dtype=np.int64), tau=rng.random(n) / 4,
                         below_counts=np.zeros(n, dtype=np.int64),
                         above_counts=np.zeros(n, dtype=np.int64), gate_fired=np.ones(n, bool))
-        tracemalloc.start()
-        try:
-            emit_regions([state], tmp_path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: emit_regions([state], tmp_path))
         assert (tmp_path / "stage_1.pbm").stat().st_size == len(f"P1\n{n} {n}\n") + 2 * n * n
         assert peak < 2 * n * n

@@ -31,7 +31,7 @@ from noisysort.model import (
     star_matrix,
     write_dataset,
 )
-from noisysort.experiments import _draw_pipeline_data
+from noisysort.experiments import draw_stages
 from noisysort.perms import Permutation, random_permutation
 
 from oracles import (
@@ -413,7 +413,7 @@ def test_stream_matches_the_sorted_split(n, seed, p, parts, law, chunk, pi_kind)
             patch.setattr(model, "_WIN_CHUNK", chunk)
         sample = sample_without_replacement(pi, matrix, p, seed)
         split = split_without_replacement(sample, parts, seed + 1)
-        source, _ = _draw_pipeline_data(pi, matrix, WITHOUT_REPLACEMENT, p, parts, seed)
+        source, _ = draw_stages(pi, matrix, WITHOUT_REPLACEMENT, p, parts, seed, 0.2)
         stages = list(source)
     assert _identical(sample, whole_sample_without_replacement(pi, matrix, p, seed))
     expected = sorted_split_without_replacement(sample, parts, seed + 1)
@@ -431,7 +431,7 @@ class TestWithoutStream:
         # a tiny p must not overflow the running sums of its gaps
         pi, law = Permutation.identity(n), star_matrix(n, 0.2)
         assert sample_without_replacement(pi, law, p, 4).num_pairs == 0
-        source, _ = _draw_pipeline_data(pi, law, WITHOUT_REPLACEMENT, p, parts, 4)
+        source, _ = draw_stages(pi, law, WITHOUT_REPLACEMENT, p, parts, 4, 0.2)
         stages = list(source)
         assert source.counts == (0,) * parts
         assert [s.seed for s in stages] == (
@@ -444,8 +444,7 @@ class TestWithoutStream:
         original = model._decode
         monkeypatch.setattr(model, "_decode", lambda *a: built.append(a[4]) or original(*a))
         law = star_matrix(20, 0.2)
-        source, _ = _draw_pipeline_data(Permutation.identity(20), law,
-                                        WITHOUT_REPLACEMENT, 0.7, 3, 6)
+        source, _ = draw_stages(Permutation.identity(20), law, WITHOUT_REPLACEMENT, 0.7, 3, 6, 0.2)
         assert built == [] and len(source.counts) == 3
         next(iter(source))
         assert built == [derive_seed(derive_seed(6, 1), 0)]
