@@ -33,6 +33,8 @@ LAMBDA_CLAMP = 1e-6
 # actually resolve pairs.
 CALIBRATED_THRESHOLD_SCALE = 0.125
 
+# Records per block of ms_sort's score pass (its sums are of whole numbers: exact)
+_RECORD_CHUNK = 1 << 16
 # Candidates per numpy pass of the maximizers: memory stays a few (chunk x C(n,2)) arrays
 _CANDIDATE_CHUNK = 4096
 
@@ -238,26 +240,26 @@ def ms_sort(
         if sample.total_comparisons() != n_t:
             raise ValueError(f"stage {t} holds {sample.total_comparisons()} comparisons, not {n_t}")
         scale = math.comb(n, 2) / n_t
-        fi = sample.first - 1
-        se = sample.second - 1
-        wins = sample.first_wins.astype(np.float64)
-        losses = (sample.num - sample.first_wins).astype(np.float64)
-        del sample  # the records below are copies
-        # j is open for i iff |fl(S_j - S_i)| <= tau_i, S the scores of stage last[i]:
-        # one pass per held stage s (other rows pass with tau = inf; never-fired
-        # rows are in none); closed records weigh 0.0, which changes no sum's bits.
-        for s in np.unique(prev.last[prev.last > 0]):
-            limit = np.where(prev.last == s, prev.tau, np.inf)
-            gap = prev.history[s][se] - prev.history[s][fi]
-            np.abs(gap, out=gap)  # fl(a-b) = -fl(b-a)
-            wins *= gap <= limit[fi]
-            losses *= gap <= limit[se]
-            del gap  # record-sized arrays go early: they set the heap's peak
-        raw = np.bincount(fi, weights=wins, minlength=n)
-        raw += np.bincount(se, weights=losses, minlength=n)
-        del fi, se, wins, losses
+        # j is open for i iff |fl(S_j - S_i)| <= tau_i, S the scores of stage last[i]: one test
+        # per held stage s (other rows pass with tau = inf), padded at 0 for the 1-based items
+        held = [(np.concatenate(([0.0], prev.history[s])),
+                 np.concatenate(([np.inf], np.where(prev.last == s, prev.tau, np.inf))))
+                for s in np.unique(prev.last[prev.last > 0])]
+        raw = np.zeros(n + 1)
+        for lo in range(0, sample.num_pairs, _RECORD_CHUNK):  # the records in place, by blocks
+            fi, se, num, fw = (a[lo: lo + _RECORD_CHUNK] for a in (
+                sample.first, sample.second, sample.num, sample.first_wins))
+            wins, losses = fw.astype(np.float64), np.subtract(num, fw, dtype=np.float64)
+            for score, limit in held:  # closed records weigh 0.0, which changes no sum's bits
+                gap = np.abs(score[se] - score[fi])  # fl(a-b) = -fl(b-a)
+                wins *= gap <= limit[fi]
+                losses *= gap <= limit[se]
+                del gap
+            raw += np.bincount(fi, weights=wins, minlength=n + 1)
+            raw += np.bincount(se, weights=losses, minlength=n + 1)
+        del sample, fi, se, num, fw, wins, losses  # none of stage t lives on into t + 1
         scores = (
-            scale * raw
+            scale * raw[1:]
             + (0.5 + lambda_hat) * prev.below_counts
             + (0.5 - lambda_hat) * prev.above_counts
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 import time
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -64,11 +65,11 @@ RESULT_COLUMNS = ("kind", "n", "sampling", "budget", "lam", "seed", "estimator",
 WORKERS_ENV_VAR = "NOISYSORT_WORKERS"
 # Peak bytes of one ms + borda + random replicate per record of its largest draw, and per
 # item, both the largest measured with tracemalloc (rounded up) over n = 300-20000,
-# alpha = 0.01-1, T = 1-3, fixed and estimated margins.  The record bytes peak when
-# every compared pair is distinct and the gate fires (79.2 at n=20000, alpha=0.1, T=3)
-# and, without replacement, at T=1 (80.7); the item bytes at N of a few hundred (358).
-_RECORD_BYTES = {WITH_REPLACEMENT: 80, WITHOUT_REPLACEMENT: 81}
-_ITEM_BYTES = 360
+# alpha = 0.01-1, T = 1-3, fixed and estimated margins.  The record bytes peak with an
+# estimated margin's first half (62.0 at n=8000, alpha=0.1, T=3) and, without
+# replacement, at T=1 (64.8 at n=2500, alpha=1); the item bytes at N of a few hundred (338.9).
+_RECORD_BYTES = {WITH_REPLACEMENT: 62, WITHOUT_REPLACEMENT: 65}
+_ITEM_BYTES = 340
 
 
 def default_stage_count(n: int) -> int:
@@ -153,7 +154,9 @@ class ExperimentSpec:
     def budget_params(self) -> tuple[tuple[str, float], ...]:
         if self.alphas is not None:
             return tuple(("alpha", a) for a in self.alphas)
-        return tuple(("absolute", float(b)) for b in self.budgets or ())
+        big = sys.float_info.max  # an int past float range reads as +-inf: _cell_plan names it
+        return tuple(("absolute", math.inf if b > big else -math.inf if b < -big else float(b))
+                     for b in self.budgets or ())
 
     def effective_workers(self) -> int:
         if self.workers is not None:

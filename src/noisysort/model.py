@@ -212,8 +212,8 @@ def _pair_items(n: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, second) of ascending pair cells, numbered 0..C(n,2)-1 in (first, second) order."""
     row_sizes = np.arange(n - 1, -1, -1, dtype=np.int64)  # row i holds the n - i pairs (i, j > i)
     offsets = np.concatenate(([0], np.cumsum(row_sizes)))  # offsets[i]: pairs in rows 1..i
-    first = np.repeat(np.arange(1, n + 1, dtype=np.int64), np.diff(np.searchsorted(cells, offsets)))
-    return first, cells - offsets[first - 1] + first + 1
+    items, runs = np.arange(1, n + 1, dtype=np.int64), np.diff(np.searchsorted(cells, offsets))
+    return np.repeat(items, runs), cells + np.repeat(items + 1 - offsets[:-1], runs)
 
 
 # Observed pairs decoded per pass of the win draw: its temporaries stay a few MB
@@ -297,8 +297,12 @@ def sample_with_replacement(
     idx, counts = cells[starts], np.diff(starts, append=total)
     del cells, starts  # free the N draws before the per-pair arrays are allocated
     first, second = _pair_items(n, idx)
-    ranks = pi_star.to_array()
-    wins = rng.binomial(counts, matrix.win_prob(ranks[first - 1], ranks[second - 1]))
+    del idx
+    ranks, wins = pi_star.to_array(), np.empty(len(first), dtype=np.int64)
+    for lo in range(0, len(first), _WIN_CHUNK):  # as in _draw_pairs: one call's stream
+        at = slice(lo, lo + _WIN_CHUNK)
+        wins[at] = rng.binomial(counts[at], matrix.win_prob(ranks[first[at] - 1],
+                                                            ranks[second[at] - 1]))
     return ComparisonDataset(
         n=n, first=first, second=second, num=counts, first_wins=wins,
         tag=SamplingTag(WITH_REPLACEMENT, total), seed=seed,
@@ -368,8 +372,10 @@ class StageSource:
         labels = rng.integers(0, parts, size=len(cells), dtype=np.min_scalar_type(parts - 1))
 
         def stage(t: int) -> ComparisonDataset:
-            keep = labels == t
-            return _decode(n, cells[keep], won[keep], p, derive_seed(seed, t))
+            keep = np.flatnonzero(labels == t)  # a gather: faster than a boolean mask
+            part, bits = cells[keep], won[keep]
+            del keep  # as large as the stage's cells: freed before the decode
+            return _decode(n, part, bits, p, derive_seed(seed, t))
 
         return cls(n, tuple(np.bincount(labels, minlength=parts).tolist()),
                    lambda: map(stage, range(parts)))

@@ -273,6 +273,14 @@ class TestExitCodes:
                          "--sampling", "with"]) == 1
             assert f"cell n=30, alpha={alpha}, with_replacement" in capsys.readouterr().err
 
+    def test_budget_past_float_range_names_the_cell(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["experiment", "scaling-n", "--n-values", "30", "--budgets",
+                     "1" + "0" * 400, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "cell n=30, absolute=inf, with_replacement: the budget is not a finite" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_count_caps_are_gone(self, tmp_path, capsys):
         # the memory rule replaced the max_n / max_budget caps
         out = str(tmp_path / "out")

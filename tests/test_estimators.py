@@ -413,6 +413,40 @@ class TestDenseReference:
             assert np.array_equal(certain_above(st), ref["above"])
             assert np.array_equal(st.uncertain, ref["uncertain"])
 
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize(
+        "make, lam, config", [c[1:] for c in DENSE_REFERENCE_CASES if c[0] != "star-high-signal"],
+        ids=[c[0] for c in DENSE_REFERENCE_CASES if c[0] != "star-high-signal"],
+    )
+    def test_record_blocks_match_dense_reference(self, monkeypatch, make, lam, config, chunk):
+        # the stage's records scored a few at a time: block edges change no bit
+        samples = make()
+        monkeypatch.setattr(estimators, "_RECORD_CHUNK", chunk)
+        pi_hat, states = ms_sort(samples, lam, config)
+        ranks, expected = dense_ms_states(samples, lam, config)
+        assert np.array_equal(pi_hat.to_array(), ranks)
+        for st, ref in zip(states[1:], expected[1:], strict=True):
+            assert np.array_equal(st.scores, ref["scores"])
+            assert np.array_equal(st.gate_fired, ref["gate_fired"])
+            assert np.array_equal(st.uncertain, ref["uncertain"])
+
+    def test_scores_read_the_stage_records_in_place(self, monkeypatch):
+        # no record-sized copy or temporary: the traced peak stays under one int64
+        # array over a stage's records, with gates fired and two stages held
+        monkeypatch.setattr(estimators, "_RECORD_CHUNK", 512)
+        n, stages = 400, 3
+        samples = _with_replacement_case(n, 0.45, 3 * 100_000, stages, 3)
+        config = MsConfig(stages=stages, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        ms_sort(samples, 0.45, config)
+        tracemalloc.start()
+        try:
+            _, states = ms_sort(samples, 0.45, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(states[2].last.tolist()) == {1, 2}  # stage 3 tests two held stages
+        assert peak < 8 * min(s.num_pairs for s in samples)
+
     def test_a_case_holds_a_score_gap_exactly_at_tau(self):
         # pins the open-record boundary |S_j - S_i| <= tau_i of fired rows
         _, make, lam, config = next(c for c in DENSE_REFERENCE_CASES if c[0] == "star-gap-at-tau")

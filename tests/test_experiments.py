@@ -165,6 +165,9 @@ class TestSpecValidation:
         (dict(c1=-1.0), "c1 and threshold_scale must be finite and positive"),
         (dict(c1=math.nan), "c1 and threshold_scale must be finite and positive"),
         (dict(threshold_scale=math.inf), "c1 and threshold_scale must be finite and positive"),
+        # int budgets past float range
+        (dict(budgets=(10**400,), alphas=None), "cell n=30, absolute=inf, .* not a finite"),
+        (dict(budgets=(-10**400,), alphas=None), "cell n=30, absolute=-inf, .* not a finite"),
     ])
     def test_cells_that_cannot_run_are_rejected_up_front(self, fields, match):
         with pytest.raises(ValueError, match=match):
@@ -251,7 +254,7 @@ class TestMemoryRule:
         assert traced_peak(build)[1] < 4 * 2**20
 
     def test_north_star_cell_is_accepted(self):
-        # built only: a run takes seconds and about 550 MB
+        # built only: a run takes seconds and about 400 MB
         spec = ExperimentSpec(kind="scaling_n", n_values=(20_000,), alphas=(0.1,), replicates=1,
                               estimators=("ms", "borda", "random"), pi_star="random",
                               sampling=(WITH_REPLACEMENT,))
@@ -513,14 +516,15 @@ class TestWithoutStream:
             draw_stages(Permutation.identity(20), star_matrix(20, 0.3), WITHOUT_REPLACEMENT,
                         0.5, 2, 0)
 
-    def test_pipeline_peak_stays_under_six_pair_arrays(self):
-        # one int64 array over all pairs is 8 C(n,2) bytes
+    def test_pipeline_peak_stays_under_3_25_pair_arrays(self):
+        # one int64 array over all pairs is 8 C(n,2) bytes; the compact draw and labels
+        # hold 1.25 of them, a decoded stage 1.33, and ms_sort reads it in place
         n = 2000
         config = MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
         _, peak = traced_peak(lambda: ms_sort(*draw_stages(
             Permutation.identity(n), star_matrix(n, 0.25), WITHOUT_REPLACEMENT, 1.0, 3, 0, 0.25),
             config))
-        assert peak < 6 * 8 * math.comb(n, 2)
+        assert peak < 3.25 * 8 * math.comb(n, 2)
 
 
 class TestSummaries:

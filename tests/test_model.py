@@ -273,6 +273,21 @@ class TestWithReplacement:
         assert d.same_data(unique_sample_with_replacement(pi, law, total, seed))
         assert d.num.dtype == np.int64
 
+    # chunks of 1 and 7 cross every edge; at n <= 3 the cells hold thousands of draws,
+    # so the binomial takes its large-count branch; a member law varies p pair by pair
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("n, total, seed, law", [
+        (2, 5000, 1, "star"), (3, 20_000, 6, "random"), (30, 12345, 3, "star"),
+        (40, 3000, 8, "random"), (300, 400, 4, "star"),
+    ])
+    def test_chunked_draw_matches_unique(self, monkeypatch, chunk, n, total, seed, law):
+        monkeypatch.setattr(model, "_WIN_CHUNK", chunk)
+        pi = random_permutation(n, np.random.default_rng(seed))
+        matrix = star_matrix(n, 0.2) if law == "star" else random_member_matrix(n, 0.1, 0.05, seed)
+        d = sample_with_replacement(pi, matrix, total, seed)
+        assert d.same_data(unique_sample_with_replacement(pi, matrix, total, seed))
+        assert all(a.dtype == np.int64 for a in (d.first, d.second, d.num, d.first_wins))
+
     def test_win_distribution_chi_square(self):
         # conditioned on the pair, the stronger item's wins are
         # Bin(N_ij, 1/2 + lam); chi-square GOF over all pairs at the 1% level
@@ -402,6 +417,8 @@ def _identical(a, b):
        chunk=hst.sampled_from([1, 7, None]), pi_kind=hst.sampled_from(["identity", "random"]))
 @example(n=1, seed=0, p=0.5, parts=3, law="star", chunk=None, pi_kind="identity")
 @example(n=40, seed=1, p=1.0, parts=300, law="random", chunk=7, pi_kind="random")
+@example(n=30, seed=2, p=1.0, parts=256, law="star", chunk=None, pi_kind="random")  # uint8 labels
+@example(n=30, seed=2, p=1.0, parts=257, law="star", chunk=None, pi_kind="random")  # uint16
 def test_stream_matches_the_sorted_split(n, seed, p, parts, law, chunk, pi_kind):
     """The chunked compact draw and its streamed stages equal the one-call
     sampler and the argsort-and-gather split, arrays, seeds and counts."""
@@ -448,6 +465,17 @@ class TestWithoutStream:
         assert built == [] and len(source.counts) == 3
         next(iter(source))
         assert built == [derive_seed(derive_seed(6, 1), 0)]
+
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_pair_items_of_any_ascending_cells(self, n):
+        # runs that start and end mid-row, as the draws' chunks do
+        rows, cols = np.triu_indices(n, 1)
+        cells = np.flatnonzero(np.random.default_rng(n).random(len(rows)) < 0.4)
+        half = len(cells) // 2
+        for part in (cells, cells[1:-1], cells[half: half + 3], cells[:0]):
+            first, second = model._pair_items(n, part)
+            assert np.array_equal(first, rows[part] + 1) and np.array_equal(second, cols[part] + 1)
+            assert first.dtype == second.dtype == np.int64
 
     def test_pair_cells_invert_pair_items(self):
         n = 9
