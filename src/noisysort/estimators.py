@@ -33,7 +33,7 @@ LAMBDA_CLAMP = 1e-6
 # actually resolve pairs.
 CALIBRATED_THRESHOLD_SCALE = 0.125
 
-# Records per block of ms_sort's score pass (its sums are of whole numbers: exact)
+# Records per block of the win-sum kernel _win_sums (its sums are of whole numbers: exact)
 _RECORD_CHUNK = 1 << 16
 # Candidates per numpy pass of the maximizers: memory stays a few (chunk x C(n,2)) arrays
 _CANDIDATE_CHUNK = 4096
@@ -47,10 +47,37 @@ def _ranks_from_scores(scores: np.ndarray) -> Permutation:
     return Permutation.from_array(ranks)
 
 
+def _win_sums(sample: ComparisonDataset, held: list[tuple[np.ndarray, np.ndarray]],
+              sums: np.ndarray, pooled: np.ndarray | None = None) -> None:
+    """Add each item's wins in ``sample`` against its open set into ``sums``, and against
+    every item into ``pooled`` if given (n + 1 long, by item).  j is open for i iff
+    |fl(score[j] - score[i])| <= limit[i] for each (score, limit) in ``held``.  Records
+    are read in place, _RECORD_CHUNK at a time; the sums are of whole numbers: exact."""
+    for lo in range(0, sample.num_pairs, _RECORD_CHUNK):
+        fi, se, num, fw = (a[lo: lo + _RECORD_CHUNK] for a in (
+            sample.first, sample.second, sample.num, sample.first_wins))
+        wins, losses = fw.astype(np.float64), np.subtract(num, fw, dtype=np.float64)
+        if pooled is not None:  # every record, before the closed ones are zeroed
+            pooled += np.bincount(fi, weights=wins, minlength=len(pooled))
+            pooled += np.bincount(se, weights=losses, minlength=len(pooled))
+        for score, limit in held:  # closed records weigh 0.0, which changes no sum's bits
+            gap = np.abs(score[se] - score[fi])  # fl(a-b) = -fl(b-a)
+            wins *= gap <= limit[fi]
+            losses *= gap <= limit[se]
+            del gap
+        sums += np.bincount(fi, weights=wins, minlength=len(sums))
+        sums += np.bincount(se, weights=losses, minlength=len(sums))
+
+
 def borda_sort(samples: StageSource | Iterable[ComparisonDataset]) -> Permutation:
-    """Rank items by their win totals summed over the stages of ``samples``, one
-    pass that builds no combined copy (see StageSource.of), weakest first."""
-    return _ranks_from_scores(sum(s.win_totals() for s in StageSource.of(samples)))
+    """Rank items by their wins summed over the stages of ``samples``, weakest first:
+    ms_sort's kernel with nothing held, one pass and no combined copy (StageSource.of)."""
+    source = StageSource.of(samples)
+    wins = np.zeros(source.n + 1)
+    for stage in source:
+        _win_sums(stage, [], wins)
+        del stage  # stage t is released before t + 1 is built
+    return _ranks_from_scores(wins[1:])
 
 
 def estimate_lambda(halves: StageSource | Iterable[ComparisonDataset]) -> float:
@@ -65,7 +92,7 @@ def estimate_lambda(halves: StageSource | Iterable[ComparisonDataset]) -> float:
 
     with N the combined size of the two halves.  The result is clamped into
     (1e-6, 1/2 - 1e-6) so downstream corrections stay well-defined.  The halves
-    are one pass over StageSource.of(halves).
+    are one pass over StageSource.of(halves), the first ranked by borda_sort.
     """
     source = StageSource.of(halves)
     n, total = source.n, sum(source.counts)
@@ -81,8 +108,7 @@ def estimate_lambda(halves: StageSource | Iterable[ComparisonDataset]) -> float:
         if ranks is None:
             ranks, second = borda_sort([second]).to_array(), None
     gap = n // 2
-    ra = ranks[second.first - 1]
-    rb = ranks[second.second - 1]
+    ra, rb = ranks[second.first - 1], ranks[second.second - 1]
     win_sum = int(np.where(ra - rb > gap, second.first_wins, 0).sum())
     win_sum += int(np.where(rb - ra > gap, second.num - second.first_wins, 0).sum())
     raw = (2.0 / total) * math.comb(n, 2) / math.comb(gap, 2) * win_sum - 0.5
@@ -187,6 +213,7 @@ def ms_sort(
     stage_samples: StageSource | Iterable[ComparisonDataset],
     lambda_hat: float | None,
     config: MsConfig,
+    totals: np.ndarray | None = None,
 ) -> tuple[Permutation, list[MsState]]:
     """Multistage sorting over per-stage comparison samples.
 
@@ -207,7 +234,9 @@ def ms_sort(
     all-uncertain stage 0.
 
     One pass reads StageSource.of(stage_samples), whose counts give N before
-    stage 1; stage t + 1 is pulled once stage t's records are dropped.
+    stage 1; stage t + 1 is pulled once stage t's records are dropped.  If given,
+    ``totals`` (float64, length n) gains borda_sort's scores from the same pass (see
+    _win_sums): free where no row holds a fired stage, two bincounts per block elsewhere.
     """
     source = StageSource.of(stage_samples)
     counts, t_count = source.counts, config.stages
@@ -240,24 +269,16 @@ def ms_sort(
         if sample.total_comparisons() != n_t:
             raise ValueError(f"stage {t} holds {sample.total_comparisons()} comparisons, not {n_t}")
         scale = math.comb(n, 2) / n_t
-        # j is open for i iff |fl(S_j - S_i)| <= tau_i, S the scores of stage last[i]: one test
-        # per held stage s (other rows pass with tau = inf), padded at 0 for the 1-based items
+        # per held stage s: its scores, and tau of the rows holding it (others inf), padded at 0
         held = [(np.concatenate(([0.0], prev.history[s])),
                  np.concatenate(([np.inf], np.where(prev.last == s, prev.tau, np.inf))))
                 for s in np.unique(prev.last[prev.last > 0])]
         raw = np.zeros(n + 1)
-        for lo in range(0, sample.num_pairs, _RECORD_CHUNK):  # the records in place, by blocks
-            fi, se, num, fw = (a[lo: lo + _RECORD_CHUNK] for a in (
-                sample.first, sample.second, sample.num, sample.first_wins))
-            wins, losses = fw.astype(np.float64), np.subtract(num, fw, dtype=np.float64)
-            for score, limit in held:  # closed records weigh 0.0, which changes no sum's bits
-                gap = np.abs(score[se] - score[fi])  # fl(a-b) = -fl(b-a)
-                wins *= gap <= limit[fi]
-                losses *= gap <= limit[se]
-                del gap
-            raw += np.bincount(fi, weights=wins, minlength=n + 1)
-            raw += np.bincount(se, weights=losses, minlength=n + 1)
-        del sample, fi, se, num, fw, wins, losses  # none of stage t lives on into t + 1
+        pooled = np.zeros(n + 1) if held and totals is not None else None
+        _win_sums(sample, held, raw, pooled)
+        del sample  # none of stage t lives on into t + 1
+        if totals is not None:  # with nothing held every record is open: raw is the pooled sum
+            totals += (raw if pooled is None else pooled)[1:]
         scores = (
             scale * raw[1:]
             + (0.5 + lambda_hat) * prev.below_counts

@@ -17,7 +17,7 @@ import sys
 import time
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,6 @@ from .estimators import (
 from .model import (
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
-    ComparisonDataset,
     ProbabilityMatrix,
     StageSource,
     _draw_pairs,
@@ -312,17 +311,6 @@ def _sieve_net(n: int, phi: float, seed: int) -> PackingSet:
     return PackingSet(n, radius, tuple(compose(rho, pi) for pi in net.members))
 
 
-def _tallied(source: StageSource, totals: np.ndarray) -> StageSource:
-    """``source``, adding each stage's win totals into ``totals`` as it is pulled."""
-    def stages() -> Iterator[ComparisonDataset]:
-        for stage in source:
-            np.add(totals, stage.win_totals(), out=totals)
-            yield stage
-            del stage  # stage t is released before t + 1 is built
-
-    return replace(source, stages=stages)
-
-
 def _run_cell_replicate(
     spec: ExperimentSpec,
     n: int,
@@ -336,7 +324,7 @@ def _run_cell_replicate(
     pi_star = _pi_star(spec, n, seed)
     matrix = star_matrix(n, spec.lam)
     config = MsConfig(stages=stages, c1=spec.c1, threshold_scale=spec.threshold_scale)
-    # ms first: when borda runs too, its win totals are summed from the stages ms pulls
+    # ms first: when borda runs too, ms's own pass sums its win totals
     estimators = sorted(spec.estimators, key=lambda e: e != "ms")
     if "random" not in estimators:
         estimators.append("random")  # sanity-floor control always present
@@ -348,14 +336,13 @@ def _run_cell_replicate(
     source, lam_hat = draw_stages(pi_star, matrix, sampling, budget, stages, seed, margin)
     if {"mle", "sieve"} & set(estimators):
         source = StageSource.of(list(source))
-    wins = np.zeros(n, dtype=np.int64) if {"ms", "borda"} <= set(estimators) else None
+    wins = np.zeros(n) if {"ms", "borda"} <= set(estimators) else None
     rows: list[ResultRow] = []
     states: list[MsState] | None = None
     for estimator in estimators:
         start = time.perf_counter()
         if estimator == "ms":
-            pi_hat, states = ms_sort(source if wins is None else _tallied(source, wins),
-                                     lam_hat, config)
+            pi_hat, states = ms_sort(source, lam_hat, config, totals=wins)
         elif estimator == "borda":
             pi_hat = borda_sort(source) if wins is None else _ranks_from_scores(wins)
         elif estimator == "random":

@@ -22,7 +22,6 @@ seed reproduces the dataset bit for bit.
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator
@@ -189,14 +188,6 @@ class ComparisonDataset:
 
     def total_comparisons(self) -> int:
         return int(self.num.sum()) if len(self.num) else 0
-
-    def win_totals(self) -> np.ndarray:
-        """Total wins per item (length n, index = item - 1)."""
-        totals = np.bincount(self.first - 1, weights=self.first_wins, minlength=self.n)
-        totals += np.bincount(
-            self.second - 1, weights=self.num - self.first_wins, minlength=self.n
-        )
-        return totals.astype(np.int64)
 
     def same_data(self, other: "ComparisonDataset") -> bool:
         return (
@@ -510,8 +501,8 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
         raise ValueError(f"bad header in {path!s}: n must be >= 1, got {n}")
     rows = np.empty((0, 4), dtype=np.int64)
     if body:  # loadtxt warns on no data and skips blank lines: count the lines it parsed
-        try:
-            rows = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
+        try:  # the file itself, past the header: no copy of the body text
+            rows = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None, skiprows=skipped + 1)
         except ValueError:
             rows = None
         if rows is None or rows.shape != (body.count("\n") + 1, 4):

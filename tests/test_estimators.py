@@ -419,16 +419,25 @@ class TestDenseReference:
         ids=[c[0] for c in DENSE_REFERENCE_CASES if c[0] != "star-high-signal"],
     )
     def test_record_blocks_match_dense_reference(self, monkeypatch, make, lam, config, chunk):
-        # the stage's records scored a few at a time: block edges change no bit
+        # the stage's records scored a few at a time: block edges change no bit; the
+        # pooled totals, added into what the vector holds, are every item's wins
+        # over all stages and leave the permutation and the states as they were
         samples = make()
         monkeypatch.setattr(estimators, "_RECORD_CHUNK", chunk)
         pi_hat, states = ms_sort(samples, lam, config)
+        start = np.arange(samples[0].n, dtype=np.float64)
+        totals = start.copy()
+        pi_tot, states_tot = ms_sort(samples, lam, config, totals=totals)
         ranks, expected = dense_ms_states(samples, lam, config)
         assert np.array_equal(pi_hat.to_array(), ranks)
-        for st, ref in zip(states[1:], expected[1:], strict=True):
+        assert np.array_equal(totals - start, sum(wins_dense(s).sum(axis=1) for s in samples))
+        assert pi_tot == pi_hat
+        for st, tot, ref in zip(states[1:], states_tot[1:], expected[1:], strict=True):
             assert np.array_equal(st.scores, ref["scores"])
             assert np.array_equal(st.gate_fired, ref["gate_fired"])
             assert np.array_equal(st.uncertain, ref["uncertain"])
+            for name in ("scores", "gate_fired", "last", "tau", "below_counts", "above_counts"):
+                assert np.array_equal(getattr(tot, name), getattr(st, name))
 
     def test_scores_read_the_stage_records_in_place(self, monkeypatch):
         # no record-sized copy or temporary: the traced peak stays under one int64
@@ -438,13 +447,29 @@ class TestDenseReference:
         samples = _with_replacement_case(n, 0.45, 3 * 100_000, stages, 3)
         config = MsConfig(stages=stages, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
         ms_sort(samples, 0.45, config)
+        for totals in (None, np.zeros(n)):  # the pooled sums add no record-sized array
+            tracemalloc.start()
+            try:
+                _, states = ms_sort(samples, 0.45, config, totals=totals)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert set(states[2].last.tolist()) == {1, 2}  # stage 3 tests two held stages
+            assert peak < 8 * min(s.num_pairs for s in samples)
+
+    def test_borda_reads_the_stage_records_in_place(self, monkeypatch):
+        # borda runs ms_sort's kernel with nothing held: the same bound, with no
+        # per-stage copy of the item indices or float copy of the win counts
+        monkeypatch.setattr(estimators, "_RECORD_CHUNK", 512)
+        samples = _with_replacement_case(400, 0.45, 3 * 100_000, 3, 3)
+        borda_sort(samples)
         tracemalloc.start()
         try:
-            _, states = ms_sort(samples, 0.45, config)
+            pi_hat = borda_sort(samples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert set(states[2].last.tolist()) == {1, 2}  # stage 3 tests two held stages
+        assert pi_hat == _borda_oracle(merge_datasets(samples))
         assert peak < 8 * min(s.num_pairs for s in samples)
 
     def test_a_case_holds_a_score_gap_exactly_at_tau(self):
@@ -674,7 +699,8 @@ def test_stage_sample_estimators_match_pooled_oracles(n, with_r, stages, total, 
     members = list(greedy_maximal_packing(n, radius).members)
     rng.shuffle(members)
     net = PackingSet(n=n, epsilon=radius, members=tuple(members))
-    assert borda_sort(samples) == _borda_oracle(merged)
+    with mock.patch.object(estimators, "_RECORD_CHUNK", chunk):
+        assert borda_sort(samples) == _borda_oracle(merged)
     with mock.patch.object(estimators, "_CANDIDATE_CHUNK", chunk):
         assert brute_force_mle(samples) == loop_mle(merged, enumerate_permutations(n))
         assert sieve_mle(samples, net) == loop_mle(merged, net.members)

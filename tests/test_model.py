@@ -638,6 +638,20 @@ class TestMergeAndIO:
         with pytest.raises(ValueError, match=f"data.txt, line {line}:"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("text", [
+        "\n \n\t\n  3 with_replacement 5 0\n2 1 3 2\n1 2 3 1\n2 3 2 2\n",  # blank lines first
+        "3 with_replacement 5 0\n1 2 3 1  \n2 3 2 2\t\n  \n\n\t\n",  # whitespace lines last
+        "\r\n\r\n3 with_replacement 5 0\r\n1 2 3 1\r\n2 3 2 2\r\n \r\n",  # CRLF around both
+    ])
+    def test_read_skips_blank_lines_around_the_data(self, tmp_path, text):
+        # the records are parsed from the file, past the header's line
+        path = tmp_path / "data.txt"
+        path.write_bytes(text.encode())
+        d = read_dataset(path)
+        assert d.same_data(line_read_dataset(path)) and d.tag.budget == 5
+        assert d.first.tolist() == [1, 2] and d.second.tolist() == [2, 3]
+        assert d.num.tolist() == [3, 2] and d.first_wins.tolist() == [1, 2]
+
     def test_read_accepts_agreeing_records_in_any_order(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("3 with_replacement 5 0\n2 1 3 2\n2 3 2 2\n1 2 3 1\n3 2 2 0\n")
