@@ -107,10 +107,12 @@ def estimate_lambda(halves: StageSource | Iterable[ComparisonDataset]) -> float:
             raise ValueError("margin estimation expects with-replacement samples")
         if ranks is None:
             ranks, second = borda_sort([second]).to_array(), None
-    gap = n // 2
-    ra, rb = ranks[second.first - 1], ranks[second.second - 1]
-    win_sum = int(np.where(ra - rb > gap, second.first_wins, 0).sum())
-    win_sum += int(np.where(rb - ra > gap, second.num - second.first_wins, 0).sum())
+    gap, win_sum, ranks = n // 2, 0, np.concatenate(([0], ranks))  # by item, 1-based
+    for lo in range(0, second.num_pairs, _RECORD_CHUNK):  # integer sums: blocks are exact
+        fi, se, num, fw = (a[lo: lo + _RECORD_CHUNK] for a in (
+            second.first, second.second, second.num, second.first_wins))
+        d = ranks[fi] - ranks[se]
+        win_sum += int(fw[d > gap].sum()) + int((num - fw)[-d > gap].sum())
     raw = (2.0 / total) * math.comb(n, 2) / math.comb(gap, 2) * win_sum - 0.5
     return float(min(max(raw, LAMBDA_CLAMP), 0.5 - LAMBDA_CLAMP))
 

@@ -64,10 +64,11 @@ RESULT_COLUMNS = ("kind", "n", "sampling", "budget", "lam", "seed", "estimator",
 WORKERS_ENV_VAR = "NOISYSORT_WORKERS"
 # Peak bytes of one ms + borda + random replicate per record of its largest draw, and per
 # item, both the largest measured with tracemalloc (rounded up) over n = 300-20000,
-# alpha = 0.01-1, T = 1-3, fixed and estimated margins.  The record bytes peak with an
-# estimated margin's first half (62.0 at n=8000, alpha=0.1, T=3) and, without
-# replacement, at T=1 (64.8 at n=2500, alpha=1); the item bytes at N of a few hundred (338.9).
-_RECORD_BYTES = {WITH_REPLACEMENT: 62, WITHOUT_REPLACEMENT: 65}
+# alpha = 0.01-1, T = 1-3, fixed and estimated margins.  With replacement the record bytes
+# peak where the 65536-record block temporaries weigh most (60.1 at n=420, alpha=1, T=3,
+# a fixed margin; draws of a million records and up read about 34); without replacement
+# at T=1 (64.8 at n=2500, alpha=1); the item bytes at N of a few hundred (338.9).
+_RECORD_BYTES = {WITH_REPLACEMENT: 61, WITHOUT_REPLACEMENT: 65}
 _ITEM_BYTES = 340
 
 

@@ -269,10 +269,82 @@ def sample_without_replacement(
     return _decode(pi_star.n, *_draw_pairs(pi_star, matrix, p, seed), p, seed)
 
 
+# Largest comparison count whose star-law win draw is replayed from a table
+_REPLAY_COUNT = 32
+# numpy's largest uniform double, (2**53 - 1) / 2**53
+_TOP_UNIFORM = 1.0 - 2.0**-53
+
+
+def _inversion_tables(entries: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """numpy's binomial inversion on the star law's two sides, for counts 0..top.
+
+    Rows 0..top invert at v = entries[0] (first weaker), the next top + 1 at
+    v = 1.0 - entries[2] (first stronger: numpy inverts 1 - p, then returns c - X);
+    ``top`` is cut to stay out of numpy's large-count branch, c * v > 30.  px[row, k]
+    is the term that numpy subtracts from its uniform at step k, in its order of
+    operations; past bound[row] it redraws.  ``floor`` is 1 if a count-1 pair settles
+    at u > px[row, 0] even for the largest uniform, and so for every uniform (fl(u - x)
+    is monotone in u), else 0."""
+    sides = (float(entries[0]), 1.0 - float(entries[2]))
+    while top * max(sides) > 30.0:
+        top -= 1
+    px, bound, floor = np.zeros((2 * top + 2, top + 1)), np.zeros(2 * top + 2, dtype=np.int64), 1
+    for row, v in zip((0, top + 1), sides):
+        q = 1.0 - v
+        for c in range(1, top + 1):
+            mean, term = c * v, math.exp(c * math.log(q))
+            bound[row + c] = int(min(c, mean + 10.0 * math.sqrt(mean * q + 1)))
+            for k in range(bound[row + c] + 1):
+                px[row + c, k] = term
+                term = ((c - k) * v * term) / ((k + 1) * q)
+        u, k = _TOP_UNIFORM, 0
+        while u > px[row + 1, k] and k < bound[row + 1]:
+            u, k = u - px[row + 1, k], k + 1
+        floor = min(floor, int(u <= px[row + 1, k]))
+    return px, bound, floor
+
+
+def _replay_star_wins(rng: np.random.Generator, counts: np.ndarray, stronger: np.ndarray,
+                      tables: tuple[np.ndarray, np.ndarray, int], out: np.ndarray) -> bool:
+    """``out[:] = rng.binomial(counts, p)`` for the star law, bit for bit and with the same
+    stream, at one ``rng.random`` value per pair; p is 1/2 + lam where ``stronger`` (first
+    ranks higher), else 1/2 - lam.  ``tables`` are _inversion_tables'.  False, with the
+    stream advanced, where numpy would not invert once per pair: a count past the
+    tables, or a uniform past its bound."""
+    px, bound, floor = tables
+    side = len(bound) // 2
+    if counts.max() >= side:
+        return False
+    u = rng.random(len(counts))
+    # a count-1 pair wins X = (u > px[1, 0]) of its side, or 1 - X where stronger; the
+    # sides are selected by masks, since a select on the random side bits mispredicts
+    out[:] = (stronger & (u <= px[side + 1, 0])) | (~stronger & (u > px[1, 0]))
+    go = np.flatnonzero(counts > floor)  # the pairs that step through their rows
+    row, u = counts[go] + stronger[go] * side, u[go]
+    x, at = np.zeros(len(go), dtype=np.int64), np.arange(len(go))
+    for k in range(px.shape[1]):
+        term = px[row, k]
+        more = u > term
+        at, row, u = at[more], row[more], (u - term)[more]
+        if not len(at):
+            break
+        if np.any(bound[row] <= k):  # X = k + 1 is past the bound: numpy redraws
+            return False
+        x[at] += 1
+    out[go] = np.where(stronger[go], counts[go] - x, x)
+    return True
+
+
 def sample_with_replacement(
     pi_star: Permutation, matrix: ProbabilityMatrix, total: int, seed: int
 ) -> ComparisonDataset:
-    """Draw ``total`` comparisons between uniformly random pairs."""
+    """Draw ``total`` comparisons between uniformly random pairs.
+
+    Each drawn pair's wins are ``rng.binomial(count, p)``, _WIN_CHUNK pairs per call.
+    Under the star law a chunk is replayed through numpy's own inversion sampler, at
+    one uniform per pair; a chunk that numpy would draw otherwise (a count past
+    _REPLAY_COUNT or its large-count branch, or a redraw) is drawn again by
+    ``rng.binomial`` from the state before it, so the stream is the same either way."""
     if total < 1:
         raise ValueError(f"need at least one comparison, got {total}")
     n = pi_star.n
@@ -284,16 +356,31 @@ def sample_with_replacement(
     rng = np.random.default_rng(seed)
     cells = rng.integers(0, num_cells, size=total)
     cells.sort()  # the drawn pairs are the runs of equal cells
-    starts = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1])))
-    idx, counts = cells[starts], np.diff(starts, append=total)
+    new = np.empty(total, dtype=bool)
+    new[0] = True
+    np.not_equal(cells[1:], cells[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    del new
+    counts = np.empty(len(starts), dtype=np.int64)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = total - starts[-1]
+    idx = cells[starts]
     del cells, starts  # free the N draws before the per-pair arrays are allocated
     first, second = _pair_items(n, idx)
     del idx
-    ranks, wins = pi_star.to_array(), np.empty(len(first), dtype=np.int64)
+    ranks = np.concatenate(([0], pi_star.to_array()))  # by item, 1-based
+    wins, star = np.empty(len(first), dtype=np.int64), matrix.entries.ndim == 1
+    if star:
+        tables = _inversion_tables(matrix.entries, min(_REPLAY_COUNT, int(counts.max())))
     for lo in range(0, len(first), _WIN_CHUNK):  # as in _draw_pairs: one call's stream
         at = slice(lo, lo + _WIN_CHUNK)
-        wins[at] = rng.binomial(counts[at], matrix.win_prob(ranks[first[at] - 1],
-                                                            ranks[second[at] - 1]))
+        rank_first, rank_second = ranks.take(first[at]), ranks.take(second[at])
+        if star:
+            state = rng.bit_generator.state
+            if _replay_star_wins(rng, counts[at], rank_first > rank_second, tables, wins[at]):
+                continue
+            rng.bit_generator.state = state  # numpy draws this chunk itself
+        wins[at] = rng.binomial(counts[at], matrix.win_prob(rank_first, rank_second))
     return ComparisonDataset(
         n=n, first=first, second=second, num=counts, first_wins=wins,
         tag=SamplingTag(WITH_REPLACEMENT, total), seed=seed,

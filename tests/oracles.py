@@ -15,7 +15,7 @@ import numpy as np
 
 from noisysort.counting import PackingSet
 from noisysort.errors import SizeMismatchError
-from noisysort.estimators import _best_candidate
+from noisysort.estimators import LAMBDA_CLAMP, _best_candidate, borda_sort
 from noisysort.model import (
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
@@ -217,6 +217,38 @@ def unique_sample_with_replacement(pi_star, matrix, total, seed):
         n=n, first=first, second=second, num=counts, first_wins=wins,
         tag=SamplingTag(WITH_REPLACEMENT, total), seed=seed,
     )
+
+
+def whole_estimate_lambda(first, second):
+    """The former library margin estimate, kept as the reference of the blocked
+    one: the second half's win sum over whole-record rank gathers and np.where."""
+    n, total = first.n, first.total_comparisons() + second.total_comparisons()
+    ranks, gap = borda_sort([first]).to_array(), n // 2
+    ra, rb = ranks[second.first - 1], ranks[second.second - 1]
+    win_sum = int(np.where(ra - rb > gap, second.first_wins, 0).sum())
+    win_sum += int(np.where(rb - ra > gap, second.num - second.first_wins, 0).sum())
+    raw = (2.0 / total) * math.comb(n, 2) / math.comb(gap, 2) * win_sum - 0.5
+    return float(min(max(raw, LAMBDA_CLAMP), 0.5 - LAMBDA_CLAMP))
+
+
+def inversion_binomial(count, p, uniforms):
+    """numpy's Generator.binomial(count, p) on its inversion branch (min(p, 1 - p) *
+    count <= 30), transcribed from its C source one value at a time: each uniform is
+    the next of the iterator ``uniforms``, and a walk past the bound draws another."""
+    v = p if p <= 0.5 else 1.0 - p
+    assert v * count <= 30.0
+    q = 1.0 - v
+    qn, mean = math.exp(count * math.log(q)), count * v
+    bound = int(min(count, mean + 10.0 * math.sqrt(mean * q + 1)))
+    x, px, u = 0, qn, next(uniforms)
+    while u > px:
+        x += 1
+        if x > bound:
+            x, px, u = 0, qn, next(uniforms)
+        else:
+            u -= px
+            px = ((count - x + 1) * v * px) / (x * q)
+    return x if p <= 0.5 else count - x
 
 
 def row_sample_without_replacement(pi_star, matrix, p, seed):

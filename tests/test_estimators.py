@@ -13,6 +13,7 @@ from noisysort.counting import greedy_maximal_packing, PackingSet
 from noisysort.errors import ResourceCapError, SizeMismatchError
 from noisysort.estimators import (
     CALIBRATED_THRESHOLD_SCALE,
+    LAMBDA_CLAMP,
     MsConfig,
     _count_below,
     borda_sort,
@@ -58,6 +59,7 @@ from oracles import (
     merge_datasets,
     noise_free_full,
     split_without_replacement,
+    whole_estimate_lambda,
     wins_dense,
 )
 
@@ -143,6 +145,33 @@ class TestEstimateLambda:
         # the second half is still held when the stream is asked for a third
         stream = StageSource(60, (3000, 3000), lambda: _checked_stream(halves, last_dies=False))
         assert estimate_lambda(stream) == expected
+
+    # blocks of 1 and 7 records cross every edge; the sum is of integers, so it is exact
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("n, lam, seed", [(40, 0.2, 0), (53, 0.1, 1), (66, 0.3, 2), (120, 0.25, 3)])
+    def test_blocked_second_half_matches_whole_formula(self, monkeypatch, chunk, n, lam, seed):
+        halves = split_with_replacement(random_permutation(n, np.random.default_rng(seed)),
+                                        star_matrix(n, lam), [1500, 1500], seed)
+        expected = whole_estimate_lambda(*halves)
+        assert LAMBDA_CLAMP < expected < 0.5 - LAMBDA_CLAMP
+        monkeypatch.setattr(estimators, "_RECORD_CHUNK", chunk)
+        assert estimate_lambda(halves) == expected
+
+    def test_second_half_is_read_in_place(self, monkeypatch):
+        # no record-sized temporary: the traced peak stays under one int64 array
+        # over the second half's records (about four of them before blocking)
+        monkeypatch.setattr(estimators, "_RECORD_CHUNK", 512)
+        halves = split_with_replacement(random_permutation(400, np.random.default_rng(4)),
+                                        star_matrix(400, 0.25), [100_000, 100_000], 4)
+        expected = whole_estimate_lambda(*halves)
+        tracemalloc.start()
+        try:
+            lam_hat = estimate_lambda(halves)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lam_hat == expected
+        assert peak < 8 * halves[1].num_pairs
 
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_exactly_two_halves(self, count):

@@ -254,7 +254,7 @@ class TestMemoryRule:
         assert traced_peak(build)[1] < 4 * 2**20
 
     def test_north_star_cell_is_accepted(self):
-        # built only: a run takes seconds and about 400 MB
+        # built only: a run takes seconds and about 260 MB of RSS
         spec = ExperimentSpec(kind="scaling_n", n_values=(20_000,), alphas=(0.1,), replicates=1,
                               estimators=("ms", "borda", "random"), pi_star="random",
                               sampling=(WITH_REPLACEMENT,))

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import tempfile
 import tracemalloc
@@ -40,6 +42,7 @@ from oracles import (
     DISAGREEING_RECORDS,
     counts_dense,
     dense_star_entries,
+    inversion_binomial,
     line_read_dataset,
     line_write_dataset,
     make_dataset,
@@ -274,19 +277,115 @@ class TestWithReplacement:
         assert d.num.dtype == np.int64
 
     # chunks of 1 and 7 cross every edge; at n <= 3 the cells hold thousands of draws,
-    # so the binomial takes its large-count branch; a member law varies p pair by pair
+    # so the binomial takes its large-count branch; a member law varies p pair by pair.
+    # At lam 0.2 and 0.3 the star law's sides invert at v one ulp apart; at lam 0.45 and
+    # n = 40, counts pass numpy's redraw bound; identity pi* puts the stronger item second
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
-    @pytest.mark.parametrize("n, total, seed, law", [
-        (2, 5000, 1, "star"), (3, 20_000, 6, "random"), (30, 12345, 3, "star"),
-        (40, 3000, 8, "random"), (300, 400, 4, "star"),
+    @pytest.mark.parametrize("n, total, seed, law, pi_kind", [
+        (2, 5000, 1, "star", "random"), (3, 20_000, 6, "member", "random"),
+        (30, 12345, 3, "star", "random"), (40, 3000, 8, "member", "random"),
+        (300, 400, 4, "star", "random"), (500, 3000, 9, 0.3, "identity"),
+        (500, 3000, 10, 0.2, "random"), (40, 3000, 11, 0.3, "random"),
+        (40, 20_000, 12, 0.45, "identity"),
     ])
-    def test_chunked_draw_matches_unique(self, monkeypatch, chunk, n, total, seed, law):
+    def test_chunked_draw_matches_unique(self, monkeypatch, chunk, n, total, seed, law, pi_kind):
         monkeypatch.setattr(model, "_WIN_CHUNK", chunk)
-        pi = random_permutation(n, np.random.default_rng(seed))
-        matrix = star_matrix(n, 0.2) if law == "star" else random_member_matrix(n, 0.1, 0.05, seed)
+        pi = Permutation.identity(n) if pi_kind == "identity" else random_permutation(
+            n, np.random.default_rng(seed))
+        matrix = (random_member_matrix(n, 0.1, 0.05, seed) if law == "member"
+                  else star_matrix(n, 0.2 if law == "star" else law))
         d = sample_with_replacement(pi, matrix, total, seed)
         assert d.same_data(unique_sample_with_replacement(pi, matrix, total, seed))
         assert all(a.dtype == np.int64 for a in (d.first, d.second, d.num, d.first_wins))
+
+    def _replayed(self, monkeypatch):
+        """Record whether each chunk of the star law's win draw was replayed."""
+        replayed, replay = [], model._replay_star_wins
+        monkeypatch.setattr(model, "_replay_star_wins",
+                            lambda *args: replayed.append(replay(*args)) or replayed[-1])
+        return replayed
+
+    def test_a_chunk_past_the_table_is_drawn_by_numpy(self, monkeypatch):
+        # counts of 3 or more fall outside a table of counts up to 2: the chunks holding
+        # one are drawn again by rng.binomial from the state before them
+        monkeypatch.setattr(model, "_REPLAY_COUNT", 2)
+        monkeypatch.setattr(model, "_WIN_CHUNK", 97)
+        replayed = self._replayed(monkeypatch)
+        pi, law = random_permutation(200, np.random.default_rng(13)), star_matrix(200, 0.2)
+        d = sample_with_replacement(pi, law, 2000, 13)
+        assert d.same_data(unique_sample_with_replacement(pi, law, 2000, 13))
+        assert replayed[0] and replayed[-1] and not all(replayed)
+
+    def test_a_uniform_past_its_bound_is_drawn_by_numpy(self, monkeypatch):
+        # with every bound cut to 1, a pair that would step to X = 2 is numpy's redraw:
+        # its chunk falls back, and the draw still equals numpy's
+        tables = model._inversion_tables
+
+        def cut_bounds(*args):
+            px, bound, floor = tables(*args)
+            return px, np.minimum(bound, 1), floor
+
+        monkeypatch.setattr(model, "_inversion_tables", cut_bounds)
+        monkeypatch.setattr(model, "_WIN_CHUNK", 97)
+        replayed = self._replayed(monkeypatch)
+        pi, law = random_permutation(60, np.random.default_rng(14)), star_matrix(60, 0.3)
+        d = sample_with_replacement(pi, law, 2000, 14)
+        assert d.same_data(unique_sample_with_replacement(pi, law, 2000, 14))
+        ranks = pi.to_array()
+        steps = np.where(ranks[d.first - 1] > ranks[d.second - 1], d.num - d.first_wins,
+                         d.first_wins)  # numpy's X: the stronger side inverts 1 - p
+        expected = [not np.any(steps[lo: lo + 97] > 1) for lo in range(0, d.num_pairs, 97)]
+        assert replayed == expected and any(expected) and not all(expected)
+
+    def test_count_one_pairs_step_when_their_row_could_outrun_it(self, monkeypatch):
+        # a largest uniform past any table makes every count-1 pair walk its row
+        monkeypatch.setattr(model, "_TOP_UNIFORM", 2.0)
+        assert model._inversion_tables(np.array([0.3, 0.5, 0.7]), 4)[2] == 0
+        pi, law = random_permutation(200, np.random.default_rng(15)), star_matrix(200, 0.2)
+        d = sample_with_replacement(pi, law, 5000, 15)
+        assert d.same_data(unique_sample_with_replacement(pi, law, 5000, 15))
+
+    @pytest.mark.parametrize("lam", [0.2, 0.25, 0.3, 0.45])
+    def test_inversion_oracle_is_numpy_binomial(self, lam):
+        counts = np.random.default_rng(17).integers(1, 21, size=3000)
+        p = np.where(np.arange(3000) % 2, 0.5 + lam, 0.5 - lam)
+        rng = np.random.default_rng(18)
+        uniforms = iter(rng.random, None)
+        expected = np.random.default_rng(18).binomial(counts, p)
+        assert [inversion_binomial(int(c), float(q), uniforms) for c, q in zip(counts, p)] \
+            == expected.tolist()
+
+    # uniforms on and one ulp around each side's partial sums: at lam 0.2 and 0.3 the
+    # stronger side inverts at 1 - (1/2 + lam), one ulp off 1/2 - lam.  A uniform that
+    # numpy would redraw for a pair is left out of that pair's cases
+    @pytest.mark.parametrize("lam", [0.2, 0.25, 0.3, 0.45])
+    def test_replay_at_the_step_boundaries(self, lam):
+        entries = star_matrix(4, lam).entries
+        tables = model._inversion_tables(entries, 8)
+        px, bound, _ = tables
+        cuts = set()
+        for row in range(len(bound)):
+            total = 0.0
+            for k in range(bound[row] + 1):
+                total += px[row, k]
+                cuts |= {total, np.nextafter(total, 0.0), np.nextafter(total, 1.0)}
+        cases = []  # (count, stronger, uniform, numpy's wins)
+        for count, stronger, u in itertools.product(range(1, 9), (False, True), sorted(cuts)):
+            try:
+                wins = inversion_binomial(count, entries[2] if stronger else entries[0], iter([u]))
+            except StopIteration:
+                continue
+            cases.append((count, stronger, u, wins))
+        counts, stronger, u, expected = (np.array(column) for column in zip(*cases))
+
+        class Uniforms:  # the draw's only generator call
+            def random(self, m):
+                assert m == len(u)
+                return u
+
+        out = np.empty(len(u), dtype=np.int64)
+        assert model._replay_star_wins(Uniforms(), counts, stronger, tables, out)
+        assert np.array_equal(out, expected)
 
     def test_win_distribution_chi_square(self):
         # conditioned on the pair, the stronger item's wins are
@@ -312,6 +411,40 @@ class TestWithReplacement:
         assert abs(counts.mean() - expected) < 1e-9  # exact: totals are conserved
         var_expected = total * (1 / pairs) * (1 - 1 / pairs)
         assert abs(counts.var() - var_expected) / var_expected < 0.25
+
+
+# sha256 of first/second/num/first_wins bytes: (n, lam, pi_star, total, seed) -> digest.
+# counts pass the replay table at n <= 3 (into numpy's large-count binomial) and at
+# n = 40, N = 20000; lam 0.2 and 0.3 give the two sides of the star law different tables
+GOLDEN_DRAWS = {
+    (2, 0.2, "identity", 5000, 1):
+        "99ea07acad3b93fff053dd74cec37b632208b71d2bd769d5fa7769956848d9a6",
+    (3, 0.45, "random", 2000, 2):
+        "c46a9bca213f2bfcbadbc170d58348a80b02532e6b50d9833b063d0cb4797247",
+    (40, 0.1, "identity", 3000, 3):
+        "fde5077a6c1114a085f2523338cb67ff79580c9fae8f003a675ff6662bc819d1",
+    (40, 0.25, "random", 20_000, 4):
+        "07fc32f13df62b2a8c9c8b79d696bad221acee7c593c1a00e89d829de77ce5a4",
+    (40, 0.3, "member", 5000, 5):
+        "223d6d5671fe7c46ee0152468e91412160cdf8ffc26457700fed3ab8d9f87c88",
+    (2000, 0.3, "random", 200_000, 6):
+        "f0b64a5520237fe16381379e3c40f0296a2ddbef0a7f2ba9b785b643803fa15a",
+    (2000, 0.45, "identity", 400_000, 7):
+        "12092cd8fa18250deb1678294b732524688d9bb98372290a157ef52d6da38e28",
+    (2000, 0.2, "random", 100_000, 8):
+        "8beff56e623a91bc0e8219b189a6d91194e94901e59d0c396c0a6c2a038d5d8d",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_DRAWS))
+def test_with_replacement_stream_is_pinned(case):
+    n, lam, kind, total, seed = case
+    pi = Permutation.identity(n) if kind == "identity" else random_permutation(
+        n, np.random.default_rng(seed))
+    law = random_member_matrix(n, lam, 0.05, seed) if kind == "member" else star_matrix(n, lam)
+    d = sample_with_replacement(pi, law, total, seed)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in (d.first, d.second, d.num, d.first_wins)))
+    assert digest.hexdigest() == GOLDEN_DRAWS[case]
 
 
 class TestSplits:
