@@ -52,9 +52,7 @@ from .model import (
     SamplingTag,
     StageSource,
     derive_seed,
-    random_member_matrix,
     read_dataset,
-    relabel_items,
     sample_with_replacement,
     sample_without_replacement,
     split_with_replacement,

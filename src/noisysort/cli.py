@@ -15,9 +15,11 @@ from .errors import ResourceCapError
 from .estimators import CALIBRATED_THRESHOLD_SCALE, MsConfig, ms_sort
 from .experiments import (
     ExperimentSpec,
+    check_memory,
     draw_stages,
     emit_regions,
     lambda_results_to_csv,
+    largest_draw,
     rows_to_csv,
     run_experiment,
     run_lambda_accuracy,
@@ -63,14 +65,21 @@ def _load_pi_star(path: str | None, n: int) -> Permutation:
     return pi
 
 
-def _cmd_simulate(args) -> int:
-    matrix = star_matrix(args.n, args.lam)
-    pi_star = _load_pi_star(args.pi_star, args.n)
+def _budget(args) -> tuple[str, float]:
     kind = _SAMPLING_TOKENS[args.model]
+    return kind, int(args.budget) if kind == WITH_REPLACEMENT else float(args.budget)
+
+
+def _cmd_simulate(args) -> int:
+    kind, budget = _budget(args)
+    matrix = star_matrix(args.n, args.lam)
+    check_memory(f"simulate n={args.n}", args.n, largest_draw(args.n, kind, budget, 1, False),
+                 kind)
+    pi_star = _load_pi_star(args.pi_star, args.n)
     if kind == WITH_REPLACEMENT:
-        dataset = sample_with_replacement(pi_star, matrix, int(args.budget), args.seed)
+        dataset = sample_with_replacement(pi_star, matrix, budget, args.seed)
     else:
-        dataset = sample_without_replacement(pi_star, matrix, float(args.budget), args.seed)
+        dataset = sample_without_replacement(pi_star, matrix, budget, args.seed)
     write_dataset(dataset, args.out)
     print(f"wrote {dataset.total_comparisons()} comparisons over "
           f"{dataset.num_pairs} pairs to {args.out}")
@@ -83,11 +92,15 @@ def _cmd_run_ms(args) -> int:
         samples, lam_hat = [read_dataset(f) for f in args.infiles], args.lambda_hat
         if lam_hat is None:
             raise ValueError("--lambda-hat is required when stages come from files")
+        n = max(s.n for s in samples)  # every file is held while ms sorts
+        check_memory(f"run-ms n={n}", n, sum(s.num_pairs for s in samples),
+                     samples[0].tag.kind)
     else:
         if args.n is None or args.budget is None:
             raise ValueError("either --in files or --generate parameters are required")
-        kind = _SAMPLING_TOKENS[args.model]
-        budget = int(args.budget) if kind == WITH_REPLACEMENT else float(args.budget)
+        kind, budget = _budget(args)
+        check_memory(f"run-ms n={args.n}", args.n, largest_draw(
+            args.n, kind, budget, args.stages, args.lambda_hat is None), kind)
         samples, lam_hat = draw_stages(_load_pi_star(args.pi_star, args.n),
                                        star_matrix(args.n, args.lam), kind, budget,
                                        args.stages, args.seed, args.lambda_hat)

@@ -145,14 +145,14 @@ class MsState:
     """Snapshot of one stage: scores, gate outcome and certainty partition.
 
     Row i splits [n] into items certainly weaker than i (below), certainly
-    stronger (above) and still open (``uncertain``, always holding i).  A row
+    stronger (above) and still open (uncertain, always holding i).  A row
     changes only when its gate fires, and is then re-derived from that stage's
     scores alone (so certain sets need not grow monotonically); per row the
     state keeps the stage ``last[i]`` of its last firing (0: never), that
     stage's ``tau[i]`` (+inf: never) and the certain-set sizes.  With S the
     scores of stage last[i], j is below i iff fl(S_j - S_i) < -tau[i] and
     above iff fl(S_j - S_i) > tau[i]: the very comparison that decided it, so
-    ``uncertain``, built on demand, is exact.  ``history`` holds the scores of
+    ``uncertain_rows``, built on demand, is exact.  ``history`` holds the scores of
     stages 0..stage (stage 0 all zero, no ``scores``), shared between states.
     """
 
@@ -177,14 +177,10 @@ class MsState:
         return self.n * self.n - int(self.below_counts.sum() + self.above_counts.sum())
 
     def uncertain_rows(self, rows: slice) -> np.ndarray:
-        """The rows ``rows`` of ``uncertain``, in O(rows x n) memory."""
+        """The rows ``rows`` of the n x n uncertain mask, in O(rows x n) memory."""
         held = np.stack(self.history)[self.last[rows]]
         gaps = held - held[np.arange(len(held)), np.arange(self.n)[rows]][:, None]
         return np.abs(gaps) <= self.tau[rows, None]
-
-    @property
-    def uncertain(self) -> np.ndarray:
-        return self.uncertain_rows(slice(None))
 
 
 def initial_ms_state(n: int) -> MsState:

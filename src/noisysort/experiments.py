@@ -25,6 +25,7 @@ import numpy as np
 from .counting import PackingSet, greedy_maximal_packing, max_inversions
 from .errors import ResourceCapError
 from .estimators import (
+    _RECORD_CHUNK,
     CALIBRATED_THRESHOLD_SCALE,
     MsConfig,
     MsState,
@@ -62,13 +63,16 @@ ESTIMATOR_IDS = ("ms", "borda", "random", "mle", "sieve")
 RESULT_COLUMNS = ("kind", "n", "sampling", "budget", "lam", "seed", "estimator",
                   "d_kt", "l1", "linf")
 WORKERS_ENV_VAR = "NOISYSORT_WORKERS"
-# Peak bytes of one ms + borda + random replicate per record of its largest draw, and per
-# item, both the largest measured with tracemalloc (rounded up) over n = 300-20000,
-# alpha = 0.01-1, T = 1-3, fixed and estimated margins.  With replacement the record bytes
-# peak where the 65536-record block temporaries weigh most (60.1 at n=420, alpha=1, T=3,
-# a fixed margin; draws of a million records and up read about 34); without replacement
-# at T=1 (64.8 at n=2500, alpha=1); the item bytes at N of a few hundred (338.9).
-_RECORD_BYTES = {WITH_REPLACEMENT: 61, WITHOUT_REPLACEMENT: 65}
+# Peak bytes of one ms + borda + random replicate per record of its largest draw, per record
+# of that draw's first _RECORD_CHUNK (the block temporaries), and per item, measured with
+# tracemalloc after a warm-up run over n = 300-20000, alpha = 0.01-1, T = 1-3, fixed and
+# estimated margins, and rounded up.  With replacement, draws of a million records and up
+# set the record bytes (34.1 at n=20000, alpha=0.1, T=3), and the block bytes are what the
+# small draws need on top (24.9 at n=420, alpha=1, T=3); without replacement the whole
+# draw lives (63.2 at n=300, alpha=1); the item bytes peak at N of a few hundred (338.9,
+# measured at n = 2*10^4-2*10^5).
+_RECORD_BYTES = {WITH_REPLACEMENT: 35, WITHOUT_REPLACEMENT: 65}
+_BLOCK_BYTES = {WITH_REPLACEMENT: 26, WITHOUT_REPLACEMENT: 0}
 _ITEM_BYTES = 340
 
 
@@ -235,29 +239,41 @@ def _cell_plan(spec: ExperimentSpec, n: int, kind: str, value: float,
         raise ValueError(f"{cell}: the budget is not a finite number")
     stages = spec.stages if spec.stages is not None else default_stage_count(n)
     if sampling == WITHOUT_REPLACEMENT:
-        p = value if kind == "alpha" else value / pairs
-        if not 0 < p <= 1:
-            raise ValueError(f"{cell}: per-pair probability {p} outside (0, 1]")
-        if "ms" in spec.estimators and p * pairs < stages:
-            raise ValueError(f"{cell}: {p * pairs:g} pairs expected, "
+        budget = value if kind == "alpha" else value / pairs
+        if not 0 < budget <= 1:
+            raise ValueError(f"{cell}: per-pair probability {budget} outside (0, 1]")
+        if "ms" in spec.estimators and budget * pairs < stages:
+            raise ValueError(f"{cell}: {budget * pairs:g} pairs expected, "
                              f"fewer than the {stages} stages of ms")
-        budget, records = p, p * pairs  # the whole draw lives while its stages are decoded
     else:
-        total = float(round(value * pairs) if kind == "alpha" else int(value))
+        budget = float(round(value * pairs) if kind == "alpha" else int(value))
         least = 2 if spec.kind == "lambda_accuracy" else max(stages, 1 + estimated)
-        if total < least:
-            raise ValueError(f"{cell}: {total:g} comparisons, fewer than the {least} it needs")
-        # one draw lives at a time: the largest is a stage or a margin half
-        budget = total
-        records = max(math.ceil(total / stages), math.ceil(total / 2) if estimated else 0)
-    workers = spec.effective_workers()
-    need = workers * (records * _RECORD_BYTES[sampling] + n * _ITEM_BYTES)
+        if budget < least:
+            raise ValueError(f"{cell}: {budget:g} comparisons, fewer than the {least} it needs")
+    check_memory(cell, n, largest_draw(n, sampling, budget, stages, estimated), sampling,
+                 spec.effective_workers())
+    return budget, stages
+
+
+def largest_draw(n: int, sampling: str, budget: float, stages: int, estimated: bool) -> float:
+    """Records of the largest draw one run of ``stages`` stages holds at once: without
+    replacement the whole draw (p * C(n,2)), which lives while its stages are decoded;
+    with replacement (N comparisons) a stage or, if the margin is estimated, a half."""
+    if sampling == WITHOUT_REPLACEMENT:
+        return budget * math.comb(n, 2)
+    return max(math.ceil(budget / stages), math.ceil(budget / 2) if estimated else 0)
+
+
+def check_memory(what: str, n: int, records: float, sampling: str, workers: int = 1) -> None:
+    """ResourceCapError, naming ``what``, if ``workers`` runs at once, each on n items with
+    a largest draw of ``records`` records, would not fit in physical memory."""
+    need = workers * (records * _RECORD_BYTES[sampling] + n * _ITEM_BYTES
+                      + min(records, _RECORD_CHUNK) * _BLOCK_BYTES[sampling])
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > memory:
         raise ResourceCapError(
-            f"{cell}: {workers} replicate(s) at once need about {need / 2**30:.3g} GiB, "
+            f"{what}: {workers} replicate(s) at once need about {need / 2**30:.3g} GiB, "
             f"more than the {memory / 2**30:.3g} GiB of physical memory")
-    return budget, stages
 
 
 def draw_stages(

@@ -1,7 +1,8 @@
 """Comparison laws and comparison-data generation.
 
-A law gives the win probability of any two ranks; the star law is closed
-form and stores no n x n table (see ``ProbabilityMatrix``).
+The law is the star law: the stronger item wins with probability 1/2 + lam,
+in closed form, with no n x n table (see ``ProbabilityMatrix``).  The samplers
+read a law's ``n`` and ``win_prob``, so other law objects draw through them too.
 
 Two sampling schemes produce a ``ComparisonDataset``:
 
@@ -50,16 +51,13 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityMatrix:
-    """A win-probability law on n ranked items with margin ``lam`` around 1/2.
+    """The star law on n ranked items: the stronger item wins with probability 1/2 + lam.
 
     ``win_prob(i, j)`` is the probability that the rank-i item beats the
-    rank-j item: at least 1/2 + lam when i > j (stronger items rank higher),
-    one minus that when i < j, exactly 1/2 when i == j.  ``entries`` is the
-    table it reads.  For a general member of the class that is the n x n
-    matrix, entries[i-1, j-1], checked for membership once at construction.
-    For the star law it is the three values (1/2 - lam, 1/2, 1/2 + lam),
-    indexed by sign(i - j) + 1, so the law takes O(1) memory at any n.
-    ``dense()`` builds the n x n matrix of either on demand.
+    rank-j item: 1/2 + lam when i > j (stronger items rank higher), 1/2 - lam
+    when i < j, exactly 1/2 when i == j.  ``entries`` is the table it reads,
+    the three values (1/2 - lam, 1/2, 1/2 + lam) indexed by sign(i - j) + 1,
+    so the law takes O(1) memory at any n.
     """
 
     n: int
@@ -69,67 +67,17 @@ class ProbabilityMatrix:
     def __post_init__(self) -> None:
         if not 0 < self.lam < 0.5:
             raise ValueError(f"lam must lie in (0, 1/2), got {self.lam}")
-        if self.entries.ndim == 1:
-            star = np.array([0.5 - self.lam, 0.5, 0.5 + self.lam])
-            err = None if np.array_equal(self.entries, star) else "1-D table is not the star law"
-        elif self.entries.shape != (self.n, self.n):
-            err = f"shape {self.entries.shape} for n={self.n}"
-        else:
-            err = membership_violation(self.entries, self.lam)
-        if err is not None:
-            raise ValueError(f"matrix not in the margin-{self.lam} class: {err}")
+        if not np.array_equal(self.entries, [0.5 - self.lam, 0.5, 0.5 + self.lam]):
+            raise ValueError(f"table of shape {self.entries.shape} is not the star law's")
 
     def win_prob(self, rank_i: np.ndarray, rank_j: np.ndarray) -> np.ndarray:
         """P(the rank_i item beats the rank_j item), elementwise (1-indexed ranks)."""
-        if self.entries.ndim == 1:
-            return self.entries[np.sign(rank_i - rank_j) + 1]
-        return self.entries[rank_i - 1, rank_j - 1]
-
-    def dense(self) -> np.ndarray:
-        """The n x n matrix of win_prob (memory n^2; intended for small n)."""
-        ranks = np.arange(1, self.n + 1)
-        return self.win_prob(ranks[:, None], ranks[None, :])
-
-
-def membership_violation(entries: np.ndarray, lam: float) -> str | None:
-    """None if ``entries`` is a valid margin-``lam`` matrix, else a reason."""
-    tol = 1e-12
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        return f"not square: shape {entries.shape}"
-    if np.any(entries < -tol) or np.any(entries > 1 + tol):
-        return "entries outside [0, 1]"
-    if not np.allclose(np.diag(entries), 0.5, atol=tol):
-        return "diagonal not 1/2"
-    n = entries.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    if not np.allclose((entries + entries.T)[off], 1.0, atol=1e-9):
-        return "entries[j, i] != 1 - entries[i, j]"
-    lower = np.tril_indices(n, -1)
-    if np.any(entries[lower] < 0.5 + lam - tol):
-        return f"a below-diagonal entry is under 1/2 + {lam}"
-    return None
+        return self.entries[np.sign(rank_i - rank_j) + 1]
 
 
 def star_matrix(n: int, lam: float) -> ProbabilityMatrix:
     """The canonical law: the stronger item wins with probability 1/2 + lam."""
     return ProbabilityMatrix(n=n, lam=lam, entries=np.array([0.5 - lam, 0.5, 0.5 + lam]))
-
-
-def random_member_matrix(n: int, lam: float, eta: float, seed: int) -> ProbabilityMatrix:
-    """A randomized member of the margin-``lam`` class.
-
-    Below-diagonal entries are 1/2 + lam + U * (1/2 - lam - eta) with U
-    uniform on [0, 1]; eta keeps them away from 1.  Useful for robustness
-    tests of estimators that only assume the margin class.
-    """
-    if not 0 <= eta < 0.5 - lam:
-        raise ValueError(f"need 0 <= eta < 1/2 - lam, got eta={eta}")
-    rng = np.random.default_rng(seed)
-    entries = np.full((n, n), 0.5)
-    lower = np.tril_indices(n, -1)
-    entries[lower] = 0.5 + lam + rng.random(len(lower[0])) * (0.5 - lam - eta)
-    entries[lower[1], lower[0]] = 1.0 - entries[lower]
-    return ProbabilityMatrix(n=n, lam=lam, entries=entries)
 
 
 @dataclass(frozen=True)
@@ -341,9 +289,9 @@ def sample_with_replacement(
     """Draw ``total`` comparisons between uniformly random pairs.
 
     Each drawn pair's wins are ``rng.binomial(count, p)``, _WIN_CHUNK pairs per call.
-    Under the star law a chunk is replayed through numpy's own inversion sampler, at
-    one uniform per pair; a chunk that numpy would draw otherwise (a count past
-    _REPLAY_COUNT or its large-count branch, or a redraw) is drawn again by
+    Under the star law (a 1-D ``entries`` table) a chunk is replayed through numpy's own
+    inversion sampler, at one uniform per pair; a chunk that numpy would draw otherwise
+    (a count past _REPLAY_COUNT or its large-count branch, or a redraw) is drawn again by
     ``rng.binomial`` from the state before it, so the stream is the same either way."""
     if total < 1:
         raise ValueError(f"need at least one comparison, got {total}")
@@ -463,24 +411,6 @@ def split_with_replacement(pi_star: Permutation, matrix: ProbabilityMatrix, budg
                            master_seed: int) -> list[ComparisonDataset]:
     """The samples of StageSource.with_replacement, keyed from 0, as a list."""
     return list(StageSource.with_replacement(pi_star, matrix, budgets, master_seed))
-
-
-def relabel_items(dataset: ComparisonDataset, rho: Permutation) -> ComparisonDataset:
-    """Rename item i to rho(i) everywhere, keeping outcomes intact."""
-    if rho.n != dataset.n:
-        raise SizeMismatchError(f"relabeling size {rho.n} vs dataset n={dataset.n}")
-    r = rho.to_array()
-    a = r[dataset.first - 1]
-    b = r[dataset.second - 1]
-    flip = a > b
-    first = np.where(flip, b, a)
-    second = np.where(flip, a, b)
-    wins = np.where(flip, dataset.num - dataset.first_wins, dataset.first_wins)
-    order = np.lexsort((second, first))
-    return ComparisonDataset(
-        n=dataset.n, first=first[order], second=second[order], num=dataset.num[order],
-        first_wins=wins[order], tag=dataset.tag, seed=dataset.seed,
-    )
 
 
 def _limb_words() -> tuple[np.ndarray, np.ndarray]:

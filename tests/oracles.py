@@ -152,6 +152,88 @@ def counts_dense(dataset):
     return c
 
 
+def membership_violation(entries, lam):
+    """None if ``entries`` is a valid margin-``lam`` matrix, else a reason."""
+    tol = 1e-12
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        return f"not square: shape {entries.shape}"
+    if np.any(entries < -tol) or np.any(entries > 1 + tol):
+        return "entries outside [0, 1]"
+    if not np.allclose(np.diag(entries), 0.5, atol=tol):
+        return "diagonal not 1/2"
+    n = entries.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    if not np.allclose((entries + entries.T)[off], 1.0, atol=1e-9):
+        return "entries[j, i] != 1 - entries[i, j]"
+    lower = np.tril_indices(n, -1)
+    if np.any(entries[lower] < 0.5 + lam - tol):
+        return f"a below-diagonal entry is under 1/2 + {lam}"
+    return None
+
+
+@dataclass(frozen=True, eq=False)
+class MemberLaw:
+    """A general member of the margin-``lam`` class: the n x n matrix
+    entries[i-1, j-1] of P(rank i beats rank j), checked for membership at
+    construction.  It has the library law's ``n``, ``lam``, ``entries`` and
+    ``win_prob``, so the library samplers draw from it through rng.binomial."""
+
+    n: int
+    lam: float
+    entries: np.ndarray
+
+    def __post_init__(self):
+        if self.entries.shape != (self.n, self.n):
+            raise ValueError(f"shape {self.entries.shape} for n={self.n}")
+        err = membership_violation(self.entries, self.lam)
+        if err is not None:
+            raise ValueError(f"matrix not in the margin-{self.lam} class: {err}")
+
+    def win_prob(self, rank_i, rank_j):
+        return self.entries[rank_i - 1, rank_j - 1]
+
+
+def random_member_matrix(n, lam, eta, seed):
+    """A randomized member of the margin-``lam`` class.
+
+    Below-diagonal entries are 1/2 + lam + U * (1/2 - lam - eta) with U
+    uniform on [0, 1]; eta keeps them away from 1.  Used for robustness
+    tests of estimators that only assume the margin class.
+    """
+    if not 0 <= eta < 0.5 - lam:
+        raise ValueError(f"need 0 <= eta < 1/2 - lam, got eta={eta}")
+    rng = np.random.default_rng(seed)
+    entries = np.full((n, n), 0.5)
+    lower = np.tril_indices(n, -1)
+    entries[lower] = 0.5 + lam + rng.random(len(lower[0])) * (0.5 - lam - eta)
+    entries[lower[1], lower[0]] = 1.0 - entries[lower]
+    return MemberLaw(n=n, lam=lam, entries=entries)
+
+
+def dense_law(law):
+    """The n x n matrix of a law's win_prob, the star law's or a MemberLaw's."""
+    ranks = np.arange(1, law.n + 1)
+    return law.win_prob(ranks[:, None], ranks[None, :])
+
+
+def relabel_items(dataset, rho):
+    """Rename item i to rho(i) everywhere, keeping outcomes intact."""
+    if rho.n != dataset.n:
+        raise SizeMismatchError(f"relabeling size {rho.n} vs dataset n={dataset.n}")
+    r = rho.to_array()
+    a = r[dataset.first - 1]
+    b = r[dataset.second - 1]
+    flip = a > b
+    first = np.where(flip, b, a)
+    second = np.where(flip, a, b)
+    wins = np.where(flip, dataset.num - dataset.first_wins, dataset.first_wins)
+    order = np.lexsort((second, first))
+    return ComparisonDataset(
+        n=dataset.n, first=first[order], second=second[order], num=dataset.num[order],
+        first_wins=wins[order], tag=dataset.tag, seed=dataset.seed,
+    )
+
+
 @dataclass(frozen=True)
 class TrueScores:
     """Row sums of the probability matrix, indexed by rank (weakest first)."""
@@ -168,7 +250,7 @@ def true_scores(pi_star, matrix):
     """
     if matrix.n != pi_star.n:
         raise SizeMismatchError(f"matrix n={matrix.n} vs permutation n={pi_star.n}")
-    entries = matrix.dense()
+    entries = dense_law(matrix)
     sums = entries.sum(axis=1) - np.diag(entries)
     return TrueScores(n=matrix.n, s_star=tuple(float(v) for v in sums))
 
@@ -522,6 +604,11 @@ def dense_ms_states(stage_samples, lam_hat, config):
     ranks = np.empty(n, dtype=np.int64)
     ranks[np.argsort(scores, kind="stable")] = np.arange(1, n + 1)
     return ranks, states
+
+
+def uncertain(state):
+    """The dense n x n uncertain mask of an MsState: |fl(S_j - S_i)| <= tau[i]."""
+    return state.uncertain_rows(slice(None))
 
 
 def _score_gaps(state):

@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
 import math
+import os
+import tracemalloc
 
 import pytest
 
@@ -265,6 +267,43 @@ class TestExitCodes:
                          "--replicates", "1", "--out", str(out)])
             assert code == 2
             assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--lambda", "0.25", "--model", "with", "--budget", "1", "--seed", "0"],
+        ["simulate", "--lambda", "0.25", "--model", "without", "--budget", "1e-30",
+         "--seed", "0"],
+        ["run-ms", "--generate", "--budget", "1", "--T", "1", "--lambda-hat", "0.25"],
+        ["run-ms", "--generate", "--model", "without", "--budget", "1e-30", "--T", "1",
+         "--lambda-hat", "0.25"],
+    ])
+    @pytest.mark.parametrize("n, memory", [(10**13, None), (5 * 10**8, 2**30)])
+    def test_oversized_draws_are_refused_before_allocation(self, tmp_path, capsys, monkeypatch,
+                                                           command, n, memory):
+        # n items alone take n * _ITEM_BYTES, past physical memory: the identity pi* is never
+        # built (at n = 5e8 its tuple would take gigabytes before failing)
+        if memory is not None:
+            monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}.get)
+        out = tmp_path / "out.txt"
+        tracemalloc.start()
+        try:
+            code = main([*command, "--n", str(n), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"refused: {command[0]} n={n}: ")
+        assert "physical memory" in err and "Traceback" not in err
+        assert not out.exists() and peak < 4 * 2**20
+
+    def test_run_ms_refuses_a_file_past_memory(self, tmp_path, capsys):
+        data = tmp_path / "big.txt"
+        data.write_text(f"{10**13} with_replacement 1 0\n1 2 1 1\n2 1 1 0\n")
+        out = tmp_path / "pi.txt"
+        assert main(["run-ms", "--in", str(data), "--T", "1", "--lambda-hat", "0.25",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"refused: run-ms n={10**13}: ") and "physical memory" in err
         assert not out.exists()
 
     def test_non_finite_budget_names_the_cell(self, capsys):

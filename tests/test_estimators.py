@@ -30,8 +30,6 @@ from noisysort.model import (
     ComparisonDataset,
     SamplingTag,
     StageSource,
-    random_member_matrix,
-    relabel_items,
     sample_with_replacement,
     sample_without_replacement,
     split_with_replacement,
@@ -58,7 +56,10 @@ from oracles import (
     mle_objective,
     merge_datasets,
     noise_free_full,
+    random_member_matrix,
+    relabel_items,
     split_without_replacement,
+    uncertain,
     whole_estimate_lambda,
     wins_dense,
 )
@@ -229,10 +230,10 @@ class TestMsSort:
         cfg = MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
         _, states = ms_sort(samples, 0.4, cfg)
         for st in states:
-            total = (st.uncertain.astype(int) + certain_below(st).astype(int)
+            total = (uncertain(st).astype(int) + certain_below(st).astype(int)
                      + certain_above(st).astype(int))
             assert (total == 1).all()
-            assert st.uncertain.diagonal().all()
+            assert uncertain(st).diagonal().all()
 
     def test_gate_never_fires_freezes_sets(self):
         samples = ms_inputs(60, 0.4, 3_000, 2, master_seed=9)
@@ -359,7 +360,7 @@ class TestMsSort:
 class TestUncertaintyRegion:
     def test_initial_state_is_everything(self):
         st = initial_ms_state(3)
-        assert st.uncertain.all() and st.uncertain.shape == (3, 3)
+        assert uncertain(st).all() and uncertain(st).shape == (3, 3)
         assert not certain_below(st).any() and not certain_above(st).any()
         assert st.region_size() == 9
 
@@ -368,11 +369,11 @@ class TestUncertaintyRegion:
         cfg = MsConfig(stages=2, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
         _, states = ms_sort(samples, 0.45, cfg)
         for st in states:
-            assert st.uncertain.diagonal().all()
+            assert uncertain(st).diagonal().all()
 
     def test_dense_view_shape_and_count(self):
         st = initial_ms_state(4)
-        assert st.uncertain.shape == (4, 4) and st.uncertain.sum() == 16
+        assert uncertain(st).shape == (4, 4) and uncertain(st).sum() == 16
 
 
 def _with_replacement_case(n, lam, total, stages, seed, law="star"):
@@ -440,7 +441,7 @@ class TestDenseReference:
             assert st.region_size() == int(ref["uncertain"].sum())
             assert np.array_equal(certain_below(st), ref["below"])
             assert np.array_equal(certain_above(st), ref["above"])
-            assert np.array_equal(st.uncertain, ref["uncertain"])
+            assert np.array_equal(uncertain(st), ref["uncertain"])
 
     @pytest.mark.parametrize("chunk", [1, 7])
     @pytest.mark.parametrize(
@@ -464,7 +465,7 @@ class TestDenseReference:
         for st, tot, ref in zip(states[1:], states_tot[1:], expected[1:], strict=True):
             assert np.array_equal(st.scores, ref["scores"])
             assert np.array_equal(st.gate_fired, ref["gate_fired"])
-            assert np.array_equal(st.uncertain, ref["uncertain"])
+            assert np.array_equal(uncertain(st), ref["uncertain"])
             for name in ("scores", "gate_fired", "last", "tau", "below_counts", "above_counts"):
                 assert np.array_equal(getattr(tot, name), getattr(st, name))
 

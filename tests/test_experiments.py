@@ -48,7 +48,7 @@ from noisysort.perms import (
     random_permutation,
 )
 
-from oracles import write_pbm
+from oracles import uncertain, write_pbm
 
 
 def small_spec(**overrides):
@@ -185,6 +185,13 @@ def physical_memory(monkeypatch, nbytes):
     monkeypatch.setattr(os, "sysconf", values.__getitem__)
 
 
+def rule_bytes(sampling, records, n):
+    """The memory rule's bytes for one replicate: per record of its largest draw, per record
+    of that draw's first block, and per item."""
+    return (records * experiments._RECORD_BYTES[sampling] + n * experiments._ITEM_BYTES
+            + min(records, experiments._RECORD_CHUNK) * experiments._BLOCK_BYTES[sampling])
+
+
 def traced_peak(run):
     """run()'s result, and the peak of the memory traced while it ran."""
     tracemalloc.start()
@@ -215,11 +222,13 @@ class TestMemoryRule:
         physical_memory(monkeypatch, 3 * peak)  # and not far above it
         small_spec(**fields)
 
-    @pytest.mark.parametrize("lambda_hat, records", [(0.3, 2000), (None, 3000)])
-    def test_estimate_is_the_largest_draw(self, monkeypatch, lambda_hat, records):
-        # 6000 comparisons: three stages of 2000, or margin halves of 3000 first
-        need = records * experiments._RECORD_BYTES[WITH_REPLACEMENT] + 50 * experiments._ITEM_BYTES
-        fields = dict(n_values=(50,), alphas=None, budgets=(6000,), stages=3,
+    @pytest.mark.parametrize("lambda_hat, budget, records", [
+        (0.3, 6000, 2000), (None, 6000, 3000), (0.3, 300_000, 100_000), (None, 300_000, 150_000)])
+    def test_estimate_is_the_largest_draw(self, monkeypatch, lambda_hat, budget, records):
+        # N comparisons: three stages of N/3, or margin halves of N/2 first; the block
+        # term counts the records of one _RECORD_CHUNK block at most
+        need = rule_bytes(WITH_REPLACEMENT, records, 50)
+        fields = dict(n_values=(50,), alphas=None, budgets=(budget,), stages=3,
                       lambda_hat=lambda_hat)
         physical_memory(monkeypatch, need)
         small_spec(**fields, workers=1)
@@ -232,8 +241,7 @@ class TestMemoryRule:
             small_spec(**fields, workers=3)
 
     def test_estimate_without_replacement_is_the_whole_draw(self, monkeypatch):
-        need = 0.5 * math.comb(50, 2) * experiments._RECORD_BYTES[WITHOUT_REPLACEMENT] \
-            + 50 * experiments._ITEM_BYTES
+        need = rule_bytes(WITHOUT_REPLACEMENT, 0.5 * math.comb(50, 2), 50)
         fields = dict(n_values=(50,), sampling=(WITHOUT_REPLACEMENT,), stages=3, workers=1)
         physical_memory(monkeypatch, math.ceil(need))
         small_spec(**fields)
@@ -611,7 +619,7 @@ class TestCsvAndRegions:
         paths = emit_regions(states, tmp_path / "blocks")
         assert len(paths) == len(states)
         for state, path in zip(states, paths):
-            write_pbm(state.uncertain, tmp_path / "dense.pbm")
+            write_pbm(uncertain(state), tmp_path / "dense.pbm")
             assert path.read_bytes() == (tmp_path / "dense.pbm").read_bytes()
 
     def test_region_snapshot_builds_no_dense_array(self, tmp_path):

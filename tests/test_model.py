@@ -22,10 +22,7 @@ from noisysort.model import (
     SamplingTag,
     StageSource,
     derive_seed,
-    membership_violation,
-    random_member_matrix,
     read_dataset,
-    relabel_items,
     sample_with_replacement,
     sample_without_replacement,
     split_with_replacement,
@@ -40,14 +37,19 @@ from oracles import (
     BAD_HEADER_FILES,
     BAD_N_FILES,
     DISAGREEING_RECORDS,
+    MemberLaw,
     counts_dense,
+    dense_law,
     dense_star_entries,
     inversion_binomial,
     line_read_dataset,
     line_write_dataset,
     make_dataset,
+    membership_violation,
     multinomial_split_without_replacement,
     pair_cells,
+    random_member_matrix,
+    relabel_items,
     row_sample_without_replacement,
     sorted_split_without_replacement,
     split_without_replacement,
@@ -61,16 +63,16 @@ from oracles import (
 class TestStarMatrix:
     def test_two_by_two(self):
         m = star_matrix(2, 0.25)
-        assert np.allclose(m.dense(), [[0.5, 0.25], [0.75, 0.5]])
+        assert np.allclose(dense_law(m), [[0.5, 0.25], [0.75, 0.5]])
 
     def test_entries_take_three_values(self):
         m = star_matrix(5, 0.1)
-        assert set(np.round(m.dense().ravel(), 12)) == {0.4, 0.5, 0.6}
+        assert set(np.round(dense_law(m).ravel(), 12)) == {0.4, 0.5, 0.6}
 
     def test_skew_symmetry(self):
         m = star_matrix(6, 0.3)
         off = ~np.eye(6, dtype=bool)
-        entries = m.dense()
+        entries = dense_law(m)
         assert np.allclose((entries + entries.T)[off], 1.0)
 
     def test_row_sum_closed_form(self):
@@ -98,8 +100,8 @@ class TestClosedFormStarLaw:
         for i in ranks:  # every rank pair, the diagonal included, bit for bit
             got = law.win_prob(np.full(n, i), ranks)
             assert got.dtype == reference.dtype and np.array_equal(got, reference[i - 1])
-        assert np.array_equal(law.dense(), reference)
-        assert membership_violation(law.dense(), lam) is None
+        assert np.array_equal(dense_law(law), reference)
+        assert membership_violation(dense_law(law), lam) is None
 
     @pytest.mark.parametrize("order", ["identity", "random"])
     @pytest.mark.parametrize("seed", [0, 1, 2024])
@@ -108,7 +110,7 @@ class TestClosedFormStarLaw:
         pi = (Permutation.identity(n) if order == "identity"
               else random_permutation(n, np.random.default_rng(seed)))
         closed = star_matrix(n, lam)
-        dense = ProbabilityMatrix(n=n, lam=lam, entries=dense_star_entries(n, lam))
+        dense = MemberLaw(n=n, lam=lam, entries=dense_star_entries(n, lam))
         assert sample_with_replacement(pi, closed, 3000, seed).same_data(
             sample_with_replacement(pi, dense, 3000, seed))
         assert sample_without_replacement(pi, closed, 0.6, seed).same_data(
@@ -120,18 +122,22 @@ class TestClosedFormStarLaw:
     def test_tables_are_validated(self):
         with pytest.raises(ValueError):  # a 1-D table other than the star law's
             ProbabilityMatrix(n=5, lam=0.2, entries=np.array([0.4, 0.5, 0.7]))
+        for table in (dense_star_entries(5, 0.2), dense_star_entries(3, 0.2),
+                      np.array([[0.3, 0.5, 0.7]]), random_member_matrix(5, 0.2, 0.05, 1).entries):
+            with pytest.raises(ValueError, match="not the star law"):  # any 2-D table
+                ProbabilityMatrix(n=5, lam=0.2, entries=table)
         with pytest.raises(ValueError):  # a dense table of the wrong size
-            ProbabilityMatrix(n=5, lam=0.2, entries=dense_star_entries(4, 0.2))
+            MemberLaw(n=5, lam=0.2, entries=dense_star_entries(4, 0.2))
         with pytest.raises(ValueError):  # a dense table outside the class
-            ProbabilityMatrix(n=4, lam=0.3, entries=dense_star_entries(4, 0.2))
+            MemberLaw(n=4, lam=0.3, entries=dense_star_entries(4, 0.2))
 
 
 class TestMembership:
     def test_star_accepted(self):
-        assert membership_violation(star_matrix(6, 0.2).dense(), 0.2) is None
+        assert membership_violation(dense_law(star_matrix(6, 0.2)), 0.2) is None
 
     def test_single_violated_entry_rejected(self):
-        entries = star_matrix(6, 0.2).dense()
+        entries = dense_law(star_matrix(6, 0.2))
         entries[3, 1] = 0.6  # needs >= 0.7
         entries[1, 3] = 0.4
         assert membership_violation(entries, 0.2) is not None
@@ -139,7 +145,7 @@ class TestMembership:
     def test_random_member_is_valid(self):
         m = random_member_matrix(8, 0.2, 0.05, seed=4)
         assert membership_violation(m.entries, 0.2) is None
-        assert np.array_equal(m.dense(), m.entries)
+        assert np.array_equal(dense_law(m), m.entries)
         # strictly inside the band somewhere (not the star matrix)
         assert np.any(m.entries[np.tril_indices(8, -1)] > 0.7 + 1e-9)
 
