@@ -7,13 +7,16 @@ experiment.  Exit codes: 0 success, 1 usage error, 2 resource-cap refusal.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .counting import count_at_most_k_inversions, entropy_bounds
 from .errors import ResourceCapError
 from .estimators import CALIBRATED_THRESHOLD_SCALE, MsConfig, ms_sort
 from .experiments import (
+    DATASET_LINES,
     ExperimentSpec,
     check_memory,
     draw_stages,
@@ -86,18 +89,29 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _check_files(paths: list[str]) -> None:
+    """Refuse dataset files that would not fit once read, before any is parsed: the largest
+    header n (read_dataset names a header that does not parse), and at most one record line
+    per 8 bytes of each file."""
+    n = 1
+    for path in paths:
+        with open(path, "rb") as f:
+            head = next((line.split()[0] for line in f if line.strip()), b"")
+        n = max(n, int(head) if head.isdigit() else 1)
+    lines = sum(os.path.getsize(path) // 8 for path in paths)
+    check_memory(f"run-ms n={n}", n, lines, DATASET_LINES)
+
+
 def _cmd_run_ms(args) -> int:
     config = MsConfig(stages=args.stages, c1=args.c1, threshold_scale=args.threshold_scale)
     if args.infiles:
-        samples, lam_hat = [read_dataset(f) for f in args.infiles], args.lambda_hat
-        if lam_hat is None:
+        if args.lambda_hat is None:
             raise ValueError("--lambda-hat is required when stages come from files")
-        n = max(s.n for s in samples)  # every file is held while ms sorts
-        check_memory(f"run-ms n={n}", n, sum(s.num_pairs for s in samples),
-                     samples[0].tag.kind)
+        _check_files(args.infiles)  # every file is held while ms sorts
+        samples, lam_hat = [read_dataset(f) for f in args.infiles], args.lambda_hat
     else:
         if args.n is None or args.budget is None:
-            raise ValueError("either --in files or --generate parameters are required")
+            raise ValueError("--generate needs --n and --budget")
         kind, budget = _budget(args)
         check_memory(f"run-ms n={args.n}", args.n, largest_draw(
             args.n, kind, budget, args.stages, args.lambda_hat is None), kind)
@@ -161,96 +175,80 @@ def _cmd_theory(args) -> int:
     return 0
 
 
+# each preset states only what it changes of ExperimentSpec's defaults
 _EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "scaling-n": dict(
-        kind="scaling_n", n_values=(500, 1000, 2000, 4000), alphas=(0.1,),
-        lam=0.25, lambda_hat=0.25, stages=None, replicates=10,
-        estimators=("ms", "borda", "random"),
-        sampling=(WITH_REPLACEMENT, WITHOUT_REPLACEMENT),
-    ),
-    "scaling-budget": dict(
-        kind="scaling_budget", n_values=(2000,), alphas=(0.01, 0.02, 0.05, 0.1),
-        lam=0.25, lambda_hat=0.25, stages=None, replicates=10,
-        estimators=("ms", "borda", "random"),
-        sampling=(WITH_REPLACEMENT, WITHOUT_REPLACEMENT),
-    ),
-    "regions": dict(
-        kind="region_snapshot", n_values=(2000,), alphas=(1.0,),
-        lam=0.25, lambda_hat=0.25, stages=3, replicates=1,
-        estimators=("ms",), sampling=(WITH_REPLACEMENT,),
-    ),
-    "lambda": dict(
-        kind="lambda_accuracy", n_values=(500,), budgets=(1_000_000,),
-        lam=0.25, replicates=10,
-    ),
-    "mle-small": dict(
-        kind="mle_small_n", n_values=(6,), alphas=(1.0,), lam=0.25,
-        lambda_hat=0.25, stages=1, replicates=20,
-        estimators=("mle", "sieve", "borda", "random"),
-        sampling=(WITHOUT_REPLACEMENT,),
-    ),
+    "scaling-n": dict(kind="scaling_n", n_values=(500, 1000, 2000, 4000), alphas=(0.1,),
+                      sampling=(WITH_REPLACEMENT, WITHOUT_REPLACEMENT)),
+    "scaling-budget": dict(kind="scaling_budget", n_values=(2000,),
+                           alphas=(0.01, 0.02, 0.05, 0.1),
+                           sampling=(WITH_REPLACEMENT, WITHOUT_REPLACEMENT)),
+    "regions": dict(kind="region_snapshot", n_values=(2000,), alphas=(1.0,), stages=3,
+                    replicates=1, estimators=("ms",), regions_dir="regions"),
+    "lambda": dict(kind="lambda_accuracy", n_values=(500,), budgets=(1_000_000,)),
+    "mle-small": dict(kind="mle_small_n", n_values=(6,), alphas=(1.0,), stages=1,
+                      replicates=20, estimators=("mle", "sieve", "borda", "random"),
+                      sampling=(WITHOUT_REPLACEMENT,)),
 }
 
 _PAPER_SCALE_GRID = (1000, 2000, 4000, 7000, 10000)
-
-_LIST_KEYS = {"n_values": int, "alphas": float, "budgets": int,
-              "estimators": str, "sampling": str}
-_SCALAR_KEYS = {"kind": str, "lam": float, "lambda_hat": float, "stages": int,
-                "replicates": int, "master_seed": int, "c1": float,
-                "threshold_scale": float, "workers": int, "pi_star": str,
-                "regions_dir": str, "out": str, "summary_out": str, "timings_out": str}
 
 
 def _margin(text: str) -> float | None:
     return None if text == "none" else float(text)
 
 
-def _parse_config_file(path: str) -> dict:
-    """Flat key = value text; '#' comments; comma-separated lists."""
-    values: dict = {}
+def _setting_flags(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The experiment parser's settings by dest, which are also a config file's keys: the
+    ExperimentSpec fields but ``kind``, and the output files."""
+    return {a.dest: a for a in parser._actions
+            if a.option_strings and a.dest not in ("help", "config", "paper_scale")}
+
+
+def _read_config(parser: argparse.ArgumentParser, which: str, path: str) -> argparse.Namespace:
+    """Flat ``key = value`` lines, '#' comments.  Each line is parsed as the flag whose dest
+    is ``key``, by its own type and choices; a list flag's value is split on commas."""
+    flags, argv = _setting_flags(parser), [which]
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"bad config line (want key = value): {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key in _LIST_KEYS:
-            conv = _LIST_KEYS[key]
-            values[key] = tuple(conv(tok.strip()) for tok in val.split(",") if tok.strip())
-        elif key in _SCALAR_KEYS:
-            values[key] = None if val.lower() == "none" else _SCALAR_KEYS[key](val)
-        else:
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key not in flags:
             raise ValueError(f"unknown config key {key!r}")
-    return values
+        flag = flags[key].option_strings[0]
+        if flags[key].nargs:
+            argv += [flag, *(tok.strip() for tok in val.split(",") if tok.strip())]
+        else:
+            argv.append(f"{flag}={val}")
+    return parser.parse_args(argv)
 
 
-def _layer(settings: dict, values: dict) -> None:
-    """Lay ``values`` over ``settings``; giving alphas or budgets drops the other."""
+def _layer(settings: dict, parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Lay the settings given in ``args`` over ``settings``: the experiment parser suppresses
+    absent flags.  Giving alphas or budgets drops the other."""
+    flags = _setting_flags(parser)
+    values = {key: tuple(v) if isinstance(v, list) else v
+              for key, v in vars(args).items() if key in flags}
     for key, other in (("alphas", "budgets"), ("budgets", "alphas")):
         if key in values:
             settings.pop(other, None)
     settings.update(values)
     if "sampling" in values:
-        settings["sampling"] = tuple(_SAMPLING_TOKENS.get(s, s) for s in values["sampling"])
+        settings["sampling"] = tuple(_SAMPLING_TOKENS[s] for s in values["sampling"])
 
 
-def _cmd_experiment(args) -> int:
-    # the experiment parser suppresses absent flags, so vars(args) holds only given ones
+def _cmd_experiment(parser: argparse.ArgumentParser, args) -> int:
     settings = dict(_EXPERIMENT_DEFAULTS[args.which])
     if "config" in args:
-        _layer(settings, _parse_config_file(args.config))
-    config_keys = _LIST_KEYS | _SCALAR_KEYS
-    _layer(settings, {key: tuple(v) if isinstance(v, list) else v
-                      for key, v in vars(args).items() if key in config_keys})
+        _layer(settings, parser, _read_config(parser, args.which, args.config))
+    _layer(settings, parser, args)
     if "paper_scale" in args:
         settings["n_values"] = _PAPER_SCALE_GRID
     out = settings.pop("out", None) or "results.csv"
     summary_out = settings.pop("summary_out", None)
     timings_out = settings.pop("timings_out", None)
-    if settings.get("kind") == "region_snapshot" and not settings.get("regions_dir"):
-        settings["regions_dir"] = "regions"
     spec = ExperimentSpec(**settings)
 
     if spec.kind == "lambda_accuracy":
@@ -285,10 +283,11 @@ def build_parser() -> _Parser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_ms = sub.add_parser("run-ms", help="run the multistage sorter")
-    p_ms.add_argument("--in", dest="infiles", nargs="+", default=None,
-                      help="stage dataset files (one per stage)")
-    p_ms.add_argument("--generate", action="store_true",
-                      help="generate data instead of reading files")
+    source = p_ms.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infiles", nargs="+",
+                        help="stage dataset files (one per stage)")
+    source.add_argument("--generate", action="store_true",
+                        help="generate data instead of reading files")
     p_ms.add_argument("--n", type=int, default=None)
     p_ms.add_argument("--lambda", dest="lam", type=float, default=0.25)
     p_ms.add_argument("--model", choices=("with", "without"), default="with")
@@ -335,7 +334,7 @@ def build_parser() -> _Parser:
     p_ex = sub.add_parser("experiment", help="run a seeded experiment grid",
                           argument_default=argparse.SUPPRESS)
     p_ex.add_argument("which", choices=tuple(_EXPERIMENT_DEFAULTS))
-    p_ex.add_argument("--config", help="flat key = value file")
+    p_ex.add_argument("--config", help="flat key = value file; keys are flag dests")
     p_ex.add_argument("--n-values", dest="n_values", type=int, nargs="+")
     p_ex.add_argument("--alphas", type=float, nargs="+")
     p_ex.add_argument("--budgets", type=int, nargs="+")
@@ -357,7 +356,7 @@ def build_parser() -> _Parser:
     p_ex.add_argument("--summary-out", dest="summary_out")
     p_ex.add_argument("--timings-out", dest="timings_out")
     p_ex.add_argument("--regions-dir", dest="regions_dir")
-    p_ex.set_defaults(func=_cmd_experiment)
+    p_ex.set_defaults(func=partial(_cmd_experiment, p_ex))
 
     return parser
 

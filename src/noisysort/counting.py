@@ -14,12 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .perms import (
-    ENUMERATION_CAP,
-    Permutation,
-    enumerate_permutations,
-    kendall_tau,
-)
+from .perms import Permutation, enumerate_permutations, kendall_tau
 
 
 @dataclass(frozen=True)
@@ -50,9 +45,9 @@ class InversionBoundsReport:
 class EntropyBoundsReport:
     """Closed-form bounds on the metric entropy of a Kendall-tau ball.
 
-    ``log_greedy_size`` is filled for enumerable n (<= cap) by actually
-    building a maximal packing of the ball; a maximal packing size sits
-    between the covering and packing numbers, so it must land in the sandwich.
+    ``log_greedy_size`` is filled for n <= 6 by actually building a maximal
+    packing of the ball; a maximal packing size sits between the covering and
+    packing numbers, so it must land in the sandwich.
     """
 
     n: int
@@ -114,7 +109,7 @@ def check_lemma_inversion_bounds(n: int, k: int) -> InversionBoundsReport:
     )
 
 
-def ball_members(center: Permutation, r: int, cap: int = ENUMERATION_CAP) -> Iterator[Permutation]:
+def ball_members(center: Permutation, r: int) -> Iterator[Permutation]:
     """All permutations within Kendall tau distance ``r`` of ``center``.
 
     Yields in lexicographic order of the one-line maps; the stream length
@@ -122,7 +117,7 @@ def ball_members(center: Permutation, r: int, cap: int = ENUMERATION_CAP) -> Ite
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    for sigma in enumerate_permutations(center.n, cap=cap):
+    for sigma in enumerate_permutations(center.n):
         if kendall_tau(center, sigma) <= r:
             yield sigma
 
@@ -131,7 +126,6 @@ def greedy_maximal_packing(
     n: int,
     epsilon: int,
     universe: Iterable[Permutation] | None = None,
-    cap: int = ENUMERATION_CAP,
 ) -> PackingSet:
     """Maximal epsilon-packing of ``universe`` (default: all of S_n).
 
@@ -145,7 +139,7 @@ def greedy_maximal_packing(
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     if universe is None:
-        universe = enumerate_permutations(n, cap=cap)
+        universe = enumerate_permutations(n)
     first, second = np.triu_indices(n, 1)  # the pairs a < b, 0-indexed
     orders = np.empty((0, len(first)), dtype=bool)
     kept: list[Permutation] = []
@@ -218,12 +212,12 @@ def sparse_packing_cardinality_floor(n: int, r: int) -> float:
     return math.exp((r / 5) * math.log(n / r))
 
 
-def entropy_bounds(n: int, r: int, epsilon: int, cap: int = ENUMERATION_CAP) -> EntropyBoundsReport:
+def entropy_bounds(n: int, r: int, epsilon: int) -> EntropyBoundsReport:
     """Evaluate the ball metric-entropy sandwich, exactly where enumerable.
 
     prop_lower = n*log(r/(n+eps)) - 2n and prop_upper = n*log((2n+2r)/eps) + 2n
     bound log N(B(pi, r), eps) and log D(B(pi, r), eps) respectively.  For
-    n <= cap the greedy maximal packing of the ball is built and its log size
+    n <= 6 the greedy maximal packing of the ball is built and its log size
     checked against the sandwich.
     """
     if not 0 < epsilon < r <= max_inversions(n):
@@ -234,9 +228,9 @@ def entropy_bounds(n: int, r: int, epsilon: int, cap: int = ENUMERATION_CAP) -> 
     prop_upper = n * math.log((2 * n + 2 * r) / epsilon) + 2 * n
     log_size: float | None = None
     within: bool | None = None
-    if n <= min(cap, 6):
-        ball = list(ball_members(Permutation.identity(n), r, cap=cap))
-        packing = greedy_maximal_packing(n, epsilon, universe=ball, cap=cap)
+    if n <= 6:
+        ball = list(ball_members(Permutation.identity(n), r))
+        packing = greedy_maximal_packing(n, epsilon, universe=ball)
         log_size = math.log(len(packing))
         within = prop_lower <= log_size <= prop_upper
     return EntropyBoundsReport(

@@ -20,7 +20,7 @@ import numpy as np
 from .counting import PackingSet
 from .errors import SizeMismatchError
 from .model import WITH_REPLACEMENT, WITHOUT_REPLACEMENT, ComparisonDataset, StageSource
-from .perms import ENUMERATION_CAP, Permutation, enumerate_maps
+from .perms import Permutation, enumerate_maps
 
 LAMBDA_CLAMP = 1e-6
 
@@ -334,12 +334,11 @@ def _best_candidate(
     return best, best_obj
 
 
-def brute_force_mle(samples: StageSource | Iterable[ComparisonDataset],
-                    cap: int = ENUMERATION_CAP) -> Permutation:
+def brute_force_mle(samples: StageSource | Iterable[ComparisonDataset]) -> Permutation:
     """Exhaustive maximizer of the objective summed over ``samples`` (no combined
     copy is built); ties go to the lexicographically smallest one-line map."""
     source = StageSource.of(samples)
-    return Permutation(_best_candidate(source, enumerate_maps(source.n, cap=cap))[0])
+    return Permutation(_best_candidate(source, enumerate_maps(source.n))[0])
 
 
 def sieve_mle(samples: StageSource | Iterable[ComparisonDataset], net: PackingSet) -> Permutation:

@@ -71,8 +71,12 @@ WORKERS_ENV_VAR = "NOISYSORT_WORKERS"
 # small draws need on top (24.9 at n=420, alpha=1, T=3); without replacement the whole
 # draw lives (63.2 at n=300, alpha=1); the item bytes peak at N of a few hundred (338.9,
 # measured at n = 2*10^4-2*10^5).
-_RECORD_BYTES = {WITH_REPLACEMENT: 35, WITHOUT_REPLACEMENT: 65}
-_BLOCK_BYTES = {WITH_REPLACEMENT: 26, WITHOUT_REPLACEMENT: 0}
+# DATASET_LINES records are the record lines of the dataset files run-ms reads and sorts, at
+# most one per 8 bytes of file: a read peaks at 110 bytes per line plus its text (118 per
+# 8-byte line), and holds 50 per line once done (traced at n = 100-12000, 1-3 files).
+DATASET_LINES = "dataset_lines"
+_RECORD_BYTES = {WITH_REPLACEMENT: 35, WITHOUT_REPLACEMENT: 65, DATASET_LINES: 124}
+_BLOCK_BYTES = {WITH_REPLACEMENT: 26, WITHOUT_REPLACEMENT: 0, DATASET_LINES: 0}
 _ITEM_BYTES = 340
 
 
@@ -137,6 +141,8 @@ class ExperimentSpec:
             raise ValueError("pi_star must be 'identity' or 'random'")
         if self.workers is not None and (type(self.workers) is not int or self.workers < 1):
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
+        if type(self.master_seed) is not int or self.master_seed < 0:
+            raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
         # a bad c1 or threshold_scale fails here, not at the first replicate
         MsConfig(stages=1, c1=self.c1, threshold_scale=self.threshold_scale)
         cells = list(itertools.product(self.n_values, self.budget_params(), self.sampling))
@@ -266,7 +272,8 @@ def largest_draw(n: int, sampling: str, budget: float, stages: int, estimated: b
 
 def check_memory(what: str, n: int, records: float, sampling: str, workers: int = 1) -> None:
     """ResourceCapError, naming ``what``, if ``workers`` runs at once, each on n items with
-    a largest draw of ``records`` records, would not fit in physical memory."""
+    a largest draw of ``records`` records of ``sampling`` (or DATASET_LINES), would not fit
+    in physical memory."""
     need = workers * (records * _RECORD_BYTES[sampling] + n * _ITEM_BYTES
                       + min(records, _RECORD_CHUNK) * _BLOCK_BYTES[sampling])
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

@@ -159,18 +159,18 @@ def from_inversion_table(table: InversionTable) -> Permutation:
     return Permutation(tuple(remaining.pop(bi) for bi in table.b))
 
 
-def enumerate_maps(n: int, cap: int = ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
+def enumerate_maps(n: int) -> Iterator[tuple[int, ...]]:
     """All n! one-line maps in lexicographic order, as plain tuples."""
-    if n > cap:
+    if n > ENUMERATION_CAP:
         raise ResourceCapError(
-            f"enumeration of S_{n} refused: n exceeds the enumeration cap {cap}"
+            f"enumeration of S_{n} refused: n exceeds the enumeration cap {ENUMERATION_CAP}"
         )
     yield from itertools.permutations(range(1, n + 1))
 
 
-def enumerate_permutations(n: int, cap: int = ENUMERATION_CAP) -> Iterator[Permutation]:
+def enumerate_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations in lexicographic order of their one-line maps."""
-    for tup in enumerate_maps(n, cap):
+    for tup in enumerate_maps(n):
         yield Permutation(tup)
 
 

@@ -3,10 +3,12 @@ import dataclasses
 import math
 import os
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from noisysort.cli import _LIST_KEYS, _SCALAR_KEYS, build_parser, main
+from noisysort import cli
+from noisysort.cli import _setting_flags, build_parser, main
 from noisysort.experiments import ExperimentSpec
 from noisysort.counting import count_at_most_k_inversions
 from noisysort.model import read_dataset
@@ -134,6 +136,38 @@ class TestSimulateAndRunMs:
         assert not (tmp_path / "p.txt").exists()
 
 
+# one value per config key, and the flags that say the same
+CONFIG_CASES = [
+    ("n_values", "24, 30", ["--n-values", "24", "30"]),
+    ("alphas", "0.3", ["--alphas", "0.3"]),
+    ("budgets", "200", ["--budgets", "200"]),
+    ("lam", "0.3", ["--lambda", "0.3"]),
+    ("lambda_hat", "none", ["--lambda-hat", "none"]),
+    ("stages", "2", ["--stages", "2"]),
+    ("replicates", "2", ["--replicates", "2"]),
+    ("master_seed", "7", ["--master-seed", "7"]),
+    ("estimators", "ms, borda, random", ["--estimators", "ms", "borda", "random"]),
+    ("sampling", "with, without", ["--sampling", "with", "without"]),
+    ("c1", "4", ["--c1", "4"]),
+    ("threshold_scale", "0.2", ["--threshold-scale", "0.2"]),
+    ("workers", "2", ["--workers", "2"]),
+    ("pi_star", "random", ["--pi-star", "random"]),
+    ("regions_dir", "reg", ["--regions-dir", "reg"]),
+    ("out", "r.csv", ["--out", "r.csv"]),
+    ("summary_out", "s.csv", ["--summary-out", "s.csv"]),
+    ("timings_out", "t.csv", ["--timings-out", "t.csv"]),
+]
+# a small scaling-n grid, as flags: each case drops the key it sets
+CONFIG_BASE = {"n_values": ["--n-values", "24"], "alphas": ["--alphas", "0.5"],
+               "replicates": ["--replicates", "1"], "stages": ["--stages", "1"],
+               "estimators": ["--estimators", "ms", "borda"], "sampling": ["--sampling", "with"]}
+
+
+def experiment_parser():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["experiment"]
+
+
 class TestExperimentCommand:
     def test_tiny_grid_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "results.csv"
@@ -160,14 +194,69 @@ class TestExperimentCommand:
         assert all(",20," in line for line in lines[1:])
 
     def test_every_spec_field_is_a_config_key_and_a_flag(self):
-        sub = next(a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        flags = {a.dest for a in sub.choices["experiment"]._actions}
-        config_keys = set(_LIST_KEYS) | set(_SCALAR_KEYS)
+        parser = experiment_parser()
+        flags = {a.dest for a in parser._actions}
+        config_keys = set(_setting_flags(parser))
         fields = {f.name for f in dataclasses.fields(ExperimentSpec)} - {"kind"}
         outputs = {"out", "summary_out", "timings_out"}
         assert fields | outputs <= config_keys
         assert fields | outputs <= flags
+        assert config_keys == fields | outputs == {key for key, _, _ in CONFIG_CASES}
+
+    @pytest.mark.parametrize("key, value, flags", CONFIG_CASES)
+    def test_a_config_line_is_the_flag_it_names(self, tmp_path, monkeypatch, key, value, flags):
+        if key == "regions_dir":
+            base = ["regions", "--n-values", "30", "--stages", "2"]
+        else:
+            base = ["scaling-n", *(token for k, tokens in CONFIG_BASE.items()
+                                   if k != key and (k, key) != ("alphas", "budgets")
+                                   for token in tokens)]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key} = {value}  # the one setting under test\n")
+
+        def outputs(name, extra):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert main(["experiment", *base, *extra]) == 0
+            return {p.relative_to(tmp_path / name): p.read_bytes()
+                    for p in (tmp_path / name).rglob("*") if p.is_file()}
+
+        from_file = outputs("file", ["--config", str(cfg)])
+        from_flags = outputs("flags", flags)
+        named = {"out": "r.csv", "summary_out": "s.csv", "timings_out": "t.csv",
+                 "regions_dir": "reg/region_sizes.csv"}.get(key, "results.csv")
+        assert from_file.keys() == from_flags.keys() and Path(named) in from_file
+        for path in from_file.keys() - {Path("t.csv")}:  # timings are wall-clock
+            assert from_file[path] == from_flags[path], path
+
+    @pytest.mark.parametrize("line", [
+        "master_seed = none", "replicates = none", "lam = none", "stages = none",
+        "workers = none", "sampling = with_replacement", "estimators = ms, oracle",
+        "pi_star = reversed",
+    ])
+    def test_config_values_are_checked_by_their_flag(self, tmp_path, monkeypatch, capsys, line):
+        # master_seed = none once ran on OS entropy, replicates / lam = none raised TypeError
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"n_values = 20\n{line}\n")
+        assert main(["experiment", "scaling-n", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_kind_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("kind = region_snapshot\n")
+        assert main(["experiment", "scaling-n", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        assert "unknown config key 'kind'" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_regions_preset_writes_to_regions(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiment", "regions", "--n-values", "30", "--stages", "2"]) == 0
+        assert (tmp_path / "regions" / "stage_2.pbm").exists()
+        assert (tmp_path / "regions" / "region_sizes.csv").exists()
 
     def test_lambda_hat_none_flag_estimates_the_margin(self, tmp_path):
         args = ["experiment", "scaling-n", "--n-values", "40", "--alphas", "0.5",
@@ -305,6 +394,60 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"refused: run-ms n={10**13}: ") and "physical memory" in err
         assert not out.exists()
+
+    def test_run_ms_refuses_files_before_reading_them(self, tmp_path, capsys, monkeypatch):
+        # the rule takes each header's n and one record line per 8 bytes of file
+        data = tmp_path / "stage.txt"
+        assert main(["simulate", "--n", "30", "--lambda", "0.25", "--model", "with",
+                     "--budget", "400", "--seed", "0", "--out", str(data)]) == 0
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2**16, "SC_PAGE_SIZE": 1}.get)
+
+        def unread(path):
+            raise AssertionError(f"{path} was read before the memory rule refused it")
+
+        monkeypatch.setattr(cli, "read_dataset", unread)
+        out = tmp_path / "pi.txt"
+        assert main(["run-ms", "--in", str(data), str(data), "--T", "2", "--lambda-hat", "0.25",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("refused: run-ms n=30: ") and "physical memory" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, budget", [("with", "40000"), ("without", "0.5")])
+    @pytest.mark.parametrize("files", [1, 3])
+    def test_file_estimate_bounds_the_traced_peak(self, tmp_path, monkeypatch, model, budget,
+                                                  files):
+        paths = [str(tmp_path / f"stage_{k}.txt") for k in range(files)]
+        for k, path in enumerate(paths):
+            assert main(["simulate", "--n", "400", "--lambda", "0.25", "--model", model,
+                         "--budget", budget, "--seed", str(k), "--out", path]) == 0
+        args = ["run-ms", "--in", *paths, "--T", str(files), "--lambda-hat", "0.25",
+                "--out", str(tmp_path / "pi.txt")]
+        assert main(args) == 0  # numpy imports some modules on first use
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": peak, "SC_PAGE_SIZE": 1}.get)
+        assert main(args) == 2
+        # one constant covers a file's read: with three files it is 3-4x the held records
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 4 * peak, "SC_PAGE_SIZE": 1}.get)
+        assert main(args) == 0
+
+    @pytest.mark.parametrize("source", [
+        [],  # neither: --n and --budget once generated data without --generate
+        ["--in", "stage.txt", "--generate"],  # both: the files were sorted, --n ignored
+    ])
+    def test_run_ms_takes_exactly_one_source(self, tmp_path, monkeypatch, capsys, source):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--n", "30", "--lambda", "0.25", "--model", "with",
+                     "--budget", "900", "--seed", "0", "--out", "stage.txt"]) == 0
+        assert main(["run-ms", *source, "--n", "30", "--budget", "900", "--T", "2",
+                     "--lambda-hat", "0.25", "--out", "pi.txt"]) == 1
+        assert "--in" in capsys.readouterr().err
+        assert not (tmp_path / "pi.txt").exists()
 
     def test_non_finite_budget_names_the_cell(self, capsys):
         for alpha in ("inf", "nan"):

@@ -97,6 +97,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="workers"):
             small_spec(workers=workers)
 
+    @pytest.mark.parametrize("seed", [None, -1, 2.0, True, "5"])
+    def test_master_seed_must_be_a_non_negative_integer(self, seed):
+        # None would draw OS entropy through SeedSequence(None): the CSV would not repeat
+        with pytest.raises(ValueError, match="master_seed"):
+            small_spec(master_seed=seed)
+
     @pytest.mark.parametrize("value", ["-3", "0", "abc", "2.5"])
     def test_workers_env_must_be_positive_integer(self, monkeypatch, value):
         monkeypatch.setenv("NOISYSORT_WORKERS", value)
