@@ -17,6 +17,8 @@ from .errors import ResourceCapError
 from .estimators import CALIBRATED_THRESHOLD_SCALE, MsConfig, ms_sort
 from .experiments import (
     DATASET_LINES,
+    READ_LINES,
+    WRITTEN,
     ExperimentSpec,
     check_memory,
     draw_stages,
@@ -76,8 +78,8 @@ def _budget(args) -> tuple[str, float]:
 def _cmd_simulate(args) -> int:
     kind, budget = _budget(args)
     matrix = star_matrix(args.n, args.lam)
-    check_memory(f"simulate n={args.n}", args.n, largest_draw(args.n, kind, budget, 1, False),
-                 kind)
+    records = largest_draw(args.n, kind, budget, 1, False)
+    check_memory(f"simulate n={args.n}", args.n, {kind: records, WRITTEN: records})
     pi_star = _load_pi_star(args.pi_star, args.n)
     if kind == WITH_REPLACEMENT:
         dataset = sample_with_replacement(pi_star, matrix, budget, args.seed)
@@ -91,30 +93,34 @@ def _cmd_simulate(args) -> int:
 
 def _check_files(paths: list[str]) -> None:
     """Refuse dataset files that would not fit once read, before any is parsed: the largest
-    header n (read_dataset names a header that does not parse), and at most one record line
-    per 8 bytes of each file."""
+    header n (read_dataset names a header that does not parse), at most one record line
+    per 8 bytes of each file held, and the largest file's read on top."""
     n = 1
     for path in paths:
         with open(path, "rb") as f:
             head = next((line.split()[0] for line in f if line.strip()), b"")
         n = max(n, int(head) if head.isdigit() else 1)
-    lines = sum(os.path.getsize(path) // 8 for path in paths)
-    check_memory(f"run-ms n={n}", n, lines, DATASET_LINES)
+    lines = [os.path.getsize(path) // 8 for path in paths]
+    check_memory(f"run-ms n={n}", n, {DATASET_LINES: sum(lines), READ_LINES: max(lines)})
 
 
-def _cmd_run_ms(args) -> int:
+def _cmd_run_ms(generate_only: list[argparse.Action], args) -> int:
     config = MsConfig(stages=args.stages, c1=args.c1, threshold_scale=args.threshold_scale)
     if args.infiles:
+        if given := [a.option_strings[0] for a in generate_only if a.dest in args]:
+            raise ValueError(f"{given[0]} is read only with --generate, not with --in")
         if args.lambda_hat is None:
             raise ValueError("--lambda-hat is required when stages come from files")
         _check_files(args.infiles)  # every file is held while ms sorts
         samples, lam_hat = [read_dataset(f) for f in args.infiles], args.lambda_hat
     else:
-        if args.n is None or args.budget is None:
+        if "n" not in args or "budget" not in args:
             raise ValueError("--generate needs --n and --budget")
+        args = argparse.Namespace(**{"model": "with", "seed": 0, "lam": 0.25, "pi_star": None,
+                                     **vars(args)})
         kind, budget = _budget(args)
-        check_memory(f"run-ms n={args.n}", args.n, largest_draw(
-            args.n, kind, budget, args.stages, args.lambda_hat is None), kind)
+        check_memory(f"run-ms n={args.n}", args.n, {kind: largest_draw(
+            args.n, kind, budget, args.stages, args.lambda_hat is None)})
         samples, lam_hat = draw_stages(_load_pi_star(args.pi_star, args.n),
                                        star_matrix(args.n, args.lam), kind, budget,
                                        args.stages, args.seed, args.lambda_hat)
@@ -288,19 +294,20 @@ def build_parser() -> _Parser:
                         help="stage dataset files (one per stage)")
     source.add_argument("--generate", action="store_true",
                         help="generate data instead of reading files")
-    p_ms.add_argument("--n", type=int, default=None)
-    p_ms.add_argument("--lambda", dest="lam", type=float, default=0.25)
-    p_ms.add_argument("--model", choices=("with", "without"), default="with")
-    p_ms.add_argument("--budget", default=None)
-    p_ms.add_argument("--seed", type=int, default=0)
+    generate = p_ms.add_argument_group("--generate only", argument_default=argparse.SUPPRESS)
+    generate.add_argument("--n", type=int)
+    generate.add_argument("--lambda", dest="lam", type=float, help="default 0.25")
+    generate.add_argument("--model", choices=("with", "without"), help="default with")
+    generate.add_argument("--budget")
+    generate.add_argument("--seed", type=int, help="default 0")
+    generate.add_argument("--pi-star", dest="pi_star", help="default identity")
     p_ms.add_argument("--T", dest="stages", type=int, required=True)
     p_ms.add_argument("--c1", type=float, default=8.0)
     p_ms.add_argument("--threshold-scale", type=float, default=CALIBRATED_THRESHOLD_SCALE)
     p_ms.add_argument("--lambda-hat", dest="lambda_hat", type=float, default=None)
     p_ms.add_argument("--out", required=True)
     p_ms.add_argument("--regions-dir", dest="regions_dir", default=None)
-    p_ms.add_argument("--pi-star", dest="pi_star", default=None)
-    p_ms.set_defaults(func=_cmd_run_ms)
+    p_ms.set_defaults(func=partial(_cmd_run_ms, generate._group_actions))
 
     p_ct = sub.add_parser("count-inversions",
                           help="count permutations within k inversions of identity")

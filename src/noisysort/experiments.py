@@ -63,20 +63,17 @@ ESTIMATOR_IDS = ("ms", "borda", "random", "mle", "sieve")
 RESULT_COLUMNS = ("kind", "n", "sampling", "budget", "lam", "seed", "estimator",
                   "d_kt", "l1", "linf")
 WORKERS_ENV_VAR = "NOISYSORT_WORKERS"
-# Peak bytes of one ms + borda + random replicate per record of its largest draw, per record
-# of that draw's first _RECORD_CHUNK (the block temporaries), and per item, measured with
-# tracemalloc after a warm-up run over n = 300-20000, alpha = 0.01-1, T = 1-3, fixed and
-# estimated margins, and rounded up.  With replacement, draws of a million records and up
-# set the record bytes (34.1 at n=20000, alpha=0.1, T=3), and the block bytes are what the
-# small draws need on top (24.9 at n=420, alpha=1, T=3); without replacement the whole
-# draw lives (63.2 at n=300, alpha=1); the item bytes peak at N of a few hundred (338.9,
-# measured at n = 2*10^4-2*10^5).
-# DATASET_LINES records are the record lines of the dataset files run-ms reads and sorts, at
-# most one per 8 bytes of file: a read peaks at 110 bytes per line plus its text (118 per
-# 8-byte line), and holds 50 per line once done (traced at n = 100-12000, 1-3 files).
-DATASET_LINES = "dataset_lines"
-_RECORD_BYTES = {WITH_REPLACEMENT: 35, WITHOUT_REPLACEMENT: 65, DATASET_LINES: 124}
-_BLOCK_BYTES = {WITH_REPLACEMENT: 26, WITHOUT_REPLACEMENT: 0, DATASET_LINES: 0}
+# Peak bytes per record of a run's largest draw, per record of its first _RECORD_CHUNK (the
+# block temporaries) and per item: the largest tracemalloc peaks, rounded up, of one ms +
+# borda + random replicate after a warm-up run (n = 50-20000, alpha = 0.01-1, T = 1-3, fixed
+# and estimated margins; the item bytes at N of a few hundred, n = 2*10^4-2*10^5).  WRITTEN
+# records are a simulated dataset's, held while write_dataset orders and formats its lines;
+# DATASET_LINES the lines of run-ms's files, one per 8 bytes at most, held once read; and
+# READ_LINES the largest file's, read on top (traced figures: README "Scale and memory").
+WRITTEN, DATASET_LINES, READ_LINES = "written", "dataset_lines", "read_lines"
+_RECORD_BYTES = {WITH_REPLACEMENT: 35, WITHOUT_REPLACEMENT: 33, WRITTEN: 30,
+                 DATASET_LINES: 17, READ_LINES: 102}
+_BLOCK_BYTES = {WITH_REPLACEMENT: 26, WITHOUT_REPLACEMENT: 27, WRITTEN: 175}
 _ITEM_BYTES = 340
 
 
@@ -256,7 +253,7 @@ def _cell_plan(spec: ExperimentSpec, n: int, kind: str, value: float,
         least = 2 if spec.kind == "lambda_accuracy" else max(stages, 1 + estimated)
         if budget < least:
             raise ValueError(f"{cell}: {budget:g} comparisons, fewer than the {least} it needs")
-    check_memory(cell, n, largest_draw(n, sampling, budget, stages, estimated), sampling,
+    check_memory(cell, n, {sampling: largest_draw(n, sampling, budget, stages, estimated)},
                  spec.effective_workers())
     return budget, stages
 
@@ -270,12 +267,13 @@ def largest_draw(n: int, sampling: str, budget: float, stages: int, estimated: b
     return max(math.ceil(budget / stages), math.ceil(budget / 2) if estimated else 0)
 
 
-def check_memory(what: str, n: int, records: float, sampling: str, workers: int = 1) -> None:
+def check_memory(what: str, n: int, records: dict[str, float], workers: int = 1) -> None:
     """ResourceCapError, naming ``what``, if ``workers`` runs at once, each on n items with
-    a largest draw of ``records`` records of ``sampling`` (or DATASET_LINES), would not fit
-    in physical memory."""
-    need = workers * (records * _RECORD_BYTES[sampling] + n * _ITEM_BYTES
-                      + min(records, _RECORD_CHUNK) * _BLOCK_BYTES[sampling])
+    ``records[kind]`` records of each kind (a sampling, WRITTEN, DATASET_LINES or
+    READ_LINES), would not fit in physical memory."""
+    need = workers * (n * _ITEM_BYTES + sum(
+        count * _RECORD_BYTES[kind] + min(count, _RECORD_CHUNK) * _BLOCK_BYTES.get(kind, 0)
+        for kind, count in records.items()))
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > memory:
         raise ResourceCapError(

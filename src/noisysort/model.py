@@ -148,11 +148,14 @@ class ComparisonDataset:
 
 
 def _pair_items(n: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, second) of ascending pair cells, numbered 0..C(n,2)-1 in (first, second) order."""
-    row_sizes = np.arange(n - 1, -1, -1, dtype=np.int64)  # row i holds the n - i pairs (i, j > i)
-    offsets = np.concatenate(([0], np.cumsum(row_sizes)))  # offsets[i]: pairs in rows 1..i
-    items, runs = np.arange(1, n + 1, dtype=np.int64), np.diff(np.searchsorted(cells, offsets))
-    return np.repeat(items, runs), cells + np.repeat(items + 1 - offsets[:-1], runs)
+    """int64 (first, second) of ascending pair cells, numbered 0..C(n,2)-1 in (first, second)
+    order; the cells (uint32 or int64) are read in place and not written."""
+    offsets = np.concatenate(([0], np.cumsum(np.arange(n - 1, -1, -1, dtype=np.int64))))
+    items, runs = np.arange(1, n + 1, dtype=np.int64), np.diff(np.searchsorted(
+        cells, offsets.astype(cells.dtype)))  # in the cells' dtype: no record-sized cast
+    second = np.repeat(items + 1 - offsets[:-1], runs)  # row i's shift, then its cells
+    second += cells
+    return np.repeat(items, runs), second
 
 
 # Observed pairs decoded per pass of the win draw: its temporaries stay a few MB
@@ -161,10 +164,10 @@ _WIN_CHUNK = 1 << 16
 
 def _draw_pairs(pi_star: Permutation, matrix: ProbabilityMatrix, p: float,
                 seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """sample_without_replacement's draw, compact: the ascending observed pair cells
-    (int64) and whether ``first`` won each (bool).  The bits are drawn, and their
-    pairs decoded, _WIN_CHUNK pairs at a time: the generator's stream is the one of
-    a single call."""
+    """sample_without_replacement's draw, compact: the ascending observed pair cells (uint32
+    while C(n,2) < 2**32, else int64: numpy adds uint64 and int64 as float64) and whether
+    ``first`` won each (bool).  The bits are drawn, and their pairs decoded, _WIN_CHUNK
+    pairs at a time: the generator's stream is the one of a single call."""
     if not 0 < p <= 1:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     n = pi_star.n
@@ -184,12 +187,13 @@ def _draw_pairs(pi_star: Permutation, matrix: ProbabilityMatrix, p: float,
     while cells[-1] < num_cells - 1:
         cells = np.concatenate([cells, cells[-1] + steps()])
     cells = cells[: np.searchsorted(cells, num_cells)]
-    ranks = pi_star.to_array()
+    cells = cells.astype(np.uint32) if num_cells < 2**32 else cells  # n <= 92682
+    ranks = np.concatenate(([0], pi_star.to_array()))  # by item, 1-based
     won = np.empty(len(cells), dtype=bool)
     for lo in range(0, len(cells), _WIN_CHUNK):
         first, second = _pair_items(n, cells[lo: lo + _WIN_CHUNK])
         won[lo: lo + len(first)] = rng.random(len(first)) < matrix.win_prob(
-            ranks[first - 1], ranks[second - 1])
+            ranks.take(first), ranks.take(second))
     return cells, won
 
 
@@ -198,7 +202,7 @@ def _decode(n: int, cells: np.ndarray, won: np.ndarray, p: float,
     """The without-replacement dataset of ascending pair cells and their first-won bits."""
     first, second = _pair_items(n, cells)
     return ComparisonDataset(
-        n=n, first=first, second=second, num=np.ones(len(cells), dtype=np.int64),
+        n=n, first=first, second=second, num=np.broadcast_to(np.int64(1), len(cells)),
         first_wins=won.astype(np.int64), tag=SamplingTag(WITHOUT_REPLACEMENT, p), seed=seed,
     )
 
@@ -403,8 +407,9 @@ class StageSource:
             del keep  # as large as the stage's cells: freed before the decode
             return _decode(n, part, bits, p, derive_seed(seed, t))
 
-        return cls(n, tuple(np.bincount(labels, minlength=parts).tolist()),
-                   lambda: map(stage, range(parts)))
+        counts = sum((np.bincount(labels[lo: lo + _WIN_CHUNK], minlength=parts)  # no intp copy
+                      for lo in range(0, len(labels), _WIN_CHUNK)), np.zeros(parts, np.int64))
+        return cls(n, tuple(counts.tolist()), lambda: map(stage, range(parts)))
 
 
 def split_with_replacement(pi_star: Permutation, matrix: ProbabilityMatrix, budgets: list[int],

@@ -413,8 +413,30 @@ class TestExitCodes:
         assert err.startswith("refused: run-ms n=30: ") and "physical memory" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model, n, budget", [
+        ("with", 400, "40000"), ("with", 1000, "400000"), ("without", 400, "0.5"),
+        ("without", 1000, "1.0")])
+    def test_simulate_estimate_bounds_the_traced_peak(self, tmp_path, monkeypatch, model, n,
+                                                      budget):
+        # the dataset is held while write_dataset orders and formats its lines
+        out = tmp_path / "stage.txt"
+        args = ["simulate", "--n", str(n), "--lambda", "0.25", "--model", model,
+                "--budget", budget, "--seed", "0", "--out", str(out)]
+        assert main(args) == 0  # numpy imports some modules on first use
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out.unlink()
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": peak, "SC_PAGE_SIZE": 1}.get)
+        assert main(args) == 2 and not out.exists()
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2 * peak, "SC_PAGE_SIZE": 1}.get)
+        assert main(args) == 0
+
     @pytest.mark.parametrize("model, budget", [("with", "40000"), ("without", "0.5")])
-    @pytest.mark.parametrize("files", [1, 3])
+    @pytest.mark.parametrize("files", [1, 2, 3])
     def test_file_estimate_bounds_the_traced_peak(self, tmp_path, monkeypatch, model, budget,
                                                   files):
         paths = [str(tmp_path / f"stage_{k}.txt") for k in range(files)]
@@ -432,9 +454,23 @@ class TestExitCodes:
             tracemalloc.stop()
         monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": peak, "SC_PAGE_SIZE": 1}.get)
         assert main(args) == 2
-        # one constant covers a file's read: with three files it is 3-4x the held records
-        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 4 * peak, "SC_PAGE_SIZE": 1}.get)
+        # every file is held, and the largest one's read comes on top
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2 * peak, "SC_PAGE_SIZE": 1}.get)
         assert main(args) == 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "30"), ("--budget", "900"), ("--model", "with"), ("--seed", "0"),
+        ("--lambda", "0.25"), ("--pi-star", "pi.txt")])
+    def test_run_ms_files_refuse_the_generate_flags(self, tmp_path, monkeypatch, capsys, flag,
+                                                    value):
+        # they were ignored with --in, even at their defaults
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--n", "30", "--lambda", "0.25", "--model", "with",
+                     "--budget", "900", "--seed", "0", "--out", "stage.txt"]) == 0
+        assert main(["run-ms", "--in", "stage.txt", flag, value, "--T", "1", "--lambda-hat",
+                     "0.25", "--out", "out.txt"]) == 1
+        assert f"{flag} is read only with --generate" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
 
     @pytest.mark.parametrize("source", [
         [],  # neither: --n and --budget once generated data without --generate

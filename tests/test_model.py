@@ -605,16 +605,37 @@ class TestWithoutStream:
         next(iter(source))
         assert built == [derive_seed(derive_seed(6, 1), 0)]
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32])
     @pytest.mark.parametrize("n", [2, 3, 50])
-    def test_pair_items_of_any_ascending_cells(self, n):
-        # runs that start and end mid-row, as the draws' chunks do
+    def test_pair_items_of_any_ascending_cells(self, n, dtype):
+        # runs that start and end mid-row, as the draws' chunks do; the compact draw holds
+        # uint32 cells below 2**32, and they decode to int64 items, unwritten
         rows, cols = np.triu_indices(n, 1)
-        cells = np.flatnonzero(np.random.default_rng(n).random(len(rows)) < 0.4)
+        cells = np.flatnonzero(np.random.default_rng(n).random(len(rows)) < 0.4).astype(dtype)
         half = len(cells) // 2
         for part in (cells, cells[1:-1], cells[half: half + 3], cells[:0]):
+            held = part.copy()
             first, second = model._pair_items(n, part)
             assert np.array_equal(first, rows[part] + 1) and np.array_equal(second, cols[part] + 1)
             assert first.dtype == second.dtype == np.int64
+            assert part.dtype == dtype and np.array_equal(part, held)
+
+    @pytest.mark.parametrize("n, dtype", [(92682, np.uint32), (92683, np.int64)])
+    def test_cells_narrow_below_two_to_the_32(self, n, dtype):
+        # C(n,2) < 2**32 up to n = 92682: the cells there reach past 2**31; about 8.6k pairs
+        assert (math.comb(n, 2) < 2**32) == (dtype == np.uint32)
+        pi, law, p = random_permutation(n, np.random.default_rng(3)), star_matrix(n, 0.25), 2e-6
+        cells, won = model._draw_pairs(pi, law, p, 4)
+        assert cells.dtype == dtype and 7000 < len(cells) < 10_000 and cells[-1] >= 2**31
+        held = cells.copy()
+        source = StageSource.without_replacement(n, cells, won, p, 3, 5, 6)
+        wide = StageSource.without_replacement(n, cells.astype(np.int64), won, p, 3, 5, 6)
+        once, again, expected = list(source), list(source), list(wide)
+        for a, b, c in zip(once, again, expected, strict=True):
+            assert _identical(a, c) and _identical(b, c)
+            assert a.num.dtype == np.int64 and not a.num.flags.writeable
+        decoded = np.concatenate([pair_cells(n, s.first, s.second) for s in once])
+        assert np.array_equal(np.sort(decoded), held) and np.array_equal(cells, held)
 
     def test_pair_cells_invert_pair_items(self):
         n = 9
