@@ -63,7 +63,6 @@ from .model import (
 from .perms import (
     InversionTable,
     Permutation,
-    adjacent_transposition,
     compose,
     enumerate_permutations,
     from_inversion_table,

@@ -71,9 +71,9 @@ WORKERS_ENV_VAR = "NOISYSORT_WORKERS"
 # DATASET_LINES the lines of run-ms's files, one per 8 bytes at most, held once read; and
 # READ_LINES the largest file's, read on top (traced figures: README "Scale and memory").
 WRITTEN, DATASET_LINES, READ_LINES = "written", "dataset_lines", "read_lines"
-_RECORD_BYTES = {WITH_REPLACEMENT: 35, WITHOUT_REPLACEMENT: 33, WRITTEN: 30,
-                 DATASET_LINES: 17, READ_LINES: 102}
-_BLOCK_BYTES = {WITH_REPLACEMENT: 26, WITHOUT_REPLACEMENT: 27, WRITTEN: 175}
+_RECORD_BYTES = {WITH_REPLACEMENT: 32, WITHOUT_REPLACEMENT: 14, WRITTEN: 25,
+                 DATASET_LINES: 13, READ_LINES: 60}
+_BLOCK_BYTES = {WITH_REPLACEMENT: 22, WITHOUT_REPLACEMENT: 45, WRITTEN: 111}
 _ITEM_BYTES = 340
 
 

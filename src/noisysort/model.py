@@ -97,6 +97,18 @@ class SamplingTag:
         return repr(float(self.budget))
 
 
+# Records checked, drawn or decoded per pass over a record array: its temporaries stay a few MB
+_WIN_CHUNK = 1 << 16
+
+
+def _any_block(test: Callable[..., np.ndarray], *arrays: np.ndarray) -> bool:
+    """Whether ``test`` of the equal-length ``arrays`` is true anywhere, applied to _WIN_CHUNK
+    + 1 elements at a time; neighbouring blocks share an element, so a test may compare each
+    element with the next."""
+    return any(test(*(a[lo: lo + _WIN_CHUNK + 1] for a in arrays)).any()
+               for lo in range(0, len(arrays[0]), _WIN_CHUNK))
+
+
 @dataclass(frozen=True, eq=False)
 class ComparisonDataset:
     """Outcomes of pairwise comparisons among n items.
@@ -105,7 +117,10 @@ class ComparisonDataset:
     ``first < second`` (1-indexed), the comparison count, and how many of
     those ``first`` won.  Pairs are strictly increasing in (first, second),
     and a without-replacement record holds exactly one comparison; both are
-    checked at construction.
+    checked at construction, _WIN_CHUNK records at a time.  The samplers and
+    the reader hold the items in _item_dtype(n) and counts in int64; a
+    without-replacement sample holds its wins as bool and its counts as one
+    read-only int64 1, broadcast.
     """
 
     n: int
@@ -120,14 +135,13 @@ class ComparisonDataset:
         f, s, m, w = self.first, self.second, self.num, self.first_wins
         if not (len(f) == len(s) == len(m) == len(w)):
             raise ValueError("pair arrays have mismatched lengths")
-        if len(f) and (
-            np.any(f >= s) or np.any(f < 1) or np.any(s > self.n)
-            or np.any(m < 1) or np.any(w < 0) or np.any(w > m)
-        ):
+        if _any_block(lambda f, s, m, w: (f >= s) | (f < 1) | (s > self.n) | (m < 1) | (w < 0)
+                      | (w > m), f, s, m, w):
             raise ValueError("invalid pair record (ordering, range, or win count)")
-        if np.any((f[1:] < f[:-1]) | ((f[1:] == f[:-1]) & (s[1:] <= s[:-1]))):
+        if _any_block(lambda f, s: (f[1:] < f[:-1]) | ((f[1:] == f[:-1]) & (s[1:] <= s[:-1])),
+                      f, s):
             raise ValueError("pairs are not strictly increasing in (first, second)")
-        if self.tag.kind == WITHOUT_REPLACEMENT and np.any(m != 1):
+        if self.tag.kind == WITHOUT_REPLACEMENT and _any_block(lambda m: m != 1, m):
             raise ValueError("a without-replacement record holds exactly one comparison")
 
     @property
@@ -147,27 +161,38 @@ class ComparisonDataset:
         )
 
 
-def _pair_items(n: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int64 (first, second) of ascending pair cells, numbered 0..C(n,2)-1 in (first, second)
-    order; the cells (uint32 or int64) are read in place and not written."""
+def _item_dtype(n: int) -> type:
+    """The type of item indices 1..n: int32 while n < 2**31, else int64."""
+    return np.int32 if n < 2**31 else np.int64
+
+
+def _pair_items(n: int, cells: np.ndarray,
+                second: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(first, second), in _item_dtype(n), of ascending pair cells (uint32 or int64) numbered
+    0..C(n,2)-1 in (first, second) order.  ``second`` is written _WIN_CHUNK cells at a time:
+    into a new array, or into a given one, which may be the cells' own memory, since each
+    block of cells is read before it is written.  The cells are not written otherwise."""
+    item = _item_dtype(n)
     offsets = np.concatenate(([0], np.cumsum(np.arange(n - 1, -1, -1, dtype=np.int64))))
-    items, runs = np.arange(1, n + 1, dtype=np.int64), np.diff(np.searchsorted(
-        cells, offsets.astype(cells.dtype)))  # in the cells' dtype: no record-sized cast
-    second = np.repeat(items + 1 - offsets[:-1], runs)  # row i's shift, then its cells
-    second += cells
-    return np.repeat(items, runs), second
-
-
-# Observed pairs decoded per pass of the win draw: its temporaries stay a few MB
-_WIN_CHUNK = 1 << 16
+    items = np.arange(1, n + 1, dtype=item)
+    first = np.repeat(items, np.diff(np.searchsorted(
+        cells, offsets.astype(cells.dtype))))  # in the cells' dtype: no record-sized cast
+    # row i's shift, by item, wrapped to the item width: a cell plus its shift fits it exactly
+    shift = np.concatenate(([0], items + 1 - offsets[:-1])).astype(item)
+    second = np.empty(len(cells), dtype=item) if second is None else second
+    for lo in range(0, len(cells), _WIN_CHUNK):
+        at = slice(lo, lo + _WIN_CHUNK)
+        np.add(shift.take(first[at]), cells[at], out=second[at], casting="unsafe")
+    return first, second
 
 
 def _draw_pairs(pi_star: Permutation, matrix: ProbabilityMatrix, p: float,
                 seed: int) -> tuple[np.ndarray, np.ndarray]:
     """sample_without_replacement's draw, compact: the ascending observed pair cells (uint32
     while C(n,2) < 2**32, else int64: numpy adds uint64 and int64 as float64) and whether
-    ``first`` won each (bool).  The bits are drawn, and their pairs decoded, _WIN_CHUNK
-    pairs at a time: the generator's stream is the one of a single call."""
+    ``first`` won each (bool).  The Geometric(p) gaps are drawn and summed into the cells,
+    and the bits drawn and their pairs decoded, _WIN_CHUNK at a time: the generator's
+    stream is the one of single calls."""
     if not 0 < p <= 1:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     n = pi_star.n
@@ -175,19 +200,21 @@ def _draw_pairs(pi_star: Permutation, matrix: ProbabilityMatrix, p: float,
         raise SizeMismatchError(f"matrix n={matrix.n} vs permutation n={n}")
     num_cells = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
-    # six standard deviations past the expected count: one draw nearly always passes the last cell
+    # six standard deviations past the expected count: one round nearly always passes the last cell
     size = int(p * num_cells + 6 * math.sqrt(p * num_cells) + 10)
-
-    def steps() -> np.ndarray:  # gaps cut to one past the last cell keep a tiny p's sums finite
-        gaps = rng.geometric(p, size=size)
-        return np.cumsum(np.minimum(gaps, num_cells + 1, out=gaps), out=gaps)
-
-    cells = steps()
-    cells -= 1
-    while cells[-1] < num_cells - 1:
-        cells = np.concatenate([cells, cells[-1] + steps()])
-    cells = cells[: np.searchsorted(cells, num_cells)]
-    cells = cells.astype(np.uint32) if num_cells < 2**32 else cells  # n <= 92682
+    rounds, last = [], -1  # the last drawn cell: the running sum of the gaps, less one
+    while not rounds or last < num_cells - 1:  # a round draws every gap, past the last cell too
+        cells, count = np.empty(size, dtype=np.uint32 if num_cells < 2**32 else np.int64), 0
+        for lo in range(0, size, _WIN_CHUNK):
+            gaps = rng.geometric(p, size=min(_WIN_CHUNK, size - lo))
+            # gaps cut to one past the last cell keep a tiny p's sums finite
+            steps = np.cumsum(np.minimum(gaps, num_cells + 1, out=gaps), out=gaps)
+            steps += last
+            last, kept = int(steps[-1]), int(np.searchsorted(steps, num_cells))
+            cells[count: count + kept] = steps[:kept]
+            count += kept
+        rounds.append(cells[:count])
+    cells = rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
     ranks = np.concatenate(([0], pi_star.to_array()))  # by item, 1-based
     won = np.empty(len(cells), dtype=bool)
     for lo in range(0, len(cells), _WIN_CHUNK):
@@ -197,13 +224,17 @@ def _draw_pairs(pi_star: Permutation, matrix: ProbabilityMatrix, p: float,
     return cells, won
 
 
-def _decode(n: int, cells: np.ndarray, won: np.ndarray, p: float,
-            seed: int) -> ComparisonDataset:
-    """The without-replacement dataset of ascending pair cells and their first-won bits."""
-    first, second = _pair_items(n, cells)
+def _decode(n: int, cells: np.ndarray, won: np.ndarray, p: float, seed: int,
+            spare: bool = False) -> ComparisonDataset:
+    """The without-replacement dataset of ascending pair cells and their first-won bits, which
+    it keeps.  ``spare`` cells, which nothing else reads, become ``second`` where they are as
+    wide as an item; other cells are read and not written."""
+    item = _item_dtype(n)
+    into = cells.view(item) if spare and cells.itemsize == np.dtype(item).itemsize else None
+    first, second = _pair_items(n, cells, into)
     return ComparisonDataset(
         n=n, first=first, second=second, num=np.broadcast_to(np.int64(1), len(cells)),
-        first_wins=won.astype(np.int64), tag=SamplingTag(WITHOUT_REPLACEMENT, p), seed=seed,
+        first_wins=won, tag=SamplingTag(WITHOUT_REPLACEMENT, p), seed=seed,
     )
 
 
@@ -218,7 +249,7 @@ def sample_without_replacement(
     not to the cells.  One uniform draw per observed pair, against its
     ``win_prob``, then decides whether ``first`` won.
     """
-    return _decode(pi_star.n, *_draw_pairs(pi_star, matrix, p, seed), p, seed)
+    return _decode(pi_star.n, *_draw_pairs(pi_star, matrix, p, seed), p, seed, True)
 
 
 # Largest comparison count whose star-law win draw is replayed from a table
@@ -395,20 +426,26 @@ class StageSource:
         derive_seed(seed, t).  One part is the whole draw, keyed ``whole_seed``."""
         if parts < 1:
             raise ValueError("parts must be positive")
-        if parts == 1:
+        if parts == 1:  # the held draw's bits, read-only: a second pass replays the first
+            bits = won.view()
+            bits.flags.writeable = False
             return cls(n, (len(cells),),
-                       lambda: (_decode(n, cells, won, p, whole_seed) for _ in range(1)))
+                       lambda: (_decode(n, cells, bits, p, whole_seed) for _ in range(1)))
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, parts, size=len(cells), dtype=np.min_scalar_type(parts - 1))
-
-        def stage(t: int) -> ComparisonDataset:
-            keep = np.flatnonzero(labels == t)  # a gather: faster than a boolean mask
-            part, bits = cells[keep], won[keep]
-            del keep  # as large as the stage's cells: freed before the decode
-            return _decode(n, part, bits, p, derive_seed(seed, t))
-
         counts = sum((np.bincount(labels[lo: lo + _WIN_CHUNK], minlength=parts)  # no intp copy
                       for lo in range(0, len(labels), _WIN_CHUNK)), np.zeros(parts, np.int64))
+
+        def stage(t: int) -> ComparisonDataset:
+            # gathered a block at a time into arrays of the stage's count: no record-sized index
+            part, bits, at = np.empty(counts[t], cells.dtype), np.empty(counts[t], bool), 0
+            for lo in range(0, len(cells), _WIN_CHUNK):
+                keep = np.flatnonzero(labels[lo: lo + _WIN_CHUNK] == t)
+                for held, out in ((cells, part), (won, bits)):  # "clip": out is not buffered
+                    held[lo: lo + _WIN_CHUNK].take(keep, out=out[at: at + len(keep)], mode="clip")
+                at += len(keep)
+            return _decode(n, part, bits, p, derive_seed(seed, t), True)  # a copy: spare
+
         return cls(n, tuple(counts.tolist()), lambda: map(stage, range(parts)))
 
 
@@ -505,11 +542,16 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
     line number in the file.
     """
     text = Path(path).read_text()
-    skipped = text.count("\n", 0, len(text) - len(text.lstrip()))  # lines before the header
-    text = text.strip()
-    if not text:
+    start, end = 0, len(text)  # the text strip() would leave, by index: no copy of it
+    while start < end and text[start].isspace():
+        start += 1
+    while end > start and text[end - 1].isspace():
+        end -= 1
+    if start == end:
         raise ValueError(f"empty dataset file {path}")
-    header, _, body = text.partition("\n")
+    skipped = text.count("\n", 0, start)  # lines before the header
+    eol = text.find("\n", start, end)  # the header's end, -1 if no record line follows
+    header = text[start: end if eol < 0 else eol]
     head = header.split()
     if len(head) != 4:
         raise ValueError(f"bad header in {path!s}: {header!r}")
@@ -522,29 +564,35 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
     if n < 1:
         raise ValueError(f"bad header in {path!s}: n must be >= 1, got {n}")
     rows = np.empty((0, 4), dtype=np.int64)
-    if body:  # loadtxt warns on no data and skips blank lines: count the lines it parsed
+    if eol >= 0:  # loadtxt warns on no data and skips blank lines: count the lines it parsed
         try:  # the file itself, past the header: no copy of the body text
             rows = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None, skiprows=skipped + 1)
         except ValueError:
             rows = None
-        if rows is None or rows.shape != (body.count("\n") + 1, 4):
-            for line_no, line in enumerate(body.split("\n"), start=skipped + 2):
+        if rows is None or rows.shape != (text.count("\n", eol, end), 4):
+            for line_no, line in enumerate(text[eol + 1: end].split("\n"), start=skipped + 2):
                 tokens = line.split()
                 if len(tokens) != 4 or any(_int64(t) is None for t in tokens):
                     raise ValueError(f"{path!s}, line {line_no}: a record line must be "
                                      f"four integers, got {line!r}")
             raise ValueError(f"every record line of {path!s} must be four integers")
+    del text
     i, j, m, a = rows.T
     # both lines of a pair state (count, wins of the smaller index)
     fwd = i < j
     first, second, wins = np.where(fwd, i, j), np.where(fwd, j, i), np.where(fwd, a, m - a)
     if len(rows) and not (first.min() >= 1 and second.max() <= n):  # before the casts below
         raise ValueError("invalid pair record (ordering, range, or win count)")
+    del fwd, i, j, a
+    item = _item_dtype(n)
+    first, second = first.astype(item), second.astype(item)
     # lexsort((second, first))'s order by two stable passes, radix sorts for n < 2**16
     key = np.min_scalar_type(n)
     order = np.argsort(second.astype(key), kind="stable")
     order = order[np.argsort(first.astype(key)[order], kind="stable")]
-    first, second, num, wins = first[order], second[order], m[order], wins[order]
+    num = m[order]
+    del rows, m  # the loaded rows are freed here
+    first, second, wins = first[order], second[order], wins[order]
     repeat = (first[1:] == first[:-1]) & (second[1:] == second[:-1])
     clash = np.flatnonzero(repeat & ((num[1:] != num[:-1]) | (wins[1:] != wins[:-1])))
     if len(clash):

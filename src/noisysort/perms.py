@@ -191,14 +191,5 @@ def invert(pi: Permutation) -> Permutation:
     return Permutation(tuple(inv))
 
 
-def adjacent_transposition(n: int, k: int) -> Permutation:
-    """The permutation swapping k and k+1, fixing everything else."""
-    if not 1 <= k < n:
-        raise ValueError(f"k={k} outside 1..{n - 1}")
-    m = list(range(1, n + 1))
-    m[k - 1], m[k] = m[k], m[k - 1]
-    return Permutation(tuple(m))
-
-
 def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
     return Permutation(tuple((rng.permutation(n) + 1).tolist()))

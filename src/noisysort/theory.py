@@ -19,11 +19,6 @@ def bernoulli_kl(p: float, q: float) -> float:
     return p * math.log(p / q) + (1 - p) * math.log((1 - p) / (1 - q))
 
 
-def bernoulli_kl_lower_bound(p: float, q: float) -> float:
-    """(p-q)^2 / (2 p (1-q)): a floor on KL(Ber(p) || Ber(q)) for q < p."""
-    return (p - q) ** 2 / (2 * p * (1 - q))
-
-
 def binomial_tail_bounds(n_draws: int, p: float, r: float, s: float) -> tuple[float, float]:
     """Closed-form tail bounds for X ~ Bin(n_draws, p).
 

@@ -24,7 +24,7 @@ from noisysort.model import (
     StageSource,
     derive_seed,
 )
-from noisysort.perms import kendall_tau
+from noisysort.perms import Permutation, kendall_tau
 
 
 def brute_inversions(values):
@@ -55,6 +55,20 @@ def recursive_inversions(values):
     inv = recursive_inversions(left) + recursive_inversions(right)
     # cross pairs: for each y in right, count x in left with x > y
     return inv + int(mid * right.size - np.searchsorted(np.sort(left), right, side="right").sum())
+
+
+def adjacent_transposition(n, k):
+    """The permutation swapping k and k+1, fixing everything else."""
+    if not 1 <= k < n:
+        raise ValueError(f"k={k} outside 1..{n - 1}")
+    m = list(range(1, n + 1))
+    m[k - 1], m[k] = m[k], m[k - 1]
+    return Permutation(tuple(m))
+
+
+def bernoulli_kl_lower_bound(p, q):
+    """(p-q)^2 / (2 p (1-q)): a floor on KL(Ber(p) || Ber(q)) for q < p."""
+    return (p - q) ** 2 / (2 * p * (1 - q))
 
 
 def kendall_tau_brute(pi, sigma):
@@ -356,7 +370,8 @@ def row_sample_without_replacement(pi_star, matrix, p, seed):
 
 
 def pair_cells(n, first, second):
-    """The pair cells of (first, second): the inverse of model._pair_items."""
+    """The pair cells of (first, second): the inverse of model._pair_items, in int64."""
+    first, second = np.asarray(first, dtype=np.int64), np.asarray(second, dtype=np.int64)
     rows_before = first - 1  # they hold (n - 1) + ... + (n - rows_before) cells
     return rows_before * (2 * n - 1 - rows_before) // 2 + second - first - 1
 

@@ -400,7 +400,7 @@ class TestExitCodes:
         data = tmp_path / "stage.txt"
         assert main(["simulate", "--n", "30", "--lambda", "0.25", "--model", "with",
                      "--budget", "400", "--seed", "0", "--out", str(data)]) == 0
-        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2**16, "SC_PAGE_SIZE": 1}.get)
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2**15, "SC_PAGE_SIZE": 1}.get)
 
         def unread(path):
             raise AssertionError(f"{path} was read before the memory rule refused it")

@@ -60,6 +60,23 @@ from oracles import (
 )
 
 
+def _narrow(d):
+    """Whether ``d`` holds its records as the samplers build them: items int32 below
+    2**31 items, else int64; counts int64; without replacement, bool wins and a read-only
+    count of 1 taking no bytes; with replacement, int64 wins."""
+    item = np.int32 if d.n < 2**31 else np.int64
+    without = d.tag.kind == WITHOUT_REPLACEMENT
+    return (d.first.dtype == d.second.dtype == item and d.num.dtype == np.int64
+            and d.first_wins.dtype == (bool if without else np.int64)
+            and (not without or (d.num.strides == (0,) and not d.num.flags.writeable)))
+
+
+def _digest(*arrays):
+    """sha256 of ``arrays`` as int64 bytes: the same for the narrow arrays and int64 ones."""
+    return hashlib.sha256(b"".join(np.asarray(a, dtype=np.int64).tobytes()
+                                   for a in arrays)).hexdigest()
+
+
 class TestStarMatrix:
     def test_two_by_two(self):
         m = star_matrix(2, 0.25)
@@ -302,7 +319,7 @@ class TestWithReplacement:
                   else star_matrix(n, 0.2 if law == "star" else law))
         d = sample_with_replacement(pi, matrix, total, seed)
         assert d.same_data(unique_sample_with_replacement(pi, matrix, total, seed))
-        assert all(a.dtype == np.int64 for a in (d.first, d.second, d.num, d.first_wins))
+        assert _narrow(d)
 
     def _replayed(self, monkeypatch):
         """Record whether each chunk of the star law's win draw was replayed."""
@@ -419,7 +436,7 @@ class TestWithReplacement:
         assert abs(counts.var() - var_expected) / var_expected < 0.25
 
 
-# sha256 of first/second/num/first_wins bytes: (n, lam, pi_star, total, seed) -> digest.
+# sha256 of first/second/num/first_wins as int64 bytes: (n, lam, pi_star, total, seed) -> digest.
 # counts pass the replay table at n <= 3 (into numpy's large-count binomial) and at
 # n = 40, N = 20000; lam 0.2 and 0.3 give the two sides of the star law different tables
 GOLDEN_DRAWS = {
@@ -449,8 +466,21 @@ def test_with_replacement_stream_is_pinned(case):
         n, np.random.default_rng(seed))
     law = random_member_matrix(n, lam, 0.05, seed) if kind == "member" else star_matrix(n, lam)
     d = sample_with_replacement(pi, law, total, seed)
-    digest = hashlib.sha256(b"".join(a.tobytes() for a in (d.first, d.second, d.num, d.first_wins)))
-    assert digest.hexdigest() == GOLDEN_DRAWS[case]
+    assert _digest(d.first, d.second, d.num, d.first_wins) == GOLDEN_DRAWS[case]
+
+
+# sha256 of _draw_pairs' cells and bits as int64 bytes: (n, lam, pi_star, p, seed) -> digest,
+# pinned with the former single-call gap draw; 45k to 600k pairs, 1 to 10 blocks of 65536
+GOLDEN_WITHOUT_DRAWS = {
+    (800, 0.25, "identity", 1.0, 1):
+        "9d3fac3ad3ff3510bdc23bc4c6ff30bf5aa2eb842c6610d1a0ddc4456000f47d",
+    (2000, 0.1, "random", 0.3, 2):
+        "037a872fc9ef8a177b2af2cca0fc29fd2b8a98b668890c533222a5b36ad1f18c",
+    (3000, 0.3, "random", 0.01, 3):
+        "77988a50972e5e30a0610e74e14275bca7facb93ad0903081b45b4a46d7127a3",
+    (600, 0.45, "random", 0.7, 4):
+        "03a70b08aea0ffb50ee26127cff57e8f583035aad388ba7b1eceef8e9cd6c320",
+}
 
 
 class TestSplits:
@@ -544,10 +574,8 @@ class TestSplits:
 
 
 def _identical(a, b):
-    """Same records with the same dtypes, tag and seed."""
-    fields = ("first", "second", "num", "first_wins")
-    return (a.same_data(b) and a.tag == b.tag and a.seed == b.seed
-            and all(getattr(a, f).dtype == getattr(b, f).dtype for f in fields))
+    """Same records, tag and seed, and ``a`` holds them as the library builds them."""
+    return a.same_data(b) and a.tag == b.tag and a.seed == b.seed and _narrow(a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -605,11 +633,14 @@ class TestWithoutStream:
         next(iter(source))
         assert built == [derive_seed(derive_seed(6, 1), 0)]
 
+    @pytest.mark.parametrize("chunk", [2, 1 << 16])
     @pytest.mark.parametrize("dtype", [np.int64, np.uint32])
     @pytest.mark.parametrize("n", [2, 3, 50])
-    def test_pair_items_of_any_ascending_cells(self, n, dtype):
+    def test_pair_items_of_any_ascending_cells(self, monkeypatch, n, dtype, chunk):
         # runs that start and end mid-row, as the draws' chunks do; the compact draw holds
-        # uint32 cells below 2**32, and they decode to int64 items, unwritten
+        # uint32 cells below 2**32, and they decode to int32 items, unwritten, or written
+        # over by second where it is given their memory
+        monkeypatch.setattr(model, "_WIN_CHUNK", chunk)
         rows, cols = np.triu_indices(n, 1)
         cells = np.flatnonzero(np.random.default_rng(n).random(len(rows)) < 0.4).astype(dtype)
         half = len(cells) // 2
@@ -617,8 +648,13 @@ class TestWithoutStream:
             held = part.copy()
             first, second = model._pair_items(n, part)
             assert np.array_equal(first, rows[part] + 1) and np.array_equal(second, cols[part] + 1)
-            assert first.dtype == second.dtype == np.int64
+            assert first.dtype == second.dtype == np.int32
             assert part.dtype == dtype and np.array_equal(part, held)
+            if dtype == np.uint32:
+                into = part.copy()
+                first, second = model._pair_items(n, into, into.view(np.int32))
+                assert np.array_equal(first, rows[held] + 1)
+                assert np.array_equal(second, cols[held] + 1) and second.base is into
 
     @pytest.mark.parametrize("n, dtype", [(92682, np.uint32), (92683, np.int64)])
     def test_cells_narrow_below_two_to_the_32(self, n, dtype):
@@ -633,7 +669,6 @@ class TestWithoutStream:
         once, again, expected = list(source), list(source), list(wide)
         for a, b, c in zip(once, again, expected, strict=True):
             assert _identical(a, c) and _identical(b, c)
-            assert a.num.dtype == np.int64 and not a.num.flags.writeable
         decoded = np.concatenate([pair_cells(n, s.first, s.second) for s in once])
         assert np.array_equal(np.sort(decoded), held) and np.array_equal(cells, held)
 
@@ -642,6 +677,60 @@ class TestWithoutStream:
         cells = np.arange(math.comb(n, 2))
         first, second = model._pair_items(n, cells)
         assert np.array_equal(pair_cells(n, first, second), cells)
+
+    @pytest.mark.parametrize("chunk", [1000, 1 << 16])
+    @pytest.mark.parametrize("case", list(GOLDEN_WITHOUT_DRAWS))
+    def test_block_draw_stream_is_pinned(self, monkeypatch, case, chunk):
+        # the gaps are drawn a block at a time into the cells, the tail past the last cell
+        # too: cells and bits equal the single-call draw's, over up to 600 blocks
+        monkeypatch.setattr(model, "_WIN_CHUNK", chunk)
+        n, lam, kind, p, seed = case
+        pi = Permutation.identity(n) if kind == "identity" else random_permutation(
+            n, np.random.default_rng(seed))
+        cells, won = model._draw_pairs(pi, star_matrix(n, lam), p, seed)
+        assert cells.dtype == np.uint32 and won.dtype == bool
+        assert _digest(cells, won) == GOLDEN_WITHOUT_DRAWS[case]
+
+    def test_a_round_short_of_the_last_cell_draws_another(self, monkeypatch):
+        # with no six-deviation margin, a round of 712 gaps at p = 0.9 ends before the last
+        # of 780 cells for about one seed in ten; the next round goes on from its last cell
+        monkeypatch.setattr(math, "sqrt", lambda x: 0.0)
+        n, p = 40, 0.9
+        pi, law = random_permutation(n, np.random.default_rng(1)), star_matrix(n, 0.2)
+        size, short = int(p * math.comb(n, 2) + 10), 0
+        for seed in range(40):
+            gaps = np.random.default_rng(seed).geometric(p, size=size)
+            short += int(gaps.sum()) < math.comb(n, 2)
+            d = sample_without_replacement(pi, law, p, seed)
+            assert _identical(d, whole_sample_without_replacement(pi, law, p, seed))
+        assert short >= 2
+
+    @pytest.mark.parametrize("n", [40, 70_000])
+    def test_one_part_is_the_held_draw_unwritten(self, n):
+        # with one part the stage is the held draw: its bits are shared read-only, its cells
+        # decoded into new arrays, so every pass replays the first
+        pi, law = random_permutation(n, np.random.default_rng(2)), star_matrix(n, 0.2)
+        p = 0.6 if n == 40 else 1e-4
+        cells, won = model._draw_pairs(pi, law, p, 3)
+        held = cells.copy(), won.copy()
+        source = StageSource.without_replacement(n, cells, won, p, 1, 5, 6)
+        once, again = list(source), list(source)
+        assert len(once) == 1 and once[0].same_data(again[0]) and _narrow(once[0])
+        assert once[0].same_data(sample_without_replacement(pi, law, p, 3))
+        assert np.shares_memory(once[0].first_wins, won)
+        assert not once[0].first_wins.flags.writeable and won.flags.writeable
+        assert np.array_equal(cells, held[0]) and np.array_equal(won, held[1])
+
+    def test_a_gathered_stage_decodes_into_its_own_cells(self):
+        # a stage of several gathers its cells, and its second is written over them
+        n = 300
+        pi, law = random_permutation(n, np.random.default_rng(4)), star_matrix(n, 0.2)
+        cells, won = model._draw_pairs(pi, law, 1.0, 3)
+        for stage, cells_of in zip(StageSource.without_replacement(n, cells, won, 1.0, 3, 5, 6),
+                                   sorted_split_without_replacement(
+                                       sample_without_replacement(pi, law, 1.0, 3), 3, 5)):
+            assert stage.same_data(cells_of) and _narrow(stage)
+            assert stage.second.base is not None and stage.second.base.dtype == np.uint32
 
 
 class TestDeterminismAndEquivalence:
@@ -850,6 +939,35 @@ class TestMergeAndIO:
         finally:
             tracemalloc.stop()
         assert peak / d.num_pairs < 200
+
+    @pytest.mark.parametrize("at", [1, 3, 4, 5, 8])
+    def test_dataset_checks_reach_every_block(self, monkeypatch, at):
+        # the checks run four records at a time here: a fault at a block's edge still shows
+        monkeypatch.setattr(model, "_WIN_CHUNK", 4)
+        first, second = np.arange(1, 10), np.arange(2, 11)
+        make = lambda f, s, m=np.ones(9, np.int64), kind=WITH_REPLACEMENT: ComparisonDataset(
+            n=10, first=f, second=s, num=m, first_wins=np.zeros(9, np.int64),
+            tag=SamplingTag(kind, 9 if kind == WITH_REPLACEMENT else 0.5))
+        make(first, second)
+        swapped = first.copy()
+        swapped[at - 1], swapped[at] = swapped[at], swapped[at - 1]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            make(swapped, np.maximum(swapped + 1, second))
+        wide = second.copy()
+        wide[at] = 11
+        with pytest.raises(ValueError, match="invalid pair record"):
+            make(first, wide)
+        counts = np.ones(9, np.int64)
+        counts[at] = 2
+        with pytest.raises(ValueError, match="one comparison"):
+            make(first, second, counts, WITHOUT_REPLACEMENT)
+
+    @pytest.mark.parametrize("text", ["", "\n", " \t\r\n\n "])
+    def test_read_rejects_a_file_of_whitespace(self, tmp_path, text):
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="empty dataset file"):
+            read_dataset(path)
 
     def test_dataset_invariants_on_construction(self):
         with pytest.raises(ValueError):

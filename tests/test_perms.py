@@ -7,7 +7,6 @@ from noisysort.errors import ResourceCapError, SizeMismatchError
 from noisysort.perms import (
     InversionTable,
     Permutation,
-    adjacent_transposition,
     compose,
     enumerate_permutations,
     from_inversion_table,
@@ -19,7 +18,7 @@ from noisysort.perms import (
     to_inversion_table,
 )
 
-from oracles import kendall_tau_brute, recursive_inversions
+from oracles import adjacent_transposition, kendall_tau_brute, recursive_inversions
 
 
 def perm(*vals):

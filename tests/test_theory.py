@@ -8,12 +8,13 @@ from noisysort.model import WITH_REPLACEMENT, WITHOUT_REPLACEMENT
 from noisysort.perms import Permutation, kendall_tau, random_permutation
 from noisysort.theory import (
     bernoulli_kl,
-    bernoulli_kl_lower_bound,
     binomial_tail_bounds,
     kl_per_discordant_pair,
     model_kl,
     rate_curve,
 )
+
+from oracles import bernoulli_kl_lower_bound
 
 
 class TestBernoulliKl:
