@@ -56,17 +56,22 @@ def _win_sums(sample: ComparisonDataset, held: list[tuple[np.ndarray, np.ndarray
     for lo in range(0, sample.num_pairs, _RECORD_CHUNK):
         fi, se, num, fw = (a[lo: lo + _RECORD_CHUNK] for a in (
             sample.first, sample.second, sample.num, sample.first_wins))
+        fi, se = fi.astype(np.intp), se.astype(np.intp)  # int32 indices gather slowly
+        open_fi = open_se = True  # whether each record is open for its fi's, se's row
+        for score, limit in held:  # masks first: the weights are not yet held beside them
+            gap = score[se]  # |fl(a-b)| = |fl(b-a)|, computed in place
+            np.abs(np.subtract(gap, score[fi], out=gap), out=gap)
+            open_fi, open_se = open_fi & (gap <= limit[fi]), open_se & (gap <= limit[se])
+            del gap
         wins, losses = fw.astype(np.float64), np.subtract(num, fw, dtype=np.float64)
         if pooled is not None:  # every record, before the closed ones are zeroed
             pooled += np.bincount(fi, weights=wins, minlength=len(pooled))
             pooled += np.bincount(se, weights=losses, minlength=len(pooled))
-        for score, limit in held:  # closed records weigh 0.0, which changes no sum's bits
-            gap = np.abs(score[se] - score[fi])  # fl(a-b) = -fl(b-a)
-            wins *= gap <= limit[fi]
-            losses *= gap <= limit[se]
-            del gap
+        wins *= open_fi  # closed records weigh 0.0, which changes no sum's bits
+        losses *= open_se
         sums += np.bincount(fi, weights=wins, minlength=len(sums))
         sums += np.bincount(se, weights=losses, minlength=len(sums))
+        del fi, se, wins, losses  # before the next block's are made
 
 
 def borda_sort(samples: StageSource | Iterable[ComparisonDataset]) -> Permutation:
@@ -111,7 +116,7 @@ def estimate_lambda(halves: StageSource | Iterable[ComparisonDataset]) -> float:
     for lo in range(0, second.num_pairs, _RECORD_CHUNK):  # integer sums: blocks are exact
         fi, se, num, fw = (a[lo: lo + _RECORD_CHUNK] for a in (
             second.first, second.second, second.num, second.first_wins))
-        d = ranks[fi] - ranks[se]
+        d = ranks[fi.astype(np.intp)] - ranks[se.astype(np.intp)]
         win_sum += int(fw[d > gap].sum()) + int((num - fw)[-d > gap].sum())
     raw = (2.0 / total) * math.comb(n, 2) / math.comb(gap, 2) * win_sum - 0.5
     return float(min(max(raw, LAMBDA_CLAMP), 0.5 - LAMBDA_CLAMP))

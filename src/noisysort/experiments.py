@@ -71,9 +71,9 @@ WORKERS_ENV_VAR = "NOISYSORT_WORKERS"
 # DATASET_LINES the lines of run-ms's files, one per 8 bytes at most, held once read; and
 # READ_LINES the largest file's, read on top (traced figures: README "Scale and memory").
 WRITTEN, DATASET_LINES, READ_LINES = "written", "dataset_lines", "read_lines"
-_RECORD_BYTES = {WITH_REPLACEMENT: 32, WITHOUT_REPLACEMENT: 14, WRITTEN: 25,
-                 DATASET_LINES: 13, READ_LINES: 60}
-_BLOCK_BYTES = {WITH_REPLACEMENT: 22, WITHOUT_REPLACEMENT: 45, WRITTEN: 111}
+_RECORD_BYTES = {WITH_REPLACEMENT: 18, WITHOUT_REPLACEMENT: 14, WRITTEN: 27,
+                 DATASET_LINES: 9, READ_LINES: 64}
+_BLOCK_BYTES = {WITH_REPLACEMENT: 36, WITHOUT_REPLACEMENT: 46, WRITTEN: 109}
 _ITEM_BYTES = 340
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -118,9 +118,10 @@ class ComparisonDataset:
     those ``first`` won.  Pairs are strictly increasing in (first, second),
     and a without-replacement record holds exactly one comparison; both are
     checked at construction, _WIN_CHUNK records at a time.  The samplers and
-    the reader hold the items in _item_dtype(n) and counts in int64; a
-    without-replacement sample holds its wins as bool and its counts as one
-    read-only int64 1, broadcast.
+    the reader hold the items in _item_dtype(n); a with-replacement sample of N
+    comparisons holds its counts and wins in _count_dtype(N), a
+    without-replacement one its wins as bool and its counts as one read-only
+    int64 1, broadcast.
     """
 
     n: int
@@ -164,6 +165,9 @@ class ComparisonDataset:
 def _item_dtype(n: int) -> type:
     """The type of item indices 1..n: int32 while n < 2**31, else int64."""
     return np.int32 if n < 2**31 else np.int64
+
+
+_count_dtype = _item_dtype  # the rule, too, for the counts and wins of n comparisons
 
 
 def _pair_items(n: int, cells: np.ndarray,
@@ -217,10 +221,10 @@ def _draw_pairs(pi_star: Permutation, matrix: ProbabilityMatrix, p: float,
     cells = rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
     ranks = np.concatenate(([0], pi_star.to_array()))  # by item, 1-based
     won = np.empty(len(cells), dtype=bool)
-    for lo in range(0, len(cells), _WIN_CHUNK):
+    for lo in range(0, len(cells), _WIN_CHUNK):  # ranks gathered by intp: int32 is slow
         first, second = _pair_items(n, cells[lo: lo + _WIN_CHUNK])
         won[lo: lo + len(first)] = rng.random(len(first)) < matrix.win_prob(
-            ranks.take(first), ranks.take(second))
+            ranks.take(first.astype(np.intp)), ranks.take(second.astype(np.intp)))
     return cells, won
 
 
@@ -338,26 +342,27 @@ def sample_with_replacement(
     num_cells = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
     cells = rng.integers(0, num_cells, size=total)
+    if num_cells < 2**32:  # _draw_pairs' rule; the narrow copy sorts to the same order
+        cells = cells.astype(np.uint32)
     cells.sort()  # the drawn pairs are the runs of equal cells
-    new = np.empty(total, dtype=bool)
-    new[0] = True
-    np.not_equal(cells[1:], cells[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
+    new = np.concatenate(([True], cells[1:] != cells[:-1]))  # where each run starts
+    cells = cells[new]  # one cell per drawn pair; the N draws are freed here
+    counts, start, done = np.empty(len(cells), dtype=_count_dtype(total)), 0, 0
+    for lo in range(1, total, _WIN_CHUNK):  # a run's count is the next run's start less its own
+        starts = np.flatnonzero(new[lo: lo + _WIN_CHUNK]) + lo
+        counts[done: done + len(starts)] = np.diff(starts, prepend=start)
+        done, start = done + len(starts), starts[-1] if len(starts) else start
+    counts[-1] = total - start
     del new
-    counts = np.empty(len(starts), dtype=np.int64)
-    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-    counts[-1] = total - starts[-1]
-    idx = cells[starts]
-    del cells, starts  # free the N draws before the per-pair arrays are allocated
-    first, second = _pair_items(n, idx)
-    del idx
+    first, second = _pair_items(n, cells, cells.view(np.int32) if num_cells < 2**32 else None)
+    del cells  # now second's memory where it was uint32
     ranks = np.concatenate(([0], pi_star.to_array()))  # by item, 1-based
-    wins, star = np.empty(len(first), dtype=np.int64), matrix.entries.ndim == 1
+    wins, star = np.empty(len(first), dtype=counts.dtype), matrix.entries.ndim == 1
     if star:
         tables = _inversion_tables(matrix.entries, min(_REPLAY_COUNT, int(counts.max())))
     for lo in range(0, len(first), _WIN_CHUNK):  # as in _draw_pairs: one call's stream
         at = slice(lo, lo + _WIN_CHUNK)
-        rank_first, rank_second = ranks.take(first[at]), ranks.take(second[at])
+        rank_first, rank_second = (ranks.take(a[at].astype(np.intp)) for a in (first, second))
         if star:
             state = rng.bit_generator.state
             if _replay_star_wins(rng, counts[at], rank_first > rank_second, tables, wins[at]):
@@ -472,7 +477,7 @@ _WRITE_BLOCK_ROWS = 1 << 16
 
 
 def _format_lines(columns: tuple[np.ndarray, ...]) -> np.ndarray:
-    """ASCII text of the lines of non-negative int64 ``columns``, space separated.
+    """ASCII text of the lines of non-negative integer ``columns``, space separated.
 
     Each column takes the base-10**4 limbs of its largest value: one unaligned
     uint32 word per limb and line, then a separator byte.  A value's missing
@@ -611,4 +616,8 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
         raise ValueError(f"header budget {budget} but {dataset.total_comparisons()} comparisons")
     if kind == WITHOUT_REPLACEMENT and not 0 < budget <= 1:
         raise ValueError(f"without-replacement data needs p in (0, 1], got {budget}")
-    return dataset
+    if kind == WITH_REPLACEMENT:  # the samplers' types, which the checked values fit exactly
+        num, wins = (a.astype(_count_dtype(budget)) for a in (dataset.num, dataset.first_wins))
+        return replace(dataset, num=num, first_wins=wins)
+    return replace(dataset, num=np.broadcast_to(np.int64(1), dataset.num_pairs),
+                   first_wins=dataset.first_wins.astype(bool))

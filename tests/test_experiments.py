@@ -268,7 +268,7 @@ class TestMemoryRule:
         assert traced_peak(build)[1] < 4 * 2**20
 
     def test_north_star_cell_is_accepted(self):
-        # built only: a run takes seconds and about 300 MB of RSS
+        # built only: a run takes seconds and about 170 MB of RSS
         spec = ExperimentSpec(kind="scaling_n", n_values=(20_000,), alphas=(0.1,), replicates=1,
                               estimators=("ms", "borda", "random"), pi_star="random",
                               sampling=(WITH_REPLACEMENT,))
@@ -416,6 +416,22 @@ class TestStreamedStages:
             assert all(np.array_equal(x, y) for x, y in zip(a.history, b.history, strict=True))
             for name in ("last", "tau", "below_counts", "above_counts"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_pipeline_peak_stays_under_20_bytes_per_comparison(self):
+        # the largest draw is a margin half of N/2 comparisons, nearly one pair each at this
+        # density; it holds int32 first, second, counts and wins, 16 bytes per pair, and
+        # peaks below that while drawn: the N int64 cells are narrowed to uint32 before
+        # the sort, and second is decoded over the compressed cells. 18.0 traced at
+        # n = 4000, 30.7 with int64 counts and wins and the drawn cells kept int64
+        config = MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+
+        def run(n, total):
+            return ms_sort(*draw_stages(Permutation.identity(n), star_matrix(n, 0.25),
+                                        WITH_REPLACEMENT, total, 3, 0), config)
+
+        run(200, 10_000)  # numpy imports some modules on first use
+        _, peak = traced_peak(lambda: run(4000, 2_000_000))
+        assert peak < 20 * 1_000_000
 
     @pytest.mark.parametrize("lambda_hat", [0.3, None])
     def test_streamed_ms_rows_match_the_listed_grid(self, lambda_hat):

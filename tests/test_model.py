@@ -62,12 +62,14 @@ from oracles import (
 
 def _narrow(d):
     """Whether ``d`` holds its records as the samplers build them: items int32 below
-    2**31 items, else int64; counts int64; without replacement, bool wins and a read-only
-    count of 1 taking no bytes; with replacement, int64 wins."""
+    2**31 items, else int64; without replacement, bool wins and a read-only int64 count
+    of 1 taking no bytes; with replacement, counts and wins int32 below 2**31
+    comparisons, else int64."""
     item = np.int32 if d.n < 2**31 else np.int64
     without = d.tag.kind == WITHOUT_REPLACEMENT
-    return (d.first.dtype == d.second.dtype == item and d.num.dtype == np.int64
-            and d.first_wins.dtype == (bool if without else np.int64)
+    count = np.int64 if without or d.tag.budget >= 2**31 else np.int32
+    return (d.first.dtype == d.second.dtype == item and d.num.dtype == count
+            and d.first_wins.dtype == (bool if without else count)
             and (not without or (d.num.strides == (0,) and not d.num.flags.writeable)))
 
 
@@ -297,7 +299,7 @@ class TestWithReplacement:
         law = star_matrix(n, 0.2)
         d = sample_with_replacement(pi, law, total, seed)
         assert d.same_data(unique_sample_with_replacement(pi, law, total, seed))
-        assert d.num.dtype == np.int64
+        assert d.num.dtype == np.int32
 
     # chunks of 1 and 7 cross every edge; at n <= 3 the cells hold thousands of draws,
     # so the binomial takes its large-count branch; a member law varies p pair by pair.
@@ -839,6 +841,28 @@ class TestMergeAndIO:
         write_dataset(d, path)
         assert read_dataset(path).same_data(d)
 
+    @pytest.mark.parametrize("with_r", [True, False])
+    def test_read_returns_the_samplers_types(self, tmp_path, with_r):
+        pi, law = random_permutation(40, np.random.default_rng(2)), star_matrix(40, 0.2)
+        d = (sample_with_replacement(pi, law, 3000, 4) if with_r
+             else sample_without_replacement(pi, law, 0.5, 4))
+        write_dataset(d, tmp_path / "data.txt")
+        back = read_dataset(tmp_path / "data.txt")
+        assert back.same_data(d) and _narrow(d) and _narrow(back)
+        assert all(getattr(back, k).dtype == getattr(d, k).dtype
+                   for k in ("first", "second", "num", "first_wins"))
+
+    @pytest.mark.parametrize("total", [2**31 - 1, 2**31])
+    def test_read_counts_past_int32_stay_exact(self, tmp_path, total):
+        # one pair holds nearly every comparison; from 2**31 on the counts are int64
+        path = tmp_path / "data.txt"
+        path.write_text(f"3 {WITH_REPLACEMENT} {total} 0\n1 2 {total - 1} {total - 6}\n"
+                        f"1 3 1 1\n2 1 {total - 1} 5\n3 1 1 0\n")
+        d = read_dataset(path)
+        assert _narrow(d) and d.num.dtype == (np.int32 if total < 2**31 else np.int64)
+        assert d.num.tolist() == [total - 1, 1] and d.first_wins.tolist() == [total - 6, 1]
+        assert d.total_comparisons() == total
+
     @pytest.mark.parametrize("lines", DISAGREEING_RECORDS)
     def test_read_rejects_disagreeing_records(self, tmp_path, lines):
         path = tmp_path / "data.txt"
@@ -1002,6 +1026,17 @@ class TestMergeAndIO:
                 num=np.array([2]), first_wins=np.array([1]),
                 tag=SamplingTag(WITHOUT_REPLACEMENT, 0.5), seed=0,
             )
+
+
+@pytest.mark.parametrize("total, count", [(2**31 - 1, np.int32), (2**31, np.int64)])
+def test_count_type_turns_int64_at_two_to_the_31(total, count):
+    tracemalloc.start()
+    try:
+        chosen = model._count_dtype(total)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chosen is count and peak == 0  # a choice of type, nothing allocated
 
 
 class TestSeedDerivation:
