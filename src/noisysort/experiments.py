@@ -67,13 +67,13 @@ WORKERS_ENV_VAR = "NOISYSORT_WORKERS"
 # block temporaries) and per item: the largest tracemalloc peaks, rounded up, of one ms +
 # borda + random replicate after a warm-up run (n = 50-20000, alpha = 0.01-1, T = 1-3, fixed
 # and estimated margins; the item bytes at N of a few hundred, n = 2*10^4-2*10^5).  WRITTEN
-# records are a simulated dataset's, held while write_dataset orders and formats its lines;
+# records are a simulated dataset's, written with a 4-byte place per pair beside it;
 # DATASET_LINES the lines of run-ms's files, one per 8 bytes at most, held once read; and
 # READ_LINES the largest file's, read on top (traced figures: README "Scale and memory").
 WRITTEN, DATASET_LINES, READ_LINES = "written", "dataset_lines", "read_lines"
-_RECORD_BYTES = {WITH_REPLACEMENT: 18, WITHOUT_REPLACEMENT: 14, WRITTEN: 27,
-                 DATASET_LINES: 9, READ_LINES: 64}
-_BLOCK_BYTES = {WITH_REPLACEMENT: 36, WITHOUT_REPLACEMENT: 46, WRITTEN: 109}
+_RECORD_BYTES = {WITH_REPLACEMENT: 18, WITHOUT_REPLACEMENT: 14, WRITTEN: 4,
+                 DATASET_LINES: 9, READ_LINES: 26}
+_BLOCK_BYTES = {WITH_REPLACEMENT: 36, WITHOUT_REPLACEMENT: 46, WRITTEN: 42}
 _ITEM_BYTES = 340
 
 

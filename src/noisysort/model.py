@@ -109,6 +109,14 @@ def _any_block(test: Callable[..., np.ndarray], *arrays: np.ndarray) -> bool:
                for lo in range(0, len(arrays[0]), _WIN_CHUNK))
 
 
+def _counts(values: np.ndarray, size: int) -> np.ndarray:
+    """np.bincount(values, minlength=size), int64, summed over blocks of max(_WIN_CHUNK, size)
+    values: bincount copies its input to intp, so the copy is a block's, not the input's."""
+    step = max(_WIN_CHUNK, size)
+    return sum((np.bincount(values[lo: lo + step], minlength=size)
+                for lo in range(0, len(values), step)), np.zeros(size, np.int64))
+
+
 @dataclass(frozen=True, eq=False)
 class ComparisonDataset:
     """Outcomes of pairwise comparisons among n items.
@@ -438,8 +446,7 @@ class StageSource:
                        lambda: (_decode(n, cells, bits, p, whole_seed) for _ in range(1)))
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, parts, size=len(cells), dtype=np.min_scalar_type(parts - 1))
-        counts = sum((np.bincount(labels[lo: lo + _WIN_CHUNK], minlength=parts)  # no intp copy
-                      for lo in range(0, len(labels), _WIN_CHUNK)), np.zeros(parts, np.int64))
+        counts = _counts(labels, parts)
 
         def stage(t: int) -> ComparisonDataset:
             # gathered a block at a time into arrays of the stage's count: no record-sized index
@@ -473,7 +480,7 @@ def _limb_words() -> tuple[np.ndarray, np.ndarray]:
 
 _LOW_WORDS, _HIGH_WORDS = _limb_words()
 # Lines formatted per pass of write_dataset: its temporaries stay a few MB
-_WRITE_BLOCK_ROWS = 1 << 16
+_WRITE_BLOCK_ROWS = 1 << 15
 
 
 def _format_lines(columns: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -481,7 +488,8 @@ def _format_lines(columns: tuple[np.ndarray, ...]) -> np.ndarray:
 
     Each column takes the base-10**4 limbs of its largest value: one unaligned
     uint32 word per limb and line, then a separator byte.  A value's missing
-    top limbs and leading zeros are 0 bytes, dropped by one compress."""
+    top limbs and leading zeros are 0 bytes, dropped by one compress.  Limbs are
+    computed in each column's own type, and cast to intp only to index a table."""
     limbs = [(len(str(values.max())) + 3) // 4 for values in columns]
     width = sum(4 * count + 1 for count in limbs)
     text = np.full((len(columns[0]), width), ord(" "), dtype=np.uint8)
@@ -491,39 +499,72 @@ def _format_lines(columns: tuple[np.ndarray, ...]) -> np.ndarray:
         for p in range(count - 1, -1, -1):  # limb p counted from the right
             rest = values // 10 ** (4 * p) if p else values
             if p < count - 1:
-                rest = rest % 10**4 + (rest >= 10**4) * 10**4
+                limb = rest.dtype.type(10**4)  # a scalar of the column's type keeps its width
+                rest = rest % limb + (rest >= limb) * limb
             word = np.ndarray(len(text), dtype=np.uint32, buffer=text, offset=at, strides=(width,))
-            word[:] = (_HIGH_WORDS if p else _LOW_WORDS)[rest]
+            word[:] = (_HIGH_WORDS if p else _LOW_WORDS)[rest.astype(np.intp)]  # the fast gather
             at += 4
         at += 1
     return text[text != 0]
+
+
+def _by_second(second: np.ndarray, per_item: np.ndarray) -> np.ndarray:
+    """The places of records in (first, second) order sorted by (second, first), in the
+    narrowest exact type: a counting sort by ``second``, whose ``per_item`` counts give each
+    item's run, _WIN_CHUNK records at a time, so its only intp arrays are a block's."""
+    order = np.empty(len(second), dtype=_item_dtype(len(second)))
+    slot = np.cumsum(per_item) - per_item  # where the next record of each item goes
+    key = np.min_scalar_type(len(per_item) - 1)  # the largest item: a radix sort below 2**16
+    for lo in range(0, len(second), _WIN_CHUNK):
+        block = second[lo: lo + _WIN_CHUNK]
+        ranked = np.argsort(block.astype(key), kind="stable")
+        items = block[ranked]
+        runs = np.flatnonzero(np.diff(items, prepend=items[0] - 1))  # where each item's run starts
+        sizes = np.diff(runs, append=len(items))
+        order[np.repeat(slot[items[runs]] - runs, sizes) + np.arange(len(items))] = ranked + lo
+        slot[items[runs]] += sizes
+    return order
 
 
 def write_dataset(dataset: ComparisonDataset, path: str | Path) -> None:
     """Write the documented text format.
 
     Header: ``n model_tag budget seed``; then one line ``i j N_ij A_ij``
-    per ordered pair with N_ij > 0, 1-indexed, sorted by (i, j).  The lines
-    are formatted _WRITE_BLOCK_ROWS at a time, with no Python object per value.
+    per ordered pair with N_ij > 0, 1-indexed, sorted by (i, j).  Item i's lines
+    are its reverse lines (j < i), the pairs whose second is i by first, then
+    its forward lines, the pairs whose first is i.  Per-item pair counts (of the
+    items' ranks when pairs are fewer than items) place both runs, and blocks of
+    whole items, _WRITE_BLOCK_ROWS lines or one item, are formatted at a time.
     """
     f, s, m, w = dataset.first, dataset.second, dataset.num, dataset.first_wins
-    # the forward lines (f, s) are in order; a stable sort by s orders the reverse lines (s, f)
-    back = np.argsort(s.astype(np.min_scalar_type(dataset.n)), kind="stable")
-    # a line (i, j) follows every line of a smaller i, and for equal i the reverse lines (j < i)
-    reverse = np.ones(2 * len(f), dtype=bool)  # whether each line is a reverse one
-    reverse[np.arange(len(f)) + np.searchsorted(s[back], f, side="right")] = False
-    pair = np.empty(2 * len(f), dtype=np.int64)  # the pair of each line, both kinds in order
-    pair[reverse] = back
-    del back
-    pair[~reverse] = np.arange(len(f))
+    n, keys = dataset.n, (f, s)
+    if n > len(f):  # more items than pairs: ranks 1..(items named)
+        names, ranks = np.unique(np.concatenate(keys), return_inverse=True)
+        n, keys = len(names), (ranks[:len(f)] + 1, ranks[len(f):] + 1)
+    per_first, per_second = (_counts(key, n + 1) for key in keys)
+    back = _by_second(keys[1], per_second)
+    upto_first, upto_second = np.cumsum(per_first), np.cumsum(per_second)  # by item
+    lines = upto_first + upto_second
     header = f"{dataset.n} {dataset.tag.kind} {dataset.tag.budget_str()} {dataset.seed}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        for lo in range(0, len(pair), _WRITE_BLOCK_ROWS):
-            at, rev = pair[lo: lo + _WRITE_BLOCK_ROWS], reverse[lo: lo + _WRITE_BLOCK_ROWS]
-            fi, se, num, wins = f[at], s[at], m[at], w[at]
-            fh.write(_format_lines((np.where(rev, se, fi), np.where(rev, fi, se), num,
-                                    np.where(rev, num - wins, wins))))
+        a = 0
+        while lines[a] < lines[-1]:  # items a + 1..b, at least one line
+            b = max(int(np.searchsorted(lines, lines[a] + _WRITE_BLOCK_ROWS, side="right")) - 1,
+                    int(np.searchsorted(lines, lines[a], side="right")))
+            fwd = slice(upto_first[a], upto_first[b])
+            rev = back[upto_second[a]: upto_second[b]].astype(np.intp)  # one index cast
+            # per item, its reverse run then its forward run
+            forward = np.repeat(np.tile([False, True], b - a), np.column_stack(
+                (per_second[a + 1: b + 1], per_first[a + 1: b + 1])).ravel())
+            columns = []
+            for ahead, behind in ((f[fwd], s[rev]), (s[fwd], f[rev]), (m[fwd], m[rev]),
+                                  (w[fwd], m[rev] - w[rev])):
+                column = np.empty(len(forward), dtype=behind.dtype)
+                column[forward], column[~forward] = ahead, behind
+                columns.append(column)
+            fh.write(_format_lines(tuple(columns)))
+            a = b
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
@@ -544,7 +585,12 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
     ``#`` lines are errors, not skipped.  The header's n and with-replacement
     budget follow the records' integer rule (ASCII decimal int64), and its
     seed the same digits at any size; a bad record line is reported by its
-    line number in the file.
+    line number in the file.  The text is dropped before ``np.loadtxt`` parses
+    the records from the file, in the narrowest type that holds every valid
+    value (_item_dtype(max(n, budget)) with replacement, as no count exceeds the
+    budget; _item_dtype(n) without); a wider value is a bad line.  The rows are
+    dropped once oriented into columns, and one sort of a (first, second) key
+    orders the records (``np.lexsort`` from n = 2**32, past a uint64 key).
     """
     text = Path(path).read_text()
     start, end = 0, len(text)  # the text strip() would leave, by index: no copy of it
@@ -557,6 +603,8 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
     skipped = text.count("\n", 0, start)  # lines before the header
     eol = text.find("\n", start, end)  # the header's end, -1 if no record line follows
     header = text[start: end if eol < 0 else eol]
+    lines = 0 if eol < 0 else text.count("\n", eol, end)  # loadtxt skips blank lines: count
+    del text
     head = header.split()
     if len(head) != 4:
         raise ValueError(f"bad header in {path!s}: {header!r}")
@@ -568,36 +616,40 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
         raise ValueError(f"bad header in {path!s}: {header!r}")
     if n < 1:
         raise ValueError(f"bad header in {path!s}: n must be >= 1, got {n}")
-    rows = np.empty((0, 4), dtype=np.int64)
-    if eol >= 0:  # loadtxt warns on no data and skips blank lines: count the lines it parsed
+    parse = _item_dtype(max(n, budget) if kind == WITH_REPLACEMENT else n)
+    rows = np.empty((0, 4), dtype=parse)
+    if lines:
         try:  # the file itself, past the header: no copy of the body text
-            rows = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None, skiprows=skipped + 1)
+            rows = np.loadtxt(path, dtype=parse, ndmin=2, comments=None, skiprows=skipped + 1)
         except ValueError:
             rows = None
-        if rows is None or rows.shape != (text.count("\n", eol, end), 4):
-            for line_no, line in enumerate(text[eol + 1: end].split("\n"), start=skipped + 2):
-                tokens = line.split()
-                if len(tokens) != 4 or any(_int64(t) is None for t in tokens):
-                    raise ValueError(f"{path!s}, line {line_no}: a record line must be "
-                                     f"four integers, got {line!r}")
+        if rows is None or rows.shape != (lines, 4):  # read again, to name the first bad line
+            limits, body = np.iinfo(parse), Path(path).read_text()[eol + 1: end]
+            for line_no, line in enumerate(body.split("\n"), start=skipped + 2):
+                values = [_int64(token) for token in line.split()]
+                if (len(values) != 4 or None in values or min(values) < limits.min
+                        or max(values) > limits.max):
+                    raise ValueError(f"{path!s}, line {line_no}: a record line must be four "
+                                     f"integers of the header's width, {parse.__name__}, "
+                                     f"got {line!r}")
             raise ValueError(f"every record line of {path!s} must be four integers")
-    del text
-    i, j, m, a = rows.T
-    # both lines of a pair state (count, wins of the smaller index)
-    fwd = i < j
-    first, second, wins = np.where(fwd, i, j), np.where(fwd, j, i), np.where(fwd, a, m - a)
-    if len(rows) and not (first.min() >= 1 and second.max() <= n):  # before the casts below
-        raise ValueError("invalid pair record (ordering, range, or win count)")
-    del fwd, i, j, a
-    item = _item_dtype(n)
-    first, second = first.astype(item), second.astype(item)
-    # lexsort((second, first))'s order by two stable passes, radix sorts for n < 2**16
-    key = np.min_scalar_type(n)
-    order = np.argsort(second.astype(key), kind="stable")
-    order = order[np.argsort(first.astype(key)[order], kind="stable")]
-    num = m[order]
-    del rows, m  # the loaded rows are freed here
-    first, second, wins = first[order], second[order], wins[order]
+    first, second, num, wins = _orient(rows, n)
+    del rows  # the loaded rows are freed here, before the sort
+    # any sort by (first, second) does, since a pair's lines must agree
+    if n < 2**32:  # one exact unsigned key: first * (n + 1) + second <= n * (n + 2) < 2**64
+        key = first.astype(np.uint32 if n < 2**16 else np.uint64)
+        key *= n + 1
+        # the key's own loop: numpy adds uint64 and a signed int in float64, which rounds
+        np.add(key, second, out=key, dtype=key.dtype, casting="unsafe")
+        order = np.argsort(key, kind="stable")  # the fastest here: the lines come in runs
+        del key
+    else:
+        order = np.lexsort((second, first))
+    first = first[order]  # a column at a time, each freed as its gathered copy replaces it
+    second = second[order]
+    num = num[order]
+    wins = wins[order]
+    del order
     repeat = (first[1:] == first[:-1]) & (second[1:] == second[:-1])
     clash = np.flatnonzero(repeat & ((num[1:] != num[:-1]) | (wins[1:] != wins[:-1])))
     if len(clash):
@@ -617,7 +669,25 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
     if kind == WITHOUT_REPLACEMENT and not 0 < budget <= 1:
         raise ValueError(f"without-replacement data needs p in (0, 1], got {budget}")
     if kind == WITH_REPLACEMENT:  # the samplers' types, which the checked values fit exactly
-        num, wins = (a.astype(_count_dtype(budget)) for a in (dataset.num, dataset.first_wins))
+        num, wins = (a.astype(_count_dtype(budget), copy=False)
+                     for a in (dataset.num, dataset.first_wins))
         return replace(dataset, num=num, first_wins=wins)
     return replace(dataset, num=np.broadcast_to(np.int64(1), dataset.num_pairs),
                    first_wins=dataset.first_wins.astype(bool))
+
+
+def _orient(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """(first, second, num, wins) of record rows (i, j, N_ij, A_ij), the items in _item_dtype(n),
+    checked to lie in 1..n before the cast, and the rest in the rows' type; both lines of a pair
+    state (count, wins of first).  Oriented _WIN_CHUNK rows at a time."""
+    item = _item_dtype(n)
+    first, second = np.empty(len(rows), item), np.empty(len(rows), item)
+    num, wins = rows[:, 2].copy(), np.empty(len(rows), rows.dtype)
+    for lo in range(0, len(rows), _WIN_CHUNK):
+        i, j, m, a = rows[lo: lo + _WIN_CHUNK].T
+        low, high = np.minimum(i, j), np.maximum(i, j)
+        if not (low.min() >= 1 and high.max() <= n):
+            raise ValueError("invalid pair record (ordering, range, or win count)")
+        at = slice(lo, lo + _WIN_CHUNK)
+        first[at], second[at], wins[at] = low, high, np.where(i < j, a, m - a)
+    return first, second, num, wins

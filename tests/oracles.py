@@ -8,7 +8,7 @@ trust the code paths they check.
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,10 @@ from noisysort.model import (
     ComparisonDataset,
     SamplingTag,
     StageSource,
+    _count_dtype,
+    _DECIMAL,
+    _int64,
+    _item_dtype,
     derive_seed,
 )
 from noisysort.perms import Permutation, kendall_tau
@@ -148,6 +152,94 @@ def line_read_dataset(path):
     if kind == WITHOUT_REPLACEMENT and (not 0 < budget <= 1 or np.any(num != 1)):
         raise ValueError("without-replacement data needs p in (0, 1] and one comparison per pair")
     return dataset
+
+
+def int64_read_dataset(path):
+    """Reference reader: the library's reader as it was before it parsed at the records'
+    width.  It loads every record as int64, orients and sorts int64 columns, and narrows
+    to the samplers' types last; ValueError on any inconsistent file.
+
+    Every line after the header must be exactly four integers: blank and
+    ``#`` lines are errors, not skipped.  The header's n and with-replacement
+    budget follow the records' integer rule (ASCII decimal int64), and its
+    seed the same digits at any size; a bad record line is reported by its
+    line number in the file.
+    """
+    text = Path(path).read_text()
+    start, end = 0, len(text)
+    while start < end and text[start].isspace():
+        start += 1
+    while end > start and text[end - 1].isspace():
+        end -= 1
+    if start == end:
+        raise ValueError(f"empty dataset file {path}")
+    skipped = text.count("\n", 0, start)  # lines before the header
+    eol = text.find("\n", start, end)  # the header's end, -1 if no record line follows
+    header = text[start: end if eol < 0 else eol]
+    head = header.split()
+    if len(head) != 4:
+        raise ValueError(f"bad header in {path!s}: {header!r}")
+    n, kind = _int64(head[0]), head[1]
+    # seeds such as derive_seed's reach 2**64: only the records' digit syntax applies
+    seed = int(head[3]) if _DECIMAL.fullmatch(head[3]) else None
+    budget = _int64(head[2]) if kind == WITH_REPLACEMENT else float(head[2])
+    if n is None or seed is None or budget is None or kind == WITH_REPLACEMENT and budget < 0:
+        raise ValueError(f"bad header in {path!s}: {header!r}")
+    if n < 1:
+        raise ValueError(f"bad header in {path!s}: n must be >= 1, got {n}")
+    rows = np.empty((0, 4), dtype=np.int64)
+    if eol >= 0:  # loadtxt warns on no data and skips blank lines: count the lines it parsed
+        try:  # the file itself, past the header: no copy of the body text
+            rows = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None, skiprows=skipped + 1)
+        except ValueError:
+            rows = None
+        if rows is None or rows.shape != (text.count("\n", eol, end), 4):
+            for line_no, line in enumerate(text[eol + 1: end].split("\n"), start=skipped + 2):
+                tokens = line.split()
+                if len(tokens) != 4 or any(_int64(t) is None for t in tokens):
+                    raise ValueError(f"{path!s}, line {line_no}: a record line must be "
+                                     f"four integers, got {line!r}")
+            raise ValueError(f"every record line of {path!s} must be four integers")
+    del text
+    i, j, m, a = rows.T
+    # both lines of a pair state (count, wins of the smaller index)
+    fwd = i < j
+    first, second, wins = np.where(fwd, i, j), np.where(fwd, j, i), np.where(fwd, a, m - a)
+    if len(rows) and not (first.min() >= 1 and second.max() <= n):  # before the casts below
+        raise ValueError("invalid pair record (ordering, range, or win count)")
+    del fwd, i, j, a
+    item = _item_dtype(n)
+    first, second = first.astype(item), second.astype(item)
+    # lexsort((second, first))'s order by two stable passes, radix sorts for n < 2**16
+    key = np.min_scalar_type(n)
+    order = np.argsort(second.astype(key), kind="stable")
+    order = order[np.argsort(first.astype(key)[order], kind="stable")]
+    num = m[order]
+    del rows, m  # the loaded rows are freed here
+    first, second, wins = first[order], second[order], wins[order]
+    repeat = (first[1:] == first[:-1]) & (second[1:] == second[:-1])
+    clash = np.flatnonzero(repeat & ((num[1:] != num[:-1]) | (wins[1:] != wins[:-1])))
+    if len(clash):
+        k = clash[0]
+        raise ValueError(f"inconsistent records for pair {(int(first[k]), int(second[k]))}")
+    keep = np.ones(len(first), dtype=bool)
+    keep[1:] = ~repeat
+    dataset = ComparisonDataset(
+        n=n, first=first[keep], second=second[keep], num=num[keep], first_wins=wins[keep],
+        tag=SamplingTag(kind, budget), seed=seed,
+    )
+    # counts are >= 1, so an int64 running sum that wraps turns negative where it does
+    if kind == WITH_REPLACEMENT and np.cumsum(dataset.num).min(initial=0) < 0:
+        raise ValueError(f"the comparison counts of {path!s} sum past int64")
+    if kind == WITH_REPLACEMENT and budget != dataset.total_comparisons():
+        raise ValueError(f"header budget {budget} but {dataset.total_comparisons()} comparisons")
+    if kind == WITHOUT_REPLACEMENT and not 0 < budget <= 1:
+        raise ValueError(f"without-replacement data needs p in (0, 1], got {budget}")
+    if kind == WITH_REPLACEMENT:  # the samplers' types, which the checked values fit exactly
+        num, wins = (a.astype(_count_dtype(budget)) for a in (dataset.num, dataset.first_wins))
+        return replace(dataset, num=num, first_wins=wins)
+    return replace(dataset, num=np.broadcast_to(np.int64(1), dataset.num_pairs),
+                   first_wins=dataset.first_wins.astype(bool))
 
 
 def wins_dense(dataset):

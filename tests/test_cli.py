@@ -435,6 +435,24 @@ class TestExitCodes:
         monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2 * peak, "SC_PAGE_SIZE": 1}.get)
         assert main(args) == 0
 
+    def test_simulate_with_replacement_peak_per_comparison(self, tmp_path):
+        # nearly one pair per comparison: the draw peaks at about 16 B per comparison, and the
+        # write adds the pairs' 4-byte places in (second, first) order to the 16 B per pair held
+        out = tmp_path / "stage.txt"
+
+        def args(n, total):
+            return ["simulate", "--n", str(n), "--lambda", "0.25", "--model", "with",
+                    "--budget", str(total), "--seed", "0", "--out", str(out)]
+
+        assert main(args(300, 5000)) == 0  # numpy imports some modules on first use
+        tracemalloc.start()
+        try:
+            assert main(args(20000, 4 * 10**6)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (4 * 10**6) <= 26
+
     @pytest.mark.parametrize("model, budget", [("with", "40000"), ("without", "0.5")])
     @pytest.mark.parametrize("files", [1, 2, 3])
     def test_file_estimate_bounds_the_traced_peak(self, tmp_path, monkeypatch, model, budget,

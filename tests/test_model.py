@@ -41,6 +41,7 @@ from oracles import (
     counts_dense,
     dense_law,
     dense_star_entries,
+    int64_read_dataset,
     inversion_binomial,
     line_read_dataset,
     line_write_dataset,
@@ -881,9 +882,10 @@ class TestMergeAndIO:
         # the counts sum to 2**63, which wraps to the header's budget, -2**63
         (["3 with_replacement -9223372036854775808 0", "1 2 4611686018427387904 0",
           "1 3 4611686018427387904 0"], "bad header"),
-        # 2 * (2**63 - 1) + 2 = 2**64 wraps to the header's budget, 0
-        (["3 with_replacement 0 0", "1 2 9223372036854775807 0",
-          "1 3 9223372036854775807 0", "2 3 2 0"], "sum past int64"),
+        # 2 * (2**63 - 1) + 2**31 + 2 = 2**64 + 2**31 wraps to the header's budget, 2**31,
+        # which the records are parsed as int64 for
+        (["3 with_replacement 2147483648 0", "1 2 9223372036854775807 0",
+          "1 3 9223372036854775807 0", "2 3 2147483650 0"], "sum past int64"),
     ])
     def test_read_rejects_counts_summing_past_int64(self, tmp_path, lines, match):
         path = tmp_path / "data.txt"
@@ -892,6 +894,29 @@ class TestMergeAndIO:
             read_dataset(path)
         with pytest.raises(ValueError):
             line_read_dataset(path)
+
+    @pytest.mark.parametrize("text, line", [
+        # a count of 2**31 under budget 10: the records are parsed as int32
+        ("3 with_replacement 10 0\n1 2 5 1\n1 3 2147483648 0\n", 3),
+        # an item of 2**40 with n = 5
+        ("5 with_replacement 3 0\n1 2 3 1\n1099511627776 1 3 0\n", 3),
+        # a count past int32 under budget 0; its counts would sum to 2**64, the budget wrapped
+        ("3 with_replacement 0 0\n1 2 9223372036854775807 0\n1 3 9223372036854775807 0\n"
+         "2 3 2 0\n", 2),
+        # without replacement the width is n's alone, whatever p
+        ("5 without_replacement 0.5 0\n1 2 1 1\n2 4294967296 1 0\n", 3),
+        # the first bad line is named, whether its fault is its width or its syntax
+        ("5 with_replacement 3 0\n1 2 3 1\n-2147483649 1 3 0\n1 x 3 0\n", 3),
+        ("5 with_replacement 3 0\n1 2 3 1\n1 x 3 0\n-2147483649 1 3 0\n", 3),
+    ])
+    def test_read_rejects_values_wider_than_the_header_allows(self, tmp_path, text, line):
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"data.txt, line {line}: a record line must be "
+                                              "four integers of the header's width, int32"):
+            read_dataset(path)
+        with pytest.raises(ValueError):  # the int64 reference rejects them too, later
+            int64_read_dataset(path)
 
     @pytest.mark.parametrize("lines", BAD_N_FILES)
     def test_read_rejects_header_n_below_one(self, tmp_path, lines):
@@ -932,6 +957,17 @@ class TestMergeAndIO:
         assert d.first.tolist() == [1, 2] and d.second.tolist() == [2, 3]
         assert d.num.tolist() == [3, 2] and d.first_wins.tolist() == [1, 2]
 
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**31 - 1, 2**31, 2**32 - 1, 2**32])
+    def test_read_orders_pairs_under_one_large_first_item(self, tmp_path, n):
+        # from n = 2**31 - 1, first * (n + 1) + second passes 2**53 for both pairs, where a
+        # float64 sum would round them to one key and leave them in the file's order
+        path = tmp_path / "data.txt"
+        i = n // 2 + 1
+        path.write_text(f"{n} with_replacement 2 0\n{i} {i + 2} 1 0\n{i} {i + 1} 1 0\n")
+        for reader in (read_dataset, int64_read_dataset):
+            d = reader(path)
+            assert d.first.tolist() == [i, i] and d.second.tolist() == [i + 1, i + 2]
+
     @pytest.mark.parametrize("name", sorted(DIGIT_WIDTH_DATASETS))
     def test_io_matches_line_reference_at_every_digit_width(self, tmp_path, name):
         d = DIGIT_WIDTH_DATASETS[name]()
@@ -963,6 +999,25 @@ class TestMergeAndIO:
         finally:
             tracemalloc.stop()
         assert peak / d.num_pairs < 200
+
+    @pytest.mark.parametrize("with_r", [True, False])
+    def test_reader_peak_memory_per_line(self, tmp_path, with_r):
+        # the records are parsed at int32 once the text is dropped (16 B per line), oriented
+        # into four int32 columns beside them, and sorted by one key once the rows are dropped;
+        # the int64 reader peaked at 72 B per line
+        pi, law = Permutation.identity(2000), star_matrix(2000, 0.25)
+        d = (sample_with_replacement(pi, law, 333333, 1) if with_r
+             else sample_without_replacement(pi, law, 0.2, 1))
+        path = tmp_path / "data.txt"
+        write_dataset(d, path)
+        read_dataset(path)  # numpy imports some modules on first use
+        tracemalloc.start()
+        try:
+            back = read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.same_data(d) and peak / (2 * d.num_pairs) <= 40
 
     @pytest.mark.parametrize("at", [1, 3, 4, 5, 8])
     def test_dataset_checks_reach_every_block(self, monkeypatch, at):
@@ -1187,3 +1242,92 @@ def test_whole_array_io_matches_line_reference(n, seed, total, p, with_r, member
                 line_read_dataset(path)
             with pytest.raises(ValueError):
                 read_dataset(path)
+
+
+
+# counts on both sides of the int32 parse's edge, and small ones
+EDGE_COUNTS = (1, 2, 7, 2**31 - 1, 2**31)
+FILE_DEFECTS = (None, None, None, "blank_inside", "disagree", "budget", "item_past_n",
+                "self_pair", "count")
+
+
+def _token(value, draw):
+    """``value`` as a record token: plain, signed, zero-padded, or -0 for 0."""
+    styles = ["plain", "plus", "zeros"] + (["minus_zero"] if value == 0 else [])
+    return {"plain": str(value), "plus": f"+{value}", "zeros": f"00{value}",
+            "minus_zero": "-0"}[draw(hst.sampled_from(styles))]
+
+
+@hst.composite
+def dataset_files(draw):
+    """A dataset file's bytes as a person might write them: lines in any order, each pair
+    stated on one side or both, agreeing repeats, tabs and runs of spaces, CRLF, blank lines
+    around the records, and values at the int32 edge and at n; sometimes with one defect."""
+    with_r = draw(hst.booleans())
+    n = draw(hst.sampled_from([2, 3, 5, 8, 2**31 - 1, 2**31]))
+    # several items high in 1..n, so that one large first item has several seconds
+    items = sorted({v for v in (1, 2, 3, n // 2, n // 2 + 1, n // 2 + 2, n - 2, n - 1, n)
+                    if 1 <= v <= n})
+    pairs = draw(hst.lists(hst.tuples(hst.sampled_from(items), hst.sampled_from(items))
+                           .filter(lambda ij: ij[0] < ij[1]), unique=True, max_size=6))
+    records = []
+    for i, j in pairs:
+        m = draw(hst.sampled_from(EDGE_COUNTS)) if with_r else 1
+        records.append([i, j, m, draw(hst.sampled_from(sorted({0, m // 2, m})))])
+    defect = draw(hst.sampled_from(FILE_DEFECTS))
+    if records and defect in ("item_past_n", "self_pair", "count"):
+        k = draw(hst.integers(0, len(records) - 1))
+        if defect == "item_past_n":
+            records[k][1] = n + draw(hst.sampled_from([1, 2**31]))
+        elif defect == "self_pair":
+            records[k][0] = records[k][1]
+        else:
+            records[k][2] += draw(hst.sampled_from([1, 2**31]))
+    if with_r:
+        budget = sum(m for _, _, m, _ in records) + (defect == "budget")
+    else:
+        budget = draw(hst.sampled_from([0.5, 1.0])) * (2 if defect == "budget" else 1)
+    lines = []
+    for i, j, m, a in records:
+        side = draw(hst.sampled_from(["forward", "reverse", "both"]))
+        stated = ([(i, j, m, a)] if side != "reverse" else []) + (
+            [(j, i, m, m - a)] if side != "forward" else [])
+        lines += stated + stated[:draw(hst.integers(0, 1))]  # an agreeing repeat
+    if lines and defect == "disagree":
+        i, j, m, a = draw(hst.sampled_from(lines))
+        lines.append((i, j, m, a + 1 if a < m else a - 1))
+    text = [draw(hst.sampled_from([" ", "  ", "\t", " \t "])).join(_token(v, draw) for v in line)
+            for line in draw(hst.permutations(lines))]
+    if len(text) > 1 and defect == "blank_inside":
+        text.insert(draw(hst.integers(1, len(text) - 1)), draw(hst.sampled_from(["", " ", "\t"])))
+    kind = WITH_REPLACEMENT if with_r else WITHOUT_REPLACEMENT
+    head = f"{_token(n, draw)} {kind} {budget} {draw(hst.sampled_from([0, 2**64 - 1]))}"
+    blank = hst.lists(hst.sampled_from(["", " ", "\t"]), max_size=2)
+    eol = draw(hst.sampled_from(["\n", "\r\n"]))
+    return (eol.join([*draw(blank), head, *text, *draw(blank)]) + eol).encode()
+
+
+def _read_or_none(reader, path):
+    try:
+        return reader(path)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=dataset_files())
+# two pairs under one first item, past 2**53 as first * (n + 1) + second, out of order
+@example(body=b"2147483647 with_replacement 2 0\n1073741824 1073741826 1 0\n"
+              b"1073741824 1073741825 1 0\n")
+def test_reader_matches_the_int64_reference(body):
+    """The reader, which parses at the header's width, accepts and rejects the same files as
+    the int64 reference, and returns the same records in the same types."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.txt"
+        path.write_bytes(body)
+        back, ref = _read_or_none(read_dataset, path), _read_or_none(int64_read_dataset, path)
+    assert (back is None) == (ref is None)
+    if back is not None:
+        assert back.same_data(ref) and back.tag == ref.tag and back.seed == ref.seed
+        assert all(getattr(back, k).dtype == getattr(ref, k).dtype
+                   for k in ("first", "second", "num", "first_wins"))
