@@ -42,6 +42,7 @@ from .model import (
     WITHOUT_REPLACEMENT,
     ProbabilityMatrix,
     StageSource,
+    _col_dtype,
     _draw_pairs,
     derive_seed,
     stage_budgets,
@@ -66,14 +67,15 @@ WORKERS_ENV_VAR = "NOISYSORT_WORKERS"
 # Peak bytes per record of a run's largest draw, per record of its first _RECORD_CHUNK (the
 # block temporaries) and per item: the largest tracemalloc peaks, rounded up, of one ms +
 # borda + random replicate after a warm-up run (n = 50-20000, alpha = 0.01-1, T = 1-3, fixed
-# and estimated margins; the item bytes at N of a few hundred, n = 2*10^4-2*10^5).  WRITTEN
+# and estimated margins; the item bytes at N of a few hundred, n = 2*10^4-2*10^5).  A
+# without-replacement record also holds its column offset, _col_dtype(n) wide.  WRITTEN
 # records are a simulated dataset's, written with a 4-byte place per pair beside it;
 # DATASET_LINES the lines of run-ms's files, one per 8 bytes at most, held once read; and
 # READ_LINES the largest file's, read on top (traced figures: README "Scale and memory").
 WRITTEN, DATASET_LINES, READ_LINES = "written", "dataset_lines", "read_lines"
-_RECORD_BYTES = {WITH_REPLACEMENT: 18, WITHOUT_REPLACEMENT: 14, WRITTEN: 4,
+_RECORD_BYTES = {WITH_REPLACEMENT: 18, WITHOUT_REPLACEMENT: 11, WRITTEN: 4,
                  DATASET_LINES: 9, READ_LINES: 26}
-_BLOCK_BYTES = {WITH_REPLACEMENT: 36, WITHOUT_REPLACEMENT: 46, WRITTEN: 42}
+_BLOCK_BYTES = {WITH_REPLACEMENT: 36, WITHOUT_REPLACEMENT: 44, WRITTEN: 42}
 _ITEM_BYTES = 340
 
 
@@ -271,8 +273,10 @@ def check_memory(what: str, n: int, records: dict[str, float], workers: int = 1)
     """ResourceCapError, naming ``what``, if ``workers`` runs at once, each on n items with
     ``records[kind]`` records of each kind (a sampling, WRITTEN, DATASET_LINES or
     READ_LINES), would not fit in physical memory."""
+    width = {WITHOUT_REPLACEMENT: _col_dtype(n).itemsize}
     need = workers * (n * _ITEM_BYTES + sum(
-        count * _RECORD_BYTES[kind] + min(count, _RECORD_CHUNK) * _BLOCK_BYTES.get(kind, 0)
+        count * (_RECORD_BYTES[kind] + width.get(kind, 0))
+        + min(count, _RECORD_CHUNK) * _BLOCK_BYTES.get(kind, 0)
         for kind, count in records.items()))
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > memory:
@@ -312,8 +316,8 @@ def draw_stages(
         return source, lambda_hat
     if sampling == WITHOUT_REPLACEMENT:
         draw_seed = derive_seed(seed, 0)
-        cells, won = _draw_pairs(pi_star, matrix, budget, draw_seed)
-        return StageSource.without_replacement(pi_star.n, cells, won, budget, stages,
+        draw = _draw_pairs(pi_star, matrix, budget, draw_seed)
+        return StageSource.without_replacement(pi_star.n, draw, budget, stages,
                                                derive_seed(seed, 1), draw_seed), lambda_hat
     raise ValueError(f"unknown sampling model {sampling!r}")
 

@@ -9,7 +9,10 @@ Two sampling schemes produce a ``ComparisonDataset``:
 * without replacement: every unordered pair is observed once with
   probability p, independently.  The observed pairs are one Bernoulli(p)
   process over the numbered pair cells, drawn as Geometric(p) gaps, and the
-  multistage split gives each observed pair one uniform stage label;
+  multistage split gives each observed pair one uniform stage label.  The
+  draw is held while its stages are built as its pairs per row, one column
+  offset per pair in the narrowest unsigned type that holds n - 2, and the
+  first-won bits packed eight to a byte;
 * with replacement: a fixed number N of comparisons, each between a
   uniformly drawn pair.
 
@@ -178,14 +181,19 @@ def _item_dtype(n: int) -> type:
 _count_dtype = _item_dtype  # the rule, too, for the counts and wins of n comparisons
 
 
+def _row_starts(n: int) -> np.ndarray:
+    """The first pair cell of each row, by item 1..n, and C(n,2) past them (int64): row i
+    holds cells starts[i - 1]..starts[i] - 1."""
+    return np.concatenate(([0], np.cumsum(np.arange(n - 1, -1, -1, dtype=np.int64))))
+
+
 def _pair_items(n: int, cells: np.ndarray,
                 second: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(first, second), in _item_dtype(n), of ascending pair cells (uint32 or int64) numbered
     0..C(n,2)-1 in (first, second) order.  ``second`` is written _WIN_CHUNK cells at a time:
     into a new array, or into a given one, which may be the cells' own memory, since each
     block of cells is read before it is written.  The cells are not written otherwise."""
-    item = _item_dtype(n)
-    offsets = np.concatenate(([0], np.cumsum(np.arange(n - 1, -1, -1, dtype=np.int64))))
+    item, offsets = _item_dtype(n), _row_starts(n)
     items = np.arange(1, n + 1, dtype=item)
     first = np.repeat(items, np.diff(np.searchsorted(
         cells, offsets.astype(cells.dtype))))  # in the cells' dtype: no record-sized cast
@@ -198,54 +206,83 @@ def _pair_items(n: int, cells: np.ndarray,
     return first, second
 
 
+def _col_dtype(n: int) -> np.dtype:
+    """The type of column offsets second - first - 1, 0..n - 2: the narrowest unsigned one."""
+    return np.min_scalar_type(max(n - 2, 0))
+
+
+def _row_bounds(ends: np.ndarray, lo: int, hi: int) -> tuple[int, np.ndarray]:
+    """(a, bounds): held pairs lo..hi - 1, of cumulative per-row counts ``ends`` (by item,
+    0..n), lie in rows a..a + len(bounds) - 2, row a + k's from lo + bounds[k] on."""
+    a, b = np.searchsorted(ends, (lo, hi - 1), side="right")
+    return int(a), np.clip(ends[a - 1: b + 1], lo, hi) - lo
+
+
+def _unpack(bits: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The first-won bits of held pairs lo..hi - 1, of np.packbits' ``bits``, as new bools."""
+    skip = lo % 8
+    return np.unpackbits(bits[lo // 8: (hi + 7) // 8], count=skip + hi - lo)[skip:].view(bool)
+
+
 def _draw_pairs(pi_star: Permutation, matrix: ProbabilityMatrix, p: float,
-                seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """sample_without_replacement's draw, compact: the ascending observed pair cells (uint32
-    while C(n,2) < 2**32, else int64: numpy adds uint64 and int64 as float64) and whether
-    ``first`` won each (bool).  The Geometric(p) gaps are drawn and summed into the cells,
-    and the bits drawn and their pairs decoded, _WIN_CHUNK at a time: the generator's
-    stream is the one of single calls."""
+                seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sample_without_replacement's draw, held compact as (rows, cols, bits): the number of
+    observed pairs whose first item is i, by i in 0..n (int64); each pair's column offset
+    second - first - 1, in (first, second) order and _col_dtype(n); and whether first won
+    each, packed eight to a byte by np.packbits.  The Geometric(p) gaps are drawn and summed
+    into one block's pair cells, numbered 0..C(n,2)-1 in (first, second) order, which become
+    its rows and cols; once every gap is drawn, the bits are drawn against their pairs.  Both
+    go _WIN_CHUNK at a time (the bits in whole bytes): the generator's stream is the one of
+    single calls."""
     if not 0 < p <= 1:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     n = pi_star.n
     if matrix.n != n:
         raise SizeMismatchError(f"matrix n={matrix.n} vs permutation n={n}")
-    num_cells = n * (n - 1) // 2
+    num_cells, starts = n * (n - 1) // 2, _row_starts(n)
     rng = np.random.default_rng(seed)
     # six standard deviations past the expected count: one round nearly always passes the last cell
     size = int(p * num_cells + 6 * math.sqrt(p * num_cells) + 10)
-    rounds, last = [], -1  # the last drawn cell: the running sum of the gaps, less one
+    rows, rounds, last = np.zeros(n + 1, np.int64), [], -1  # last: the last drawn cell
     while not rounds or last < num_cells - 1:  # a round draws every gap, past the last cell too
-        cells, count = np.empty(size, dtype=np.uint32 if num_cells < 2**32 else np.int64), 0
+        cols, count = np.empty(size, dtype=_col_dtype(n)), 0
         for lo in range(0, size, _WIN_CHUNK):
             gaps = rng.geometric(p, size=min(_WIN_CHUNK, size - lo))
             # gaps cut to one past the last cell keep a tiny p's sums finite
             steps = np.cumsum(np.minimum(gaps, num_cells + 1, out=gaps), out=gaps)
             steps += last
             last, kept = int(steps[-1]), int(np.searchsorted(steps, num_cells))
-            cells[count: count + kept] = steps[:kept]
-            count += kept
-        rounds.append(cells[:count])
-    cells = rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
-    ranks = np.concatenate(([0], pi_star.to_array()))  # by item, 1-based
-    won = np.empty(len(cells), dtype=bool)
-    for lo in range(0, len(cells), _WIN_CHUNK):  # ranks gathered by intp: int32 is slow
-        first, second = _pair_items(n, cells[lo: lo + _WIN_CHUNK])
-        won[lo: lo + len(first)] = rng.random(len(first)) < matrix.win_prob(
-            ranks.take(first.astype(np.intp)), ranks.take(second.astype(np.intp)))
-    return cells, won
+            if kept:  # the kept cells' rows a..b, their count in each, and their columns
+                a, b = np.searchsorted(starts, (steps[0], steps[kept - 1]), side="right")
+                per_row = np.diff(np.searchsorted(steps[:kept], starts[a - 1: b + 1]))
+                rows[a: b + 1] += per_row
+                cols[count: count + kept] = steps[:kept] - np.repeat(starts[a - 1: b], per_row)
+                count += kept
+        rounds.append(cols[:count])
+    cols = rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
+    ends, ranks = np.cumsum(rows), np.concatenate(([0], pi_star.to_array()))  # ranks by item
+    bits, step = np.empty((len(cols) + 7) // 8, np.uint8), -(-_WIN_CHUNK // 8) * 8
+    for lo in range(0, len(cols), step):
+        hi = min(lo + step, len(cols))
+        a, bounds = _row_bounds(ends, lo, hi)
+        first = np.repeat(np.arange(a, a + len(bounds) - 1), np.diff(bounds))  # intp: fast takes
+        won = rng.random(hi - lo) < matrix.win_prob(
+            ranks.take(first), ranks.take(first + cols[lo: hi] + 1))
+        bits[lo // 8: (hi + 7) // 8] = np.packbits(won)
+    return rows, cols, bits
 
 
-def _decode(n: int, cells: np.ndarray, won: np.ndarray, p: float, seed: int,
-            spare: bool = False) -> ComparisonDataset:
-    """The without-replacement dataset of ascending pair cells and their first-won bits, which
-    it keeps.  ``spare`` cells, which nothing else reads, become ``second`` where they are as
-    wide as an item; other cells are read and not written."""
-    item = _item_dtype(n)
-    into = cells.view(item) if spare and cells.itemsize == np.dtype(item).itemsize else None
-    first, second = _pair_items(n, cells, into)
+def _decode(n: int, rows: np.ndarray, second: np.ndarray, won: np.ndarray, p: float,
+            seed: int) -> ComparisonDataset:
+    """The without-replacement dataset of pairs in (first, second) order, given by their number
+    per first item (``rows``, by item 0..n), their column offsets, in an array of
+    _item_dtype(n) that becomes their ``second``, and their first-won bits (bool), which it
+    keeps."""
+    first = np.repeat(np.arange(n + 1, dtype=second.dtype), rows)
+    second += first
+    second += 1
     return ComparisonDataset(
-        n=n, first=first, second=second, num=np.broadcast_to(np.int64(1), len(cells)),
+        n=n, first=first, second=second, num=np.broadcast_to(np.int64(1), len(second)),
         first_wins=won, tag=SamplingTag(WITHOUT_REPLACEMENT, p), seed=seed,
     )
 
@@ -261,7 +298,10 @@ def sample_without_replacement(
     not to the cells.  One uniform draw per observed pair, against its
     ``win_prob``, then decides whether ``first`` won.
     """
-    return _decode(pi_star.n, *_draw_pairs(pi_star, matrix, p, seed), p, seed, True)
+    rows, cols, bits = _draw_pairs(pi_star, matrix, p, seed)
+    won, second = _unpack(bits, 0, len(cols)), cols.astype(_item_dtype(pi_star.n))
+    del cols, bits  # the draw is freed before first is made
+    return _decode(pi_star.n, rows, second, won, p, seed)
 
 
 # Largest comparison count whose star-law win draw is replayed from a table
@@ -349,9 +389,9 @@ def sample_with_replacement(
         raise ValueError("need n >= 2 to compare anything")
     num_cells = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
-    cells = rng.integers(0, num_cells, size=total)
-    if num_cells < 2**32:  # _draw_pairs' rule; the narrow copy sorts to the same order
-        cells = cells.astype(np.uint32)
+    # drawn as uint32 while C(n,2) < 2**32: numpy gives the int64 draw's values and stream
+    cells = rng.integers(0, num_cells, size=total,
+                         dtype=np.uint32 if num_cells < 2**32 else np.int64)
     cells.sort()  # the drawn pairs are the runs of equal cells
     new = np.concatenate(([True], cells[1:] != cells[:-1]))  # where each run starts
     cells = cells[new]  # one cell per drawn pair; the N draws are freed here
@@ -432,31 +472,38 @@ class StageSource:
             for k, b in enumerate(budgets)))
 
     @classmethod
-    def without_replacement(cls, n: int, cells: np.ndarray, won: np.ndarray, p: float,
-                            parts: int, seed: int, whole_seed: int) -> StageSource:
-        """The stages of a compact without-replacement draw: each pair gets one of ``parts``
-        uniform labels, drawn once from ``seed``; stage t is the pairs labelled t, keyed
-        derive_seed(seed, t).  One part is the whole draw, keyed ``whole_seed``."""
+    def without_replacement(cls, n: int, draw: tuple[np.ndarray, np.ndarray, np.ndarray],
+                            p: float, parts: int, seed: int, whole_seed: int) -> StageSource:
+        """The stages of a held without-replacement draw, _draw_pairs' (rows, cols, bits):
+        each pair gets one of ``parts`` uniform labels, drawn once from ``seed``; stage t is
+        the pairs labelled t, keyed derive_seed(seed, t).  One part is the whole draw, keyed
+        ``whole_seed``.  Each stage is decoded into new arrays and the draw is never written,
+        so every pass replays the first."""
         if parts < 1:
             raise ValueError("parts must be positive")
-        if parts == 1:  # the held draw's bits, read-only: a second pass replays the first
-            bits = won.view()
-            bits.flags.writeable = False
-            return cls(n, (len(cells),),
-                       lambda: (_decode(n, cells, bits, p, whole_seed) for _ in range(1)))
+        rows, cols, bits = draw
+        item = _item_dtype(n)
+        if parts == 1:
+            return cls(n, (len(cols),), lambda: (
+                _decode(n, rows, cols.astype(item), _unpack(bits, 0, len(cols)), p, whole_seed)
+                for _ in range(1)))
         rng = np.random.default_rng(seed)
-        labels = rng.integers(0, parts, size=len(cells), dtype=np.min_scalar_type(parts - 1))
-        counts = _counts(labels, parts)
+        labels = rng.integers(0, parts, size=len(cols), dtype=np.min_scalar_type(parts - 1))
+        counts, ends = _counts(labels, parts), np.cumsum(rows)
 
         def stage(t: int) -> ComparisonDataset:
             # gathered a block at a time into arrays of the stage's count: no record-sized index
-            part, bits, at = np.empty(counts[t], cells.dtype), np.empty(counts[t], bool), 0
-            for lo in range(0, len(cells), _WIN_CHUNK):
-                keep = np.flatnonzero(labels[lo: lo + _WIN_CHUNK] == t)
-                for held, out in ((cells, part), (won, bits)):  # "clip": out is not buffered
-                    held[lo: lo + _WIN_CHUNK].take(keep, out=out[at: at + len(keep)], mode="clip")
+            part_rows, at = np.zeros(n + 1, np.int64), 0
+            part, won = np.empty(counts[t], item), np.empty(counts[t], bool)
+            for lo in range(0, len(cols), _WIN_CHUNK):
+                hi = min(lo + _WIN_CHUNK, len(cols))
+                keep = np.flatnonzero(labels[lo: hi] == t)
+                a, bounds = _row_bounds(ends, lo, hi)
+                part_rows[a: a + len(bounds) - 1] += np.diff(np.searchsorted(keep, bounds))
+                for held, out in ((cols[lo: hi], part), (_unpack(bits, lo, hi), won)):
+                    out[at: at + len(keep)] = held[keep]
                 at += len(keep)
-            return _decode(n, part, bits, p, derive_seed(seed, t), True)  # a copy: spare
+            return _decode(n, part_rows, part, won, p, derive_seed(seed, t))
 
         return cls(n, tuple(counts.tolist()), lambda: map(stage, range(parts)))
 
@@ -633,7 +680,7 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
                                      f"integers of the header's width, {parse.__name__}, "
                                      f"got {line!r}")
             raise ValueError(f"every record line of {path!s} must be four integers")
-    first, second, num, wins = _orient(rows, n)
+    first, second, num, wins = _orient(rows, n, kind)
     del rows  # the loaded rows are freed here, before the sort
     # any sort by (first, second) does, since a pair's lines must agree
     if n < 2**32:  # one exact unsigned key: first * (n + 1) + second <= n * (n + 2) < 2**64
@@ -647,19 +694,23 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
         order = np.lexsort((second, first))
     first = first[order]  # a column at a time, each freed as its gathered copy replaces it
     second = second[order]
-    num = num[order]
+    num = None if num is None else num[order]
     wins = wins[order]
     del order
     repeat = (first[1:] == first[:-1]) & (second[1:] == second[:-1])
-    clash = np.flatnonzero(repeat & ((num[1:] != num[:-1]) | (wins[1:] != wins[:-1])))
+    differ = wins[1:] != wins[:-1]
+    if num is not None:
+        differ |= num[1:] != num[:-1]
+    clash = np.flatnonzero(repeat & differ)
     if len(clash):
         k = clash[0]
         raise ValueError(f"inconsistent records for pair {(int(first[k]), int(second[k]))}")
     keep = np.ones(len(first), dtype=bool)
     keep[1:] = ~repeat
+    first, second, wins = first[keep], second[keep], wins[keep]
     dataset = ComparisonDataset(
-        n=n, first=first[keep], second=second[keep], num=num[keep], first_wins=wins[keep],
-        tag=SamplingTag(kind, budget), seed=seed,
+        n=n, first=first, second=second, first_wins=wins, tag=SamplingTag(kind, budget),
+        num=np.broadcast_to(np.int64(1), len(first)) if num is None else num[keep], seed=seed,
     )
     # counts are >= 1, so an int64 running sum that wraps turns negative where it does
     if kind == WITH_REPLACEMENT and np.cumsum(dataset.num).min(initial=0) < 0:
@@ -672,17 +723,22 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
         num, wins = (a.astype(_count_dtype(budget), copy=False)
                      for a in (dataset.num, dataset.first_wins))
         return replace(dataset, num=num, first_wins=wins)
-    return replace(dataset, num=np.broadcast_to(np.int64(1), dataset.num_pairs),
-                   first_wins=dataset.first_wins.astype(bool))
+    return dataset  # bool wins and a broadcast 1: a file with other values failed its checks
 
 
-def _orient(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+def _orient(rows: np.ndarray, n: int, kind: str) -> tuple[np.ndarray, ...]:
     """(first, second, num, wins) of record rows (i, j, N_ij, A_ij), the items in _item_dtype(n),
     checked to lie in 1..n before the cast, and the rest in the rows' type; both lines of a pair
-    state (count, wins of first).  Oriented _WIN_CHUNK rows at a time."""
+    state (count, wins of first).  A without-replacement file whose counts are all 1 and whose
+    wins are all 0 or 1 gives no num (None) and bool wins; any other file keeps both columns,
+    so a without-replacement one fails the later checks as it always did.  Oriented
+    _WIN_CHUNK rows at a time."""
     item = _item_dtype(n)
+    narrow = kind == WITHOUT_REPLACEMENT and not _any_block(
+        lambda m, a: (m != 1) | ((a != 0) & (a != 1)), rows[:, 2], rows[:, 3])
     first, second = np.empty(len(rows), item), np.empty(len(rows), item)
-    num, wins = rows[:, 2].copy(), np.empty(len(rows), rows.dtype)
+    num = None if narrow else rows[:, 2].copy()
+    wins = np.empty(len(rows), bool if narrow else rows.dtype)
     for lo in range(0, len(rows), _WIN_CHUNK):
         i, j, m, a = rows[lo: lo + _WIN_CHUNK].T
         low, high = np.minimum(i, j), np.maximum(i, j)

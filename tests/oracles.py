@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from noisysort import model
 from noisysort.counting import PackingSet
 from noisysort.errors import SizeMismatchError
 from noisysort.estimators import LAMBDA_CLAMP, _best_candidate, borda_sort
@@ -22,10 +23,12 @@ from noisysort.model import (
     ComparisonDataset,
     SamplingTag,
     StageSource,
+    _col_dtype,
     _count_dtype,
     _DECIMAL,
     _int64,
     _item_dtype,
+    _pair_items,
     derive_seed,
 )
 from noisysort.perms import Permutation, kendall_tau
@@ -468,6 +471,14 @@ def pair_cells(n, first, second):
     return rows_before * (2 * n - 1 - rows_before) // 2 + second - first - 1
 
 
+def held_draw(dataset):
+    """The held draw of a without-replacement dataset, as model._draw_pairs returns it:
+    pairs per first item, column offsets and packed first-won bits."""
+    rows = np.bincount(dataset.first.astype(np.int64), minlength=dataset.n + 1)
+    cols = (dataset.second.astype(np.int64) - dataset.first - 1).astype(_col_dtype(dataset.n))
+    return rows, cols, np.packbits(dataset.first_wins.astype(bool))
+
+
 def split_without_replacement(dataset, parts, seed):
     """The former library split, now the list of the stages the pipeline
     streams: each observed pair gets one of ``parts`` uniform stage labels
@@ -477,9 +488,55 @@ def split_without_replacement(dataset, parts, seed):
         raise ValueError("expected a without-replacement dataset")
     if parts == 1:
         return [dataset]
-    cells = pair_cells(dataset.n, dataset.first, dataset.second)
-    return list(StageSource.without_replacement(dataset.n, cells, dataset.first_wins.astype(bool),
+    return list(StageSource.without_replacement(dataset.n, held_draw(dataset),
                                                 dataset.tag.budget, parts, seed, dataset.seed))
+
+
+def cells_draw_pairs(pi_star, matrix, p, seed):
+    """The former library draw, kept as the reference of the held compact draw: the ascending
+    observed pair cells (uint32 while C(n,2) < 2**32, else int64) and whether ``first`` won
+    each (bool), the gaps summed and the bits drawn model._WIN_CHUNK at a time."""
+    n, chunk = pi_star.n, model._WIN_CHUNK
+    num_cells = n * (n - 1) // 2
+    rng = np.random.default_rng(seed)
+    size = int(p * num_cells + 6 * math.sqrt(p * num_cells) + 10)
+    rounds, last = [], -1
+    while not rounds or last < num_cells - 1:
+        cells, count = np.empty(size, dtype=np.uint32 if num_cells < 2**32 else np.int64), 0
+        for lo in range(0, size, chunk):
+            gaps = rng.geometric(p, size=min(chunk, size - lo))
+            steps = np.cumsum(np.minimum(gaps, num_cells + 1, out=gaps), out=gaps)
+            steps += last
+            last, kept = int(steps[-1]), int(np.searchsorted(steps, num_cells))
+            cells[count: count + kept] = steps[:kept]
+            count += kept
+        rounds.append(cells[:count])
+    cells = rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
+    ranks = np.concatenate(([0], pi_star.to_array()))
+    won = np.empty(len(cells), dtype=bool)
+    for lo in range(0, len(cells), chunk):
+        first, second = _pair_items(n, cells[lo: lo + chunk])
+        won[lo: lo + len(first)] = rng.random(len(first)) < matrix.win_prob(
+            ranks.take(first.astype(np.intp)), ranks.take(second.astype(np.intp)))
+    return cells, won
+
+
+def cells_stages(n, cells, won, p, parts, seed, whole_seed):
+    """The former library stages of a cells draw: one uniform label per pair, drawn from
+    ``seed``; stage t is the pairs labelled t, decoded from their cells and keyed
+    derive_seed(seed, t); one part is the whole draw, keyed ``whole_seed``."""
+    def decode(part, bits, key):
+        first, second = _pair_items(n, part)
+        return ComparisonDataset(
+            n=n, first=first, second=second, num=np.broadcast_to(np.int64(1), len(part)),
+            first_wins=bits, tag=SamplingTag(WITHOUT_REPLACEMENT, p), seed=key)
+
+    if parts == 1:
+        return [decode(cells, won.copy(), whole_seed)]
+    labels = np.random.default_rng(seed).integers(0, parts, size=len(cells),
+                                                  dtype=np.min_scalar_type(parts - 1))
+    return [decode(cells[labels == t], won[labels == t], derive_seed(seed, t))
+            for t in range(parts)]
 
 
 def multinomial_split_without_replacement(dataset, parts, seed):

@@ -192,9 +192,11 @@ def physical_memory(monkeypatch, nbytes):
 
 
 def rule_bytes(sampling, records, n):
-    """The memory rule's bytes for one replicate: per record of its largest draw, per record
-    of that draw's first block, and per item."""
-    return (records * experiments._RECORD_BYTES[sampling] + n * experiments._ITEM_BYTES
+    """The memory rule's bytes for one replicate: per record of its largest draw (without
+    replacement, with its column offset), per record of that draw's first block, and per
+    item."""
+    width = model._col_dtype(n).itemsize if sampling == WITHOUT_REPLACEMENT else 0
+    return (records * (experiments._RECORD_BYTES[sampling] + width) + n * experiments._ITEM_BYTES
             + min(records, experiments._RECORD_CHUNK) * experiments._BLOCK_BYTES[sampling])
 
 
@@ -246,9 +248,12 @@ class TestMemoryRule:
         with pytest.raises(ResourceCapError, match="3 replicate"):
             small_spec(**fields, workers=3)
 
-    def test_estimate_without_replacement_is_the_whole_draw(self, monkeypatch):
-        need = rule_bytes(WITHOUT_REPLACEMENT, 0.5 * math.comb(50, 2), 50)
-        fields = dict(n_values=(50,), sampling=(WITHOUT_REPLACEMENT,), stages=3, workers=1)
+    @pytest.mark.parametrize("n, width", [(50, 1), (257, 1), (258, 2), (65537, 2), (65538, 4)])
+    def test_estimate_without_replacement_is_the_whole_draw(self, monkeypatch, n, width):
+        # each pair's column offset is held in the narrowest unsigned type that holds n - 2
+        assert model._col_dtype(n).itemsize == width
+        need = rule_bytes(WITHOUT_REPLACEMENT, 0.5 * math.comb(n, 2), n)
+        fields = dict(n_values=(n,), sampling=(WITHOUT_REPLACEMENT,), stages=3, workers=1)
         physical_memory(monkeypatch, math.ceil(need))
         small_spec(**fields)
         physical_memory(monkeypatch, math.ceil(need) - 1)  # below need, whole or not
@@ -546,20 +551,29 @@ class TestWithoutStream:
             draw_stages(Permutation.identity(20), star_matrix(20, 0.3), WITHOUT_REPLACEMENT,
                         0.5, 2, 0)
 
-    def test_pipeline_peak_stays_under_11_bytes_per_pair(self):
-        # the compact draw (uint32 cells, bool wins) and the stage labels hold 6 bytes per
-        # pair; a third of the pairs are decoded at a time, at 9 bytes each (int32 first,
-        # second written over the gathered cells, bool wins, a count column of no bytes),
-        # and ms_sort reads the stage in place: 9 bytes per pair, 10.3 traced at n = 2000
+    @staticmethod
+    def _dense_pipeline_peak(n):
+        """The traced peak of an ms pipeline on n items at p = 1 and T = 3."""
         config = MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
 
-        def run(n):
-            return ms_sort(*draw_stages(Permutation.identity(n), star_matrix(n, 0.25),
+        def run(size):
+            return ms_sort(*draw_stages(Permutation.identity(size), star_matrix(size, 0.25),
                                         WITHOUT_REPLACEMENT, 1.0, 3, 0, 0.25), config)
 
         run(200)  # numpy imports some modules on first use
-        _, peak = traced_peak(lambda: run(2000))
-        assert peak < 11 * math.comb(2000, 2)
+        return traced_peak(lambda: run(n))[1]
+
+    def test_pipeline_peak_stays_under_11_bytes_per_pair(self):
+        # the bound the draw met when it held uint32 pair numbers and bool wins (10.4 traced)
+        assert self._dense_pipeline_peak(2000) < 11 * math.comb(2000, 2)
+
+    def test_pipeline_peak_stays_under_8_5_bytes_per_pair(self):
+        # the held draw (uint16 column offsets, packed bits) and the stage labels hold 3.1
+        # bytes per pair; a third of the pairs are decoded at a time, at 9 bytes each (int32
+        # first, second written over the gathered offsets, bool wins, a count column of no
+        # bytes), and ms_sort reads the stage in place: 6.1 bytes per pair, 7.5 traced at
+        # n = 2000; 10.4 with the draw held as uint32 pair numbers and bool wins
+        assert self._dense_pipeline_peak(2000) < 8.5 * math.comb(2000, 2)
 
 
 class TestSummaries:

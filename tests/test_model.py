@@ -38,6 +38,8 @@ from oracles import (
     BAD_N_FILES,
     DISAGREEING_RECORDS,
     MemberLaw,
+    cells_draw_pairs,
+    cells_stages,
     counts_dense,
     dense_law,
     dense_star_entries,
@@ -472,8 +474,9 @@ def test_with_replacement_stream_is_pinned(case):
     assert _digest(d.first, d.second, d.num, d.first_wins) == GOLDEN_DRAWS[case]
 
 
-# sha256 of _draw_pairs' cells and bits as int64 bytes: (n, lam, pi_star, p, seed) -> digest,
-# pinned with the former single-call gap draw; 45k to 600k pairs, 1 to 10 blocks of 65536
+# sha256 of _draw_pairs' pair cells and bits as int64 bytes: (n, lam, pi_star, p, seed) ->
+# digest, pinned with the former single-call gap draw when the draw held its pairs as cells;
+# 45k to 600k pairs, 1 to 10 blocks of 65536
 GOLDEN_WITHOUT_DRAWS = {
     (800, 0.25, "identity", 1.0, 1):
         "9d3fac3ad3ff3510bdc23bc4c6ff30bf5aa2eb842c6610d1a0ddc4456000f47d",
@@ -516,10 +519,10 @@ class TestSplits:
 
     def test_a_second_pass_replays_the_first(self):
         pi, law = random_permutation(40, np.random.default_rng(1)), star_matrix(40, 0.2)
-        cells, won = model._draw_pairs(pi, law, 0.6, 3)
+        draw = model._draw_pairs(pi, law, 0.6, 3)
         for source in (StageSource.with_replacement(pi, law, [300, 200], 7, first_key=2),
-                       StageSource.without_replacement(40, cells, won, 0.6, 3, 5, 6),
-                       StageSource.without_replacement(40, cells, won, 0.6, 1, 5, 6),
+                       StageSource.without_replacement(40, draw, 0.6, 3, 5, 6),
+                       StageSource.without_replacement(40, draw, 0.6, 1, 5, 6),
                        StageSource.of(split_with_replacement(pi, law, [100, 101], 1))):
             once, again = list(source), list(source)
             assert tuple(s.total_comparisons() for s in once) == source.counts
@@ -629,7 +632,7 @@ class TestWithoutStream:
     def test_stages_are_built_when_pulled(self, monkeypatch):
         built = []
         original = model._decode
-        monkeypatch.setattr(model, "_decode", lambda *a: built.append(a[4]) or original(*a))
+        monkeypatch.setattr(model, "_decode", lambda *a: built.append(a[5]) or original(*a))
         law = star_matrix(20, 0.2)
         source, _ = draw_stages(Permutation.identity(20), law, WITHOUT_REPLACEMENT, 0.7, 3, 6, 0.2)
         assert built == [] and len(source.counts) == 3
@@ -640,7 +643,7 @@ class TestWithoutStream:
     @pytest.mark.parametrize("dtype", [np.int64, np.uint32])
     @pytest.mark.parametrize("n", [2, 3, 50])
     def test_pair_items_of_any_ascending_cells(self, monkeypatch, n, dtype, chunk):
-        # runs that start and end mid-row, as the draws' chunks do; the compact draw holds
+        # runs that start and end mid-row, as the with-replacement draw's chunks do; it holds
         # uint32 cells below 2**32, and they decode to int32 items, unwritten, or written
         # over by second where it is given their memory
         monkeypatch.setattr(model, "_WIN_CHUNK", chunk)
@@ -659,21 +662,21 @@ class TestWithoutStream:
                 assert np.array_equal(first, rows[held] + 1)
                 assert np.array_equal(second, cols[held] + 1) and second.base is into
 
-    @pytest.mark.parametrize("n, dtype", [(92682, np.uint32), (92683, np.int64)])
-    def test_cells_narrow_below_two_to_the_32(self, n, dtype):
-        # C(n,2) < 2**32 up to n = 92682: the cells there reach past 2**31; about 8.6k pairs
-        assert (math.comb(n, 2) < 2**32) == (dtype == np.uint32)
+    @pytest.mark.parametrize("n", [92682, 92683])
+    def test_pair_cells_past_two_to_the_31(self, n):
+        # C(n,2) < 2**32 up to n = 92682: the former draw held uint32 cells there and int64
+        # above; the cells reach past 2**31 and the column offsets are uint32 on both sides
+        assert (math.comb(n, 2) < 2**32) == (n == 92682)
         pi, law, p = random_permutation(n, np.random.default_rng(3)), star_matrix(n, 0.25), 2e-6
-        cells, won = model._draw_pairs(pi, law, p, 4)
-        assert cells.dtype == dtype and 7000 < len(cells) < 10_000 and cells[-1] >= 2**31
-        held = cells.copy()
-        source = StageSource.without_replacement(n, cells, won, p, 3, 5, 6)
-        wide = StageSource.without_replacement(n, cells.astype(np.int64), won, p, 3, 5, 6)
-        once, again, expected = list(source), list(source), list(wide)
-        for a, b, c in zip(once, again, expected, strict=True):
+        draw = model._draw_pairs(pi, law, p, 4)
+        cells, won = cells_draw_pairs(pi, law, p, 4)
+        assert draw[1].dtype == np.uint32 and 7000 < len(cells) < 10_000 and cells[-1] >= 2**31
+        held = [a.copy() for a in draw]
+        source = StageSource.without_replacement(n, draw, p, 3, 5, 6)
+        once, again = list(source), list(source)
+        for a, b, c in zip(once, again, cells_stages(n, cells, won, p, 3, 5, 6), strict=True):
             assert _identical(a, c) and _identical(b, c)
-        decoded = np.concatenate([pair_cells(n, s.first, s.second) for s in once])
-        assert np.array_equal(np.sort(decoded), held) and np.array_equal(cells, held)
+        assert all(np.array_equal(a, b) for a, b in zip(draw, held))
 
     def test_pair_cells_invert_pair_items(self):
         n = 9
@@ -684,15 +687,18 @@ class TestWithoutStream:
     @pytest.mark.parametrize("chunk", [1000, 1 << 16])
     @pytest.mark.parametrize("case", list(GOLDEN_WITHOUT_DRAWS))
     def test_block_draw_stream_is_pinned(self, monkeypatch, case, chunk):
-        # the gaps are drawn a block at a time into the cells, the tail past the last cell
-        # too: cells and bits equal the single-call draw's, over up to 600 blocks
+        # the gaps are drawn a block at a time into rows and column offsets, the tail past the
+        # last cell too: the decoded cells and bits equal the single-call draw's, over up to
+        # 600 blocks
         monkeypatch.setattr(model, "_WIN_CHUNK", chunk)
         n, lam, kind, p, seed = case
         pi = Permutation.identity(n) if kind == "identity" else random_permutation(
             n, np.random.default_rng(seed))
-        cells, won = model._draw_pairs(pi, star_matrix(n, lam), p, seed)
-        assert cells.dtype == np.uint32 and won.dtype == bool
-        assert _digest(cells, won) == GOLDEN_WITHOUT_DRAWS[case]
+        rows, cols, bits = draw = model._draw_pairs(pi, star_matrix(n, lam), p, seed)
+        assert rows.shape == (n + 1,) and cols.dtype == np.uint16 and bits.dtype == np.uint8
+        (whole,) = StageSource.without_replacement(n, draw, p, 1, 5, 6)
+        cells = pair_cells(n, whole.first, whole.second)
+        assert _digest(cells, whole.first_wins) == GOLDEN_WITHOUT_DRAWS[case]
 
     def test_a_round_short_of_the_last_cell_draws_another(self, monkeypatch):
         # with no six-deviation margin, a round of 712 gaps at p = 0.9 ends before the last
@@ -709,31 +715,60 @@ class TestWithoutStream:
         assert short >= 2
 
     @pytest.mark.parametrize("n", [40, 70_000])
-    def test_one_part_is_the_held_draw_unwritten(self, n):
-        # with one part the stage is the held draw: its bits are shared read-only, its cells
-        # decoded into new arrays, so every pass replays the first
+    @pytest.mark.parametrize("parts", [1, 3])
+    def test_stages_are_new_arrays_and_the_held_draw_is_unwritten(self, n, parts):
+        # every stage, the whole draw's too, is decoded into arrays of its own, and the held
+        # draw is only read, so every pass replays the first
         pi, law = random_permutation(n, np.random.default_rng(2)), star_matrix(n, 0.2)
         p = 0.6 if n == 40 else 1e-4
-        cells, won = model._draw_pairs(pi, law, p, 3)
-        held = cells.copy(), won.copy()
-        source = StageSource.without_replacement(n, cells, won, p, 1, 5, 6)
+        draw = model._draw_pairs(pi, law, p, 3)
+        held = [a.copy() for a in draw]
+        source = StageSource.without_replacement(n, draw, p, parts, 5, 6)
         once, again = list(source), list(source)
-        assert len(once) == 1 and once[0].same_data(again[0]) and _narrow(once[0])
-        assert once[0].same_data(sample_without_replacement(pi, law, p, 3))
-        assert np.shares_memory(once[0].first_wins, won)
-        assert not once[0].first_wins.flags.writeable and won.flags.writeable
-        assert np.array_equal(cells, held[0]) and np.array_equal(won, held[1])
+        expected = cells_stages(n, *cells_draw_pairs(pi, law, p, 3), p, parts, 5, 6)
+        assert all(map(_identical, once, expected)) and all(map(_identical, again, expected))
+        for stage in once:
+            assert not any(np.shares_memory(x, y) for x in (stage.first, stage.second,
+                                                          stage.first_wins) for y in draw)
+            assert stage.first_wins.flags.writeable
+        assert all(np.array_equal(a, b) for a, b in zip(draw, held))
+        if parts == 1:
+            assert once[0].same_data(sample_without_replacement(pi, law, p, 3))
 
-    def test_a_gathered_stage_decodes_into_its_own_cells(self):
-        # a stage of several gathers its cells, and its second is written over them
-        n = 300
-        pi, law = random_permutation(n, np.random.default_rng(4)), star_matrix(n, 0.2)
-        cells, won = model._draw_pairs(pi, law, 1.0, 3)
-        for stage, cells_of in zip(StageSource.without_replacement(n, cells, won, 1.0, 3, 5, 6),
-                                   sorted_split_without_replacement(
-                                       sample_without_replacement(pi, law, 1.0, 3), 3, 5)):
-            assert stage.same_data(cells_of) and _narrow(stage)
-            assert stage.second.base is not None and stage.second.base.dtype == np.uint32
+    @pytest.mark.parametrize("n, dtype", [(257, np.uint8), (258, np.uint16)])
+    def test_column_offsets_at_the_width_of_n(self, n, dtype):
+        # the pair (1, n) has the largest column offset, n - 2: 255 fits a uint8, 256 does not
+        pi, law = random_permutation(n, np.random.default_rng(5)), star_matrix(n, 0.2)
+        draw = model._draw_pairs(pi, law, 1.0, 7)
+        assert draw[1].dtype == dtype and draw[1].max() == n - 2 and len(draw[1]) == math.comb(n, 2)
+        cells, won = cells_draw_pairs(pi, law, 1.0, 7)
+        for parts in (1, 3):
+            stages = list(StageSource.without_replacement(n, draw, 1.0, parts, 5, 6))
+            assert all(map(_identical, stages, cells_stages(n, cells, won, 1.0, parts, 5, 6)))
+            assert sum(((s.first == 1) & (s.second == n)).sum() for s in stages) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=hst.integers(1, 40), seed=hst.integers(0, 2**32 - 1), p=hst.floats(1e-12, 1.0),
+       parts=hst.sampled_from([1, 3, 257]), chunk=hst.sampled_from([4, 1000, 1 << 16]),
+       pi_kind=hst.sampled_from(["identity", "random"]))
+@example(n=40, seed=0, p=1.0, parts=257, chunk=4, pi_kind="random")
+def test_held_draw_stages_match_the_cells_draw(n, seed, p, parts, chunk, pi_kind):
+    """Every stage of the held draw (pairs per row, column offsets, packed bits) equals the
+    former cells draw's and its stage split's, arrays, seeds and counts; blocks of 4 and 1000
+    pairs start the bits mid-byte and rows mid-block."""
+    pi = random_permutation(n, np.random.default_rng(seed)) if pi_kind == "random" else (
+        Permutation.identity(n))
+    law = star_matrix(n, 0.2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_WIN_CHUNK", chunk)
+        source = StageSource.without_replacement(n, model._draw_pairs(pi, law, p, seed), p,
+                                                 parts, seed + 1, seed + 2)
+        stages = list(source)
+        expected = cells_stages(n, *cells_draw_pairs(pi, law, p, seed), p, parts, seed + 1,
+                                seed + 2)
+    assert len(stages) == parts and all(map(_identical, stages, expected))
+    assert source.counts == tuple(s.num_pairs for s in expected)
 
 
 class TestDeterminismAndEquivalence:
@@ -1018,6 +1053,22 @@ class TestMergeAndIO:
         finally:
             tracemalloc.stop()
         assert back.same_data(d) and peak / (2 * d.num_pairs) <= 40
+
+    def test_without_replacement_reader_peak_memory_per_line(self, tmp_path):
+        # every count is 1 and every win 0 or 1, checked before the rows are oriented, so the
+        # columns beside the int32 rows are int32 items and bool wins, with no count column:
+        # 26.4 B per line traced, 33.4 with int32 counts and wins carried through the sort
+        d = sample_without_replacement(Permutation.identity(2000), star_matrix(2000, 0.25), 0.2, 1)
+        path = tmp_path / "data.txt"
+        write_dataset(d, path)
+        read_dataset(path)  # numpy imports some modules on first use
+        tracemalloc.start()
+        try:
+            back = read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _identical(back, d) and peak / (2 * d.num_pairs) <= 29
 
     @pytest.mark.parametrize("at", [1, 3, 4, 5, 8])
     def test_dataset_checks_reach_every_block(self, monkeypatch, at):
