@@ -30,7 +30,6 @@ from .estimators import (
     estimate_lambda,
     ms_sort,
     sieve_mle,
-    theoretical_phi,
 )
 from .experiments import (
     ExperimentSpec,

@@ -76,6 +76,8 @@ def _budget(args) -> tuple[str, float]:
 
 
 def _cmd_simulate(args) -> int:
+    if args.n < 1:  # read_dataset refuses such a file
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     kind, budget = _budget(args)
     matrix = star_matrix(args.n, args.lam)
     records = largest_draw(args.n, kind, budget, 1, False)
@@ -119,6 +121,8 @@ def _cmd_run_ms(generate_only: list[argparse.Action], args) -> int:
         args = argparse.Namespace(**{"model": "with", "seed": 0, "lam": 0.25, "pi_star": None,
                                      **vars(args)})
         kind, budget = _budget(args)
+        if kind == WITHOUT_REPLACEMENT and args.lambda_hat is None:
+            raise ValueError("without-replacement runs need an explicit margin (--lambda-hat)")
         check_memory(f"run-ms n={args.n}", args.n, {kind: largest_draw(
             args.n, kind, budget, args.stages, args.lambda_hat is None)})
         samples, lam_hat = draw_stages(_load_pi_star(args.pi_star, args.n),
@@ -196,8 +200,6 @@ _EXPERIMENT_DEFAULTS: dict[str, dict] = {
                       sampling=(WITHOUT_REPLACEMENT,)),
 }
 
-_PAPER_SCALE_GRID = (1000, 2000, 4000, 7000, 10000)
-
 
 def _margin(text: str) -> float | None:
     return None if text == "none" else float(text)
@@ -207,7 +209,7 @@ def _setting_flags(parser: argparse.ArgumentParser) -> dict[str, argparse.Action
     """The experiment parser's settings by dest, which are also a config file's keys: the
     ExperimentSpec fields but ``kind``, and the output files."""
     return {a.dest: a for a in parser._actions
-            if a.option_strings and a.dest not in ("help", "config", "paper_scale")}
+            if a.option_strings and a.dest not in ("help", "config")}
 
 
 def _read_config(parser: argparse.ArgumentParser, which: str, path: str) -> argparse.Namespace:
@@ -250,8 +252,6 @@ def _cmd_experiment(parser: argparse.ArgumentParser, args) -> int:
     if "config" in args:
         _layer(settings, parser, _read_config(parser, args.which, args.config))
     _layer(settings, parser, args)
-    if "paper_scale" in args:
-        settings["n_values"] = _PAPER_SCALE_GRID
     out = settings.pop("out", None) or "results.csv"
     summary_out = settings.pop("summary_out", None)
     timings_out = settings.pop("timings_out", None)
@@ -357,8 +357,6 @@ def build_parser() -> _Parser:
     p_ex.add_argument("--threshold-scale", dest="threshold_scale", type=float)
     p_ex.add_argument("--workers", type=int)
     p_ex.add_argument("--pi-star", dest="pi_star", choices=("identity", "random"))
-    p_ex.add_argument("--paper-scale", action="store_true",
-                      help="use the full-size n grid instead of the desk-scale default")
     p_ex.add_argument("--out", help="results CSV (default results.csv)")
     p_ex.add_argument("--summary-out", dest="summary_out")
     p_ex.add_argument("--timings-out", dest="timings_out")

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .counting import PackingSet
 from .errors import SizeMismatchError
-from .model import WITH_REPLACEMENT, WITHOUT_REPLACEMENT, ComparisonDataset, StageSource
+from .model import WITH_REPLACEMENT, ComparisonDataset, StageSource
 from .perms import Permutation, enumerate_maps
 
 LAMBDA_CLAMP = 1e-6
@@ -33,8 +34,6 @@ LAMBDA_CLAMP = 1e-6
 # actually resolve pairs.
 CALIBRATED_THRESHOLD_SCALE = 0.125
 
-# Records per block of the win-sum kernel _win_sums (its sums are of whole numbers: exact)
-_RECORD_CHUNK = 1 << 16
 # Candidates per numpy pass of the maximizers: memory stays a few (chunk x C(n,2)) arrays
 _CANDIDATE_CHUNK = 4096
 
@@ -52,9 +51,9 @@ def _win_sums(sample: ComparisonDataset, held: list[tuple[np.ndarray, np.ndarray
     """Add each item's wins in ``sample`` against its open set into ``sums``, and against
     every item into ``pooled`` if given (n + 1 long, by item).  j is open for i iff
     |fl(score[j] - score[i])| <= limit[i] for each (score, limit) in ``held``.  Records
-    are read in place, _RECORD_CHUNK at a time; the sums are of whole numbers: exact."""
-    for lo in range(0, sample.num_pairs, _RECORD_CHUNK):
-        fi, se, num, fw = (a[lo: lo + _RECORD_CHUNK] for a in (
+    are read in place, model._WIN_CHUNK at a time; the sums are of whole numbers: exact."""
+    for lo in range(0, sample.num_pairs, model._WIN_CHUNK):
+        fi, se, num, fw = (a[lo: lo + model._WIN_CHUNK] for a in (
             sample.first, sample.second, sample.num, sample.first_wins))
         fi, se = fi.astype(np.intp), se.astype(np.intp)  # int32 indices gather slowly
         open_fi = open_se = True  # whether each record is open for its fi's, se's row
@@ -113,8 +112,8 @@ def estimate_lambda(halves: StageSource | Iterable[ComparisonDataset]) -> float:
         if ranks is None:
             ranks, second = borda_sort([second]).to_array(), None
     gap, win_sum, ranks = n // 2, 0, np.concatenate(([0], ranks))  # by item, 1-based
-    for lo in range(0, second.num_pairs, _RECORD_CHUNK):  # integer sums: blocks are exact
-        fi, se, num, fw = (a[lo: lo + _RECORD_CHUNK] for a in (
+    for lo in range(0, second.num_pairs, model._WIN_CHUNK):  # integer sums: blocks are exact
+        fi, se, num, fw = (a[lo: lo + model._WIN_CHUNK] for a in (
             second.first, second.second, second.num, second.first_wins))
         d = ranks[fi.astype(np.intp)] - ranks[se.astype(np.intp)]
         win_sum += int(fw[d > gap].sum()) + int((num - fw)[-d > gap].sum())
@@ -356,16 +355,3 @@ def sieve_mle(samples: StageSource | Iterable[ComparisonDataset], net: PackingSe
     if not net.members:
         raise ValueError("empty net")
     return Permutation(_best_candidate(samples, (pi.map for pi in net.members))[0])
-
-
-def theoretical_phi(kind: str, n: int, budget: float, lam: float) -> float:
-    """Net radius for the sieve estimator: n/(p lam^2) or n^3/(N lam^2)."""
-    if not 0 < lam < 0.5:
-        raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    if kind == WITH_REPLACEMENT:
-        return n ** 3 / (budget * lam ** 2)
-    if kind == WITHOUT_REPLACEMENT:
-        return n / (budget * lam ** 2)
-    raise ValueError(f"unknown sampling kind {kind!r}")

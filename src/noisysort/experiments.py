@@ -22,10 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .counting import PackingSet, greedy_maximal_packing, max_inversions
+from .counting import PackingSet, greedy_maximal_packing
 from .errors import ResourceCapError
 from .estimators import (
-    _RECORD_CHUNK,
     CALIBRATED_THRESHOLD_SCALE,
     MsConfig,
     MsState,
@@ -35,13 +34,13 @@ from .estimators import (
     estimate_lambda,
     ms_sort,
     sieve_mle,
-    theoretical_phi,
 )
 from .model import (
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
     ProbabilityMatrix,
     StageSource,
+    _WIN_CHUNK,
     _col_dtype,
     _draw_pairs,
     derive_seed,
@@ -56,6 +55,7 @@ from .perms import (
     linf_distance,
     random_permutation,
 )
+from .theory import rate_curve
 
 EXPERIMENT_KINDS = (
     "scaling_n", "scaling_budget", "region_snapshot", "lambda_accuracy", "mle_small_n",
@@ -64,7 +64,7 @@ ESTIMATOR_IDS = ("ms", "borda", "random", "mle", "sieve")
 RESULT_COLUMNS = ("kind", "n", "sampling", "budget", "lam", "seed", "estimator",
                   "d_kt", "l1", "linf")
 WORKERS_ENV_VAR = "NOISYSORT_WORKERS"
-# Peak bytes per record of a run's largest draw, per record of its first _RECORD_CHUNK (the
+# Peak bytes per record of a run's largest draw, per record of its first _WIN_CHUNK (the
 # block temporaries) and per item: the largest tracemalloc peaks, rounded up, of one ms +
 # borda + random replicate after a warm-up run (n = 50-20000, alpha = 0.01-1, T = 1-3, fixed
 # and estimated margins; the item bytes at N of a few hundred, n = 2*10^4-2*10^5).  A
@@ -276,7 +276,7 @@ def check_memory(what: str, n: int, records: dict[str, float], workers: int = 1)
     width = {WITHOUT_REPLACEMENT: _col_dtype(n).itemsize}
     need = workers * (n * _ITEM_BYTES + sum(
         count * (_RECORD_BYTES[kind] + width.get(kind, 0))
-        + min(count, _RECORD_CHUNK) * _BLOCK_BYTES.get(kind, 0)
+        + min(count, _WIN_CHUNK) * _BLOCK_BYTES.get(kind, 0)
         for kind, count in records.items()))
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > memory:
@@ -300,11 +300,9 @@ def draw_stages(
     across the stages; with no margin given, an extra N comparisons are drawn
     first, in two halves one after the other, and the margin is estimated from
     them.  Without replacement, ``budget`` is the per-pair probability p of one
-    draw whose pairs each get one uniform stage label, and a margin must be
-    given, since the estimator's contract covers with-replacement samples only.
+    draw whose pairs each get one uniform stage label, and the margin is the one
+    given, None if none (the estimator's contract covers with-replacement only).
     """
-    if sampling == WITHOUT_REPLACEMENT and lambda_hat is None:
-        raise ValueError("without-replacement runs need an explicit margin (lambda_hat)")
     if sampling == WITH_REPLACEMENT:
         total, master = int(budget), derive_seed(seed, 0)
         halves = [] if lambda_hat is not None else [total - total // 2, total // 2]
@@ -322,17 +320,18 @@ def draw_stages(
     raise ValueError(f"unknown sampling model {sampling!r}")
 
 
-def _sieve_net(n: int, phi: float, seed: int) -> PackingSet:
-    """Greedy packing of S_n at radius phi (clipped to [1, max inversions]),
-    relabelled by a random rho drawn from ``seed``.
+def _sieve_net(n: int, sampling: str, budget: float, lam: float, seed: int) -> PackingSet:
+    """Greedy packing of S_n at radius rate_curve's minimax rate (capped at n(n-1)/2), at
+    least 1, relabelled by a random rho drawn from the replicate's ``seed``.
 
     The greedy scan keeps the identity first, so without the relabelling a
     one-member net would be {identity} whatever the data.  Left
     multiplication preserves Kendall distances, so the result is still a
     maximal packing at the same radius.
     """
-    radius = int(min(max(phi, 1), max_inversions(n)))
-    rho = random_permutation(n, np.random.default_rng(seed))
+    kind = "minimax_o2" if sampling == WITH_REPLACEMENT else "minimax_o1"
+    radius = int(max(rate_curve(kind, n, budget, lam), 1))
+    rho = random_permutation(n, np.random.default_rng(derive_seed(seed, 10)))
     net = greedy_maximal_packing(n, radius)
     return PackingSet(n, radius, tuple(compose(rho, pi) for pi in net.members))
 
@@ -355,11 +354,8 @@ def _run_cell_replicate(
     if "random" not in estimators:
         estimators.append("random")  # sanity-floor control always present
 
-    margin = spec.lambda_hat
-    if margin is None and sampling == WITHOUT_REPLACEMENT:
-        margin = spec.lam  # never read: the spec keeps ms, its one reader, off this cell
     # one draw per replicate, listed only for mle and sieve, which run at tiny n
-    source, lam_hat = draw_stages(pi_star, matrix, sampling, budget, stages, seed, margin)
+    source, lam_hat = draw_stages(pi_star, matrix, sampling, budget, stages, seed, spec.lambda_hat)
     if {"mle", "sieve"} & set(estimators):
         source = StageSource.of(list(source))
     wins = np.zeros(n) if {"ms", "borda"} <= set(estimators) else None
@@ -376,8 +372,7 @@ def _run_cell_replicate(
         elif estimator == "mle":
             pi_hat = brute_force_mle(source)
         elif estimator == "sieve":
-            phi = theoretical_phi(sampling, n, budget, spec.lam)
-            pi_hat = sieve_mle(source, _sieve_net(n, phi, derive_seed(seed, 10)))
+            pi_hat = sieve_mle(source, _sieve_net(n, sampling, budget, spec.lam, seed))
         else:  # pragma: no cover - spec validation rejects unknown ids
             raise ValueError(f"unknown estimator {estimator!r}")
         elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -187,23 +187,26 @@ def _row_starts(n: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(np.arange(n - 1, -1, -1, dtype=np.int64))))
 
 
-def _pair_items(n: int, cells: np.ndarray,
-                second: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(first, second), in _item_dtype(n), of ascending pair cells (uint32 or int64) numbered
-    0..C(n,2)-1 in (first, second) order.  ``second`` is written _WIN_CHUNK cells at a time:
-    into a new array, or into a given one, which may be the cells' own memory, since each
-    block of cells is read before it is written.  The cells are not written otherwise."""
-    item, offsets = _item_dtype(n), _row_starts(n)
-    items = np.arange(1, n + 1, dtype=item)
-    first = np.repeat(items, np.diff(np.searchsorted(
-        cells, offsets.astype(cells.dtype))))  # in the cells' dtype: no record-sized cast
-    # row i's shift, by item, wrapped to the item width: a cell plus its shift fits it exactly
-    shift = np.concatenate(([0], items + 1 - offsets[:-1])).astype(item)
-    second = np.empty(len(cells), dtype=item) if second is None else second
+def _to_offsets(cells: np.ndarray, starts: np.ndarray, rows: np.ndarray) -> None:
+    """Turn ascending pair cells (0..C(n,2)-1, in (first, second) order) into their column
+    offsets second - first - 1, in place and _WIN_CHUNK at a time, adding their number per
+    first item into ``rows`` (by item, 0..n).  ``starts`` is _row_starts(n) in the cells'
+    dtype: a search or subtraction across dtypes would cast every cell."""
     for lo in range(0, len(cells), _WIN_CHUNK):
-        at = slice(lo, lo + _WIN_CHUNK)
-        np.add(shift.take(first[at]), cells[at], out=second[at], casting="unsafe")
-    return first, second
+        block = cells[lo: lo + _WIN_CHUNK]
+        a, b = np.searchsorted(starts, (block[0], block[-1]), side="right")
+        per_row = np.diff(np.searchsorted(block, starts[a - 1: b + 1]))
+        rows[a: b + 1] += per_row
+        block -= np.repeat(starts[a - 1: b], per_row)
+
+
+def _first(rows: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``first`` of pairs in (first, second) order, numbered ``rows`` per first item (by item
+    0..n); ``second`` holds their column offsets in _item_dtype(n) and becomes their second."""
+    first = np.repeat(np.arange(len(rows), dtype=second.dtype), rows)
+    second += first
+    second += 1
+    return first
 
 
 def _col_dtype(n: int) -> np.dtype:
@@ -252,12 +255,9 @@ def _draw_pairs(pi_star: Permutation, matrix: ProbabilityMatrix, p: float,
             steps = np.cumsum(np.minimum(gaps, num_cells + 1, out=gaps), out=gaps)
             steps += last
             last, kept = int(steps[-1]), int(np.searchsorted(steps, num_cells))
-            if kept:  # the kept cells' rows a..b, their count in each, and their columns
-                a, b = np.searchsorted(starts, (steps[0], steps[kept - 1]), side="right")
-                per_row = np.diff(np.searchsorted(steps[:kept], starts[a - 1: b + 1]))
-                rows[a: b + 1] += per_row
-                cols[count: count + kept] = steps[:kept] - np.repeat(starts[a - 1: b], per_row)
-                count += kept
+            _to_offsets(steps[:kept], starts, rows)
+            cols[count: count + kept] = steps[:kept]
+            count += kept
         rounds.append(cols[:count])
     cols = rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
     ends, ranks = np.cumsum(rows), np.concatenate(([0], pi_star.to_array()))  # ranks by item
@@ -274,13 +274,9 @@ def _draw_pairs(pi_star: Permutation, matrix: ProbabilityMatrix, p: float,
 
 def _decode(n: int, rows: np.ndarray, second: np.ndarray, won: np.ndarray, p: float,
             seed: int) -> ComparisonDataset:
-    """The without-replacement dataset of pairs in (first, second) order, given by their number
-    per first item (``rows``, by item 0..n), their column offsets, in an array of
-    _item_dtype(n) that becomes their ``second``, and their first-won bits (bool), which it
-    keeps."""
-    first = np.repeat(np.arange(n + 1, dtype=second.dtype), rows)
-    second += first
-    second += 1
+    """The without-replacement dataset of the pairs that _first's ``rows`` and ``second``
+    give, and their first-won bits (bool), which it keeps."""
+    first = _first(rows, second)
     return ComparisonDataset(
         n=n, first=first, second=second, num=np.broadcast_to(np.int64(1), len(second)),
         first_wins=won, tag=SamplingTag(WITHOUT_REPLACEMENT, p), seed=seed,
@@ -402,8 +398,12 @@ def sample_with_replacement(
         done, start = done + len(starts), starts[-1] if len(starts) else start
     counts[-1] = total - start
     del new
-    first, second = _pair_items(n, cells, cells.view(np.int32) if num_cells < 2**32 else None)
-    del cells  # now second's memory where it was uint32
+    rows = np.zeros(n + 1, np.int64)
+    _to_offsets(cells, _row_starts(n).astype(cells.dtype), rows)
+    # uint32 offsets below n are their own int32 values: second is made over them
+    second = cells.view(np.int32) if num_cells < 2**32 else cells.astype(_item_dtype(n))
+    del cells
+    first = _first(rows, second)
     ranks = np.concatenate(([0], pi_star.to_array()))  # by item, 1-based
     wins, star = np.empty(len(first), dtype=counts.dtype), matrix.entries.ndim == 1
     if star:

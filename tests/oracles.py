@@ -28,7 +28,7 @@ from noisysort.model import (
     _DECIMAL,
     _int64,
     _item_dtype,
-    _pair_items,
+    _row_starts,
     derive_seed,
 )
 from noisysort.perms import Permutation, kendall_tau
@@ -464,8 +464,25 @@ def row_sample_without_replacement(pi_star, matrix, p, seed):
     )
 
 
+def _pair_items(n, cells):
+    """The former library decoder, kept as the reference of model._to_offsets and
+    model._first: (first, second), in _item_dtype(n), of ascending pair cells (uint32 or
+    int64) numbered 0..C(n,2)-1 in (first, second) order, second as each cell plus its
+    row's shift, model._WIN_CHUNK cells at a time.  The cells are not written."""
+    item, offsets = _item_dtype(n), _row_starts(n)
+    items = np.arange(1, n + 1, dtype=item)
+    first = np.repeat(items, np.diff(np.searchsorted(cells, offsets.astype(cells.dtype))))
+    # row i's shift, by item, wrapped to the item width: a cell plus its shift fits it exactly
+    shift = np.concatenate(([0], items + 1 - offsets[:-1])).astype(item)
+    second = np.empty(len(cells), dtype=item)
+    for lo in range(0, len(cells), model._WIN_CHUNK):
+        at = slice(lo, lo + model._WIN_CHUNK)
+        np.add(shift.take(first[at]), cells[at], out=second[at], casting="unsafe")
+    return first, second
+
+
 def pair_cells(n, first, second):
-    """The pair cells of (first, second): the inverse of model._pair_items, in int64."""
+    """The pair cells of (first, second): the inverse of _pair_items, in int64."""
     first, second = np.asarray(first, dtype=np.int64), np.asarray(second, dtype=np.int64)
     rows_before = first - 1  # they hold (n - 1) + ... + (n - rows_before) cells
     return rows_before * (2 * n - 1 - rows_before) // 2 + second - first - 1

@@ -5,14 +5,22 @@ import os
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from noisysort import cli
 from noisysort.cli import _setting_flags, build_parser, main
-from noisysort.experiments import ExperimentSpec
+from noisysort.estimators import CALIBRATED_THRESHOLD_SCALE, MsConfig, ms_sort
+from noisysort.experiments import ExperimentSpec, draw_stages
 from noisysort.counting import count_at_most_k_inversions
-from noisysort.model import read_dataset
-from noisysort.perms import Permutation
+from noisysort.model import (
+    WITH_REPLACEMENT,
+    read_dataset,
+    sample_with_replacement,
+    star_matrix,
+    write_dataset,
+)
+from noisysort.perms import Permutation, random_permutation
 
 from oracles import BAD_HEADER_FILES, BAD_LINE_FILES, BAD_N_FILES, DISAGREEING_RECORDS
 
@@ -44,6 +52,23 @@ class TestSmallCommands:
         value = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[-1])
         assert abs(value - 0.5 * math.log(3)) < 1e-12
 
+    @pytest.mark.parametrize("model, budget", [("with", "30"), ("without", "0.5")])
+    def test_theory_model_kl_via_permutation_files(self, tmp_path, capsys, model, budget):
+        # the files' orders differ in d_KT = 2 pairs: the --d-kt row for 2, and a file
+        # of another n is a usage error
+        files = {}
+        for name, line in (("pi", "1 2 3 4 5 6"), ("sigma", "2 1 3 4 6 5"), ("short", "2 1 3")):
+            files[name] = tmp_path / f"{name}.txt"
+            files[name].write_text(line + "\n")
+        common = ["theory", "--op", "kl", "--model", model, "--n", "6", "--budget", budget,
+                  "--lambda", "0.25"]
+        assert main([*common, "--pi", str(files["pi"]), "--sigma", str(files["sigma"])]) == 0
+        via_files = capsys.readouterr().out
+        assert main([*common, "--d-kt", "2"]) == 0
+        assert via_files == capsys.readouterr().out and float(via_files.split(",")[-1]) > 0
+        assert main([*common, "--pi", str(files["pi"]), "--sigma", str(files["short"])]) == 1
+        assert "permutation sizes disagree with n" in capsys.readouterr().err
+
     def test_theory_tail(self, capsys):
         code = main(["theory", "--op", "tail", "--n-draws", "1000",
                      "--p", "0.5", "--r", "0.4", "--s", "0.6"])
@@ -73,6 +98,56 @@ class TestSimulateAndRunMs:
                      "--budget", "0.5", "--seed", "3", "--out", str(out)])
         assert code == 0
         assert read_dataset(out).tag.budget == 0.5
+
+    @pytest.mark.parametrize("model, n", [("with", "0"), ("without", "0"), ("without", "-3")])
+    def test_simulate_refuses_n_below_one(self, tmp_path, capsys, model, n):
+        # read_dataset refuses a header n below 1, so no such file is written
+        out = tmp_path / "data.txt"
+        budget = "10" if model == "with" else "0.5"
+        assert main(["simulate", "--n", n, "--lambda", "0.25", "--model", model,
+                     "--budget", budget, "--seed", "0", "--out", str(out)]) == 1
+        assert f"--n must be >= 1, got {n}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "run-ms"])
+    def test_pi_star_file_sets_the_latent_order(self, tmp_path, capsys, command):
+        # the output is the library's under the file's order, not the default identity's;
+        # a file of another n is a usage error that writes nothing
+        pi = random_permutation(12, np.random.default_rng(5))
+        path = tmp_path / "pi_star.txt"
+        path.write_text(pi.to_line() + "\n")
+        args = ["simulate", "--lambda", "0.25", "--model", "with", "--budget", "500",
+                "--seed", "3"] if command == "simulate" else [
+                "run-ms", "--generate", "--budget", "500", "--seed", "3", "--T", "2",
+                "--lambda-hat", "0.25"]
+        outs = {name: tmp_path / f"{name}.txt" for name in ("file", "default", "want", "bad")}
+        assert main([*args, "--n", "12", "--pi-star", str(path), "--out", str(outs["file"])]) == 0
+        assert main([*args, "--n", "12", "--out", str(outs["default"])]) == 0
+        law = star_matrix(12, 0.25)
+        if command == "simulate":
+            write_dataset(sample_with_replacement(pi, law, 500, 3), outs["want"])
+        else:
+            config = MsConfig(stages=2, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+            pi_hat = ms_sort(*draw_stages(pi, law, WITH_REPLACEMENT, 500, 2, 3, 0.25), config)[0]
+            outs["want"].write_text(pi_hat.to_line() + "\n")
+        assert outs["file"].read_bytes() == outs["want"].read_bytes()
+        assert outs["file"].read_bytes() != outs["default"].read_bytes()
+        capsys.readouterr()
+        assert main([*args, "--n", "13", "--pi-star", str(path), "--out", str(outs["bad"])]) == 1
+        assert "pi-star file has n=12, expected 13" in capsys.readouterr().err
+        assert not outs["bad"].exists()
+
+    def test_run_ms_refuses_a_missing_margin_before_the_draw(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # without replacement the margin is not estimated: no --lambda-hat is refused before
+        # the memory rule and the draw
+        monkeypatch.setattr(cli, "check_memory", lambda *a: pytest.fail("checked memory"))
+        monkeypatch.setattr(cli, "draw_stages", lambda *a: pytest.fail("drew"))
+        out = tmp_path / "p.txt"
+        assert main(["run-ms", "--generate", "--n", "50", "--model", "without", "--budget",
+                     "0.5", "--T", "2", "--out", str(out)]) == 1
+        assert "explicit margin (--lambda-hat)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_ms_generate(self, tmp_path):
         out = tmp_path / "perm.txt"
@@ -516,6 +591,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "cell n=30, absolute=inf, with_replacement: the budget is not a finite" in err
         assert "Traceback" not in err and not out.exists()
+
+    def test_paper_scale_is_gone(self, tmp_path, capsys):
+        # it overrode --n-values; the grid it named is --n-values 1000 2000 4000 7000 10000
+        out = tmp_path / "out.csv"
+        assert main(["experiment", "scaling-n", "--n-values", "500", "--paper-scale",
+                     "--out", str(out)]) == 1
+        assert "unrecognized arguments: --paper-scale" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_count_caps_are_gone(self, tmp_path, capsys):
         # the memory rule replaced the max_n / max_budget caps

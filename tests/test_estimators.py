@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from noisysort import estimators
+from noisysort import estimators, model
 from noisysort.counting import greedy_maximal_packing, PackingSet
 from noisysort.errors import ResourceCapError, SizeMismatchError
 from noisysort.estimators import (
@@ -22,7 +22,6 @@ from noisysort.estimators import (
     initial_ms_state,
     ms_sort,
     sieve_mle,
-    theoretical_phi,
 )
 from noisysort.model import (
     WITH_REPLACEMENT,
@@ -155,13 +154,13 @@ class TestEstimateLambda:
                                         star_matrix(n, lam), [1500, 1500], seed)
         expected = whole_estimate_lambda(*halves)
         assert LAMBDA_CLAMP < expected < 0.5 - LAMBDA_CLAMP
-        monkeypatch.setattr(estimators, "_RECORD_CHUNK", chunk)
+        monkeypatch.setattr(model, "_WIN_CHUNK", chunk)
         assert estimate_lambda(halves) == expected
 
     def test_second_half_is_read_in_place(self, monkeypatch):
         # no record-sized temporary: the traced peak stays under one int64 array
         # over the second half's records (about four of them before blocking)
-        monkeypatch.setattr(estimators, "_RECORD_CHUNK", 512)
+        monkeypatch.setattr(model, "_WIN_CHUNK", 512)
         halves = split_with_replacement(random_permutation(400, np.random.default_rng(4)),
                                         star_matrix(400, 0.25), [100_000, 100_000], 4)
         expected = whole_estimate_lambda(*halves)
@@ -453,7 +452,7 @@ class TestDenseReference:
         # pooled totals, added into what the vector holds, are every item's wins
         # over all stages and leave the permutation and the states as they were
         samples = make()
-        monkeypatch.setattr(estimators, "_RECORD_CHUNK", chunk)
+        monkeypatch.setattr(model, "_WIN_CHUNK", chunk)
         pi_hat, states = ms_sort(samples, lam, config)
         start = np.arange(samples[0].n, dtype=np.float64)
         totals = start.copy()
@@ -472,7 +471,7 @@ class TestDenseReference:
     def test_scores_read_the_stage_records_in_place(self, monkeypatch):
         # no record-sized copy or temporary: the traced peak stays under one int64
         # array over a stage's records, with gates fired and two stages held
-        monkeypatch.setattr(estimators, "_RECORD_CHUNK", 512)
+        monkeypatch.setattr(model, "_WIN_CHUNK", 512)
         n, stages = 400, 3
         samples = _with_replacement_case(n, 0.45, 3 * 100_000, stages, 3)
         config = MsConfig(stages=stages, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
@@ -490,7 +489,7 @@ class TestDenseReference:
     def test_borda_reads_the_stage_records_in_place(self, monkeypatch):
         # borda runs ms_sort's kernel with nothing held: the same bound, with no
         # per-stage copy of the item indices or float copy of the win counts
-        monkeypatch.setattr(estimators, "_RECORD_CHUNK", 512)
+        monkeypatch.setattr(model, "_WIN_CHUNK", 512)
         samples = _with_replacement_case(400, 0.45, 3 * 100_000, 3, 3)
         borda_sort(samples)
         tracemalloc.start()
@@ -729,24 +728,10 @@ def test_stage_sample_estimators_match_pooled_oracles(n, with_r, stages, total, 
     members = list(greedy_maximal_packing(n, radius).members)
     rng.shuffle(members)
     net = PackingSet(n=n, epsilon=radius, members=tuple(members))
-    with mock.patch.object(estimators, "_RECORD_CHUNK", chunk):
+    with mock.patch.object(model, "_WIN_CHUNK", chunk):
         assert borda_sort(samples) == _borda_oracle(merged)
     with mock.patch.object(estimators, "_CANDIDATE_CHUNK", chunk):
         assert brute_force_mle(samples) == loop_mle(merged, enumerate_permutations(n))
         assert sieve_mle(samples, net) == loop_mle(merged, net.members)
     for pi in members[:5]:
         assert sum(mle_objective(s, pi) for s in samples) == loop_mle_objective(merged, pi)
-
-
-class TestTheoreticalPhi:
-    def test_with_replacement_example(self):
-        assert theoretical_phi(WITH_REPLACEMENT, 10, 1000, 0.25) == pytest.approx(16.0)
-
-    def test_full_observation_without(self):
-        lam = 0.4
-        assert theoretical_phi(WITHOUT_REPLACEMENT, 50, 1.0, lam) == pytest.approx(50 / lam**2)
-
-    def test_monotone_in_budget_and_margin(self):
-        a = theoretical_phi(WITH_REPLACEMENT, 100, 1000, 0.25)
-        assert theoretical_phi(WITH_REPLACEMENT, 100, 2000, 0.25) < a
-        assert theoretical_phi(WITH_REPLACEMENT, 100, 1000, 0.3) < a

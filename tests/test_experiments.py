@@ -197,7 +197,7 @@ def rule_bytes(sampling, records, n):
     item."""
     width = model._col_dtype(n).itemsize if sampling == WITHOUT_REPLACEMENT else 0
     return (records * (experiments._RECORD_BYTES[sampling] + width) + n * experiments._ITEM_BYTES
-            + min(records, experiments._RECORD_CHUNK) * experiments._BLOCK_BYTES[sampling])
+            + min(records, model._WIN_CHUNK) * experiments._BLOCK_BYTES[sampling])
 
 
 def traced_peak(run):
@@ -234,7 +234,7 @@ class TestMemoryRule:
         (0.3, 6000, 2000), (None, 6000, 3000), (0.3, 300_000, 100_000), (None, 300_000, 150_000)])
     def test_estimate_is_the_largest_draw(self, monkeypatch, lambda_hat, budget, records):
         # N comparisons: three stages of N/3, or margin halves of N/2 first; the block
-        # term counts the records of one _RECORD_CHUNK block at most
+        # term counts the records of one _WIN_CHUNK block at most
         need = rule_bytes(WITH_REPLACEMENT, records, 50)
         fields = dict(n_values=(50,), alphas=None, budgets=(budget,), stages=3,
                       lambda_hat=lambda_hat)
@@ -376,11 +376,15 @@ class TestRunExperiment:
 
 
 class TestSieveNet:
-    @pytest.mark.parametrize("n,phi", [(4, 1.0), (5, 3.0), (5, 0.2), (6, 500.0)])
-    def test_relabelled_net_is_a_maximal_packing(self, n, phi):
-        plain = greedy_maximal_packing(n, max(1, min(int(phi), n * (n - 1) // 2)))
+    # the radius is the minimax rate n^3/(N lam^2) or n/(p lam^2) at lam = 1/4, at least
+    # 1 and at most the n(n-1)/2 inversions: 1.0, 3.2, 0.2 and 9600
+    @pytest.mark.parametrize("n, sampling, budget, radius", [
+        (4, WITH_REPLACEMENT, 1024, 1), (5, WITH_REPLACEMENT, 625, 3),
+        (5, WITH_REPLACEMENT, 10_000, 1), (6, WITHOUT_REPLACEMENT, 0.01, 15)])
+    def test_relabelled_net_is_a_maximal_packing(self, n, sampling, budget, radius):
+        plain = greedy_maximal_packing(n, radius)
         for seed in range(3):
-            net = experiments._sieve_net(n, phi, seed)
+            net = experiments._sieve_net(n, sampling, budget, 0.25, seed)
             assert net.epsilon == plain.epsilon and len(net) == len(plain)
             members = net.members
             assert len(set(members)) == len(members)
@@ -390,7 +394,8 @@ class TestSieveNet:
                        for pi in enumerate_permutations(n))
 
     def test_one_member_net_is_not_always_the_identity(self):
-        centres = {experiments._sieve_net(6, 500.0, seed).members for seed in range(10)}
+        centres = {experiments._sieve_net(6, WITHOUT_REPLACEMENT, 0.01, 0.25, seed).members
+                   for seed in range(10)}
         assert len(centres) > 1
         assert all(len(c) == 1 for c in centres)
         assert centres != {(Permutation.identity(6),)}
@@ -545,11 +550,14 @@ class TestWithoutStream:
                                       estimators=estimators, sampling=(WITHOUT_REPLACEMENT,)))
         assert len(alive) == 3 * 5
 
-    def test_a_missing_margin_is_refused_before_the_draw(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_draw_pairs", lambda *args: pytest.fail("drew"))
-        with pytest.raises(ValueError, match="explicit margin"):
-            draw_stages(Permutation.identity(20), star_matrix(20, 0.3), WITHOUT_REPLACEMENT,
-                        0.5, 2, 0)
+    def test_a_missing_margin_passes_through_to_ms(self):
+        # only with replacement is the margin estimated: without, no margin stays None,
+        # which ms_sort refuses (run-ms refuses it before the draw: see test_cli)
+        source, lam_hat = draw_stages(Permutation.identity(20), star_matrix(20, 0.3),
+                                      WITHOUT_REPLACEMENT, 0.5, 2, 0)
+        assert lam_hat is None and len(source.counts) == 2
+        with pytest.raises(ValueError, match="need an estimated margin"):
+            ms_sort(source, lam_hat, MsConfig(stages=2))
 
     @staticmethod
     def _dense_pipeline_peak(n):

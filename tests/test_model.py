@@ -38,6 +38,7 @@ from oracles import (
     BAD_N_FILES,
     DISAGREEING_RECORDS,
     MemberLaw,
+    _pair_items,
     cells_draw_pairs,
     cells_stages,
     counts_dense,
@@ -443,7 +444,9 @@ class TestWithReplacement:
 
 # sha256 of first/second/num/first_wins as int64 bytes: (n, lam, pi_star, total, seed) -> digest.
 # counts pass the replay table at n <= 3 (into numpy's large-count binomial) and at
-# n = 40, N = 20000; lam 0.2 and 0.3 give the two sides of the star law different tables
+# n = 40, N = 20000; lam 0.2 and 0.3 give the two sides of the star law different tables;
+# C(n,2) < 2**32 up to n = 92682, where the pair numbers are drawn and decoded as uint32,
+# and int64 above
 GOLDEN_DRAWS = {
     (2, 0.2, "identity", 5000, 1):
         "99ea07acad3b93fff053dd74cec37b632208b71d2bd769d5fa7769956848d9a6",
@@ -461,6 +464,10 @@ GOLDEN_DRAWS = {
         "12092cd8fa18250deb1678294b732524688d9bb98372290a157ef52d6da38e28",
     (2000, 0.2, "random", 100_000, 8):
         "8beff56e623a91bc0e8219b189a6d91194e94901e59d0c396c0a6c2a038d5d8d",
+    (92682, 0.25, "random", 20_000, 9):
+        "7da450182b9f6b9963d1380c0101813804c3ad7c57f339bd37af71fa9a4bc53d",
+    (92683, 0.25, "random", 20_000, 10):
+        "605282910ee8938242d84a3f889d5c9991403571e296764fe3a2e79766445fd7",
 }
 
 
@@ -639,28 +646,30 @@ class TestWithoutStream:
         next(iter(source))
         assert built == [derive_seed(derive_seed(6, 1), 0)]
 
-    @pytest.mark.parametrize("chunk", [2, 1 << 16])
+    @pytest.mark.parametrize("chunk", [4, 1000])
     @pytest.mark.parametrize("dtype", [np.int64, np.uint32])
     @pytest.mark.parametrize("n", [2, 3, 50])
-    def test_pair_items_of_any_ascending_cells(self, monkeypatch, n, dtype, chunk):
-        # runs that start and end mid-row, as the with-replacement draw's chunks do; it holds
-        # uint32 cells below 2**32, and they decode to int32 items, unwritten, or written
-        # over by second where it is given their memory
+    def test_offsets_of_any_ascending_cells(self, monkeypatch, n, dtype, chunk):
+        # runs that start and end mid-row and mid-block, as the samplers' blocks do: the cells
+        # become their column offsets in place, in their own dtype, and decode as the former
+        # decoder did; uint32 cells (the with-replacement draw's below C(n,2) = 2**32) decode
+        # to int32 items over their own memory, as the sampler does
         monkeypatch.setattr(model, "_WIN_CHUNK", chunk)
         rows, cols = np.triu_indices(n, 1)
         cells = np.flatnonzero(np.random.default_rng(n).random(len(rows)) < 0.4).astype(dtype)
         half = len(cells) // 2
         for part in (cells, cells[1:-1], cells[half: half + 3], cells[:0]):
-            held = part.copy()
-            first, second = model._pair_items(n, part)
-            assert np.array_equal(first, rows[part] + 1) and np.array_equal(second, cols[part] + 1)
+            expected = _pair_items(n, part)
+            assert np.array_equal(expected, (rows[part] + 1, cols[part] + 1))
+            offsets, per_row = part.copy(), np.zeros(n + 1, np.int64)
+            model._to_offsets(offsets, model._row_starts(n).astype(dtype), per_row)
+            assert offsets.dtype == dtype and np.array_equal(offsets, cols[part] - rows[part] - 1)
+            assert np.array_equal(per_row, np.bincount(rows[part] + 1, minlength=n + 1))
+            second = offsets.view(np.int32) if dtype == np.uint32 else offsets.astype(np.int32)
+            first = model._first(per_row, second)
             assert first.dtype == second.dtype == np.int32
-            assert part.dtype == dtype and np.array_equal(part, held)
-            if dtype == np.uint32:
-                into = part.copy()
-                first, second = model._pair_items(n, into, into.view(np.int32))
-                assert np.array_equal(first, rows[held] + 1)
-                assert np.array_equal(second, cols[held] + 1) and second.base is into
+            assert np.array_equal(first, expected[0]) and np.array_equal(second, expected[1])
+            assert dtype != np.uint32 or second.base is offsets
 
     @pytest.mark.parametrize("n", [92682, 92683])
     def test_pair_cells_past_two_to_the_31(self, n):
@@ -681,7 +690,7 @@ class TestWithoutStream:
     def test_pair_cells_invert_pair_items(self):
         n = 9
         cells = np.arange(math.comb(n, 2))
-        first, second = model._pair_items(n, cells)
+        first, second = _pair_items(n, cells)
         assert np.array_equal(pair_cells(n, first, second), cells)
 
     @pytest.mark.parametrize("chunk", [1000, 1 << 16])

@@ -134,6 +134,13 @@ class TestRateCurves:
         assert v2 == pytest.approx(2 * v1)
         assert v1 == pytest.approx(100 / lam**2)
 
+    def test_minimax_falls_with_budget_and_margin(self):
+        # the sieve estimator's net radius, below the cap of 4950
+        a = rate_curve("minimax_o2", 100, 100_000, 0.25)
+        assert a == pytest.approx(160.0)
+        assert rate_curve("minimax_o2", 100, 200_000, 0.25) < a
+        assert rate_curve("minimax_o2", 100, 100_000, 0.3) < a
+
     def test_cap_at_diameter(self):
         n = 50
         assert rate_curve("minimax_o2", n, 1e-12, 0.25) == n * (n - 1) / 2
