@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .counting import count_at_most_k_inversions, entropy_bounds
 from .errors import ResourceCapError
-from .estimators import CALIBRATED_THRESHOLD_SCALE, MsConfig, ms_sort
+from .estimators import MsConfig, ms_sort
 from .experiments import (
     DATASET_LINES,
     READ_LINES,
@@ -34,6 +34,7 @@ from .experiments import (
 from .model import (
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
+    _int64,
     read_dataset,
     sample_with_replacement,
     sample_without_replacement,
@@ -45,7 +46,7 @@ from .theory import (
     RATE_KINDS,
     bernoulli_kl,
     binomial_tail_bounds,
-    kl_per_discordant_pair,
+    kl_at_distance,
     model_kl,
     rate_curve,
 )
@@ -95,19 +96,20 @@ def _cmd_simulate(args) -> int:
 
 def _check_files(paths: list[str]) -> None:
     """Refuse dataset files that would not fit once read, before any is parsed: the largest
-    header n (read_dataset names a header that does not parse), at most one record line
-    per 8 bytes of each file held, and the largest file's read on top."""
+    header n, by the reader's rule (a header n it refuses counts as 1: read_dataset names
+    it), at most one record line per 8 bytes of each file held, and the largest file's
+    read on top."""
     n = 1
     for path in paths:
         with open(path, "rb") as f:
             head = next((line.split()[0] for line in f if line.strip()), b"")
-        n = max(n, int(head) if head.isdigit() else 1)
+        n = max(n, _int64(head.decode(errors="replace")) or 1)
     lines = [os.path.getsize(path) // 8 for path in paths]
     check_memory(f"run-ms n={n}", n, {DATASET_LINES: sum(lines), READ_LINES: max(lines)})
 
 
 def _cmd_run_ms(generate_only: list[argparse.Action], args) -> int:
-    config = MsConfig(stages=args.stages, c1=args.c1, threshold_scale=args.threshold_scale)
+    config = MsConfig(stages=args.stages)
     if args.infiles:
         if given := [a.option_strings[0] for a in generate_only if a.dest in args]:
             raise ValueError(f"{given[0]} is read only with --generate, not with --in")
@@ -165,9 +167,7 @@ def _cmd_theory(args) -> int:
             sigma = Permutation.from_line(Path(args.sigma).read_text().strip())
             value = model_kl(pi, sigma, kind, args.n, args.budget, args.lam)
         elif args.d_kt is not None:
-            pairs = args.n * (args.n - 1) / 2
-            rate = args.budget if kind == WITHOUT_REPLACEMENT else args.budget / pairs
-            value = kl_per_discordant_pair(rate, args.lam) * args.d_kt
+            value = kl_at_distance(args.d_kt, kind, args.n, args.budget, args.lam)
         else:
             raise ValueError("model KL needs --pi/--sigma files or --d-kt")
         print("op,model,n,budget,lam,kl")
@@ -302,8 +302,6 @@ def build_parser() -> _Parser:
     generate.add_argument("--seed", type=int, help="default 0")
     generate.add_argument("--pi-star", dest="pi_star", help="default identity")
     p_ms.add_argument("--T", dest="stages", type=int, required=True)
-    p_ms.add_argument("--c1", type=float, default=8.0)
-    p_ms.add_argument("--threshold-scale", type=float, default=CALIBRATED_THRESHOLD_SCALE)
     p_ms.add_argument("--lambda-hat", dest="lambda_hat", type=float, default=None)
     p_ms.add_argument("--out", required=True)
     p_ms.add_argument("--regions-dir", dest="regions_dir", default=None)
@@ -353,8 +351,6 @@ def build_parser() -> _Parser:
     p_ex.add_argument("--master-seed", dest="master_seed", type=int)
     p_ex.add_argument("--estimators", nargs="+")
     p_ex.add_argument("--sampling", nargs="+", choices=("with", "without"))
-    p_ex.add_argument("--c1", type=float)
-    p_ex.add_argument("--threshold-scale", dest="threshold_scale", type=float)
     p_ex.add_argument("--workers", type=int)
     p_ex.add_argument("--pi-star", dest="pi_star", choices=("identity", "random"))
     p_ex.add_argument("--out", help="results CSV (default results.csv)")

@@ -26,12 +26,12 @@ from .perms import Permutation, enumerate_maps
 LAMBDA_CLAMP = 1e-6
 
 # Multiplier on the score-deviation threshold, as a fraction of the
-# theoretical coefficient 12.  1.0 is the literal theoretical value;
-# it is provably inert at any feasible scale (the threshold then exceeds the
-# entire score range), so the harness runs with the calibrated value below,
-# which keeps the threshold at ~5-6 standard deviations of score noise:
-# conservative enough that certainty stays sound, small enough that stages
-# actually resolve pairs.
+# theoretical coefficient 12, and MsConfig's default.  1.0 is the literal
+# theoretical value; it is provably inert at any feasible scale (the threshold
+# then exceeds the entire score range), so the sorter runs with the calibrated
+# value below, which keeps the threshold at ~5-6 standard deviations of score
+# noise: conservative enough that certainty stays sound, small enough that
+# stages actually resolve pairs.
 CALIBRATED_THRESHOLD_SCALE = 0.125
 
 # Candidates per numpy pass of the maximizers: memory stays a few (chunk x C(n,2)) arrays
@@ -123,18 +123,19 @@ def estimate_lambda(halves: StageSource | Iterable[ComparisonDataset]) -> float:
 
 @dataclass(frozen=True)
 class MsConfig:
-    """Tuning knobs of the multistage sorter.
+    """Settings of the multistage sorter; the CLI and the experiment harness set only
+    ``stages`` and run the calibrated constants.
 
     stages: number of stages (each consumes one sub-sample).
     c1: gate constant; a stage only re-decides certainties for item i when
         its uncertain set is still larger than c1 * n^2 * (T/N) * log(nT).
-    threshold_scale: multiplier on the threshold coefficient (see
-        CALIBRATED_THRESHOLD_SCALE; 1.0 is the literal theoretical constant).
+    threshold_scale: multiplier on the threshold coefficient, by default
+        CALIBRATED_THRESHOLD_SCALE (1.0 is the literal theoretical constant).
     """
 
     stages: int
     c1: float = 8.0
-    threshold_scale: float = 1.0
+    threshold_scale: float = CALIBRATED_THRESHOLD_SCALE
 
     def __post_init__(self) -> None:
         if self.stages < 1:

@@ -25,7 +25,6 @@ import numpy as np
 from .counting import PackingSet, greedy_maximal_packing
 from .errors import ResourceCapError
 from .estimators import (
-    CALIBRATED_THRESHOLD_SCALE,
     MsConfig,
     MsState,
     _ranks_from_scores,
@@ -111,8 +110,6 @@ class ExperimentSpec:
     master_seed: int = 0
     estimators: tuple[str, ...] = ("ms", "borda", "random")
     sampling: tuple[str, ...] = (WITH_REPLACEMENT,)
-    c1: float = 8.0
-    threshold_scale: float = CALIBRATED_THRESHOLD_SCALE
     workers: int | None = None
     pi_star: str = "identity"
     regions_dir: str | None = None
@@ -142,8 +139,6 @@ class ExperimentSpec:
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
         if type(self.master_seed) is not int or self.master_seed < 0:
             raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
-        # a bad c1 or threshold_scale fails here, not at the first replicate
-        MsConfig(stages=1, c1=self.c1, threshold_scale=self.threshold_scale)
         cells = list(itertools.product(self.n_values, self.budget_params(), self.sampling))
         if self.kind == "region_snapshot" and (
             len(cells) != 1 or "ms" not in self.estimators or self.pi_star != "identity"
@@ -348,7 +343,7 @@ def _run_cell_replicate(
     rng_misc = np.random.default_rng(derive_seed(seed, 9))
     pi_star = _pi_star(spec, n, seed)
     matrix = star_matrix(n, spec.lam)
-    config = MsConfig(stages=stages, c1=spec.c1, threshold_scale=spec.threshold_scale)
+    config = MsConfig(stages=stages)
     # ms first: when borda runs too, ms's own pass sums its win totals
     estimators = sorted(spec.estimators, key=lambda e: e != "ms")
     if "random" not in estimators:
@@ -475,9 +470,15 @@ def summarize(rows: list[ResultRow]) -> list[SummaryRow]:
 
 
 def loglog_slope(xs: list[float], ys: list[float]) -> float:
-    """Least-squares slope of log y against log x."""
+    """Least-squares slope of log y against log x: ValueError, naming the point, unless
+    every x and y is positive and finite, and unless the xs take two values or more."""
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need at least two points")
+    for x, y in zip(xs, ys):
+        if not (0 < x < math.inf and 0 < y < math.inf):  # NaN fails
+            raise ValueError(f"point ({x}, {y}) has no finite logarithm")
+    if len(set(xs)) < 2:
+        raise ValueError(f"every x is {xs[0]}: the slope is undefined")
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     lx -= lx.mean()

@@ -2,7 +2,8 @@
 
 The law is the star law: the stronger item wins with probability 1/2 + lam,
 in closed form, with no n x n table (see ``ProbabilityMatrix``).  The samplers
-read a law's ``n`` and ``win_prob``, so other law objects draw through them too.
+read a law's ``n``, ``entries`` and ``win_prob``, so other law objects with a
+2-D ``entries`` draw through them too.
 
 Two sampling schemes produce a ``ComparisonDataset``:
 
@@ -58,20 +59,19 @@ class ProbabilityMatrix:
 
     ``win_prob(i, j)`` is the probability that the rank-i item beats the
     rank-j item: 1/2 + lam when i > j (stronger items rank higher), 1/2 - lam
-    when i < j, exactly 1/2 when i == j.  ``entries`` is the table it reads,
-    the three values (1/2 - lam, 1/2, 1/2 + lam) indexed by sign(i - j) + 1,
-    so the law takes O(1) memory at any n.
+    when i < j, exactly 1/2 when i == j.  ``entries``, derived from ``lam``, is
+    the table it reads, the three values (1/2 - lam, 1/2, 1/2 + lam) indexed by
+    sign(i - j) + 1, so the law takes O(1) memory at any n.
     """
 
     n: int
     lam: float
-    entries: np.ndarray
+    entries: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.lam < 0.5:
             raise ValueError(f"lam must lie in (0, 1/2), got {self.lam}")
-        if not np.array_equal(self.entries, [0.5 - self.lam, 0.5, 0.5 + self.lam]):
-            raise ValueError(f"table of shape {self.entries.shape} is not the star law's")
+        object.__setattr__(self, "entries", np.array([0.5 - self.lam, 0.5, 0.5 + self.lam]))
 
     def win_prob(self, rank_i: np.ndarray, rank_j: np.ndarray) -> np.ndarray:
         """P(the rank_i item beats the rank_j item), elementwise (1-indexed ranks)."""
@@ -80,7 +80,7 @@ class ProbabilityMatrix:
 
 def star_matrix(n: int, lam: float) -> ProbabilityMatrix:
     """The canonical law: the stronger item wins with probability 1/2 + lam."""
-    return ProbabilityMatrix(n=n, lam=lam, entries=np.array([0.5 - lam, 0.5, 0.5 + lam]))
+    return ProbabilityMatrix(n=n, lam=lam)
 
 
 @dataclass(frozen=True)

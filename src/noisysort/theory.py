@@ -36,39 +36,35 @@ def binomial_tail_bounds(n_draws: int, p: float, r: float, s: float) -> tuple[fl
     return lower, upper
 
 
-def kl_per_discordant_pair(rate: float, lam: float) -> float:
-    """2 * rate * lam * log((1+2 lam)/(1-2 lam)): one pair's contribution."""
-    return 2.0 * rate * lam * math.log((1 + 2 * lam) / (1 - 2 * lam))
-
-
-def model_kl(
-    pi: Permutation,
-    sigma: Permutation,
-    kind: str,
-    n: int,
-    budget: float,
-    lam: float,
-) -> float:
-    """KL divergence between the comparison distributions under two orders.
-
-    Every pair ordered oppositely by ``pi`` and ``sigma`` contributes the
-    same amount, so the divergence is proportional to the Kendall tau
-    distance: 2 d p lam log((1+2lam)/(1-2lam)) for per-pair observation
-    probability p, with p replaced by N / C(n,2) under with-replacement
-    sampling (whose N draws tensorize).
-    """
+def kl_at_distance(d: int, kind: str, n: int, budget: float, lam: float) -> float:
+    """KL divergence between the comparison distributions under two orders of n items that
+    disagree on ``d`` pairs: 2 d p lam log((1+2lam)/(1-2lam)), as every such pair adds the
+    same, for per-pair observation probability p = ``budget``, or p = N / C(n,2) for
+    N = ``budget`` comparisons drawn with replacement (whose draws tensorize)."""
+    if n < 2:
+        raise ValueError(f"need n >= 2 items to disagree on a pair, got n={n}")
     if not 0 < lam < 0.5:
         raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
+    pairs = math.comb(n, 2)
+    if not 0 <= d <= pairs:
+        raise ValueError(f"two orders of {n} items disagree on 0..{pairs} pairs, not {d}")
+    if kind == WITHOUT_REPLACEMENT and not 0 <= budget <= 1:  # NaN fails
+        raise ValueError(f"per-pair probability {budget} outside [0, 1]")
+    if kind == WITH_REPLACEMENT and not 0 <= budget < math.inf:
+        raise ValueError(f"comparison count {budget} is not finite and >= 0")
+    if kind not in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
+        raise ValueError(f"unknown sampling kind {kind!r}")
+    rate = budget if kind == WITHOUT_REPLACEMENT else budget / pairs
+    return 2.0 * rate * lam * math.log((1 + 2 * lam) / (1 - 2 * lam)) * d
+
+
+def model_kl(pi: Permutation, sigma: Permutation, kind: str, n: int, budget: float,
+             lam: float) -> float:
+    """KL divergence between the comparison distributions under two orders: kl_at_distance
+    at their Kendall tau distance."""
     if pi.n != n or sigma.n != n:
         raise ValueError("permutation sizes disagree with n")
-    d = kendall_tau(pi, sigma)
-    if kind == WITHOUT_REPLACEMENT:
-        rate = budget
-    elif kind == WITH_REPLACEMENT:
-        rate = budget / math.comb(n, 2)
-    else:
-        raise ValueError(f"unknown sampling kind {kind!r}")
-    return kl_per_discordant_pair(rate, lam) * d
+    return kl_at_distance(kendall_tau(pi, sigma), kind, n, budget, lam)
 
 
 def rate_curve(kind: str, n: int, budget: float, lam: float) -> float:

@@ -22,7 +22,6 @@ from noisysort.counting import (
     sparse_vg_packing,
 )
 from noisysort.estimators import (
-    CALIBRATED_THRESHOLD_SCALE,
     MsConfig,
     brute_force_mle,
     ms_sort,
@@ -311,7 +310,7 @@ def test_12_certainty_soundness():
     n, lam = 500, 0.45
     total = 5 * math.comb(n, 2)
     stages = default_stage_count(n)
-    config = MsConfig(stages=stages, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+    config = MsConfig(stages=stages)
     matrix = star_matrix(n, lam)
     clean_seeds = 0
     for rep in range(10):

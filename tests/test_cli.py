@@ -10,7 +10,7 @@ import pytest
 
 from noisysort import cli
 from noisysort.cli import _setting_flags, build_parser, main
-from noisysort.estimators import CALIBRATED_THRESHOLD_SCALE, MsConfig, ms_sort
+from noisysort.estimators import MsConfig, ms_sort
 from noisysort.experiments import ExperimentSpec, draw_stages
 from noisysort.counting import count_at_most_k_inversions
 from noisysort.model import (
@@ -51,6 +51,23 @@ class TestSmallCommands:
         assert code == 0
         value = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[-1])
         assert abs(value - 0.5 * math.log(3)) < 1e-12
+
+    @pytest.mark.parametrize("model, n, budget, lam, d_kt, message", [
+        ("without", "1", "1.0", "0.25", "0", "need n >= 2"),
+        ("with", "0", "30", "0.25", "0", "need n >= 2"),
+        ("without", "10", "1.0", "0.7", "1", "lam must lie in (0, 1/2)"),
+        ("without", "10", "1.0", "0.25", "-3", "disagree on 0..45 pairs, not -3"),
+        ("without", "5", "1.0", "0.25", "99", "disagree on 0..10 pairs, not 99"),
+        ("without", "10", "1.5", "0.25", "1", "per-pair probability 1.5 outside [0, 1]"),
+        ("with", "10", "-30", "0.25", "1", "comparison count -30.0 is not finite"),
+    ])
+    def test_theory_model_kl_via_d_kt_checks_its_inputs(self, capsys, model, n, budget, lam,
+                                                         d_kt, message):
+        assert main(["theory", "--op", "kl", "--model", model, "--n", n, "--budget", budget,
+                     "--lambda", lam, "--d-kt", d_kt]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("model, budget", [("with", "30"), ("without", "0.5")])
     def test_theory_model_kl_via_permutation_files(self, tmp_path, capsys, model, budget):
@@ -127,7 +144,7 @@ class TestSimulateAndRunMs:
         if command == "simulate":
             write_dataset(sample_with_replacement(pi, law, 500, 3), outs["want"])
         else:
-            config = MsConfig(stages=2, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+            config = MsConfig(stages=2)
             pi_hat = ms_sort(*draw_stages(pi, law, WITH_REPLACEMENT, 500, 2, 3, 0.25), config)[0]
             outs["want"].write_text(pi_hat.to_line() + "\n")
         assert outs["file"].read_bytes() == outs["want"].read_bytes()
@@ -223,8 +240,6 @@ CONFIG_CASES = [
     ("master_seed", "7", ["--master-seed", "7"]),
     ("estimators", "ms, borda, random", ["--estimators", "ms", "borda", "random"]),
     ("sampling", "with, without", ["--sampling", "with", "without"]),
-    ("c1", "4", ["--c1", "4"]),
-    ("threshold_scale", "0.2", ["--threshold-scale", "0.2"]),
     ("workers", "2", ["--workers", "2"]),
     ("pi_star", "random", ["--pi-star", "random"]),
     ("regions_dir", "reg", ["--regions-dir", "reg"]),
@@ -364,9 +379,6 @@ class TestExperimentCommand:
         ("scaling-n", ["--estimators", "ms", "ms", "borda"]),
         # fewer pairs expected than stages: a run would draw an empty stage
         ("scaling-n", ["--alphas", "0.003", "--sampling", "without", "--replicates", "20"]),
-        # sorter constants that are not finite numbers (budgets: see TestExitCodes)
-        ("scaling-n", ["--threshold-scale", "inf"]),
-        ("scaling-n", ["--c1", "nan"]),
     ])
     def test_spec_constraints_exit_one(self, tmp_path, capsys, which, extra):
         code = main(["experiment", which, "--n-values", "30", *extra,
@@ -400,16 +412,19 @@ class TestExitCodes:
         assert main(["no-such-command"]) == 1
 
     def test_c0_is_no_longer_settable(self, tmp_path, capsys):
-        # the threshold coefficient is threshold_scale * 12: c0 only duplicated the scale
-        out = str(tmp_path / "out")
-        assert main(["run-ms", "--generate", "--n", "30", "--budget", "900", "--T", "2",
-                     "--out", out, "--c0", "2"]) == 1
-        assert main(["experiment", "scaling-n", "--c0", "2", "--out", out]) == 1
-        assert capsys.readouterr().err.count("unrecognized arguments: --c0 2") == 2
-        config = tmp_path / "c0.cfg"
-        config.write_text("c0 = 1.0\n")
-        assert main(["experiment", "scaling-n", "--config", str(config), "--out", out]) == 1
-        assert "unknown config key 'c0'" in capsys.readouterr().err
+        # the threshold coefficient is threshold_scale * 12: c0 only duplicated the scale;
+        # c1 and the scale are MsConfig's calibrated defaults, set by no flag or config key
+        out, config = tmp_path / "out", tmp_path / "constant.cfg"
+        for flag, key in (("--c0", "c0"), ("--c1", "c1"), ("--threshold-scale", "threshold_scale")):
+            assert main(["run-ms", "--generate", "--n", "30", "--budget", "900", "--T", "2",
+                         "--lambda-hat", "0.25", "--out", str(out), flag, "0.2"]) == 1
+            assert main(["experiment", "scaling-n", flag, "0.2", "--out", str(out)]) == 1
+            assert capsys.readouterr().err.count(f"unrecognized arguments: {flag} 0.2") == 2
+            config.write_text(f"{key} = 0.2\n")
+            assert main(["experiment", "scaling-n", "--config", str(config),
+                         "--out", str(out)]) == 1
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_value_is_one(self, capsys):
         assert main(["count-inversions", "--n", "4", "--k", "99"]) == 1
@@ -468,6 +483,24 @@ class TestExitCodes:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"refused: run-ms n={10**13}: ") and "physical memory" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("head, code, message", [
+        (f"+{10**11}", 2, f"refused: run-ms n={10**11}: "),  # the reader takes a sign
+        (str(2**63), 1, "error: bad header"),  # past int64: the reader names it
+        ("-4", 1, "error: bad header in"),
+    ])
+    def test_run_ms_reads_the_header_n_by_the_readers_rule(self, tmp_path, capsys, head, code,
+                                                           message):
+        # the memory rule charges the n that read_dataset would read, or 1 if it would
+        # refuse the header, which it then names
+        data = tmp_path / "stage.txt"
+        data.write_text(f"{head} with_replacement 1 0\n1 2 1 1\n")
+        out = tmp_path / "pi.txt"
+        assert main(["run-ms", "--in", str(data), "--T", "1", "--lambda-hat", "0.25",
+                     "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
         assert not out.exists()
 
     def test_run_ms_refuses_files_before_reading_them(self, tmp_path, capsys, monkeypatch):
@@ -611,21 +644,6 @@ class TestExitCodes:
             config.write_text(f"{key} = 20000\n")
             assert main(["experiment", "scaling-n", "--config", str(config), "--out", out]) == 1
             assert f"unknown config key {key!r}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("extra, message", [
-        (["--budget", "1000", "--c1", "nan"], "finite and positive"),
-        (["--budget", "1000", "--c1", "-1"], "finite and positive"),
-        (["--budget", "1000", "--threshold-scale", "inf"], "finite and positive"),
-        (["--budget", "0.5", "--model", "without"], "explicit margin"),
-    ])
-    def test_run_ms_generate_rejects_bad_constants_and_a_missing_margin(self, tmp_path, capsys,
-                                                                        extra, message):
-        out = tmp_path / "p.txt"
-        lambda_hat = [] if "without" in extra else ["--lambda-hat", "0.25"]
-        assert main(["run-ms", "--generate", "--n", "50", "--T", "2", *lambda_hat, *extra,
-                     "--out", str(out)]) == 1
-        assert message in capsys.readouterr().err
-        assert not out.exists()
 
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -12,7 +12,6 @@ from noisysort import estimators, model
 from noisysort.counting import greedy_maximal_packing, PackingSet
 from noisysort.errors import ResourceCapError, SizeMismatchError
 from noisysort.estimators import (
-    CALIBRATED_THRESHOLD_SCALE,
     LAMBDA_CLAMP,
     MsConfig,
     _count_below,
@@ -226,7 +225,7 @@ class TestMsSort:
 
     def test_partition_invariant_every_stage(self):
         samples = ms_inputs(120, 0.4, 20_000, 3, master_seed=4)
-        cfg = MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        cfg = MsConfig(stages=3)
         _, states = ms_sort(samples, 0.4, cfg)
         for st in states:
             total = (uncertain(st).astype(int) + certain_below(st).astype(int)
@@ -246,7 +245,7 @@ class TestMsSort:
         n, lam = 300, 0.45
         total = 5 * math.comb(n, 2)
         samples = ms_inputs(n, lam, total, 3, master_seed=2)
-        cfg = MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        cfg = MsConfig(stages=3)
         _, states = ms_sort(samples, lam, cfg)
         sizes = [st.region_size() for st in states]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
@@ -258,7 +257,7 @@ class TestMsSort:
         ranks = Permutation.identity(n).to_array()
         for seed in range(3):
             samples = ms_inputs(n, lam, total, 2, master_seed=seed)
-            cfg = MsConfig(stages=2, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+            cfg = MsConfig(stages=2)
             _, states = ms_sort(samples, lam, cfg)
             for st in states[1:]:
                 rows, cols = np.nonzero(certain_below(st))
@@ -276,7 +275,7 @@ class TestMsSort:
         rho = random_permutation(n, rng)
         samples = ms_inputs(n, lam, total, stages, master_seed=12)
         relabeled = [relabel_items(s, rho) for s in samples]
-        cfg = MsConfig(stages=stages, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        cfg = MsConfig(stages=stages)
         _, states = ms_sort(samples, lam, cfg)
         _, states_r = ms_sort(relabeled, lam, cfg)
         r = rho.to_array() - 1
@@ -301,7 +300,7 @@ class TestMsSort:
         n, lam = 60, 0.35
         d = sample_without_replacement(Permutation.identity(n), star_matrix(n, lam), 0.9, 3)
         buckets = split_without_replacement(d, 2, 17)
-        cfg = MsConfig(stages=2, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        cfg = MsConfig(stages=2)
         pi_hat, _ = ms_sort(buckets, lam, cfg)
         assert kendall_tau(pi_hat, Permutation.identity(n)) < n * (n - 1) / 8
 
@@ -330,7 +329,7 @@ class TestMsSort:
 
     def test_streamed_stages_match_the_list_and_die_one_by_one(self):
         samples = ms_inputs(120, 0.4, 20_000, 3, master_seed=4)
-        cfg = MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        cfg = MsConfig(stages=3)
         pi_list, states_list = ms_sort(samples, 0.4, cfg)
         counts = tuple(s.total_comparisons() for s in samples)
         source = StageSource(120, counts, lambda: _checked_stream(samples))
@@ -365,7 +364,7 @@ class TestUncertaintyRegion:
 
     def test_diagonal_always_present(self):
         samples = ms_inputs(50, 0.45, 10_000, 2, master_seed=1)
-        cfg = MsConfig(stages=2, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        cfg = MsConfig(stages=2)
         _, states = ms_sort(samples, 0.45, cfg)
         for st in states:
             assert uncertain(st).diagonal().all()
@@ -390,25 +389,25 @@ def _without_replacement_case(n, lam, p, stages, seed):
 # (id, stage samples, lam, config); the ids name what the gate does
 DENSE_REFERENCE_CASES = [
     ("star-all-then-some", lambda: _with_replacement_case(120, 0.4, 20_000, 3, 4),
-     0.4, MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)),
+     0.4, MsConfig(stages=3)),
     ("star-high-signal", lambda: _with_replacement_case(300, 0.45, 5 * math.comb(300, 2), 3, 2),
-     0.45, MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)),
+     0.45, MsConfig(stages=3)),
     ("star-theoretical-scale", lambda: _with_replacement_case(120, 0.4, 20_000, 3, 4),
      0.4, MsConfig(stages=3, threshold_scale=1.0)),
     ("star-four-stages", lambda: _with_replacement_case(120, 0.4, 30_000, 4, 4),
-     0.4, MsConfig(stages=4, threshold_scale=CALIBRATED_THRESHOLD_SCALE)),
+     0.4, MsConfig(stages=4)),
     ("star-gate-never", lambda: _with_replacement_case(60, 0.4, 3_000, 2, 9),
-     0.4, MsConfig(stages=2, c1=1e12, threshold_scale=CALIBRATED_THRESHOLD_SCALE)),
+     0.4, MsConfig(stages=2, c1=1e12)),
     ("star-small-ties", lambda: _with_replacement_case(12, 0.3, 200, 2, 5),
-     0.3, MsConfig(stages=2, c1=0.01, threshold_scale=CALIBRATED_THRESHOLD_SCALE)),
+     0.3, MsConfig(stages=2, c1=0.01)),
     ("random-member", lambda: _with_replacement_case(
         100, 0.3, 5 * math.comb(100, 2), 3, 7, law="random"),
-     0.3, MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)),
+     0.3, MsConfig(stages=3)),
     ("random-member-theoretical-scale", lambda: _with_replacement_case(
         100, 0.3, 5 * math.comb(100, 2), 3, 7, law="random"),
      0.3, MsConfig(stages=3, threshold_scale=1.0)),
     ("without-replacement", lambda: _without_replacement_case(80, 0.35, 0.9, 2, 3),
-     0.35, MsConfig(stages=2, c1=0.5, threshold_scale=CALIBRATED_THRESHOLD_SCALE)),
+     0.35, MsConfig(stages=2, c1=0.5)),
     # every pair once per stage, so stage-1 scores are 0..5 and, at this scale,
     # tau is exactly 2.0: stage 2 keeps the records at a gap of exactly tau open
     ("star-gap-at-tau", lambda: [noise_free_full(Permutation.identity(6))] * 2,
@@ -474,7 +473,7 @@ class TestDenseReference:
         monkeypatch.setattr(model, "_WIN_CHUNK", 512)
         n, stages = 400, 3
         samples = _with_replacement_case(n, 0.45, 3 * 100_000, stages, 3)
-        config = MsConfig(stages=stages, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        config = MsConfig(stages=stages)
         ms_sort(samples, 0.45, config)
         for totals in (None, np.zeros(n)):  # the pooled sums add no record-sized array
             tracemalloc.start()
@@ -576,7 +575,7 @@ def test_ms_sort_allocates_no_dense_matrix(c1):
     n, total, stages = 6000, 60_000, 3
     rng = np.random.default_rng(6000)
     samples = [_uniform_pairs_stage(n, b, rng) for b in stage_budgets(total, stages)]
-    config = MsConfig(stages=stages, c1=c1, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+    config = MsConfig(stages=stages, c1=c1)
     tracemalloc.start()
     try:
         _, states = ms_sort(samples, 0.25, config)

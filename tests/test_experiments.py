@@ -23,7 +23,6 @@ from noisysort.experiments import (
     summarize,
 )
 from noisysort.estimators import (
-    CALIBRATED_THRESHOLD_SCALE,
     MsConfig,
     MsState,
     borda_sort,
@@ -168,9 +167,6 @@ class TestSpecValidation:
         (dict(alphas=(1e307,)), "cell n=30, alpha=1e\\+307, .* not a finite"),  # N overflows
         (dict(alphas=(math.inf,), sampling=(WITHOUT_REPLACEMENT,)), "alpha=inf, .* not a finite"),
         (dict(budgets=(math.nan,), alphas=None), "cell n=30, absolute=nan, .* not a finite"),
-        (dict(c1=-1.0), "c1 and threshold_scale must be finite and positive"),
-        (dict(c1=math.nan), "c1 and threshold_scale must be finite and positive"),
-        (dict(threshold_scale=math.inf), "c1 and threshold_scale must be finite and positive"),
         # int budgets past float range
         (dict(budgets=(10**400,), alphas=None), "cell n=30, absolute=inf, .* not a finite"),
         (dict(budgets=(-10**400,), alphas=None), "cell n=30, absolute=-inf, .* not a finite"),
@@ -410,7 +406,7 @@ class TestStreamedStages:
         n, total, stages, seed = 150, 40_000, 3, 17
         pi_star = random_permutation(n, np.random.default_rng(seed))
         law = star_matrix(n, 0.3)
-        config = MsConfig(stages=stages, c1=1.0, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        config = MsConfig(stages=stages, c1=1.0)
         source, run_lam_hat = draw_stages(pi_star, law, WITH_REPLACEMENT, total, stages, seed,
                                           lambda_hat)
         run_pi, run_states = ms_sort(source, run_lam_hat, config)
@@ -433,7 +429,7 @@ class TestStreamedStages:
         # peaks below that while drawn: the N int64 cells are narrowed to uint32 before
         # the sort, and second is decoded over the compressed cells. 18.0 traced at
         # n = 4000, 30.7 with int64 counts and wins and the drawn cells kept int64
-        config = MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        config = MsConfig(stages=3)
 
         def run(n, total):
             return ms_sort(*draw_stages(Permutation.identity(n), star_matrix(n, 0.25),
@@ -463,17 +459,18 @@ class TestOneStageSource:
     @pytest.mark.parametrize("sampling, lambda_hat", [
         (WITH_REPLACEMENT, 0.3), (WITH_REPLACEMENT, None), (WITHOUT_REPLACEMENT, 0.3)])
     def test_replicate_rows_match_the_listed_stages(self, sampling, lambda_hat):
-        n, seed = 80, 11
-        spec = small_spec(n_values=(n,), alphas=(0.6,), stages=3, lambda_hat=lambda_hat, c1=0.5,
+        # the default gate fires here: c1 n^2 (T/N) log(nT) is about 341 < n at alpha = 1
+        n, seed = 400, 11
+        spec = small_spec(n_values=(n,), alphas=(1.0,), stages=3, lambda_hat=lambda_hat,
                           estimators=("borda", "ms", "random"), sampling=(sampling,),
                           pi_star="random")
-        rows, states = experiments._run_cell_replicate(spec, n, "alpha", 0.6, sampling, seed)
-        budget, stages = experiments._cell_plan(spec, n, "alpha", 0.6, sampling)
+        rows, states = experiments._run_cell_replicate(spec, n, "alpha", 1.0, sampling, seed)
+        budget, stages = experiments._cell_plan(spec, n, "alpha", 1.0, sampling)
         pi_star = experiments._pi_star(spec, n, seed)
         source, lam_hat = draw_stages(pi_star, star_matrix(n, 0.3), sampling, budget, stages,
                                       seed, lambda_hat)
         listed = list(source)
-        config = MsConfig(stages=3, c1=0.5, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        config = MsConfig(stages=3)
         pi_ms, listed_states = ms_sort(listed, lam_hat, config)
         expected = {"ms": pi_ms, "borda": borda_sort(listed),
                     "random": random_permutation(n, np.random.default_rng(derive_seed(seed, 9)))}
@@ -562,7 +559,7 @@ class TestWithoutStream:
     @staticmethod
     def _dense_pipeline_peak(n):
         """The traced peak of an ms pipeline on n items at p = 1 and T = 3."""
-        config = MsConfig(stages=3, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        config = MsConfig(stages=3)
 
         def run(size):
             return ms_sort(*draw_stages(Permutation.identity(size), star_matrix(size, 0.25),
@@ -603,6 +600,21 @@ class TestSummaries:
         xs = [100.0, 200.0, 400.0, 800.0]
         ys = [3.0 * x for x in xs]
         assert abs(loglog_slope(xs, ys) - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("xs, ys, message", [
+        ([100.0, 200.0], [3.0, 0.0], r"point \(200.0, 0.0\) has no finite logarithm"),
+        ([100.0, 200.0], [-1.0, 3.0], r"point \(100.0, -1.0\)"),
+        ([0.0, 200.0], [1.0, 3.0], r"point \(0.0, 1.0\)"),
+        ([-5, 200.0], [1.0, 3.0], r"point \(-5, 1.0\)"),
+        ([100.0, math.nan], [1.0, 3.0], r"point \(nan, 3.0\)"),
+        ([100.0, 200.0], [1.0, math.inf], r"point \(200.0, inf\)"),
+        ([300.0, 300.0, 300.0], [1.0, 2.0, 3.0], "every x is 300.0: the slope is undefined"),
+        ([300.0], [1.0], "need at least two points"),
+    ])
+    def test_slope_of_points_with_no_logarithm_is_refused(self, xs, ys, message):
+        # a mean error of 0 is reachable at a high margin: no slope is a number then
+        with pytest.raises(ValueError, match=message):
+            loglog_slope(xs, ys)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -662,7 +674,7 @@ class TestCsvAndRegions:
         monkeypatch.setattr(experiments, "_PBM_BLOCK_ROWS", rows)
         samples = split_with_replacement(Permutation.identity(120), star_matrix(120, 0.4),
                                          stage_budgets(30_000, 4), 4)
-        config = MsConfig(stages=4, threshold_scale=CALIBRATED_THRESHOLD_SCALE)
+        config = MsConfig(stages=4)
         _, states = ms_sort(samples, 0.4, config)
         assert len(set(states[-2].last.tolist())) > 1  # rows hold different stages
         paths = emit_regions(states, tmp_path / "blocks")

@@ -9,7 +9,7 @@ from noisysort.perms import Permutation, kendall_tau, random_permutation
 from noisysort.theory import (
     bernoulli_kl,
     binomial_tail_bounds,
-    kl_per_discordant_pair,
+    kl_at_distance,
     model_kl,
     rate_curve,
 )
@@ -123,7 +123,31 @@ class TestModelKl:
         pi, sigma = random_permutation(7, rng), random_permutation(7, rng)
         d = kendall_tau(pi, sigma)
         got = model_kl(pi, sigma, WITHOUT_REPLACEMENT, 7, 0.4, 0.3)
-        assert got == pytest.approx(d * kl_per_discordant_pair(0.4, 0.3), rel=1e-12)
+        assert got == pytest.approx(d * kl_at_distance(1, WITHOUT_REPLACEMENT, 7, 0.4, 0.3),
+                                    rel=1e-12)
+
+    @pytest.mark.parametrize("d, kind, n, budget, lam, message", [
+        (0, WITH_REPLACEMENT, 1, 30, 0.25, "need n >= 2"),  # C(1,2) = 0 pairs to divide N by
+        (0, WITHOUT_REPLACEMENT, 0, 0.5, 0.25, "need n >= 2"),
+        (1, WITHOUT_REPLACEMENT, 5, 0.5, 0.7, "lam must lie in"),
+        (1, WITHOUT_REPLACEMENT, 5, 0.5, math.nan, "lam must lie in"),
+        (-1, WITHOUT_REPLACEMENT, 5, 0.5, 0.25, "0..10 pairs, not -1"),
+        (11, WITH_REPLACEMENT, 5, 30, 0.25, "0..10 pairs, not 11"),
+        (1, WITHOUT_REPLACEMENT, 5, 1.01, 0.25, "per-pair probability"),
+        (1, WITHOUT_REPLACEMENT, 5, math.nan, 0.25, "per-pair probability"),
+        (1, WITH_REPLACEMENT, 5, -1, 0.25, "comparison count"),
+        (1, WITH_REPLACEMENT, 5, math.inf, 0.25, "comparison count"),
+        (1, "both", 5, 0.5, 0.25, "unknown sampling kind"),
+    ])
+    def test_kl_at_distance_refuses_what_no_pair_of_orders_has(self, d, kind, n, budget, lam,
+                                                               message):
+        with pytest.raises(ValueError, match=message):
+            kl_at_distance(d, kind, n, budget, lam)
+
+    def test_kl_at_distance_bounds_are_inclusive(self):
+        assert kl_at_distance(0, WITH_REPLACEMENT, 2, 0, 0.25) == 0.0
+        assert kl_at_distance(10, WITHOUT_REPLACEMENT, 5, 1.0, 0.25) == pytest.approx(
+            10 * 0.5 * math.log(3), rel=1e-12)
 
 
 class TestRateCurves:
