@@ -154,13 +154,15 @@ def _cmd_entropy_check(args) -> int:
 
 
 def _cmd_theory(args) -> int:
+    if args.op == "kl" and args.p is not None and args.q is not None:
+        print("op,p,q,kl")
+        print(f"kl,{args.p!r},{args.q!r},{bernoulli_kl(args.p, args.q)!r}")
+        return 0
+    flags = (dict(n_draws="--n-draws", p="--p", r="--r", s="--s") if args.op == "tail"
+             else dict(n="--n", budget="--budget", lam="--lambda"))
+    if missing := [flag for dest, flag in flags.items() if getattr(args, dest) is None]:
+        raise ValueError(f"--op {args.op} needs {', '.join(missing)}")
     if args.op == "kl":
-        if args.p is not None and args.q is not None:
-            print("op,p,q,kl")
-            print(f"kl,{args.p!r},{args.q!r},{bernoulli_kl(args.p, args.q)!r}")
-            return 0
-        if args.n is None or args.budget is None or args.lam is None:
-            raise ValueError("model KL needs --n, --budget, --lambda")
         kind = _SAMPLING_TOKENS[args.model]
         if args.pi and args.sigma:
             pi = Permutation.from_line(Path(args.pi).read_text().strip())

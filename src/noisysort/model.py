@@ -27,6 +27,7 @@ seed reproduces the dataset bit for bit.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator
@@ -102,6 +103,18 @@ class SamplingTag:
 
 # Records checked, drawn or decoded per pass over a record array: its temporaries stay a few MB
 _WIN_CHUNK = 1 << 16
+
+
+def _keep_freed_arrays() -> None:
+    """Keep the arrays freed after one stage in glibc's heap for the next; no-op off glibc."""
+    libc = None if hasattr(ctypes, "WinDLL") else ctypes.CDLL(None)  # Windows: no dlopen(NULL)
+    if hasattr(libc, "gnu_get_libc_version"):
+        libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        if libc.mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD at its 64-bit maximum
+            libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD at twice that, as glibc's own rule
+
+
+_keep_freed_arrays()
 
 
 def _any_block(test: Callable[..., np.ndarray], *arrays: np.ndarray) -> bool:

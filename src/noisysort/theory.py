@@ -36,22 +36,26 @@ def binomial_tail_bounds(n_draws: int, p: float, r: float, s: float) -> tuple[fl
     return lower, upper
 
 
+def _check_n_budget(n: int, per_pair: bool, budget: float) -> None:
+    if n < 2:
+        raise ValueError(f"need n >= 2 items, got n={n}")
+    if per_pair and not 0 <= budget <= 1:
+        raise ValueError(f"per-pair probability {budget} outside [0, 1]")
+    if not per_pair and not 0 <= budget < math.inf:
+        raise ValueError(f"comparison count {budget} is not finite and >= 0")
+
+
 def kl_at_distance(d: int, kind: str, n: int, budget: float, lam: float) -> float:
     """KL divergence between the comparison distributions under two orders of n items that
     disagree on ``d`` pairs: 2 d p lam log((1+2lam)/(1-2lam)), as every such pair adds the
     same, for per-pair observation probability p = ``budget``, or p = N / C(n,2) for
     N = ``budget`` comparisons drawn with replacement (whose draws tensorize)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2 items to disagree on a pair, got n={n}")
+    _check_n_budget(n, kind == WITHOUT_REPLACEMENT, budget)
     if not 0 < lam < 0.5:
         raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
     pairs = math.comb(n, 2)
     if not 0 <= d <= pairs:
         raise ValueError(f"two orders of {n} items disagree on 0..{pairs} pairs, not {d}")
-    if kind == WITHOUT_REPLACEMENT and not 0 <= budget <= 1:  # NaN fails
-        raise ValueError(f"per-pair probability {budget} outside [0, 1]")
-    if kind == WITH_REPLACEMENT and not 0 <= budget < math.inf:
-        raise ValueError(f"comparison count {budget} is not finite and >= 0")
     if kind not in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
         raise ValueError(f"unknown sampling kind {kind!r}")
     rate = budget if kind == WITHOUT_REPLACEMENT else budget / pairs
@@ -77,8 +81,9 @@ def rate_curve(kind: str, n: int, budget: float, lam: float) -> float:
         raise ValueError(f"unknown rate kind {kind!r}; know {RATE_KINDS}")
     if not 0 < lam < 0.5:
         raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
+    _check_n_budget(n, kind.endswith("_o1"), budget)
     cap = n * (n - 1) / 2
-    if budget <= 0:
+    if budget == 0:
         return cap
     if kind == "minimax_o1":
         raw = n / (budget * lam ** 2)

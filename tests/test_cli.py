@@ -86,6 +86,25 @@ class TestSmallCommands:
         assert main([*common, "--pi", str(files["pi"]), "--sigma", str(files["short"])]) == 1
         assert "permutation sizes disagree with n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--op", "tail"], "--op tail needs --n-draws, --p, --r, --s"),
+        (["--op", "tail", "--n-draws", "10", "--p", "0.5"], "--op tail needs --r, --s"),
+        (["--op", "rate"], "--op rate needs --n, --budget, --lambda"),
+        (["--op", "rate", "--n", "10", "--lambda", "0.25"], "--op rate needs --budget"),
+        (["--op", "kl", "--n", "10"], "--op kl needs --budget, --lambda"),
+        (["--op", "rate", "--n", "-5", "--budget", "1", "--lambda", "0.25"], "need n >= 2"),
+        (["--op", "rate", "--n", "10", "--budget", "nan", "--lambda", "0.25"],
+         "comparison count nan is not finite"),
+        (["--op", "rate", "--kind", "minimax_o1", "--n", "10", "--budget", "2",
+          "--lambda", "0.25"], "per-pair probability 2.0 outside [0, 1]"),
+    ])
+    def test_theory_usage_errors_exit_1(self, capsys, argv, message):
+        # absent flags are named, not passed on as None, and bad values are refused
+        assert main(["theory", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
     def test_theory_tail(self, capsys):
         code = main(["theory", "--op", "tail", "--n-draws", "1000",
                      "--p", "0.5", "--r", "0.4", "--s", "0.6"])

@@ -190,7 +190,8 @@ class TestRateCurves:
         for _ in range(60):
             kind = str(rng.choice(["minimax_o1", "minimax_o2", "ms_upper", "lower_o1"]))
             n = int(rng.integers(3, 2000))
-            budget = float(rng.uniform(1e-6, 1e7))
+            # the _o1 kinds read a per-pair probability, the others a comparison count
+            budget = float(rng.uniform(1e-6, 1.0 if kind.endswith("_o1") else 1e7))
             lam = float(rng.uniform(0.01, 0.49))
             value = rate_curve(kind, n, budget, lam)
             assert 0 <= value <= n * (n - 1) / 2
@@ -207,3 +208,30 @@ class TestRateCurves:
             rate_curve("bogus", 10, 0, 0.2)
         with pytest.raises(ValueError):
             rate_curve("minimax_o2", 10, 0, 0.9)
+
+    @pytest.mark.parametrize("kind", ["minimax_o1", "minimax_o2", "ms_upper", "lower_o1",
+                                      "lower_o2"])
+    @pytest.mark.parametrize("n", [1, 0, -5])
+    def test_refuses_fewer_than_two_items(self, kind, n):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            rate_curve(kind, n, 0.5, 0.25)
+
+    @pytest.mark.parametrize("kind, budget, message", [
+        ("minimax_o1", 1.5, "per-pair probability"),
+        ("lower_o1", -0.1, "per-pair probability"),
+        ("minimax_o1", math.nan, "per-pair probability"),
+        ("minimax_o2", -1.0, "comparison count"),
+        ("ms_upper", math.inf, "comparison count"),
+        ("lower_o2", math.nan, "comparison count"),
+    ])
+    def test_budget_by_kl_at_distance_rules(self, kind, budget, message):
+        # kl_at_distance's rules: p in [0, 1] for the _o1 kinds, 0 <= N < inf for the others
+        with pytest.raises(ValueError, match=message):
+            rate_curve(kind, 10, budget, 0.25)
+        sampling = WITHOUT_REPLACEMENT if kind.endswith("_o1") else WITH_REPLACEMENT
+        with pytest.raises(ValueError, match=message):
+            kl_at_distance(1, sampling, 10, budget, 0.25)
+
+    @pytest.mark.parametrize("kind", ["minimax_o1", "lower_o1", "ms_upper", "lower_o2"])
+    def test_zero_budget_of_either_kind_is_the_cap(self, kind):
+        assert rate_curve(kind, 10, 0, 0.25) == 45.0
