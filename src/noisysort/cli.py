@@ -154,14 +154,16 @@ def _cmd_entropy_check(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    if args.op == "kl" and args.p is not None and args.q is not None:
-        print("op,p,q,kl")
-        print(f"kl,{args.p!r},{args.q!r},{bernoulli_kl(args.p, args.q)!r}")
-        return 0
-    flags = (dict(n_draws="--n-draws", p="--p", r="--r", s="--s") if args.op == "tail"
+    bernoulli = args.op == "kl" and (args.p is not None or args.q is not None)
+    flags = (dict(p="--p", q="--q") if bernoulli
+             else dict(n_draws="--n-draws", p="--p", r="--r", s="--s") if args.op == "tail"
              else dict(n="--n", budget="--budget", lam="--lambda"))
     if missing := [flag for dest, flag in flags.items() if getattr(args, dest) is None]:
         raise ValueError(f"--op {args.op} needs {', '.join(missing)}")
+    if bernoulli:
+        print("op,p,q,kl")
+        print(f"kl,{args.p!r},{args.q!r},{bernoulli_kl(args.p, args.q)!r}")
+        return 0
     if args.op == "kl":
         kind = _SAMPLING_TOKENS[args.model]
         if args.pi and args.sigma:

@@ -173,13 +173,7 @@ def _swap_code_permutation(vec: tuple[int, ...]) -> Permutation:
     Kendall tau distance between two images equals the Hamming distance of
     their sources.
     """
-    out: list[int] = []
-    for i, bit in enumerate(vec, start=1):
-        if bit:
-            out.extend((2 * i, 2 * i - 1))
-        else:
-            out.extend((2 * i - 1, 2 * i))
-    return Permutation(tuple(out))
+    return Permutation([r for i, b in enumerate(vec, start=1) for r in (2 * i - 1 + b, 2 * i - b)])
 
 
 def sparse_vg_packing(n: int, r: int) -> PackingSet:

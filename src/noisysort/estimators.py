@@ -21,7 +21,7 @@ from . import model
 from .counting import PackingSet
 from .errors import SizeMismatchError
 from .model import WITH_REPLACEMENT, ComparisonDataset, StageSource
-from .perms import Permutation, enumerate_maps
+from .perms import Permutation, enumerate_maps, invert
 
 LAMBDA_CLAMP = 1e-6
 
@@ -40,10 +40,7 @@ _CANDIDATE_CHUNK = 4096
 
 def _ranks_from_scores(scores: np.ndarray) -> Permutation:
     """Ascending score order, ties broken by ascending item index."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.int64)
-    ranks[order] = np.arange(1, len(scores) + 1)
-    return Permutation.from_array(ranks)
+    return invert(Permutation.from_array(np.argsort(scores, kind="stable") + 1))
 
 
 def _win_sums(sample: ComparisonDataset, held: list[tuple[np.ndarray, np.ndarray]],

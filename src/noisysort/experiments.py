@@ -75,7 +75,7 @@ WRITTEN, DATASET_LINES, READ_LINES = "written", "dataset_lines", "read_lines"
 _RECORD_BYTES = {WITH_REPLACEMENT: 18, WITHOUT_REPLACEMENT: 11, WRITTEN: 4,
                  DATASET_LINES: 9, READ_LINES: 26}
 _BLOCK_BYTES = {WITH_REPLACEMENT: 36, WITHOUT_REPLACEMENT: 44, WRITTEN: 42}
-_ITEM_BYTES = 340
+_ITEM_BYTES = 228
 
 
 def default_stage_count(n: int) -> int:

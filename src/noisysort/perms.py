@@ -1,7 +1,8 @@
 """Permutations of [n] and the three distances used throughout.
 
 Permutations are 1-indexed in the external data model: ``pi.map[i-1] = pi(i)``
-is the rank of item ``i``, with rank 1 the weakest.  All operations are pure
+is the rank of item ``i``, with rank 1 the weakest; a permutation holds these as
+one read-only array, of which ``map`` is a tuple view.  All operations are pure
 and all types are immutable, so everything here is thread-safe.
 """
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -18,31 +19,72 @@ from .errors import ResourceCapError, SizeMismatchError
 ENUMERATION_CAP = 10  # n! grows past 3.6M beyond this; oracles stay below it
 
 
-@dataclass(frozen=True)
+def _immutable(self, *args) -> NoReturn:
+    raise AttributeError("a Permutation is immutable")
+
+
 class Permutation:
-    """A bijection on {1, ..., n} in one-line notation."""
+    """A bijection on {1, ..., n} in one-line notation, held as one read-only int64 rank
+    array.  Built from a sequence of integers or a 1-D integer array: other entries
+    (floats, strings, bools) or a non-bijection are a ValueError."""
 
-    map: tuple[int, ...]
+    __slots__ = ("_ranks",)
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self) -> None:
-        n = len(self.map)
-        if sorted(self.map) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.map}")
+    def __new__(cls, map: Sequence[int] | np.ndarray) -> "Permutation":
+        if isinstance(map, np.ndarray):  # one vectorised test
+            if map.ndim != 1 or map.dtype.kind not in "iu":
+                raise ValueError(f"not a permutation: a {map.ndim}-D {map.dtype} array")
+            ranks, n = map.astype(np.int64), map.size
+            if n and not (ranks.min() >= 1 and ranks.max() <= n
+                          and np.bincount(ranks, minlength=n + 1)[1:].all()):
+                raise ValueError(f"not a permutation of 1..{n}")
+            return cls._of(ranks)
+        n = len(map)  # O(n) in Python: a type test per entry, then one of set equality
+        if (not all(type(v) is int or isinstance(v, np.integer) for v in map)
+                or set(map) != set(range(1, n + 1))):
+            raise ValueError(f"not a permutation of 1..{n} in integers")
+        return cls._of(np.array(map, dtype=np.int64))
+
+    @classmethod
+    def _of(cls, ranks: np.ndarray) -> "Permutation":
+        """Wrap a fresh int64 array already known to be a permutation."""
+        pi = object.__new__(cls)
+        ranks.setflags(write=False)
+        object.__setattr__(pi, "_ranks", ranks)
+        return pi
+
+    def __reduce__(self):
+        return Permutation, (self._ranks,)  # an unpickled array would be writable
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Permutation) and self._ranks.tobytes() == other._ranks.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.map)
+
+    def __repr__(self) -> str:
+        return f"Permutation(map={self.map!r})"
+
+    @property
+    def map(self) -> tuple[int, ...]:
+        """The one-line map as a tuple of Python ints, built on demand."""
+        return tuple(self._ranks.tolist())
 
     @property
     def n(self) -> int:
-        return len(self.map)
+        return self._ranks.size
 
     def __call__(self, i: int) -> int:
         """Rank of item ``i`` (1-indexed)."""
-        return self.map[i - 1]
+        return int(self._ranks[i - 1])
 
     def to_array(self) -> np.ndarray:
-        """1-indexed ranks as an int64 array (index 0 holds pi(1))."""
-        return np.asarray(self.map, dtype=np.int64)
+        """1-indexed ranks as the read-only int64 array held (index 0 holds pi(1))."""
+        return self._ranks
 
     def to_line(self) -> str:
-        return " ".join(str(v) for v in self.map)
+        return " ".join(map(str, self._ranks.tolist()))
 
     @classmethod
     def from_line(cls, line: str) -> "Permutation":
@@ -50,15 +92,15 @@ class Permutation:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Permutation":
-        return cls(tuple(np.asarray(arr).astype(np.int64).tolist()))
+        return cls(np.asarray(arr))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
+        return cls._of(np.arange(1, n + 1, dtype=np.int64))
 
     @classmethod
     def reverse(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n, 0, -1)))
+        return cls._of(np.arange(n, 0, -1, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -88,43 +130,28 @@ def _check_same_n(pi: Permutation, sigma: Permutation) -> int:
     return pi.n
 
 
-def _count_inversions(values: np.ndarray) -> int:
-    """Number of pairs k < l with values[k] > values[l], by bottom-up merging.
-
-    Per width w, one stable sort of block-pair-offset keys merges all pairs of
-    w-blocks; a right-block element jumps exactly the left ones greater than
-    it.  Timsort merges presorted runs in linear time: O(m log m) in all.
-    """
-    m = values.size
-    if m < 2:
-        return 0
-    a = values - values.min()
-    span = int(a.max()) + 1
-    inv, w = 0, 1
-    while w < m:
-        pair = np.arange(m) // (2 * w)
-        keys = a + pair * span
-        order = np.argsort(keys, kind="stable")  # ties keep left before right
-        right = order // w % 2 == 1
-        # left-block elements of the same pair merged up to each slot
-        left_merged = np.cumsum(~right) - pair * w
-        inv += int((w - left_merged[right]).sum())
-        a = keys[order] - pair * span
-        w *= 2
-    return inv
-
-
 def kendall_tau(pi: Permutation, sigma: Permutation) -> int:
     """Number of discordant pairs between ``pi`` and ``sigma``.
 
-    Counts pairs (i, j) with sigma(i) < sigma(j) but pi(i) > pi(j), in
-    O(n log n) by counting inversions of the word w[k] = pi(sigma^-1(k)).
-    Symmetric in its arguments; ranges over 0 .. n(n-1)/2.
+    Counts pairs (i, j) with sigma(i) < sigma(j) but pi(i) > pi(j), the inversions of
+    w[k] = pi(sigma^-1(k)), by bottom-up merge levels over w's positions in value order:
+    at width h a stable radix argsort of the block ids pos // 2h merges all h-block
+    pairs, and a left element's merged index less the sum of the left positions (a
+    closed form) counts the right ones below it.  Symmetric; ranges over 0 .. n(n-1)/2.
     """
     n = _check_same_n(pi, sigma)
-    word = np.empty(n, dtype=np.int64)
-    word[sigma.to_array() - 1] = pi.to_array()
-    return _count_inversions(word)
+    pos = np.empty(n, dtype=np.uint32)
+    pos[pi.to_array() - 1] = sigma.to_array() - 1
+    index, inv, level = np.arange(n), 0, 0
+    while (h := 1 << level) < n:
+        top = (n - 1) >> (level + 1)  # the last block id: one or two bytes below n = 2^17
+        merged = pos[np.argsort((pos >> (level + 1)).astype(np.min_scalar_type(top)),
+                                kind="stable")] if top else pos
+        q, c = n // (2 * h), min(n % (2 * h), h)  # full blocks; left elements of the last
+        inv += int(np.dot(index, (merged & h) == 0)) - (
+            q * (q - 1) * h * h + q * h * (h - 1) // 2 + 2 * c * q * h + c * (c - 1) // 2)
+        level += 1
+    return inv
 
 
 def l1_distance(pi: Permutation, sigma: Permutation) -> int:
@@ -135,19 +162,14 @@ def l1_distance(pi: Permutation, sigma: Permutation) -> int:
 
 def linf_distance(pi: Permutation, sigma: Permutation) -> int:
     """Maximum rank displacement of any single item."""
-    n = _check_same_n(pi, sigma)
-    if n == 0:
-        return 0
-    return int(np.abs(pi.to_array() - sigma.to_array()).max())
+    _check_same_n(pi, sigma)
+    return int(np.abs(pi.to_array() - sigma.to_array()).max(initial=0))
 
 
 def to_inversion_table(pi: Permutation) -> InversionTable:
     """Inversion table of ``pi``; entries sum to kendall_tau(pi, identity)."""
     p = pi.map
-    n = pi.n
-    return InversionTable(tuple(
-        sum(1 for j in range(i + 1, n) if p[i] > p[j]) for i in range(n)
-    ))
+    return InversionTable(tuple(sum(v > w for w in p[i + 1:]) for i, v in enumerate(p)))
 
 
 def from_inversion_table(table: InversionTable) -> Permutation:
@@ -171,7 +193,7 @@ def enumerate_maps(n: int) -> Iterator[tuple[int, ...]]:
 def enumerate_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations in lexicographic order of their one-line maps."""
     for tup in enumerate_maps(n):
-        yield Permutation(tup)
+        yield Permutation._of(np.array(tup, dtype=np.int64))
 
 
 def compose(first: Permutation, then: Permutation) -> Permutation:
@@ -181,15 +203,14 @@ def compose(first: Permutation, then: Permutation) -> Permutation:
     compose(rho, sigma)) = kendall_tau(pi, sigma) for every rho.
     """
     _check_same_n(first, then)
-    return Permutation(tuple(then.map[v - 1] for v in first.map))
+    return Permutation._of(then.to_array()[first.to_array() - 1])
 
 
 def invert(pi: Permutation) -> Permutation:
-    inv = [0] * pi.n
-    for i, v in enumerate(pi.map, start=1):
-        inv[v - 1] = i
-    return Permutation(tuple(inv))
+    inv = np.empty(pi.n, dtype=np.int64)
+    inv[pi.to_array() - 1] = np.arange(1, pi.n + 1)
+    return Permutation._of(inv)
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
-    return Permutation(tuple((rng.permutation(n) + 1).tolist()))
+    return Permutation._of(rng.permutation(n) + 1)

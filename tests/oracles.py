@@ -64,6 +64,33 @@ def recursive_inversions(values):
     return inv + int(mid * right.size - np.searchsorted(np.sort(left), right, side="right").sum())
 
 
+def merge_inversions(values):
+    """Pairs k < l with values[k] > values[l], by bottom-up merging of any integer
+    values: the former library count, kept as the reference of the radix-grouped one.
+
+    Per width w, one stable sort of block-pair-offset keys merges all pairs of
+    w-blocks; a right-block element jumps exactly the left ones greater than
+    it.  Timsort merges presorted runs in linear time: O(m log m) in all.
+    """
+    m = values.size
+    if m < 2:
+        return 0
+    a = values - values.min()
+    span = int(a.max()) + 1
+    inv, w = 0, 1
+    while w < m:
+        pair = np.arange(m) // (2 * w)
+        keys = a + pair * span
+        order = np.argsort(keys, kind="stable")  # ties keep left before right
+        right = order // w % 2 == 1
+        # left-block elements of the same pair merged up to each slot
+        left_merged = np.cumsum(~right) - pair * w
+        inv += int((w - left_merged[right]).sum())
+        a = keys[order] - pair * span
+        w *= 2
+    return inv
+
+
 def adjacent_transposition(n, k):
     """The permutation swapping k and k+1, fixing everything else."""
     if not 1 <= k < n:

@@ -92,6 +92,9 @@ class TestSmallCommands:
         (["--op", "rate"], "--op rate needs --n, --budget, --lambda"),
         (["--op", "rate", "--n", "10", "--lambda", "0.25"], "--op rate needs --budget"),
         (["--op", "kl", "--n", "10"], "--op kl needs --budget, --lambda"),
+        (["--op", "kl", "--p", "0.5"], "--op kl needs --q"),  # Bernoulli KL, not the model's
+        (["--op", "kl", "--q", "0.5", "--n", "5", "--budget", "1", "--lambda", "0.25"],
+         "--op kl needs --p"),
         (["--op", "rate", "--n", "-5", "--budget", "1", "--lambda", "0.25"], "need n >= 2"),
         (["--op", "rate", "--n", "10", "--budget", "nan", "--lambda", "0.25"],
          "comparison count nan is not finite"),
@@ -479,7 +482,7 @@ class TestExitCodes:
     def test_oversized_draws_are_refused_before_allocation(self, tmp_path, capsys, monkeypatch,
                                                            command, n, memory):
         # n items alone take n * _ITEM_BYTES, past physical memory: the identity pi* is never
-        # built (at n = 5e8 its tuple would take gigabytes before failing)
+        # built (at n = 5e8 its rank array would take 4 GB before failing)
         if memory is not None:
             monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}.get)
         out = tmp_path / "out.txt"

@@ -1,3 +1,7 @@
+import copy
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +22,12 @@ from noisysort.perms import (
     to_inversion_table,
 )
 
-from oracles import adjacent_transposition, kendall_tau_brute, recursive_inversions
+from oracles import (
+    adjacent_transposition,
+    kendall_tau_brute,
+    merge_inversions,
+    recursive_inversions,
+)
 
 
 def perm(*vals):
@@ -48,6 +57,100 @@ class TestPermutationType:
         pi = perm(3, 1, 2)
         assert pi(1) == 3 and pi(3) == 2
 
+    @pytest.mark.parametrize("build", [
+        lambda: Permutation.from_array(np.array([1.5, 2.0])),  # was truncated to (1, 2)
+        lambda: Permutation.from_array(np.array([2.0, 1.0])),  # whole floats too
+        lambda: Permutation((2.0, 1.0)),  # wrote "2.0 1.0", which from_line refuses
+        lambda: Permutation(("2", 1)),  # was a TypeError
+        lambda: Permutation("21"),
+        lambda: Permutation((True, 2)),
+        lambda: Permutation.from_array(np.array([True])),
+        lambda: Permutation((np.bool_(True),)),
+        lambda: Permutation.from_array(np.array([[1, 2]])),
+        lambda: Permutation.from_array(np.array(5)),
+        lambda: Permutation.from_array(np.array([1, 2], dtype=object)),
+        lambda: Permutation.from_array(np.array([2, 2])),
+        lambda: Permutation.from_array(np.array([0, 1])),
+        lambda: Permutation.from_array(np.array([2**63 + 1, 1], dtype=np.uint64)),
+        lambda: Permutation((1, 2**70)),
+    ], ids=["float-array", "whole-float-array", "float-tuple", "str-tuple", "str", "bool-tuple",
+            "bool-array", "numpy-bool-tuple", "2-d-array", "0-d-array", "object-array",
+            "repeat-array", "zero-array", "uint64-array", "huge-int-tuple"])
+    def test_refuses_what_is_not_a_permutation_in_integers(self, build):
+        with pytest.raises(ValueError, match="not a permutation"):
+            build()
+
+    @pytest.mark.parametrize("pi", [
+        Permutation((np.int64(2), np.uint8(1), 3)),
+        Permutation.from_array(np.array([2, 1, 3], dtype=np.uint8)),
+        Permutation.from_array([2, 1, 3]),
+        Permutation.from_line(" 2 1\t3 "),
+    ], ids=["numpy-int-tuple", "uint8-array", "list", "line"])
+    def test_map_and_line_give_python_ints(self, pi):
+        assert pi.map == (2, 1, 3) and all(type(v) is int for v in pi.map)
+        assert pi.to_line() == "2 1 3" and type(pi(1)) is int and type(pi.n) is int
+
+    def test_empty(self):
+        assert Permutation(()) == Permutation.from_array(np.array([], dtype=np.int64)) \
+            == Permutation.identity(0) == Permutation.from_line("")
+        assert Permutation(()).map == () and Permutation(()).to_line() == ""
+
+    def test_array_is_read_only_and_not_a_copy(self):
+        pi = Permutation.from_array(np.array([3, 1, 2]))
+        ranks = pi.to_array()
+        assert ranks is pi.to_array() and ranks.dtype == np.int64
+        assert not ranks.flags.writeable
+        with pytest.raises(ValueError):
+            ranks[0] = 1
+
+    def test_input_array_is_copied(self):
+        source = np.array([3, 1, 2])
+        pi = Permutation.from_array(source)
+        source[:] = (1, 2, 3)
+        assert pi.map == (3, 1, 2) and not np.shares_memory(pi.to_array(), source)
+
+    def test_immutable(self):
+        pi = perm(2, 1)
+        with pytest.raises(AttributeError):
+            pi._ranks = np.array([1, 2])
+        with pytest.raises(AttributeError):
+            pi.extra = 1
+        with pytest.raises(AttributeError):
+            del pi._ranks
+        assert pi.map == (2, 1)
+
+    def test_tuple_and_array_built_are_equal_and_hash_alike(self):
+        rng = np.random.default_rng(29)
+        for n in (0, 1, 2, 7, 100, 1000):
+            arr = rng.permutation(n) + 1
+            built = [Permutation(tuple(arr.tolist())), Permutation(list(arr.tolist())),
+                     Permutation(tuple(arr)), Permutation.from_array(arr),
+                     Permutation.from_array(arr.astype(np.uint16)),
+                     Permutation.from_line(" ".join(map(str, arr.tolist())))]
+            assert all(b == built[0] for b in built)
+            assert len({hash(b) for b in built}) == 1 and len(set(built)) == 1
+            if n > 1:
+                other = Permutation.from_array(np.roll(arr, 1))
+                assert other != built[0] and built[0] not in {other}
+        assert perm(1) != (1,) and perm(1) != Permutation.identity(2)
+
+    def test_copies_and_pickles_stay_equal_and_read_only(self):
+        pi = perm(3, 1, 2)
+        for twin in (copy.copy(pi), copy.deepcopy(pi), pickle.loads(pickle.dumps(pi))):
+            assert twin == pi and hash(twin) == hash(pi)
+            assert not twin.to_array().flags.writeable
+        assert repr(pi) == "Permutation(map=(3, 1, 2))"
+
+    def test_holds_eight_bytes_per_item(self):
+        n = 10**5
+        tracemalloc.start()
+        try:
+            pi = Permutation.identity(n)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert pi.n == n and held <= 8 * n + 4096  # a tuple of Python ints held about 36
+
 
 class TestKendallTau:
     def test_identical(self):
@@ -71,15 +174,25 @@ class TestKendallTau:
             pi, sigma = rand_perm(rng, n), rand_perm(rng, n)
             assert kendall_tau(pi, sigma) == kendall_tau_brute(pi, sigma)
 
-    def test_matches_recursive_count_and_brute_force_small_n(self):
+    def test_matches_both_oracles_and_pair_count(self):
+        # block ids are one byte wide from some level on, and up to n = 2^17 two bytes
         rng = np.random.default_rng(8)
-        for n in range(71):
-            for _ in range(3):
-                pi, sigma = rand_perm(rng, n), rand_perm(rng, n)
-                word = np.empty(n, dtype=np.int64)
-                word[sigma.to_array() - 1] = pi.to_array()
-                d = kendall_tau(pi, sigma)
-                assert d == kendall_tau_brute(pi, sigma) == recursive_inversions(word)
+        for n in list(range(301)) + [2**k + d for k in range(9, 13) for d in (-1, 1)]:
+            pi, sigma = rand_perm(rng, n), rand_perm(rng, n)
+            word = np.empty(n, dtype=np.int64)
+            word[sigma.to_array() - 1] = pi.to_array()
+            assert kendall_tau(pi, sigma) == merge_inversions(word) \
+                == recursive_inversions(word) == kendall_tau_brute(pi, sigma)
+
+    @pytest.mark.parametrize("n", [131070, 131071, 131072, 131073])
+    def test_matches_merge_oracle_where_block_ids_turn_four_bytes(self, n):
+        # the first level's largest block id, (n - 1) >> 1, passes 2^16 - 1 at n = 131073
+        rng = np.random.default_rng(n)
+        pi, sigma = rand_perm(rng, n), rand_perm(rng, n)
+        word = np.empty(n, dtype=np.int64)
+        word[sigma.to_array() - 1] = pi.to_array()
+        assert kendall_tau(pi, sigma) == merge_inversions(word)
+        assert kendall_tau(Permutation.reverse(n), Permutation.identity(n)) == n * (n - 1) // 2
 
     @pytest.mark.parametrize("n", [4000, 8000])
     def test_matches_recursive_count_large_n(self, n):
