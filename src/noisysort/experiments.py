@@ -10,6 +10,7 @@ not reproducible) and can be written to a sidecar file instead.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -40,8 +41,10 @@ from .model import (
     ProbabilityMatrix,
     StageSource,
     _WIN_CHUNK,
+    _cell_dtype,
     _col_dtype,
     _draw_pairs,
+    _item_dtype,
     derive_seed,
     stage_budgets,
     star_matrix,
@@ -65,16 +68,19 @@ RESULT_COLUMNS = ("kind", "n", "sampling", "budget", "lam", "seed", "estimator",
 WORKERS_ENV_VAR = "NOISYSORT_WORKERS"
 # Peak bytes per record of a run's largest draw, per record of its first _WIN_CHUNK (the
 # block temporaries) and per item: the largest tracemalloc peaks, rounded up, of one ms +
-# borda + random replicate after a warm-up run (n = 50-20000, alpha = 0.01-1, T = 1-3, fixed
-# and estimated margins; the item bytes at N of a few hundred, n = 2*10^4-2*10^5).  A
-# without-replacement record also holds its column offset, _col_dtype(n) wide.  WRITTEN
-# records are a simulated dataset's, written with a 4-byte place per pair beside it;
+# borda + random replicate after a warm-up run (n = 50-60000, on both sides of 2**15,
+# alpha = 0.01-1, T = 1-3, fixed and estimated margins; the item bytes at N of a few
+# hundred, n = 2*10^4-2*10^5).  A record also holds its two items, _item_dtype(n) wide; a
+# with-replacement one its drawn cell, _cell_dtype(n) wide, as the sampler's sort holds
+# the drawn and the kept cells at once (8 + 1 + 8 bytes per comparison from n = 92683,
+# traced); and a without-replacement one its column offset, _col_dtype(n) wide.  WRITTEN
+# records are a simulated dataset's, written with a place per pair beside it;
 # DATASET_LINES the lines of run-ms's files, one per 8 bytes at most, held once read; and
 # READ_LINES the largest file's, read on top (traced figures: README "Scale and memory").
 WRITTEN, DATASET_LINES, READ_LINES = "written", "dataset_lines", "read_lines"
-_RECORD_BYTES = {WITH_REPLACEMENT: 18, WITHOUT_REPLACEMENT: 11, WRITTEN: 4,
+_RECORD_BYTES = {WITH_REPLACEMENT: 1, WITHOUT_REPLACEMENT: 3, WRITTEN: 3,
                  DATASET_LINES: 9, READ_LINES: 26}
-_BLOCK_BYTES = {WITH_REPLACEMENT: 36, WITHOUT_REPLACEMENT: 44, WRITTEN: 42}
+_BLOCK_BYTES = {WITH_REPLACEMENT: 40, WITHOUT_REPLACEMENT: 48, WRITTEN: 33}
 _ITEM_BYTES = 228
 
 
@@ -268,7 +274,9 @@ def check_memory(what: str, n: int, records: dict[str, float], workers: int = 1)
     """ResourceCapError, naming ``what``, if ``workers`` runs at once, each on n items with
     ``records[kind]`` records of each kind (a sampling, WRITTEN, DATASET_LINES or
     READ_LINES), would not fit in physical memory."""
-    width = {WITHOUT_REPLACEMENT: _col_dtype(n).itemsize}
+    items = 2 * np.dtype(_item_dtype(n)).itemsize
+    width = {WITH_REPLACEMENT: items + np.dtype(_cell_dtype(n)).itemsize,
+             WITHOUT_REPLACEMENT: items + _col_dtype(n).itemsize}
     need = workers * (n * _ITEM_BYTES + sum(
         count * (_RECORD_BYTES[kind] + width.get(kind, 0))
         + min(count, _WIN_CHUNK) * _BLOCK_BYTES.get(kind, 0)
@@ -327,8 +335,13 @@ def _sieve_net(n: int, sampling: str, budget: float, lam: float, seed: int) -> P
     kind = "minimax_o2" if sampling == WITH_REPLACEMENT else "minimax_o1"
     radius = int(max(rate_curve(kind, n, budget, lam), 1))
     rho = random_permutation(n, np.random.default_rng(derive_seed(seed, 10)))
-    net = greedy_maximal_packing(n, radius)
-    return PackingSet(n, radius, tuple(compose(rho, pi) for pi in net.members))
+    return PackingSet(n, radius, tuple(compose(rho, pi) for pi in _packing(n, radius).members))
+
+
+@functools.lru_cache(maxsize=16)
+def _packing(n: int, radius: int) -> PackingSet:
+    """greedy_maximal_packing of all of S_n, built once per (n, radius) for every replicate."""
+    return greedy_maximal_packing(n, radius)
 
 
 def _run_cell_replicate(

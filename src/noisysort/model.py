@@ -31,7 +31,7 @@ import ctypes
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -142,10 +142,11 @@ class ComparisonDataset:
     those ``first`` won.  Pairs are strictly increasing in (first, second),
     and a without-replacement record holds exactly one comparison; both are
     checked at construction, _WIN_CHUNK records at a time.  The samplers and
-    the reader hold the items in _item_dtype(n); a with-replacement sample of N
-    comparisons holds its counts and wins in _count_dtype(N), a
+    the reader hold the items in _item_dtype(n); a with-replacement sample holds
+    its counts and wins in _count_dtype of its largest count, a
     without-replacement one its wins as bool and its counts as one read-only
-    int64 1, broadcast.
+    int64 1, broadcast.  So below n = 2**15 and 128 comparisons of one pair, a
+    with-replacement record takes 6 bytes and a without-replacement one 5.
     """
 
     n: int
@@ -186,12 +187,23 @@ class ComparisonDataset:
         )
 
 
+def _count_dtype(top: int) -> type:
+    """The narrowest of int8, int16, int32 and int64 that holds 0..top: the type of a
+    with-replacement sample's counts and wins, top its largest count.  The record types stay
+    signed: numpy adds uint64 and int64 in float64."""
+    return (np.int8 if top < 2**7 else np.int16 if top < 2**15 else np.int32 if top < 2**31
+            else np.int64)
+
+
 def _item_dtype(n: int) -> type:
-    """The type of item indices 1..n: int32 while n < 2**31, else int64."""
-    return np.int32 if n < 2**31 else np.int64
+    """The type of item indices 1..n: int16 to n = 32767, int32 below 2**31, else int64."""
+    return np.int16 if n < 2**15 else np.int32 if n < 2**31 else np.int64
 
 
-_count_dtype = _item_dtype  # the rule, too, for the counts and wins of n comparisons
+def _cell_dtype(n: int) -> type:
+    """The type of a with-replacement draw's pair cells 0..C(n,2) - 1: uint32 while
+    C(n,2) < 2**32, where numpy gives the int64 draw's values and stream, else int64."""
+    return np.uint32 if n * (n - 1) // 2 < 2**32 else np.int64
 
 
 def _row_starts(n: int) -> np.ndarray:
@@ -379,6 +391,28 @@ def _replay_star_wins(rng: np.random.Generator, counts: np.ndarray, stronger: np
     return True
 
 
+def _run_lengths(new: np.ndarray, runs: int) -> np.ndarray:
+    """The lengths of the ``runs`` runs whose starts ``new`` marks (new[0] is True), in
+    _count_dtype of the longest, _WIN_CHUNK marks at a time: a run's length is the next
+    run's start less its own.  They are filled as int8, and filled again at the longest's
+    type if it passes 127, so no wider array is held beside them."""
+    dtype = np.int8
+    while True:
+        counts, start, done, top = np.empty(runs, dtype), 0, 0, 0
+        for lo in range(1, len(new), _WIN_CHUNK):
+            starts = np.flatnonzero(new[lo: lo + _WIN_CHUNK]) + lo
+            lengths = np.diff(starts, prepend=start)
+            top = max(top, int(lengths.max(initial=0)))
+            counts[done: done + len(starts)] = lengths  # wraps past dtype, to be filled again
+            done, start = done + len(starts), starts[-1] if len(starts) else start
+        top = max(top, len(new) - start)
+        if top <= np.iinfo(dtype).max:
+            counts[-1] = len(new) - start
+            return counts
+        dtype = _count_dtype(top)
+        del counts
+
+
 def sample_with_replacement(
     pi_star: Permutation, matrix: ProbabilityMatrix, total: int, seed: int
 ) -> ComparisonDataset:
@@ -398,23 +432,18 @@ def sample_with_replacement(
         raise ValueError("need n >= 2 to compare anything")
     num_cells = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
-    # drawn as uint32 while C(n,2) < 2**32: numpy gives the int64 draw's values and stream
-    cells = rng.integers(0, num_cells, size=total,
-                         dtype=np.uint32 if num_cells < 2**32 else np.int64)
+    cells = rng.integers(0, num_cells, size=total, dtype=_cell_dtype(n))
     cells.sort()  # the drawn pairs are the runs of equal cells
     new = np.concatenate(([True], cells[1:] != cells[:-1]))  # where each run starts
     cells = cells[new]  # one cell per drawn pair; the N draws are freed here
-    counts, start, done = np.empty(len(cells), dtype=_count_dtype(total)), 0, 0
-    for lo in range(1, total, _WIN_CHUNK):  # a run's count is the next run's start less its own
-        starts = np.flatnonzero(new[lo: lo + _WIN_CHUNK]) + lo
-        counts[done: done + len(starts)] = np.diff(starts, prepend=start)
-        done, start = done + len(starts), starts[-1] if len(starts) else start
-    counts[-1] = total - start
+    counts = _run_lengths(new, len(cells))
     del new
-    rows = np.zeros(n + 1, np.int64)
+    rows, item = np.zeros(n + 1, np.int64), _item_dtype(n)
     _to_offsets(cells, _row_starts(n).astype(cells.dtype), rows)
-    # uint32 offsets below n are their own int32 values: second is made over them
-    second = cells.view(np.int32) if num_cells < 2**32 else cells.astype(_item_dtype(n))
+    # offsets below n are their own values in the signed type of their width: second is made
+    # over them where the items are that wide, else cast (int16 below n = 2**15)
+    same = cells.dtype.itemsize == np.dtype(item).itemsize
+    second = cells.view(item) if same else cells.astype(item)
     del cells
     first = _first(rows, second)
     ranks = np.concatenate(([0], pi_star.to_array()))  # by item, 1-based
@@ -646,11 +675,13 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
     budget follow the records' integer rule (ASCII decimal int64), and its
     seed the same digits at any size; a bad record line is reported by its
     line number in the file.  The text is dropped before ``np.loadtxt`` parses
-    the records from the file, in the narrowest type that holds every valid
-    value (_item_dtype(max(n, budget)) with replacement, as no count exceeds the
-    budget; _item_dtype(n) without); a wider value is a bad line.  The rows are
-    dropped once oriented into columns, and one sort of a (first, second) key
-    orders the records (``np.lexsort`` from n = 2**32, past a uint64 key).
+    the records from the file, as int32 where that holds every valid value
+    (n and, with replacement, the budget, which no count exceeds), else int64;
+    a wider value is a bad line.  The rows are dropped once oriented into columns
+    with items in _item_dtype(n); counts and wins are then cast to _count_dtype
+    of their largest magnitude, exactly, which for a valid file is its largest
+    count.  One sort of a (first, second) key orders the records (``np.lexsort``
+    from n = 2**32, past a uint64 key), and the dataset is built once.
     """
     text = Path(path).read_text()
     start, end = 0, len(text)  # the text strip() would leave, by index: no copy of it
@@ -676,7 +707,8 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
         raise ValueError(f"bad header in {path!s}: {header!r}")
     if n < 1:
         raise ValueError(f"bad header in {path!s}: n must be >= 1, got {n}")
-    parse = _item_dtype(max(n, budget) if kind == WITH_REPLACEMENT else n)
+    # no valid count exceeds the budget; a value past the parse type is named by its line
+    parse = np.int32 if max(n, budget if kind == WITH_REPLACEMENT else 0) < 2**31 else np.int64
     rows = np.empty((0, 4), dtype=parse)
     if lines:
         try:  # the file itself, past the header: no copy of the body text
@@ -695,6 +727,10 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
             raise ValueError(f"every record line of {path!s} must be four integers")
     first, second, num, wins = _orient(rows, n, kind)
     del rows  # the loaded rows are freed here, before the sort
+    if num is not None:  # the type of the largest magnitude holds every value exactly
+        top = max((max(int(a.max()), -1 - int(a.min())) for a in (num, wins) if len(a)),
+                  default=0)
+        num, wins = num.astype(_count_dtype(top)), wins.astype(_count_dtype(top))
     # any sort by (first, second) does, since a pair's lines must agree
     if n < 2**32:  # one exact unsigned key: first * (n + 1) + second <= n * (n + 2) < 2**64
         key = first.astype(np.uint32 if n < 2**16 else np.uint64)
@@ -732,11 +768,7 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
         raise ValueError(f"header budget {budget} but {dataset.total_comparisons()} comparisons")
     if kind == WITHOUT_REPLACEMENT and not 0 < budget <= 1:
         raise ValueError(f"without-replacement data needs p in (0, 1], got {budget}")
-    if kind == WITH_REPLACEMENT:  # the samplers' types, which the checked values fit exactly
-        num, wins = (a.astype(_count_dtype(budget), copy=False)
-                     for a in (dataset.num, dataset.first_wins))
-        return replace(dataset, num=num, first_wins=wins)
-    return dataset  # bool wins and a broadcast 1: a file with other values failed its checks
+    return dataset  # the samplers' types: a file with other values failed its checks
 
 
 def _orient(rows: np.ndarray, n: int, kind: str) -> tuple[np.ndarray, ...]:

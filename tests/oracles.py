@@ -266,7 +266,8 @@ def int64_read_dataset(path):
     if kind == WITHOUT_REPLACEMENT and not 0 < budget <= 1:
         raise ValueError(f"without-replacement data needs p in (0, 1], got {budget}")
     if kind == WITH_REPLACEMENT:  # the samplers' types, which the checked values fit exactly
-        num, wins = (a.astype(_count_dtype(budget)) for a in (dataset.num, dataset.first_wins))
+        top = int(dataset.num.max(initial=0))
+        num, wins = (a.astype(_count_dtype(top)) for a in (dataset.num, dataset.first_wins))
         return replace(dataset, num=num, first_wins=wins)
     return replace(dataset, num=np.broadcast_to(np.int64(1), dataset.num_pairs),
                    first_wins=dataset.first_wins.astype(bool))
@@ -399,10 +400,8 @@ def merge_datasets(datasets):
     n = datasets[0].n
     if any(d.n != n for d in datasets):
         raise SizeMismatchError("datasets have different n")
-    first = np.concatenate([d.first for d in datasets])
-    second = np.concatenate([d.second for d in datasets])
-    num = np.concatenate([d.num for d in datasets])
-    wins = np.concatenate([d.first_wins for d in datasets])
+    first, second, num, wins = (np.concatenate([getattr(d, k) for d in datasets]).astype(
+        np.int64) for k in ("first", "second", "num", "first_wins"))  # no key wraps
     # collapse duplicate pairs
     key = (first - 1) * n + (second - 1)
     uniq, inverse = np.unique(key, return_inverse=True)

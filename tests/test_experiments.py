@@ -188,10 +188,12 @@ def physical_memory(monkeypatch, nbytes):
 
 
 def rule_bytes(sampling, records, n):
-    """The memory rule's bytes for one replicate: per record of its largest draw (without
-    replacement, with its column offset), per record of that draw's first block, and per
-    item."""
-    width = model._col_dtype(n).itemsize if sampling == WITHOUT_REPLACEMENT else 0
+    """The memory rule's bytes for one replicate: per record of its largest draw (with its
+    two items and its drawn cell with replacement, its column offset without), per record
+    of that draw's first block, and per item."""
+    cell = 4 if math.comb(n, 2) < 2**32 else 8
+    width = 2 * (2 if n < 2**15 else 4) + (
+        model._col_dtype(n).itemsize if sampling == WITHOUT_REPLACEMENT else cell)
     return (records * (experiments._RECORD_BYTES[sampling] + width) + n * experiments._ITEM_BYTES
             + min(records, model._WIN_CHUNK) * experiments._BLOCK_BYTES[sampling])
 
@@ -226,6 +228,17 @@ class TestMemoryRule:
         physical_memory(monkeypatch, 3 * peak)  # and not far above it
         small_spec(**fields)
 
+    @pytest.mark.parametrize("n", [92682, 92683])
+    def test_draw_term_bounds_the_traced_sampler_peak(self, n):
+        # C(n,2) passes 2**32 at n = 92683, where the drawn cells turn int64: the sort holds
+        # them, its run mask and the kept cells at once, and the rule charges their width.
+        # The sampler's own n-sized arrays are three of int64 (rows, row starts, ranks).
+        pi, law, total = random_permutation(n, np.random.default_rng(1)), star_matrix(n, 0.3), 2e6
+        model.sample_with_replacement(pi, law, 1000, 1)
+        peak = traced_peak(lambda: model.sample_with_replacement(pi, law, int(total), 3))[1]
+        draw = rule_bytes(WITH_REPLACEMENT, total, n) - n * experiments._ITEM_BYTES
+        assert peak <= draw + 24 * (n + 1)
+
     @pytest.mark.parametrize("lambda_hat, budget, records", [
         (0.3, 6000, 2000), (None, 6000, 3000), (0.3, 300_000, 100_000), (None, 300_000, 150_000)])
     def test_estimate_is_the_largest_draw(self, monkeypatch, lambda_hat, budget, records):
@@ -244,9 +257,11 @@ class TestMemoryRule:
         with pytest.raises(ResourceCapError, match="3 replicate"):
             small_spec(**fields, workers=3)
 
-    @pytest.mark.parametrize("n, width", [(50, 1), (257, 1), (258, 2), (65537, 2), (65538, 4)])
+    @pytest.mark.parametrize("n, width", [(50, 1), (257, 1), (258, 2), (32767, 2), (32768, 2),
+                                          (65537, 2), (65538, 4)])
     def test_estimate_without_replacement_is_the_whole_draw(self, monkeypatch, n, width):
-        # each pair's column offset is held in the narrowest unsigned type that holds n - 2
+        # each pair's column offset is held in the narrowest unsigned type that holds n - 2,
+        # and its items in int16 up to n = 32767, int32 above
         assert model._col_dtype(n).itemsize == width
         need = rule_bytes(WITHOUT_REPLACEMENT, 0.5 * math.comb(n, 2), n)
         fields = dict(n_values=(n,), sampling=(WITHOUT_REPLACEMENT,), stages=3, workers=1)
@@ -388,6 +403,19 @@ class TestSieveNet:
                        for k, a in enumerate(members) for b in members[k + 1:])
             assert all(any(kendall_tau(pi, m) <= net.epsilon for m in members)
                        for pi in enumerate_permutations(n))
+
+    def test_packing_is_built_once_per_n_and_radius(self, monkeypatch):
+        # only the relabelling is per replicate: 20 replicates of one cell build one packing
+        built, build = [], experiments.greedy_maximal_packing
+        monkeypatch.setattr(experiments, "greedy_maximal_packing",
+                            lambda n, radius: built.append((n, radius)) or build(n, radius))
+        experiments._packing.cache_clear()
+        spec = small_spec(kind="mle_small_n", n_values=(5, 6), alphas=(1.0,), lambda_hat=0.25,
+                          stages=1, replicates=20, estimators=("sieve",),
+                          sampling=(WITHOUT_REPLACEMENT,))
+        assert len([r for r in run_experiment(spec) if r.estimator == "sieve"]) == 40
+        assert sorted(built) == sorted(set(built)) and {n for n, _ in built} == {5, 6}
+        experiments._packing.cache_clear()
 
     def test_one_member_net_is_not_always_the_identity(self):
         centres = {experiments._sieve_net(6, WITHOUT_REPLACEMENT, 0.01, 0.25, seed).members

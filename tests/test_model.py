@@ -70,13 +70,15 @@ from oracles import (
 
 
 def _narrow(d):
-    """Whether ``d`` holds its records as the samplers build them: items int32 below
-    2**31 items, else int64; without replacement, bool wins and a read-only int64 count
-    of 1 taking no bytes; with replacement, counts and wins int32 below 2**31
-    comparisons, else int64."""
-    item = np.int32 if d.n < 2**31 else np.int64
+    """Whether ``d`` holds its records as the samplers build them: items int16 below
+    n = 2**15, int32 below 2**31, else int64; without replacement, bool wins and a
+    read-only int64 count of 1 taking no bytes; with replacement, counts and wins in the
+    narrowest of int8, int16, int32 and int64 that holds the largest count."""
+    item = np.int16 if d.n < 2**15 else np.int32 if d.n < 2**31 else np.int64
     without = d.tag.kind == WITHOUT_REPLACEMENT
-    count = np.int64 if without or d.tag.budget >= 2**31 else np.int32
+    top = int(d.num.max()) if d.num_pairs else 0
+    count = np.int64 if without else next(
+        t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
     return (d.first.dtype == d.second.dtype == item and d.num.dtype == count
             and d.first_wins.dtype == (bool if without else count)
             and (not without or (d.num.strides == (0,) and not d.num.flags.writeable)))
@@ -308,7 +310,7 @@ class TestWithReplacement:
         law = star_matrix(n, 0.2)
         d = sample_with_replacement(pi, law, total, seed)
         assert d.same_data(unique_sample_with_replacement(pi, law, total, seed))
-        assert d.num.dtype == np.int32
+        assert _narrow(d)
 
     # chunks of 1 and 7 cross every edge; at n <= 3 the cells hold thousands of draws,
     # so the binomial takes its large-count branch; a member law varies p pair by pair.
@@ -937,14 +939,14 @@ class TestMergeAndIO:
         assert all(getattr(back, k).dtype == getattr(d, k).dtype
                    for k in ("first", "second", "num", "first_wins"))
 
-    @pytest.mark.parametrize("total", [2**31 - 1, 2**31])
+    @pytest.mark.parametrize("total", [2**31 - 1, 2**31, 2**31 + 1])
     def test_read_counts_past_int32_stay_exact(self, tmp_path, total):
-        # one pair holds nearly every comparison; from 2**31 on the counts are int64
+        # one pair holds nearly every comparison; from a count of 2**31 on the counts are int64
         path = tmp_path / "data.txt"
         path.write_text(f"3 {WITH_REPLACEMENT} {total} 0\n1 2 {total - 1} {total - 6}\n"
                         f"1 3 1 1\n2 1 {total - 1} 5\n3 1 1 0\n")
         d = read_dataset(path)
-        assert _narrow(d) and d.num.dtype == (np.int32 if total < 2**31 else np.int64)
+        assert _narrow(d) and d.num.dtype == (np.int32 if total - 1 < 2**31 else np.int64)
         assert d.num.tolist() == [total - 1, 1] and d.first_wins.tolist() == [total - 6, 1]
         assert d.total_comparisons() == total
 
@@ -1194,6 +1196,61 @@ def test_count_type_turns_int64_at_two_to_the_31(total, count):
     assert chosen is count and peak == 0  # a choice of type, nothing allocated
 
 
+# the record types by hand: items by n, counts and wins by the largest count
+ITEM_TYPES = {2: np.int16, 2**15 - 1: np.int16, 2**15: np.int32}
+COUNT_TYPES = {1: np.int8, 127: np.int8, 128: np.int16, 2**15: np.int32}
+
+
+def _count_type(top):
+    return next(COUNT_TYPES[c] for c in sorted(COUNT_TYPES) if top <= c)
+
+
+class TestRecordTypes:
+    """Every producer holds items in _item_dtype(n) and, with replacement, counts and wins at
+    the width of the largest count; n and the largest counts sit on both sides of each edge."""
+
+    @pytest.mark.parametrize("n", ITEM_TYPES)
+    @pytest.mark.parametrize("top", COUNT_TYPES)
+    def test_with_replacement_sample(self, n, top):
+        # at n = 2 every draw is the one pair's; the wide n draw 1000 pairs, counts of 1 or 2
+        d = sample_with_replacement(Permutation.identity(n), star_matrix(n, 0.2),
+                                    top if n == 2 else 1000, top)
+        assert model._item_dtype(n) is ITEM_TYPES[n]
+        assert d.first.dtype == d.second.dtype == ITEM_TYPES[n]
+        assert d.num.dtype == d.first_wins.dtype == _count_type(int(d.num.max()))
+        assert n > 2 or d.num.tolist() == [top]
+        # int32 items are a view of the drawn uint32 pair numbers: no copy of them
+        assert (d.second.base is not None and d.second.base.dtype == np.uint32) == (n >= 2**15)
+
+    @pytest.mark.parametrize("n", ITEM_TYPES)
+    def test_without_replacement_sample_and_stages(self, n):
+        p = 1.0 if n == 2 else 1e-5
+        pi, law = Permutation.identity(n), star_matrix(n, 0.2)
+        samples = [sample_without_replacement(pi, law, p, 3)]
+        for parts in (1, 3):
+            draw = model._draw_pairs(pi, law, p, 3)
+            samples += list(StageSource.without_replacement(n, draw, p, parts, 4, 3))
+        assert sum(s.num_pairs for s in samples[2:]) == samples[0].num_pairs > 0
+        for s in samples:
+            assert s.first.dtype == s.second.dtype == ITEM_TYPES[n]
+            assert s.num.dtype == np.int64 and s.num.strides == (0,) and s.first_wins.dtype == bool
+
+    @pytest.mark.parametrize("n", ITEM_TYPES)
+    @pytest.mark.parametrize("top", COUNT_TYPES)
+    def test_read_dataset(self, tmp_path, n, top):
+        # pair (1, 2) holds the largest count, stated on both sides; pair (1, n) one comparison
+        lines = [f"1 2 {top} {top // 2}", f"2 1 {top} {top - top // 2}"]
+        if n > 2:
+            lines += [f"{n} 1 1 1"]
+        path = tmp_path / "data.txt"
+        path.write_text("\n".join([f"{n} {WITH_REPLACEMENT} {top + (n > 2)} 0", *lines]) + "\n")
+        d = read_dataset(path)
+        assert d.first.dtype == d.second.dtype == ITEM_TYPES[n]
+        assert d.num.dtype == d.first_wins.dtype == COUNT_TYPES[top]
+        assert d.num.tolist() == [top] + [1] * (n > 2)
+        assert d.first_wins.tolist() == [top // 2] + [0] * (n > 2)
+
+
 class TestSeedDerivation:
     def test_deterministic_and_distinct(self):
         assert derive_seed(42, 0) == derive_seed(42, 0)
@@ -1203,7 +1260,7 @@ class TestSeedDerivation:
 
 
 def _strictly_increasing(d):
-    key = d.first * (d.n + 1) + d.second
+    key = d.first.astype(np.int64) * (d.n + 1) + d.second
     return bool(np.all(np.diff(key) > 0))
 
 
@@ -1345,8 +1402,9 @@ def test_whole_array_io_matches_line_reference(n, seed, total, p, with_r, member
 
 
 
-# counts on both sides of the int32 parse's edge, and small ones
-EDGE_COUNTS = (1, 2, 7, 2**31 - 1, 2**31)
+# counts on both sides of the int32 parse's edge and of the int8 and int16 count types,
+# and small ones
+EDGE_COUNTS = (1, 2, 7, 127, 128, 2**15, 2**31 - 1, 2**31)
 FILE_DEFECTS = (None, None, None, "blank_inside", "disagree", "budget", "item_past_n",
                 "self_pair", "count")
 
@@ -1364,7 +1422,7 @@ def dataset_files(draw):
     stated on one side or both, agreeing repeats, tabs and runs of spaces, CRLF, blank lines
     around the records, and values at the int32 edge and at n; sometimes with one defect."""
     with_r = draw(hst.booleans())
-    n = draw(hst.sampled_from([2, 3, 5, 8, 2**31 - 1, 2**31]))
+    n = draw(hst.sampled_from([2, 3, 5, 8, 2**15 - 1, 2**15, 2**31 - 1, 2**31]))
     # several items high in 1..n, so that one large first item has several seconds
     items = sorted({v for v in (1, 2, 3, n // 2, n // 2 + 1, n // 2 + 2, n - 2, n - 1, n)
                     if 1 <= v <= n})
