@@ -259,6 +259,9 @@ def _cmd_experiment(parser: argparse.ArgumentParser, args) -> int:
     out = settings.pop("out", None) or "results.csv"
     summary_out = settings.pop("summary_out", None)
     timings_out = settings.pop("timings_out", None)
+    if settings["kind"] == "lambda_accuracy" and (summary_out, timings_out) != (None, None):
+        flag = "--summary-out" if summary_out is not None else "--timings-out"
+        raise ValueError(f"{flag} is not written by experiment lambda")
     spec = ExperimentSpec(**settings)
 
     if spec.kind == "lambda_accuracy":

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .errors import check_physical_memory
 from .perms import Permutation, enumerate_permutations, kendall_tau
 
 
@@ -69,11 +70,16 @@ def count_at_most_k_inversions(n: int, k: int) -> int:
     Dynamic programming over inversion tables: entry i takes values in
     {0, ..., n-i}, and the count of tables with a given sum is accumulated
     row by row with a sliding-window prefix sum.  O(n*k) exact arithmetic.
+    ResourceCapError, before anything is allocated, if the up to three lists of
+    k + 1 integers alive at once would not fit in physical memory, each entry
+    charged a list slot and a CPython int of n!'s 30-bit digits.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= k <= max_inversions(n):
         raise ValueError(f"k={k} outside 0..{max_inversions(n)}")
+    need = 3 * (k + 1) * (32 + 4 * math.ceil(math.lgamma(n + 1) / math.log(2**30) + 1))
+    check_physical_memory(f"counting n={n}, k={k}: the count tables", need)
     # counts[j] = number of partial tables with sum exactly j
     counts = [1] + [0] * k
     for i in range(1, n + 1):
@@ -154,17 +160,6 @@ def greedy_maximal_packing(
     return PackingSet(n=n, epsilon=epsilon, members=tuple(kept))
 
 
-def _sparse_binary_vectors(m: int, max_weight: int) -> Iterator[tuple[int, ...]]:
-    """All vectors in {0,1}^m of weight <= max_weight, lexicographically."""
-    for vec in itertools.product((0, 1), repeat=m):
-        if sum(vec) <= max_weight:
-            yield vec
-
-
-def _hamming(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    return sum(a != b for a, b in zip(u, v))
-
-
 def _swap_code_permutation(vec: tuple[int, ...]) -> Permutation:
     """Map a binary vector to a permutation swapping marked adjacent pairs.
 
@@ -179,26 +174,20 @@ def _swap_code_permutation(vec: tuple[int, ...]) -> Permutation:
 def sparse_vg_packing(n: int, r: int) -> PackingSet:
     """Well-separated packing of the radius-r ball around identity.
 
-    Builds a greedy binary code over the r-sparse vectors of {0,1}^(n/2)
-    (lexicographic scan, keep vectors at Hamming distance >= r/2 from all
-    kept ones), then maps code words to adjacent-swap permutations.  Members
-    lie in the ball of radius r around identity and are pairwise at Kendall
-    tau distance >= ceil(r/2); the cardinality should be checked against
+    The greedy code of minimum Hamming distance ceil(r/2) over the r-sparse vectors of
+    {0,1}^(n/2), scanned lexicographically, as adjacent-swap permutations: the swap code
+    maps Hamming to Kendall distance exactly, so greedy_maximal_packing at ceil(r/2) - 1
+    keeps the code's images.  Members lie in the ball of radius r around identity and are
+    pairwise at Kendall tau distance >= ceil(r/2); the cardinality should be checked against
     exp((r/5) * log(n/r)) by the caller, not assumed.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and positive, got {n}")
     if not 1 <= r < n // 2:
         raise ValueError(f"r={r} must satisfy 1 <= r < n/2 = {n // 2}")
-    min_dist = math.ceil(r / 2)
-    code: list[tuple[int, ...]] = []
-    for vec in _sparse_binary_vectors(n // 2, r):
-        if all(_hamming(vec, kept) >= min_dist for kept in code):
-            code.append(vec)
-    members = tuple(_swap_code_permutation(vec) for vec in code)
-    # separation is exactly the source Hamming distance; record the packing
-    # radius actually guaranteed (strictly greater than min_dist - 1)
-    return PackingSet(n=n, epsilon=min_dist - 1, members=members)
+    images = (_swap_code_permutation(vec) for vec in itertools.product((0, 1), repeat=n // 2)
+              if sum(vec) <= r)
+    return greedy_maximal_packing(n, math.ceil(r / 2) - 1, images)
 
 
 def sparse_packing_cardinality_floor(n: int, r: int) -> float:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .counting import PackingSet, greedy_maximal_packing
-from .errors import ResourceCapError
+from .errors import ResourceCapError, check_physical_memory
 from .estimators import (
     MsConfig,
     MsState,
@@ -43,13 +43,13 @@ from .model import (
     _WIN_CHUNK,
     _cell_dtype,
     _col_dtype,
-    _draw_pairs,
     _item_dtype,
     derive_seed,
     stage_budgets,
     star_matrix,
 )
 from .perms import (
+    ENUMERATION_CAP,
     Permutation,
     compose,
     kendall_tau,
@@ -152,6 +152,8 @@ class ExperimentSpec:
         ):
             raise ValueError("region snapshots take one grid cell, the ms estimator, "
                              "the identity pi_star and a regions_dir")
+        if self.regions_dir is not None and self.kind != "region_snapshot":
+            raise ValueError(f"--regions-dir is written by region snapshots, not by {self.kind}")
         if self.kind == "lambda_accuracy" and tuple(self.sampling) != (WITH_REPLACEMENT,):
             raise ValueError("lambda_accuracy samples with replacement only")
         ms_without = "ms" in self.estimators and WITHOUT_REPLACEMENT in self.sampling
@@ -233,8 +235,9 @@ def _pi_star(spec: ExperimentSpec, n: int, seed: int) -> Permutation:
 def _cell_plan(spec: ExperimentSpec, n: int, kind: str, value: float,
                sampling: str) -> tuple[float, int]:
     """A cell's (budget: N comparisons as a whole float, or p without replacement;
-    stages).  ValueError, naming the cell, if it cannot run; ResourceCapError if the
-    replicates of all workers at once would not fit in physical memory."""
+    stages).  ValueError, naming the cell, if it cannot run; ResourceCapError if mle or
+    sieve would enumerate S_n past perms.ENUMERATION_CAP, or if the replicates of all
+    workers at once would not fit in physical memory."""
     cell = f"cell n={n}, {kind}={value:g}, {sampling}"
     estimated = spec.kind == "lambda_accuracy" or spec.lambda_hat is None
     least_n = 4 if estimated and sampling == WITH_REPLACEMENT else 2
@@ -244,6 +247,8 @@ def _cell_plan(spec: ExperimentSpec, n: int, kind: str, value: float,
     if not math.isfinite(value * pairs if kind == "alpha" else value):
         raise ValueError(f"{cell}: the budget is not a finite number")
     stages = spec.stages if spec.stages is not None else default_stage_count(n)
+    if n > ENUMERATION_CAP and {"mle", "sieve"} & set(spec.estimators):
+        raise ResourceCapError(f"{cell}: mle and sieve enumerate S_n, n > cap {ENUMERATION_CAP}")
     if sampling == WITHOUT_REPLACEMENT:
         budget = value if kind == "alpha" else value / pairs
         if not 0 < budget <= 1:
@@ -281,11 +286,7 @@ def check_memory(what: str, n: int, records: dict[str, float], workers: int = 1)
         count * (_RECORD_BYTES[kind] + width.get(kind, 0))
         + min(count, _WIN_CHUNK) * _BLOCK_BYTES.get(kind, 0)
         for kind, count in records.items()))
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > memory:
-        raise ResourceCapError(
-            f"{what}: {workers} replicate(s) at once need about {need / 2**30:.3g} GiB, "
-            f"more than the {memory / 2**30:.3g} GiB of physical memory")
+    check_physical_memory(f"{what}: {workers} replicate(s) at once", need)
 
 
 def draw_stages(
@@ -316,10 +317,7 @@ def draw_stages(
                 StageSource.with_replacement(pi_star, matrix, halves, master))
         return source, lambda_hat
     if sampling == WITHOUT_REPLACEMENT:
-        draw_seed = derive_seed(seed, 0)
-        draw = _draw_pairs(pi_star, matrix, budget, draw_seed)
-        return StageSource.without_replacement(pi_star.n, draw, budget, stages,
-                                               derive_seed(seed, 1), draw_seed), lambda_hat
+        return StageSource.without_replacement(pi_star, matrix, budget, stages, seed), lambda_hat
     raise ValueError(f"unknown sampling model {sampling!r}")
 
 

@@ -10,12 +10,15 @@ Two sampling schemes produce a ``ComparisonDataset``:
 * without replacement: every unordered pair is observed once with
   probability p, independently.  The observed pairs are one Bernoulli(p)
   process over the numbered pair cells, drawn as Geometric(p) gaps, and the
-  multistage split gives each observed pair one uniform stage label.  The
-  draw is held while its stages are built as its pairs per row, one column
-  offset per pair in the narrowest unsigned type that holds n - 2, and the
-  first-won bits packed eight to a byte;
+  multistage split gives each observed pair one uniform stage label, even
+  at one stage.  The draw is held while its stages are built as its pairs
+  per row, one column offset per pair in the narrowest unsigned type that
+  holds n - 2, and the first-won bits packed eight to a byte;
 * with replacement: a fixed number N of comparisons, each between a
   uniformly drawn pair.
+
+Both ``StageSource`` constructors take the latent order, the law, the budget
+and a seed, and draw their own stages.
 
 Datasets store one record per compared unordered pair (i < j): the number of
 comparisons and how many the smaller-index item won.  This matches the file
@@ -514,21 +517,17 @@ class StageSource:
             for k, b in enumerate(budgets)))
 
     @classmethod
-    def without_replacement(cls, n: int, draw: tuple[np.ndarray, np.ndarray, np.ndarray],
-                            p: float, parts: int, seed: int, whole_seed: int) -> StageSource:
-        """The stages of a held without-replacement draw, _draw_pairs' (rows, cols, bits):
-        each pair gets one of ``parts`` uniform labels, drawn once from ``seed``; stage t is
-        the pairs labelled t, keyed derive_seed(seed, t).  One part is the whole draw, keyed
-        ``whole_seed``.  Each stage is decoded into new arrays and the draw is never written,
-        so every pass replays the first."""
+    def without_replacement(cls, pi_star: Permutation, matrix: ProbabilityMatrix, p: float,
+                            parts: int, seed: int) -> StageSource:
+        """The stages of one without-replacement draw from derive_seed(seed, 0), held as
+        _draw_pairs' (rows, cols, bits): each pair gets one of ``parts`` uniform labels, drawn
+        once from derive_seed(seed, 1); stage t is the pairs labelled t, keyed
+        derive_seed(derive_seed(seed, 1), t).  Each stage is decoded into new arrays and the
+        draw is never written, so every pass replays the first."""
         if parts < 1:
             raise ValueError("parts must be positive")
-        rows, cols, bits = draw
-        item = _item_dtype(n)
-        if parts == 1:
-            return cls(n, (len(cols),), lambda: (
-                _decode(n, rows, cols.astype(item), _unpack(bits, 0, len(cols)), p, whole_seed)
-                for _ in range(1)))
+        rows, cols, bits = _draw_pairs(pi_star, matrix, p, derive_seed(seed, 0))
+        n, item, seed = pi_star.n, _item_dtype(pi_star.n), derive_seed(seed, 1)
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, parts, size=len(cols), dtype=np.min_scalar_type(parts - 1))
         counts, ends = _counts(labels, parts), np.cumsum(rows)

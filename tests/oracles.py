@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from noisysort import model
+from noisysort import counting, model
 from noisysort.counting import PackingSet
 from noisysort.errors import SizeMismatchError
 from noisysort.estimators import LAMBDA_CLAMP, _best_candidate, borda_sort
@@ -22,8 +22,6 @@ from noisysort.model import (
     WITHOUT_REPLACEMENT,
     ComparisonDataset,
     SamplingTag,
-    StageSource,
-    _col_dtype,
     _count_dtype,
     _DECIMAL,
     _int64,
@@ -514,25 +512,14 @@ def pair_cells(n, first, second):
     return rows_before * (2 * n - 1 - rows_before) // 2 + second - first - 1
 
 
-def held_draw(dataset):
-    """The held draw of a without-replacement dataset, as model._draw_pairs returns it:
-    pairs per first item, column offsets and packed first-won bits."""
-    rows = np.bincount(dataset.first.astype(np.int64), minlength=dataset.n + 1)
-    cols = (dataset.second.astype(np.int64) - dataset.first - 1).astype(_col_dtype(dataset.n))
-    return rows, cols, np.packbits(dataset.first_wins.astype(bool))
-
-
 def split_without_replacement(dataset, parts, seed):
-    """The former library split, now the list of the stages the pipeline
-    streams: each observed pair gets one of ``parts`` uniform stage labels
-    (model.StageSource.without_replacement) and each stage keeps the (first, second) order.
-    One part returns ``dataset`` itself."""
+    """The stages of a without-replacement dataset as the library builds them from its draw:
+    cells_stages of its pair cells, one uniform label per pair drawn from ``seed``, each
+    stage in (first, second) order and keyed derive_seed(seed, t)."""
     if dataset.tag.kind != WITHOUT_REPLACEMENT:
         raise ValueError("expected a without-replacement dataset")
-    if parts == 1:
-        return [dataset]
-    return list(StageSource.without_replacement(dataset.n, held_draw(dataset),
-                                                dataset.tag.budget, parts, seed, dataset.seed))
+    return cells_stages(dataset.n, pair_cells(dataset.n, dataset.first, dataset.second),
+                        dataset.first_wins.astype(bool), dataset.tag.budget, parts, seed)
 
 
 def cells_draw_pairs(pi_star, matrix, p, seed):
@@ -564,18 +551,16 @@ def cells_draw_pairs(pi_star, matrix, p, seed):
     return cells, won
 
 
-def cells_stages(n, cells, won, p, parts, seed, whole_seed):
+def cells_stages(n, cells, won, p, parts, seed):
     """The former library stages of a cells draw: one uniform label per pair, drawn from
     ``seed``; stage t is the pairs labelled t, decoded from their cells and keyed
-    derive_seed(seed, t); one part is the whole draw, keyed ``whole_seed``."""
+    derive_seed(seed, t), one stage or many."""
     def decode(part, bits, key):
         first, second = _pair_items(n, part)
         return ComparisonDataset(
             n=n, first=first, second=second, num=np.broadcast_to(np.int64(1), len(part)),
             first_wins=bits, tag=SamplingTag(WITHOUT_REPLACEMENT, p), seed=key)
 
-    if parts == 1:
-        return [decode(cells, won.copy(), whole_seed)]
     labels = np.random.default_rng(seed).integers(0, parts, size=len(cells),
                                                   dtype=np.min_scalar_type(parts - 1))
     return [decode(cells[labels == t], won[labels == t], derive_seed(seed, t))
@@ -627,8 +612,6 @@ def sorted_split_without_replacement(dataset, parts, seed):
     """The former library split, kept as the reference of the streamed stages:
     one uniform label per pair, the pairs ordered stably by label, and each
     stage one slice of that order."""
-    if parts == 1:
-        return [dataset]
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, parts, size=dataset.num_pairs, dtype=np.min_scalar_type(parts - 1))
     order = np.argsort(labels, kind="stable")
@@ -688,6 +671,19 @@ def loop_greedy_packing(n, epsilon, universe):
         if all(kendall_tau(pi, member) > epsilon for member in kept):
             kept.append(pi)
     return PackingSet(n=n, epsilon=epsilon, members=tuple(kept))
+
+
+def loop_sparse_vg_packing(n, r):
+    """The former library sparse packing, kept as the reference of the greedy packing of
+    the swap-code images: the greedy binary code over the r-sparse vectors of {0,1}^(n/2),
+    scanned lexicographically, at Hamming distance >= ceil(r/2) from every kept vector."""
+    min_dist, code = math.ceil(r / 2), []
+    for vec in itertools.product((0, 1), repeat=n // 2):
+        if sum(vec) <= r and all(sum(a != b for a, b in zip(vec, kept)) >= min_dist
+                                 for kept in code):
+            code.append(vec)
+    return PackingSet(n=n, epsilon=min_dist - 1,
+                      members=tuple(map(counting._swap_code_permutation, code)))
 
 
 def dense_star_entries(n, lam):

@@ -403,11 +403,31 @@ class TestExperimentCommand:
         ("scaling-n", ["--alphas", "0.003", "--sampling", "without", "--replicates", "20"]),
     ])
     def test_spec_constraints_exit_one(self, tmp_path, capsys, which, extra):
-        code = main(["experiment", which, "--n-values", "30", *extra,
-                     "--out", str(tmp_path / "r.csv"), "--regions-dir", str(tmp_path / "reg")])
+        # only region snapshots take a regions directory: elsewhere it is refused on its own
+        regions = ["--regions-dir", str(tmp_path / "reg")] if which == "regions" else []
+        code = main(["experiment", which, "--n-values", "30", *extra, *regions,
+                     "--out", str(tmp_path / "r.csv")])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and "--regions-dir" not in err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("which, key, flag", [
+        ("lambda", "summary_out", "--summary-out"), ("lambda", "timings_out", "--timings-out"),
+        ("scaling-n", "regions_dir", "--regions-dir"), ("mle-small", "regions_dir",
+                                                        "--regions-dir")])
+    @pytest.mark.parametrize("form", ["flag", "config key"])
+    def test_outputs_the_kind_never_writes_exit_one(self, tmp_path, monkeypatch, capsys, which,
+                                                    key, flag, form):
+        # these used to exit 0 and write nothing where they named
+        monkeypatch.chdir(tmp_path)
+        Path("exp.cfg").write_text(f"{key} = named\n")
+        given = [flag, "named"] if form == "flag" else ["--config", "exp.cfg"]
+        assert main(["experiment", which, "--n-values", "30", "--replicates", "1", *given,
+                     "--out", "r.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
     def test_lambda_experiment(self, tmp_path):
         out = tmp_path / "lam.csv"
@@ -460,6 +480,19 @@ class TestExitCodes:
         monkeypatch.setenv("NOISYSORT_WORKERS", "abc")
         assert main(args) == 1
         assert "NOISYSORT_WORKERS" in capsys.readouterr().err
+
+    def test_enumeration_and_count_refusals_are_two(self, tmp_path, capsys, monkeypatch):
+        # mle past the enumeration cap is refused when the spec is built, and a count whose
+        # tables pass physical memory before they are allocated
+        out = tmp_path / "r.csv"
+        assert main(["experiment", "scaling-n", "--n-values", "11", "--estimators", "mle",
+                     "--replicates", "1", "--out", str(out)]) == 2
+        assert "enumerate S_n" in capsys.readouterr().err and not out.exists()
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2**20, "SC_PAGE_SIZE": 1}.get)
+        assert main(["count-inversions", "--n", "200", "--k", "19900"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("refused: counting n=200, k=19900: ")
+        assert captured.out == ""
 
     def test_cap_refusal_is_two(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

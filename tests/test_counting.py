@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from noisysort.counting import (
 from noisysort.errors import ResourceCapError
 from noisysort.perms import Permutation, enumerate_permutations, kendall_tau, random_permutation
 
-from oracles import inversion_histogram, loop_greedy_packing
+from oracles import inversion_histogram, loop_greedy_packing, loop_sparse_vg_packing
 
 
 class TestCounting:
@@ -27,6 +29,25 @@ class TestCounting:
 
     def test_full_radius_covers_group(self):
         assert count_at_most_k_inversions(3, 3) == 6
+
+    def test_tables_past_physical_memory_are_refused_before_allocation(self, monkeypatch):
+        # three lists of k + 1 ints, each charged a list slot and a 24-byte int head and
+        # 4 bytes per 30-bit digit of n!: 250,104 bytes at n = 50 and k = C(50, 2), where the
+        # count traces a peak of 228,392
+        n, k, need = 50, max_inversions(50), 250_104
+        for memory in (need, need - 1):
+            monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}.get)
+            tracemalloc.start()
+            try:
+                if memory < need:
+                    with pytest.raises(ResourceCapError, match="physical memory"):
+                        count_at_most_k_inversions(n, k)
+                else:
+                    assert count_at_most_k_inversions(n, k) == math.factorial(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= need and (memory == need or peak < 10_000)
 
     def test_single_inversion_count(self):
         # identity plus the n-1 adjacent transpositions
@@ -174,6 +195,12 @@ class TestSparsePacking:
             for r in range(1, n // 2):
                 packing = sparse_vg_packing(n, r)
                 assert len(packing) >= sparse_packing_cardinality_floor(n, r)
+
+    def test_matches_the_hamming_code_loop(self):
+        # the greedy packing of the swap-code images keeps the binary code's members, in order
+        for n in (8, 12, 16):
+            for r in range(1, n // 2):
+                assert sparse_vg_packing(n, r) == loop_sparse_vg_packing(n, r), (n, r)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -39,6 +39,7 @@ from noisysort.model import (
     star_matrix,
 )
 from noisysort.perms import (
+    ENUMERATION_CAP,
     Permutation,
     enumerate_permutations,
     kendall_tau,
@@ -126,6 +127,28 @@ class TestSpecValidation:
         small_spec(**fields)
         with pytest.raises(ValueError, match="region snapshots"):
             small_spec(**{**fields, **bad})
+
+    @pytest.mark.parametrize("kind", ["scaling_n", "scaling_budget", "lambda_accuracy",
+                                      "mle_small_n"])
+    def test_regions_dir_belongs_to_region_snapshots(self, tmp_path, kind):
+        with pytest.raises(ValueError, match=f"--regions-dir .* not by {kind}"):
+            small_spec(kind=kind, regions_dir=str(tmp_path / "regions"))
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("estimator", ["mle", "sieve"])
+    def test_enumerating_estimators_are_refused_when_built(self, monkeypatch, estimator):
+        # the refusal used to come only when a replicate reached the estimator, after that
+        # replicate's draw and its ms run
+        def no_draw(*args):
+            raise AssertionError("a spec that cannot run drew data")
+
+        for name in ("sample_with_replacement", "_draw_pairs"):
+            monkeypatch.setattr(model, name, no_draw)
+        fields = dict(alphas=(0.3,), estimators=("ms", estimator),
+                      sampling=(WITH_REPLACEMENT, WITHOUT_REPLACEMENT))
+        with pytest.raises(ResourceCapError, match=f"cell n={ENUMERATION_CAP + 1}, .*S_n"):
+            small_spec(n_values=(ENUMERATION_CAP, ENUMERATION_CAP + 1), **fields)
+        small_spec(n_values=(ENUMERATION_CAP,), **fields)
 
     def test_lambda_accuracy_samples_with_replacement_only(self):
         fields = dict(kind="lambda_accuracy", budgets=(2000,), alphas=None)
@@ -525,7 +548,7 @@ class TestOneDrawPerReplicate:
         # the stage sources look the sampler and the decoder up in their own module
         with_calls = self._count_calls(monkeypatch, model, "sample_with_replacement")
         decode_calls = self._count_calls(monkeypatch, model, "_decode")
-        without_calls = self._count_calls(monkeypatch, experiments, "_draw_pairs")
+        without_calls = self._count_calls(monkeypatch, model, "_draw_pairs")
         spec = small_spec(replicates=3, stages=2, estimators=("ms", "borda"),
                           sampling=(WITH_REPLACEMENT, WITHOUT_REPLACEMENT))
         rows = run_experiment(spec)

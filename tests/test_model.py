@@ -488,9 +488,9 @@ def test_with_replacement_stream_is_pinned(case):
     assert _digest(d.first, d.second, d.num, d.first_wins) == GOLDEN_DRAWS[case]
 
 
-# sha256 of _draw_pairs' pair cells and bits as int64 bytes: (n, lam, pi_star, p, seed) ->
-# digest, pinned with the former single-call gap draw when the draw held its pairs as cells;
-# 45k to 600k pairs, 1 to 10 blocks of 65536
+# sha256 of sample_without_replacement's pair cells and bits as int64 bytes: (n, lam, pi_star,
+# p, seed) -> digest, pinned with the former single-call gap draw when the draw held its pairs
+# as cells; 45k to 600k pairs, 1 to 10 blocks of 65536
 GOLDEN_WITHOUT_DRAWS = {
     (800, 0.25, "identity", 1.0, 1):
         "9d3fac3ad3ff3510bdc23bc4c6ff30bf5aa2eb842c6610d1a0ddc4456000f47d",
@@ -533,10 +533,9 @@ class TestSplits:
 
     def test_a_second_pass_replays_the_first(self):
         pi, law = random_permutation(40, np.random.default_rng(1)), star_matrix(40, 0.2)
-        draw = model._draw_pairs(pi, law, 0.6, 3)
         for source in (StageSource.with_replacement(pi, law, [300, 200], 7, first_key=2),
-                       StageSource.without_replacement(40, draw, 0.6, 3, 5, 6),
-                       StageSource.without_replacement(40, draw, 0.6, 1, 5, 6),
+                       StageSource.without_replacement(pi, law, 0.6, 3, 5),
+                       StageSource.without_replacement(pi, law, 0.6, 1, 5),
                        StageSource.of(split_with_replacement(pi, law, [100, 101], 1))):
             once, again = list(source), list(source)
             assert tuple(s.total_comparisons() for s in once) == source.counts
@@ -565,7 +564,8 @@ class TestSplits:
 
     def test_without_split_single_bucket_is_same_dataset(self):
         d = sample_without_replacement(Permutation.identity(10), star_matrix(10, 0.2), 0.5, 3)
-        assert split_without_replacement(d, 1, 5)[0] is d
+        (stage,) = split_without_replacement(d, 1, 5)
+        assert stage.same_data(d) and stage.seed == derive_seed(5, 0) and _narrow(stage)
 
     def test_bucket_sizes_multinomial(self):
         n, p, parts = 30, 0.9, 3
@@ -596,6 +596,20 @@ class TestSplits:
 def _identical(a, b):
     """Same records, tag and seed, and ``a`` holds them as the library builds them."""
     return a.same_data(b) and a.tag == b.tag and a.seed == b.seed and _narrow(a)
+
+
+def _cells_source(pi, law, p, parts, seed):
+    """The reference stages of StageSource.without_replacement(pi, law, p, parts, seed): the
+    cells draw from derive_seed(seed, 0), its labels from derive_seed(seed, 1)."""
+    return cells_stages(pi.n, *cells_draw_pairs(pi, law, p, derive_seed(seed, 0)), p, parts,
+                        derive_seed(seed, 1))
+
+
+def _holding_draws(monkeypatch):
+    """The draws that model._draw_pairs returns from now on, listed as they are made."""
+    draws, original = [], model._draw_pairs
+    monkeypatch.setattr(model, "_draw_pairs", lambda *a: draws.append(original(*a)) or draws[-1])
+    return draws
 
 
 @settings(max_examples=60, deadline=None)
@@ -638,9 +652,8 @@ class TestWithoutStream:
         source, _ = draw_stages(pi, law, WITHOUT_REPLACEMENT, p, parts, 4, 0.2)
         stages = list(source)
         assert source.counts == (0,) * parts
-        assert [s.seed for s in stages] == (
-            [derive_seed(4, 0)] if parts == 1 else [derive_seed(derive_seed(4, 1), t)
-                                                    for t in range(parts)])
+        assert [s.seed for s in stages] == [derive_seed(derive_seed(4, 1), t)
+                                            for t in range(parts)]
         assert all(s.num_pairs == 0 and s.n == n and s.tag.budget == p for s in stages)
 
     def test_stages_are_built_when_pulled(self, monkeypatch):
@@ -679,20 +692,34 @@ class TestWithoutStream:
             assert dtype != np.uint32 or second.base is offsets
 
     @pytest.mark.parametrize("n", [92682, 92683])
-    def test_pair_cells_past_two_to_the_31(self, n):
+    def test_pair_cells_past_two_to_the_31(self, monkeypatch, n):
         # C(n,2) < 2**32 up to n = 92682: the former draw held uint32 cells there and int64
         # above; the cells reach past 2**31 and the column offsets are uint32 on both sides
         assert (math.comb(n, 2) < 2**32) == (n == 92682)
         pi, law, p = random_permutation(n, np.random.default_rng(3)), star_matrix(n, 0.25), 2e-6
-        draw = model._draw_pairs(pi, law, p, 4)
-        cells, won = cells_draw_pairs(pi, law, p, 4)
+        draws = _holding_draws(monkeypatch)
+        source = StageSource.without_replacement(pi, law, p, 3, 4)
+        (draw,) = draws
+        cells, won = cells_draw_pairs(pi, law, p, derive_seed(4, 0))
         assert draw[1].dtype == np.uint32 and 7000 < len(cells) < 10_000 and cells[-1] >= 2**31
         held = [a.copy() for a in draw]
-        source = StageSource.without_replacement(n, draw, p, 3, 5, 6)
         once, again = list(source), list(source)
-        for a, b, c in zip(once, again, cells_stages(n, cells, won, p, 3, 5, 6), strict=True):
+        expected = cells_stages(n, cells, won, p, 3, derive_seed(4, 1))
+        for a, b, c in zip(once, again, expected, strict=True):
             assert _identical(a, c) and _identical(b, c)
         assert all(np.array_equal(a, b) for a, b in zip(draw, held))
+
+    @pytest.mark.parametrize("n", [2**15 - 1, 2**15, 65537, 65538])
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_stages_equal_the_cells_stages(self, n, parts):
+        # the one constructor draws, labels and decodes at every stage count, one stage
+        # included, with items on both sides of int16 and column offsets on both sides of
+        # uint16; p = 1e-5 draws about 5k to 21k pairs
+        pi, law, p = random_permutation(n, np.random.default_rng(n)), star_matrix(n, 0.2), 1e-5
+        source = StageSource.without_replacement(pi, law, p, parts, 11)
+        expected = _cells_source(pi, law, p, parts, 11)
+        assert len(expected) == parts and all(map(_identical, source, expected))
+        assert source.counts == tuple(s.num_pairs for s in expected) and sum(source.counts) > 0
 
     def test_pair_cells_invert_pair_items(self):
         n = 9
@@ -704,15 +731,16 @@ class TestWithoutStream:
     @pytest.mark.parametrize("case", list(GOLDEN_WITHOUT_DRAWS))
     def test_block_draw_stream_is_pinned(self, monkeypatch, case, chunk):
         # the gaps are drawn a block at a time into rows and column offsets, the tail past the
-        # last cell too: the decoded cells and bits equal the single-call draw's, over up to
+        # last cell too: the sampler's cells and bits equal the single-call draw's, over up to
         # 600 blocks
         monkeypatch.setattr(model, "_WIN_CHUNK", chunk)
         n, lam, kind, p, seed = case
         pi = Permutation.identity(n) if kind == "identity" else random_permutation(
             n, np.random.default_rng(seed))
-        rows, cols, bits = draw = model._draw_pairs(pi, star_matrix(n, lam), p, seed)
+        draws = _holding_draws(monkeypatch)
+        whole = sample_without_replacement(pi, star_matrix(n, lam), p, seed)
+        ((rows, cols, bits),) = draws
         assert rows.shape == (n + 1,) and cols.dtype == np.uint16 and bits.dtype == np.uint8
-        (whole,) = StageSource.without_replacement(n, draw, p, 1, 5, 6)
         cells = pair_cells(n, whole.first, whole.second)
         assert _digest(cells, whole.first_wins) == GOLDEN_WITHOUT_DRAWS[case]
 
@@ -732,16 +760,17 @@ class TestWithoutStream:
 
     @pytest.mark.parametrize("n", [40, 70_000])
     @pytest.mark.parametrize("parts", [1, 3])
-    def test_stages_are_new_arrays_and_the_held_draw_is_unwritten(self, n, parts):
-        # every stage, the whole draw's too, is decoded into arrays of its own, and the held
-        # draw is only read, so every pass replays the first
+    def test_stages_are_new_arrays_and_the_held_draw_is_unwritten(self, monkeypatch, n, parts):
+        # every stage, the one stage of the whole draw too, is decoded into arrays of its own,
+        # and the held draw is only read, so every pass replays the first
         pi, law = random_permutation(n, np.random.default_rng(2)), star_matrix(n, 0.2)
         p = 0.6 if n == 40 else 1e-4
-        draw = model._draw_pairs(pi, law, p, 3)
+        draws = _holding_draws(monkeypatch)
+        source = StageSource.without_replacement(pi, law, p, parts, 3)
+        (draw,) = draws
         held = [a.copy() for a in draw]
-        source = StageSource.without_replacement(n, draw, p, parts, 5, 6)
         once, again = list(source), list(source)
-        expected = cells_stages(n, *cells_draw_pairs(pi, law, p, 3), p, parts, 5, 6)
+        expected = _cells_source(pi, law, p, parts, 3)
         assert all(map(_identical, once, expected)) and all(map(_identical, again, expected))
         for stage in once:
             assert not any(np.shares_memory(x, y) for x in (stage.first, stage.second,
@@ -749,19 +778,19 @@ class TestWithoutStream:
             assert stage.first_wins.flags.writeable
         assert all(np.array_equal(a, b) for a, b in zip(draw, held))
         if parts == 1:
-            assert once[0].same_data(sample_without_replacement(pi, law, p, 3))
+            assert once[0].same_data(sample_without_replacement(pi, law, p, derive_seed(3, 0)))
 
     @pytest.mark.parametrize("n, dtype", [(257, np.uint8), (258, np.uint16)])
-    def test_column_offsets_at_the_width_of_n(self, n, dtype):
+    def test_column_offsets_at_the_width_of_n(self, monkeypatch, n, dtype):
         # the pair (1, n) has the largest column offset, n - 2: 255 fits a uint8, 256 does not
         pi, law = random_permutation(n, np.random.default_rng(5)), star_matrix(n, 0.2)
-        draw = model._draw_pairs(pi, law, 1.0, 7)
-        assert draw[1].dtype == dtype and draw[1].max() == n - 2 and len(draw[1]) == math.comb(n, 2)
-        cells, won = cells_draw_pairs(pi, law, 1.0, 7)
+        draws = _holding_draws(monkeypatch)
         for parts in (1, 3):
-            stages = list(StageSource.without_replacement(n, draw, 1.0, parts, 5, 6))
-            assert all(map(_identical, stages, cells_stages(n, cells, won, 1.0, parts, 5, 6)))
+            stages = list(StageSource.without_replacement(pi, law, 1.0, parts, 7))
+            assert all(map(_identical, stages, _cells_source(pi, law, 1.0, parts, 7)))
             assert sum(((s.first == 1) & (s.second == n)).sum() for s in stages) == 1
+        cols = draws[0][1]
+        assert cols.dtype == dtype and cols.max() == n - 2 and len(cols) == math.comb(n, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -778,11 +807,9 @@ def test_held_draw_stages_match_the_cells_draw(n, seed, p, parts, chunk, pi_kind
     law = star_matrix(n, 0.2)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "_WIN_CHUNK", chunk)
-        source = StageSource.without_replacement(n, model._draw_pairs(pi, law, p, seed), p,
-                                                 parts, seed + 1, seed + 2)
+        source = StageSource.without_replacement(pi, law, p, parts, seed)
         stages = list(source)
-        expected = cells_stages(n, *cells_draw_pairs(pi, law, p, seed), p, parts, seed + 1,
-                                seed + 2)
+        expected = _cells_source(pi, law, p, parts, seed)
     assert len(stages) == parts and all(map(_identical, stages, expected))
     assert source.counts == tuple(s.num_pairs for s in expected)
 
@@ -1226,10 +1253,9 @@ class TestRecordTypes:
     def test_without_replacement_sample_and_stages(self, n):
         p = 1.0 if n == 2 else 1e-5
         pi, law = Permutation.identity(n), star_matrix(n, 0.2)
-        samples = [sample_without_replacement(pi, law, p, 3)]
+        samples = [sample_without_replacement(pi, law, p, derive_seed(3, 0))]
         for parts in (1, 3):
-            draw = model._draw_pairs(pi, law, p, 3)
-            samples += list(StageSource.without_replacement(n, draw, p, parts, 4, 3))
+            samples += list(StageSource.without_replacement(pi, law, p, parts, 3))
         assert sum(s.num_pairs for s in samples[2:]) == samples[0].num_pairs > 0
         for s in samples:
             assert s.first.dtype == s.second.dtype == ITEM_TYPES[n]
