@@ -209,6 +209,12 @@ def _margin(text: str) -> float | None:
     return None if text == "none" else float(text)
 
 
+def _seed(text: str) -> int:
+    if (seed := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {seed}")
+    return seed
+
+
 def _setting_flags(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
     """The experiment parser's settings by dest, which are also a config file's keys: the
     ExperimentSpec fields but ``kind``, and the output files."""
@@ -289,7 +295,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--model", choices=("with", "without"), required=True)
     p_sim.add_argument("--budget", required=True,
                        help="N for --model with, per-pair probability for without")
-    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--seed", type=_seed, required=True)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--pi-star", dest="pi_star", default=None,
                        help="file with the latent permutation (default identity)")
@@ -306,7 +312,7 @@ def build_parser() -> _Parser:
     generate.add_argument("--lambda", dest="lam", type=float, help="default 0.25")
     generate.add_argument("--model", choices=("with", "without"), help="default with")
     generate.add_argument("--budget")
-    generate.add_argument("--seed", type=int, help="default 0")
+    generate.add_argument("--seed", type=_seed, help="default 0")
     generate.add_argument("--pi-star", dest="pi_star", help="default identity")
     p_ms.add_argument("--T", dest="stages", type=int, required=True)
     p_ms.add_argument("--lambda-hat", dest="lambda_hat", type=float, default=None)

@@ -75,13 +75,13 @@ WORKERS_ENV_VAR = "NOISYSORT_WORKERS"
 # the drawn and the kept cells at once (8 + 1 + 8 bytes per comparison from n = 92683,
 # traced); and a without-replacement one its column offset, _col_dtype(n) wide.  WRITTEN
 # records are a simulated dataset's, written with a place per pair beside it;
-# DATASET_LINES the lines of run-ms's files, one per 8 bytes at most, held once read; and
-# READ_LINES the largest file's, read on top (traced figures: README "Scale and memory").
+# DATASET_LINES the lines of run-ms's files, one per 8 bytes at most, held once read;
+# READ_LINES the largest file's, read on top; then a run's fixed costs (README "Scale and memory").
 WRITTEN, DATASET_LINES, READ_LINES = "written", "dataset_lines", "read_lines"
 _RECORD_BYTES = {WITH_REPLACEMENT: 1, WITHOUT_REPLACEMENT: 3, WRITTEN: 3,
                  DATASET_LINES: 9, READ_LINES: 26}
 _BLOCK_BYTES = {WITH_REPLACEMENT: 40, WITHOUT_REPLACEMENT: 48, WRITTEN: 33}
-_ITEM_BYTES = 228
+_ITEM_BYTES, _FIXED_BYTES = 228, 32 * 1024
 
 
 def default_stage_count(n: int) -> int:
@@ -282,7 +282,7 @@ def check_memory(what: str, n: int, records: dict[str, float], workers: int = 1)
     items = 2 * np.dtype(_item_dtype(n)).itemsize
     width = {WITH_REPLACEMENT: items + np.dtype(_cell_dtype(n)).itemsize,
              WITHOUT_REPLACEMENT: items + _col_dtype(n).itemsize}
-    need = workers * (n * _ITEM_BYTES + sum(
+    need = workers * (_FIXED_BYTES + n * _ITEM_BYTES + sum(
         count * (_RECORD_BYTES[kind] + width.get(kind, 0))
         + min(count, _WIN_CHUNK) * _BLOCK_BYTES.get(kind, 0)
         for kind, count in records.items()))

@@ -775,8 +775,7 @@ def _orient(rows: np.ndarray, n: int, kind: str) -> tuple[np.ndarray, ...]:
     checked to lie in 1..n before the cast, and the rest in the rows' type; both lines of a pair
     state (count, wins of first).  A without-replacement file whose counts are all 1 and whose
     wins are all 0 or 1 gives no num (None) and bool wins; any other file keeps both columns,
-    so a without-replacement one fails the later checks as it always did.  Oriented
-    _WIN_CHUNK rows at a time."""
+    so a without-replacement one fails the later checks.  Oriented _WIN_CHUNK rows at a time."""
     item = _item_dtype(n)
     narrow = kind == WITHOUT_REPLACEMENT and not _any_block(
         lambda m, a: (m != 1) | ((a != 0) & (a != 1)), rows[:, 2], rows[:, 3])

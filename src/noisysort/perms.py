@@ -9,6 +9,7 @@ and all types are immutable, so everything here is thread-safe.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, NoReturn, Sequence
 
@@ -168,8 +169,11 @@ def linf_distance(pi: Permutation, sigma: Permutation) -> int:
 
 def to_inversion_table(pi: Permutation) -> InversionTable:
     """Inversion table of ``pi``; entries sum to kendall_tau(pi, identity)."""
-    p = pi.map
-    return InversionTable(tuple(sum(v > w for w in p[i + 1:]) for i, v in enumerate(p)))
+    seen, b = [], []  # from the right: the ranks passed, sorted, and how many lie below each
+    for v in reversed(pi.to_array().tolist()):
+        b.append(bisect_left(seen, v))
+        seen.insert(b[-1], v)
+    return InversionTable(tuple(reversed(b)))
 
 
 def from_inversion_table(table: InversionTable) -> Permutation:

@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import math
 import os
+import re
+import shlex
 import tracemalloc
 from pathlib import Path
 
@@ -148,6 +150,17 @@ class TestSimulateAndRunMs:
         assert f"--n must be >= 1, got {n}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--n", "20", "--lambda", "0.25", "--model", "with", "--budget", "500"],
+        ["run-ms", "--generate", "--n", "20", "--budget", "500", "--T", "1",
+         "--lambda-hat", "0.25"]])
+    def test_negative_seed_names_its_flag(self, tmp_path, capsys, args):
+        out = tmp_path / "out.txt"
+        assert main([*args, "--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: must be an integer >= 0, got -1" in err
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "run-ms"])
     def test_pi_star_file_sets_the_latent_order(self, tmp_path, capsys, command):
         # the output is the library's under the file's order, not the default identity's;
@@ -278,6 +291,30 @@ CONFIG_BASE = {"n_values": ["--n-values", "24"], "alphas": ["--alphas", "0.5"],
 def experiment_parser():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return sub.choices["experiment"]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The commands of README's CLI block, continuations joined and comments skipped."""
+    text = README.read_text()
+    block = text.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
+class TestReadme:
+    def test_cli_block_parses(self):
+        commands = readme_commands()
+        assert len(commands) >= 10 and all(c.startswith("noisysort ") for c in commands)
+        for command in commands:
+            build_parser().parse_args(shlex.split(command)[1:])
+
+    def test_config_keys_are_the_setting_flags(self):
+        text = " ".join(README.read_text().split())
+        keys = re.search(r"config keys, one per `experiment` flag, are (.*?)\.", text).group(1)
+        assert re.findall(r"`(\w+)`", keys) == list(_setting_flags(experiment_parser()))
 
 
 class TestExperimentCommand:

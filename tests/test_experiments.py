@@ -213,12 +213,13 @@ def physical_memory(monkeypatch, nbytes):
 def rule_bytes(sampling, records, n):
     """The memory rule's bytes for one replicate: per record of its largest draw (with its
     two items and its drawn cell with replacement, its column offset without), per record
-    of that draw's first block, and per item."""
+    of that draw's first block, per item, and its fixed bytes."""
     cell = 4 if math.comb(n, 2) < 2**32 else 8
     width = 2 * (2 if n < 2**15 else 4) + (
         model._col_dtype(n).itemsize if sampling == WITHOUT_REPLACEMENT else cell)
     return (records * (experiments._RECORD_BYTES[sampling] + width) + n * experiments._ITEM_BYTES
-            + min(records, model._WIN_CHUNK) * experiments._BLOCK_BYTES[sampling])
+            + min(records, model._WIN_CHUNK) * experiments._BLOCK_BYTES[sampling]
+            + experiments._FIXED_BYTES)
 
 
 def traced_peak(run):
@@ -233,13 +234,19 @@ def traced_peak(run):
 class TestMemoryRule:
     """A cell is refused when its replicates, one per worker, would not fit in
     physical memory: records of the largest draw times bytes per record, plus
-    n times bytes per item."""
+    n times bytes per item, plus fixed bytes."""
 
-    @pytest.mark.parametrize("sampling, lambda_hat", [
-        (WITH_REPLACEMENT, 0.3), (WITH_REPLACEMENT, None), (WITHOUT_REPLACEMENT, 0.3)])
-    @pytest.mark.parametrize("alpha", [0.05, 1.0])
-    def test_estimate_bounds_the_traced_peak(self, monkeypatch, sampling, lambda_hat, alpha):
-        fields = dict(n_values=(400,), alphas=(alpha,), stages=None, replicates=1,
+    @pytest.mark.parametrize("n, alpha, stages, sampling, lambda_hat", [
+        *((400, alpha, None, sampling, lambda_hat) for alpha in (0.05, 1.0)
+          for sampling, lambda_hat in ((WITH_REPLACEMENT, 0.3), (WITH_REPLACEMENT, None),
+                                       (WITHOUT_REPLACEMENT, 0.3))),
+        # small cells, whose fixed costs set their peaks, and n = 358, whose 63903 pairs
+        # are nearly one block: the most any traced cell held above the rest of the rule
+        (50, 1.0, 1, WITHOUT_REPLACEMENT, 0.3), (50, 1.0, 3, WITHOUT_REPLACEMENT, 0.3),
+        (30, 0.05, None, WITH_REPLACEMENT, 0.3), (358, 1.0, 1, WITHOUT_REPLACEMENT, 0.3)])
+    def test_estimate_bounds_the_traced_peak(self, monkeypatch, n, alpha, stages, sampling,
+                                             lambda_hat):
+        fields = dict(n_values=(n,), alphas=(alpha,), stages=stages, replicates=1,
                       lambda_hat=lambda_hat, estimators=("ms", "borda", "random"),
                       sampling=(sampling,), pi_star="random", workers=1)
         spec = small_spec(**fields)
@@ -259,7 +266,8 @@ class TestMemoryRule:
         pi, law, total = random_permutation(n, np.random.default_rng(1)), star_matrix(n, 0.3), 2e6
         model.sample_with_replacement(pi, law, 1000, 1)
         peak = traced_peak(lambda: model.sample_with_replacement(pi, law, int(total), 3))[1]
-        draw = rule_bytes(WITH_REPLACEMENT, total, n) - n * experiments._ITEM_BYTES
+        draw = (rule_bytes(WITH_REPLACEMENT, total, n) - n * experiments._ITEM_BYTES
+                - experiments._FIXED_BYTES)
         assert peak <= draw + 24 * (n + 1)
 
     @pytest.mark.parametrize("lambda_hat, budget, records", [

@@ -279,6 +279,12 @@ class TestInversionTables:
             pi = rand_perm(rng, n)
             assert sum(to_inversion_table(pi).b) == kendall_tau(pi, Permutation.identity(n))
 
+    def test_large_table_sums_and_round_trips(self):
+        pi = random_permutation(2000, np.random.default_rng(29))
+        table = to_inversion_table(pi)
+        assert sum(table.b) == kendall_tau(pi, Permutation.identity(2000))
+        assert from_inversion_table(table) == pi
+
     def test_out_of_range_entry_rejected(self):
         with pytest.raises(ValueError):
             InversionTable((3, 0, 0))  # b[0] may be at most n-1 = 2
