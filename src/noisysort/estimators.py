@@ -63,8 +63,9 @@ def _win_sums(sample: ComparisonDataset, held: list[tuple[np.ndarray, np.ndarray
         if pooled is not None:  # every record, before the closed ones are zeroed
             pooled += np.bincount(fi, weights=wins, minlength=len(pooled))
             pooled += np.bincount(se, weights=losses, minlength=len(pooled))
-        wins *= open_fi  # closed records weigh 0.0, which changes no sum's bits
-        losses *= open_se
+        if held:  # closed records weigh 0.0, which changes no sum's bits
+            wins *= open_fi
+            losses *= open_se
         sums += np.bincount(fi, weights=wins, minlength=len(sums))
         sums += np.bincount(se, weights=losses, minlength=len(sums))
         del fi, se, wins, losses  # before the next block's are made

@@ -71,9 +71,10 @@ WORKERS_ENV_VAR = "NOISYSORT_WORKERS"
 # borda + random replicate after a warm-up run (n = 50-60000, on both sides of 2**15,
 # alpha = 0.01-1, T = 1-3, fixed and estimated margins; the item bytes at N of a few
 # hundred, n = 2*10^4-2*10^5).  A record also holds its two items, _item_dtype(n) wide; a
-# with-replacement one its drawn cell, _cell_dtype(n) wide, as the sampler's sort holds
-# the drawn and the kept cells at once (8 + 1 + 8 bytes per comparison from n = 92683,
-# traced); and a without-replacement one its column offset, _col_dtype(n) wide.  WRITTEN
+# with-replacement one its drawn cell, _cell_dtype(n) wide, as the sampler holds the drawn
+# cells, a run-mark byte per draw and its counts, then the cells, counts and int32 seconds
+# (8 + 1 + 1, then 8 + 1 + 4 bytes per comparison from n = 92683, traced); and a
+# without-replacement one its column offset, _col_dtype(n) wide.  WRITTEN
 # records are a simulated dataset's, written with a place per pair beside it;
 # DATASET_LINES the lines of run-ms's files, one per 8 bytes at most, held once read;
 # READ_LINES the largest file's, read on top; then a run's fixed costs (README "Scale and memory").

@@ -181,13 +181,8 @@ class ComparisonDataset:
         return int(self.num.sum()) if len(self.num) else 0
 
     def same_data(self, other: "ComparisonDataset") -> bool:
-        return (
-            self.n == other.n
-            and np.array_equal(self.first, other.first)
-            and np.array_equal(self.second, other.second)
-            and np.array_equal(self.num, other.num)
-            and np.array_equal(self.first_wins, other.first_wins)
-        )
+        return self.n == other.n and all(np.array_equal(getattr(self, k), getattr(other, k))
+                                         for k in ("first", "second", "num", "first_wins"))
 
 
 def _count_dtype(top: int) -> type:
@@ -394,14 +389,22 @@ def _replay_star_wins(rng: np.random.Generator, counts: np.ndarray, stronger: np
     return True
 
 
-def _run_lengths(new: np.ndarray, runs: int) -> np.ndarray:
-    """The lengths of the ``runs`` runs whose starts ``new`` marks (new[0] is True), in
-    _count_dtype of the longest, _WIN_CHUNK marks at a time: a run's length is the next
-    run's start less its own.  They are filled as int8, and filled again at the longest's
-    type if it passes 127, so no wider array is held beside them."""
-    dtype = np.int8
+def _compact_runs(cells: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The lengths of the runs of equal sorted ``cells``, in _count_dtype of the longest, once
+    each run's first cell is moved to the front of ``cells`` in place and its start marked in
+    the bools ``new``.  One pass, _WIN_CHUNK cells at a time, marks a block and writes its
+    starts below its end once it is read, carrying its last cell to the next block's first
+    mark.  A length, the next start less its own, is filled as int8, and again wider past 127."""
+    kept, last, dtype = 0, None, np.int8
+    for lo in range(0, len(cells), _WIN_CHUNK):
+        block, mark = cells[lo: lo + _WIN_CHUNK], new[lo: lo + _WIN_CHUNK]
+        np.not_equal(block[1:], block[:-1], out=mark[1:])
+        mark[0] = last is None or block[0] != last
+        starts, last = block[mark], block[-1]
+        cells[kept: kept + len(starts)] = starts
+        kept += len(starts)
     while True:
-        counts, start, done, top = np.empty(runs, dtype), 0, 0, 0
+        counts, start, done, top = np.empty(kept, dtype), 0, 0, 0
         for lo in range(1, len(new), _WIN_CHUNK):
             starts = np.flatnonzero(new[lo: lo + _WIN_CHUNK]) + lo
             lengths = np.diff(starts, prepend=start)
@@ -421,6 +424,9 @@ def sample_with_replacement(
 ) -> ComparisonDataset:
     """Draw ``total`` comparisons between uniformly random pairs.
 
+    The N drawn pair cells are sorted, and _compact_runs moves each drawn pair's first cell to
+    their front: the call holds the drawn cells and a mark byte per draw, then what it returns.
+    The marks are allocated before the draw, so they can take space that an earlier draw freed.
     Each drawn pair's wins are ``rng.binomial(count, p)``, _WIN_CHUNK pairs per call.
     Under the star law (a 1-D ``entries`` table) a chunk is replayed through numpy's own
     inversion sampler, at one uniform per pair; a chunk that numpy would draw otherwise
@@ -433,39 +439,32 @@ def sample_with_replacement(
         raise SizeMismatchError(f"matrix n={matrix.n} vs permutation n={n}")
     if n < 2:
         raise ValueError("need n >= 2 to compare anything")
-    num_cells = n * (n - 1) // 2
-    rng = np.random.default_rng(seed)
-    cells = rng.integers(0, num_cells, size=total, dtype=_cell_dtype(n))
+    rng, new = np.random.default_rng(seed), np.empty(total, bool)  # new: where each run starts
+    cells = rng.integers(0, n * (n - 1) // 2, size=total, dtype=_cell_dtype(n))
     cells.sort()  # the drawn pairs are the runs of equal cells
-    new = np.concatenate(([True], cells[1:] != cells[:-1]))  # where each run starts
-    cells = cells[new]  # one cell per drawn pair; the N draws are freed here
-    counts = _run_lengths(new, len(cells))
+    counts = _compact_runs(cells, new)
     del new
-    rows, item = np.zeros(n + 1, np.int64), _item_dtype(n)
+    cells, rows, item = cells[:len(counts)], np.zeros(n + 1, np.int64), _item_dtype(n)
     _to_offsets(cells, _row_starts(n).astype(cells.dtype), rows)
-    # offsets below n are their own values in the signed type of their width: second is made
-    # over them where the items are that wide, else cast (int16 below n = 2**15)
-    same = cells.dtype.itemsize == np.dtype(item).itemsize
-    second = cells.view(item) if same else cells.astype(item)
-    del cells
+    # offsets < n keep their values as signed items of the same width, so that width is a view
+    second = cells.view(item) if cells.itemsize == np.dtype(item).itemsize else cells.astype(item)
+    del cells  # the N draws are freed here, unless second is their view
     first = _first(rows, second)
-    ranks = np.concatenate(([0], pi_star.to_array()))  # by item, 1-based
+    ranks = np.concatenate(([0], pi_star.to_array()), dtype=item)  # by item, 1-based
     wins, star = np.empty(len(first), dtype=counts.dtype), matrix.entries.ndim == 1
     if star:
         tables = _inversion_tables(matrix.entries, min(_REPLAY_COUNT, int(counts.max())))
     for lo in range(0, len(first), _WIN_CHUNK):  # as in _draw_pairs: one call's stream
         at = slice(lo, lo + _WIN_CHUNK)
-        rank_first, rank_second = (ranks.take(a[at].astype(np.intp)) for a in (first, second))
+        rank_first, rank_second = (ranks.take(a[at]) for a in (first, second))
         if star:
             state = rng.bit_generator.state
             if _replay_star_wins(rng, counts[at], rank_first > rank_second, tables, wins[at]):
                 continue
             rng.bit_generator.state = state  # numpy draws this chunk itself
         wins[at] = rng.binomial(counts[at], matrix.win_prob(rank_first, rank_second))
-    return ComparisonDataset(
-        n=n, first=first, second=second, num=counts, first_wins=wins,
-        tag=SamplingTag(WITH_REPLACEMENT, total), seed=seed,
-    )
+    return ComparisonDataset(n=n, first=first, second=second, num=counts, first_wins=wins,
+                             tag=SamplingTag(WITH_REPLACEMENT, total), seed=seed)
 
 
 def stage_budgets(total: int, parts: int) -> list[int]:

@@ -418,14 +418,16 @@ def merge_datasets(datasets):
 
 def unique_sample_with_replacement(pi_star, matrix, total, seed):
     """The former with-replacement sampler, kept as the reference of the
-    run-length count: np.unique finds the drawn pair cells and their counts,
-    and the cells map to pairs through np.triu_indices."""
+    run-length count: np.unique finds the drawn pair cells and their counts.  Row i
+    holds the n - i cells from sum_{k < i} (n - k) on, in (first, second) order, which is
+    np.triu_indices(n, 1)'s, without its C(n,2) arrays: n of 2**15 and more can be drawn."""
     n = pi_star.n
     rng = np.random.default_rng(seed)
     cells = rng.integers(0, n * (n - 1) // 2, size=total)
     idx, counts = np.unique(cells, return_counts=True)
-    rows, cols = np.triu_indices(n, 1)
-    first, second = rows[idx] + 1, cols[idx] + 1
+    row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))  # by row 1..n
+    first = np.searchsorted(row_start, idx, side="right")
+    second = idx - row_start[first - 1] + first + 1
     ranks = pi_star.to_array()
     wins = rng.binomial(counts, matrix.win_prob(ranks[first - 1], ranks[second - 1]))
     return ComparisonDataset(

@@ -636,8 +636,9 @@ class TestExitCodes:
         assert main(args) == 0
 
     def test_simulate_with_replacement_peak_per_comparison(self, tmp_path):
-        # nearly one pair per comparison: the draw peaks at about 16 B per comparison, and the
-        # write adds the pairs' 4-byte places in (second, first) order to the 16 B per pair held
+        # nearly one pair per comparison: the draw peaks at about 7 B per comparison, and the
+        # write, at about 11, adds the pairs' 4-byte places in (second, first) order to the 6 B
+        # per pair held
         out = tmp_path / "stage.txt"
 
         def args(n, total):

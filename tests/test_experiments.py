@@ -260,8 +260,9 @@ class TestMemoryRule:
 
     @pytest.mark.parametrize("n", [92682, 92683])
     def test_draw_term_bounds_the_traced_sampler_peak(self, n):
-        # C(n,2) passes 2**32 at n = 92683, where the drawn cells turn int64: the sort holds
-        # them, its run mask and the kept cells at once, and the rule charges their width.
+        # C(n,2) passes 2**32 at n = 92683, where the drawn cells turn int64: the sampler holds
+        # them beside a run-mark byte per draw, then beside its items, and the rule charges
+        # their width.
         # The sampler's own n-sized arrays are three of int64 (rows, row starts, ranks).
         pi, law, total = random_permutation(n, np.random.default_rng(1)), star_matrix(n, 0.3), 2e6
         model.sample_with_replacement(pi, law, 1000, 1)

@@ -301,9 +301,12 @@ class TestWithReplacement:
         d = sample_with_replacement(Permutation.identity(30), star_matrix(30, 0.2), 12345, 2)
         assert d.total_comparisons() == 12345
 
-    # n=2 puts every draw in one cell; N=1 draws one comparison
+    # n=2 puts every draw in one cell, at N = 200,000 one run over four default blocks with
+    # an int32 count; N=1 draws one comparison.  At n = 32767 the compacted cells are cast to
+    # int16 items, at n = 32768 second is their int32 view; both draws repeat some pairs
     @pytest.mark.parametrize("n, total, seed", [
         (2, 1, 0), (2, 57, 1), (9, 1, 2), (30, 12345, 3), (300, 400, 4), (600, 200_000, 5),
+        (2, 200_000, 16), (32767, 200_000, 17), (32768, 200_000, 18),
     ])
     def test_run_lengths_match_unique(self, n, total, seed):
         pi = random_permutation(n, np.random.default_rng(seed))
@@ -333,6 +336,36 @@ class TestWithReplacement:
         d = sample_with_replacement(pi, matrix, total, seed)
         assert d.same_data(unique_sample_with_replacement(pi, matrix, total, seed))
         assert _narrow(d)
+
+    # a block the size of the cells before a run's start puts that start at a block edge
+    # (shift 0) or one cell past it (shift 1), behind a run of repeats that the first block
+    # compacts
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_a_run_at_a_block_edge_matches_unique(self, monkeypatch, shift):
+        n, total, seed = 30, 2000, 19
+        cells = np.sort(np.random.default_rng(seed).integers(
+            0, math.comb(n, 2), size=total, dtype=model._cell_dtype(n)))
+        starts = np.flatnonzero(cells[1:] != cells[:-1]) + 1
+        edge = next(int(s) for s in starts[len(starts) // 2:] if cells[s - 2] == cells[s - 1])
+        monkeypatch.setattr(model, "_WIN_CHUNK", edge + shift)
+        pi, law = random_permutation(n, np.random.default_rng(seed)), star_matrix(n, 0.2)
+        d = sample_with_replacement(pi, law, total, seed)
+        assert d.same_data(unique_sample_with_replacement(pi, law, total, seed))
+
+    # one draw after a warm-up holds its N sorted cells and a mark byte per draw, then the
+    # dataset it returns (5.9 B per comparison at n = 8000, 10.0 at n = 40000) and a block's
+    # temporaries; a copy of the kept cells beside the marks would pass either bound
+    @pytest.mark.parametrize("n, bound", [(8000, 8.0), (40000, 11.7)])
+    def test_traced_peak_per_comparison(self, n, bound):
+        pi, law = random_permutation(n, np.random.default_rng(1)), star_matrix(n, 0.3)
+        sample_with_replacement(pi, law, 1000, 1)  # numpy imports some modules on first use
+        tracemalloc.start()
+        try:
+            sample_with_replacement(pi, law, 1_600_000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1_600_000 < bound
 
     def _replayed(self, monkeypatch):
         """Record whether each chunk of the star law's win draw was replayed."""
