@@ -62,18 +62,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_pi_star(path: str | None, n: int) -> Permutation:
+def _read_permutation(path: str | None, n: int | None, flag: str = "--pi-star") -> Permutation:
+    """The permutation in the file ``flag`` names, of n items unless n is None; else identity."""
     if path is None:
         return Permutation.identity(n)
-    pi = Permutation.from_line(Path(path).read_text().strip())
-    if pi.n != n:
+    try:
+        pi = Permutation.from_line(Path(path).read_text().strip())
+    except ValueError as exc:
+        raise ValueError(f"{flag} {path}: {exc}") from None
+    if n is not None and pi.n != n:
         raise ValueError(f"pi-star file has n={pi.n}, expected {n}")
     return pi
 
 
 def _budget(args) -> tuple[str, float]:
     kind = _SAMPLING_TOKENS[args.model]
-    return kind, int(args.budget) if kind == WITH_REPLACEMENT else float(args.budget)
+    try:
+        return kind, int(args.budget) if kind == WITH_REPLACEMENT else float(args.budget)
+    except ValueError:  # int("1e4")
+        raise ValueError(f"--budget {args.budget!r} is neither a whole number of comparisons "
+                         f"(--model with) nor a probability (--model without)") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -83,7 +91,7 @@ def _cmd_simulate(args) -> int:
     matrix = star_matrix(args.n, args.lam)
     records = largest_draw(args.n, kind, budget, 1, False)
     check_memory(f"simulate n={args.n}", args.n, {kind: records, WRITTEN: records})
-    pi_star = _load_pi_star(args.pi_star, args.n)
+    pi_star = _read_permutation(args.pi_star, args.n)
     if kind == WITH_REPLACEMENT:
         dataset = sample_with_replacement(pi_star, matrix, budget, args.seed)
     else:
@@ -127,7 +135,10 @@ def _cmd_run_ms(generate_only: list[argparse.Action], args) -> int:
             raise ValueError("without-replacement runs need an explicit margin (--lambda-hat)")
         check_memory(f"run-ms n={args.n}", args.n, {kind: largest_draw(
             args.n, kind, budget, args.stages, args.lambda_hat is None)})
-        samples, lam_hat = draw_stages(_load_pi_star(args.pi_star, args.n),
+        given = "budgets" if kind == WITH_REPLACEMENT else "alphas"  # an experiment cell's rules
+        ExperimentSpec("scaling_n", (args.n,), lambda_hat=args.lambda_hat, stages=args.stages,
+                       estimators=("ms",), sampling=(kind,), workers=1, **{given: (budget,)})
+        samples, lam_hat = draw_stages(_read_permutation(args.pi_star, args.n),
                                        star_matrix(args.n, args.lam), kind, budget,
                                        args.stages, args.seed, args.lambda_hat)
     pi_hat, states = ms_sort(samples, lam_hat, config)
@@ -167,9 +178,9 @@ def _cmd_theory(args) -> int:
     if args.op == "kl":
         kind = _SAMPLING_TOKENS[args.model]
         if args.pi and args.sigma:
-            pi = Permutation.from_line(Path(args.pi).read_text().strip())
-            sigma = Permutation.from_line(Path(args.sigma).read_text().strip())
-            value = model_kl(pi, sigma, kind, args.n, args.budget, args.lam)
+            value = model_kl(_read_permutation(args.pi, None, "--pi"),
+                             _read_permutation(args.sigma, None, "--sigma"),
+                             kind, args.n, args.budget, args.lam)
         elif args.d_kt is not None:
             value = kl_at_distance(args.d_kt, kind, args.n, args.budget, args.lam)
         else:
@@ -334,10 +345,8 @@ def build_parser() -> _Parser:
 
     p_th = sub.add_parser("theory", help="closed-form reference quantities")
     p_th.add_argument("--op", choices=("kl", "tail", "rate"), required=True)
-    p_th.add_argument("--p", type=float, default=None)
-    p_th.add_argument("--q", type=float, default=None)
-    p_th.add_argument("--r", type=float, default=None)
-    p_th.add_argument("--s", type=float, default=None)
+    for flag in ("--p", "--q", "--r", "--s"):
+        p_th.add_argument(flag, type=float, default=None)
     p_th.add_argument("--n-draws", dest="n_draws", type=int, default=None)
     p_th.add_argument("--model", choices=("with", "without"), default="with")
     p_th.add_argument("--n", type=int, default=None)

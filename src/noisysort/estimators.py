@@ -33,6 +33,9 @@ LAMBDA_CLAMP = 1e-6
 # noise: conservative enough that certainty stays sound, small enough that
 # stages actually resolve pairs.
 CALIBRATED_THRESHOLD_SCALE = 0.125
+# Gate constant c1: a stage re-decides item i's certainties only while its uncertain set
+# is larger than c1 * n^2 * (T/N) * log(nT)
+GATE_C1 = 8.0
 
 # Candidates per numpy pass of the maximizers: memory stays a few (chunk x C(n,2)) arrays
 _CANDIDATE_CHUNK = 4096
@@ -125,22 +128,19 @@ class MsConfig:
     ``stages`` and run the calibrated constants.
 
     stages: number of stages (each consumes one sub-sample).
-    c1: gate constant; a stage only re-decides certainties for item i when
-        its uncertain set is still larger than c1 * n^2 * (T/N) * log(nT).
     threshold_scale: multiplier on the threshold coefficient, by default
         CALIBRATED_THRESHOLD_SCALE (1.0 is the literal theoretical constant).
     """
 
     stages: int
-    c1: float = 8.0
     threshold_scale: float = CALIBRATED_THRESHOLD_SCALE
 
     def __post_init__(self) -> None:
         if self.stages < 1:
             raise ValueError("stages must be >= 1")
-        if not (0 < self.c1 < math.inf and 0 < self.threshold_scale < math.inf):  # NaN fails
-            raise ValueError(f"c1 and threshold_scale must be finite and positive, "
-                             f"got {self.c1} and {self.threshold_scale}")
+        if not 0 < self.threshold_scale < math.inf:  # NaN fails
+            raise ValueError(f"threshold_scale must be finite and positive, "
+                             f"got {self.threshold_scale}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +254,7 @@ def ms_sort(
         raise ValueError(f"stage {counts.index(min(counts)) + 1} sample has no comparisons")
     big_n = sum(counts)
     log_nt = math.log(n * t_count)
-    gate_floor = config.c1 * n * n * t_count / big_n * log_nt
+    gate_floor = GATE_C1 * n * n * t_count / big_n * log_nt
     tau_coeff = config.threshold_scale * 12.0 * n
 
     prev = states[0]
@@ -296,15 +296,9 @@ def ms_sort(
         above = prev.above_counts.copy()
         # fl(S_j - S_i) > tau iff fl((-S_j) - (-S_i)) < -tau: rounding is symmetric
         above[rows] = _count_below(-ordered[::-1], -scores[rows], -tau[rows])
-        prev = MsState(
-            stage=t,
-            history=prev.history + (scores,),
-            last=np.where(fired, t, prev.last),
-            tau=np.where(fired, tau, prev.tau),
-            below_counts=below,
-            above_counts=above,
-            gate_fired=fired,
-        )
+        prev = MsState(stage=t, history=prev.history + (scores,),
+                       last=np.where(fired, t, prev.last), tau=np.where(fired, tau, prev.tau),
+                       below_counts=below, above_counts=above, gate_fired=fired)
         states.append(prev)
     if next(stages, None) is not None:
         raise ValueError(f"more than {t_count} stage samples")

@@ -41,6 +41,7 @@ from .model import (
     ProbabilityMatrix,
     StageSource,
     _WIN_CHUNK,
+    _WRITE_BLOCK_ROWS,
     _cell_dtype,
     _col_dtype,
     _item_dtype,
@@ -74,14 +75,15 @@ WORKERS_ENV_VAR = "NOISYSORT_WORKERS"
 # with-replacement one its drawn cell, _cell_dtype(n) wide, as the sampler holds the drawn
 # cells, a run-mark byte per draw and its counts, then the cells, counts and int32 seconds
 # (8 + 1 + 1, then 8 + 1 + 4 bytes per comparison from n = 92683, traced); and a
-# without-replacement one its column offset, _col_dtype(n) wide.  WRITTEN
-# records are a simulated dataset's, written with a place per pair beside it;
+# without-replacement one its column offset, _col_dtype(n) wide.  WRITTEN records are a
+# simulated dataset's, written with a place per pair beside it, their block the writer's
+# (two lines per record, _WRITE_BLOCK_ROWS at most; simulate at n = 50-2000, traced);
 # DATASET_LINES the lines of run-ms's files, one per 8 bytes at most, held once read;
 # READ_LINES the largest file's, read on top; then a run's fixed costs (README "Scale and memory").
 WRITTEN, DATASET_LINES, READ_LINES = "written", "dataset_lines", "read_lines"
 _RECORD_BYTES = {WITH_REPLACEMENT: 1, WITHOUT_REPLACEMENT: 3, WRITTEN: 3,
                  DATASET_LINES: 9, READ_LINES: 26}
-_BLOCK_BYTES = {WITH_REPLACEMENT: 40, WITHOUT_REPLACEMENT: 48, WRITTEN: 33}
+_BLOCK_BYTES = {WITH_REPLACEMENT: 40, WITHOUT_REPLACEMENT: 48, WRITTEN: 66}
 _ITEM_BYTES, _FIXED_BYTES = 228, 32 * 1024
 
 
@@ -285,7 +287,8 @@ def check_memory(what: str, n: int, records: dict[str, float], workers: int = 1)
              WITHOUT_REPLACEMENT: items + _col_dtype(n).itemsize}
     need = workers * (_FIXED_BYTES + n * _ITEM_BYTES + sum(
         count * (_RECORD_BYTES[kind] + width.get(kind, 0))
-        + min(count, _WIN_CHUNK) * _BLOCK_BYTES.get(kind, 0)
+        + (min(2 * count, _WRITE_BLOCK_ROWS) if kind == WRITTEN else min(count, _WIN_CHUNK))
+        * _BLOCK_BYTES.get(kind, 0)
         for kind, count in records.items()))
     check_physical_memory(f"{what}: {workers} replicate(s) at once", need)
 
@@ -378,17 +381,13 @@ def _run_cell_replicate(
             pi_hat = random_permutation(n, rng_misc)
         elif estimator == "mle":
             pi_hat = brute_force_mle(source)
-        elif estimator == "sieve":
+        else:  # sieve: the spec admits no other id
             pi_hat = sieve_mle(source, _sieve_net(n, sampling, budget, spec.lam, seed))
-        else:  # pragma: no cover - spec validation rejects unknown ids
-            raise ValueError(f"unknown estimator {estimator!r}")
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        rows.append(ResultRow(
-            kind=spec.kind, n=n, sampling=sampling, budget=budget,
-            lam=spec.lam, seed=seed, estimator=estimator,
-            d_kt=kendall_tau(pi_hat, pi_star), l1=l1_distance(pi_hat, pi_star),
-            linf=linf_distance(pi_hat, pi_star), runtime_ms=elapsed_ms,
-        ))
+        rows.append(ResultRow(kind=spec.kind, n=n, sampling=sampling, budget=budget, lam=spec.lam,
+                              seed=seed, estimator=estimator, d_kt=kendall_tau(pi_hat, pi_star),
+                              l1=l1_distance(pi_hat, pi_star), linf=linf_distance(pi_hat, pi_star),
+                              runtime_ms=elapsed_ms))
     return rows, states
 
 

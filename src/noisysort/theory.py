@@ -36,7 +36,9 @@ def binomial_tail_bounds(n_draws: int, p: float, r: float, s: float) -> tuple[fl
     return lower, upper
 
 
-def _check_n_budget(n: int, per_pair: bool, budget: float) -> None:
+def _check_inputs(n: int, per_pair: bool, budget: float, lam: float) -> None:
+    if not 0 < lam < 0.5:
+        raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
     if n < 2:
         raise ValueError(f"need n >= 2 items, got n={n}")
     if per_pair and not 0 <= budget <= 1:
@@ -50,9 +52,7 @@ def kl_at_distance(d: int, kind: str, n: int, budget: float, lam: float) -> floa
     disagree on ``d`` pairs: 2 d p lam log((1+2lam)/(1-2lam)), as every such pair adds the
     same, for per-pair observation probability p = ``budget``, or p = N / C(n,2) for
     N = ``budget`` comparisons drawn with replacement (whose draws tensorize)."""
-    _check_n_budget(n, kind == WITHOUT_REPLACEMENT, budget)
-    if not 0 < lam < 0.5:
-        raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
+    _check_inputs(n, kind == WITHOUT_REPLACEMENT, budget, lam)
     pairs = math.comb(n, 2)
     if not 0 <= d <= pairs:
         raise ValueError(f"two orders of {n} items disagree on 0..{pairs} pairs, not {d}")
@@ -79,9 +79,7 @@ def rate_curve(kind: str, n: int, budget: float, lam: float) -> float:
     """
     if kind not in RATE_KINDS:
         raise ValueError(f"unknown rate kind {kind!r}; know {RATE_KINDS}")
-    if not 0 < lam < 0.5:
-        raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
-    _check_n_budget(n, kind.endswith("_o1"), budget)
+    _check_inputs(n, kind.endswith("_o1"), budget, lam)
     cap = n * (n - 1) / 2
     if budget == 0:
         return cap

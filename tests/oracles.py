@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from noisysort import counting, model
+from noisysort import counting, estimators, model
 from noisysort.counting import PackingSet
 from noisysort.errors import SizeMismatchError
 from noisysort.estimators import LAMBDA_CLAMP, _best_candidate, borda_sort
@@ -775,7 +775,7 @@ def dense_ms_states(stage_samples, lam_hat, config):
     big_n = sum(totals)
     t_count = config.stages
     log_nt = math.log(n * t_count)
-    gate_floor = config.c1 * n * n * t_count / big_n * log_nt
+    gate_floor = estimators.GATE_C1 * n * n * t_count / big_n * log_nt
     tau_coeff = config.threshold_scale * 12.0 * n
     uncertain = np.ones((n, n), dtype=bool)
     below = np.zeros((n, n), dtype=bool)

@@ -10,13 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noisysort import cli
+from noisysort import cli, experiments, model
 from noisysort.cli import _setting_flags, build_parser, main
 from noisysort.estimators import MsConfig, ms_sort
 from noisysort.experiments import ExperimentSpec, draw_stages
 from noisysort.counting import count_at_most_k_inversions
 from noisysort.model import (
     WITH_REPLACEMENT,
+    WITHOUT_REPLACEMENT,
     read_dataset,
     sample_with_replacement,
     star_matrix,
@@ -102,6 +103,7 @@ class TestSmallCommands:
          "comparison count nan is not finite"),
         (["--op", "rate", "--kind", "minimax_o1", "--n", "10", "--budget", "2",
           "--lambda", "0.25"], "per-pair probability 2.0 outside [0, 1]"),
+        (["--op", "kl", "--q", "0.5"], "--op kl needs --p"),
     ])
     def test_theory_usage_errors_exit_1(self, capsys, argv, message):
         # absent flags are named, not passed on as None, and bad values are refused
@@ -201,6 +203,33 @@ class TestSimulateAndRunMs:
         assert "explicit margin (--lambda-hat)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, message", [
+        ("simulate --n 10 --lambda 0.25 --model with --budget 1e4 --seed 0 --out out.txt",
+         "--budget '1e4' is neither a whole number of comparisons (--model with)"),
+        ("run-ms --generate --n 10 --budget 0.5 --T 1 --lambda-hat 0.25 --out out.txt",
+         "--budget '0.5' is neither a whole number of comparisons (--model with)"),
+        ("run-ms --generate --n 10 --budget 2 --T 3 --out out.txt",
+         "cell n=10, absolute=2, with_replacement: 2 comparisons, fewer than the 3 it needs"),
+        ("run-ms --generate --n 3 --budget 10 --T 1 --out out.txt",
+         "cell n=3, absolute=10, with_replacement: n must be >= 4"),  # to estimate the margin
+        ("theory --op kl --n 3 --budget 1 --lambda 0.25 --pi data.txt --sigma data.txt",
+         "--pi data.txt: invalid literal for int() with base 10: 'without_replacement'"),
+        ("simulate --n 3 --lambda 0.25 --model with --budget 10 --seed 0 --pi-star data.txt "
+         "--out out.txt", "--pi-star data.txt: invalid literal for int()"),
+    ], ids=["simulate-budget", "run-ms-budget", "budget-below-T", "n-below-4", "theory-pi",
+            "pi-star"])
+    def test_input_errors_name_their_flag_before_the_draw(self, tmp_path, monkeypatch, capsys,
+                                                           command, message):
+        # refused ahead of any draw, naming the flag, the file or the cell
+        monkeypatch.chdir(tmp_path)
+        Path("data.txt").write_text("3 without_replacement 0.5 0\n1 2 1 1\n")
+        for name in ("draw_stages", "sample_with_replacement"):
+            monkeypatch.setattr(cli, name, lambda *a: pytest.fail("drew"))
+        assert main(shlex.split(command)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert [p.name for p in tmp_path.iterdir()] == ["data.txt"]
+
     def test_run_ms_generate(self, tmp_path):
         out = tmp_path / "perm.txt"
         regions = tmp_path / "regions"
@@ -225,6 +254,23 @@ class TestSimulateAndRunMs:
                      "--lambda-hat", "0.4", "--out", str(out)])
         assert code == 0
         assert Permutation.from_line(out.read_text().strip()).n == 30
+
+    def test_pair_numbers_on_both_sides_of_2_to_the_32(self, tmp_path, monkeypatch):
+        # C(n,2) < 2^32 up to n = 92682: the pair numbers the gaps sum to pass 2^31 there and
+        # 2^32 above; p = 2e-6 draws about 8.6k pairs
+        monkeypatch.chdir(tmp_path)
+        sort = ["--T", "3", "--lambda-hat", "0.25", "--out"]
+        for n in ("92682", "92683"):
+            assert main(["run-ms", "--generate", "--n", n, "--model", "without", "--budget",
+                         "0.000002", *sort, f"gen_{n}.txt"]) == 0
+        edges = [f"edge_{seed}.txt" for seed in (1, 2, 3)]
+        for seed, edge in enumerate(edges, start=1):
+            assert main(["simulate", "--n", "92683", "--lambda", "0.25", "--model", "without",
+                         "--budget", "0.000002", "--seed", str(seed), "--out", edge]) == 0
+        assert main(["run-ms", "--in", *edges, *sort, "pi_edge.txt"]) == 0
+        for name, n in (("gen_92682.txt", 92682), ("gen_92683.txt", 92683),
+                        ("pi_edge.txt", 92683)):
+            assert Permutation.from_line(Path(name).read_text()).n == n
 
     def test_run_ms_files_require_margin(self, tmp_path):
         f = tmp_path / "stage0.txt"
@@ -310,6 +356,22 @@ class TestReadme:
         assert len(commands) >= 10 and all(c.startswith("noisysort ") for c in commands)
         for command in commands:
             build_parser().parse_args(shlex.split(command)[1:])
+
+    def test_memory_rule_bytes_are_the_constants(self):
+        # each figure of the memory-rule table's Bytes column, in order, is its constant
+        table = README.read_text().split("| Term | Bytes", 1)[1].split("\n\n", 1)[0]
+        rows = re.findall(r"^\| ([^|]+?) \| ([^|]+?) \|", table, re.M)
+        record, block = experiments._RECORD_BYTES, experiments._BLOCK_BYTES
+        assert {term: [int(f) for f in re.findall(r"\b\d+\b", cell)] for term, cell in rows} == {
+            "fixed": [experiments._FIXED_BYTES], "per item": [experiments._ITEM_BYTES],
+            "per record, with": [record[WITH_REPLACEMENT]],
+            "per record, without": [record[WITHOUT_REPLACEMENT]],
+            "per block record, with": [block[WITH_REPLACEMENT]],
+            "per block record, without": [block[WITHOUT_REPLACEMENT]],
+            "written": [record[experiments.WRITTEN], block[experiments.WRITTEN],
+                        model._WRITE_BLOCK_ROWS],
+            "dataset lines": [record[experiments.DATASET_LINES]],
+            "read lines": [record[experiments.READ_LINES]]}
 
     def test_config_keys_are_the_setting_flags(self):
         text = " ".join(README.read_text().split())
@@ -540,6 +602,16 @@ class TestExitCodes:
             assert "physical memory" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_the_north_star_cell_fits(self, tmp_path):
+        # n = 20000, alpha = 0.1: estimated at about 67 MB, where n = 10^6 at alpha = 1 is refused
+        out = tmp_path / "big.csv"
+        assert main(["experiment", "scaling-n", "--n-values", "20000", "--alphas", "0.1",
+                     "--replicates", "1", "--sampling", "with", "--pi-star", "random",
+                     "--estimators", "ms", "borda", "random", "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == "kind,n,sampling,budget,lam,seed,estimator,d_kt,l1,linf"
+        assert [row.split(",")[6] for row in rows] == ["borda", "ms", "random"]
+
     @pytest.mark.parametrize("command", [
         ["simulate", "--lambda", "0.25", "--model", "with", "--budget", "1", "--seed", "0"],
         ["simulate", "--lambda", "0.25", "--model", "without", "--budget", "1e-30",
@@ -615,7 +687,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("model, n, budget", [
         ("with", 400, "40000"), ("with", 1000, "400000"), ("without", 400, "0.5"),
-        ("without", 1000, "1.0")])
+        ("without", 1000, "1.0"),
+        # under one writer's block of 32768 lines, which sets the peak
+        ("without", 600, "0.1"), ("without", 300, "0.5"), ("with", 600, "18000")])
     def test_simulate_estimate_bounds_the_traced_peak(self, tmp_path, monkeypatch, model, n,
                                                       budget):
         # the dataset is held while write_dataset orders and formats its lines

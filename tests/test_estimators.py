@@ -12,6 +12,7 @@ from noisysort import estimators, model
 from noisysort.counting import greedy_maximal_packing, PackingSet
 from noisysort.errors import ResourceCapError, SizeMismatchError
 from noisysort.estimators import (
+    GATE_C1,
     LAMBDA_CLAMP,
     MsConfig,
     _count_below,
@@ -233,9 +234,10 @@ class TestMsSort:
             assert (total == 1).all()
             assert uncertain(st).diagonal().all()
 
-    def test_gate_never_fires_freezes_sets(self):
+    def test_gate_never_fires_freezes_sets(self, monkeypatch):
+        monkeypatch.setattr(estimators, "GATE_C1", 1e12)
         samples = ms_inputs(60, 0.4, 3_000, 2, master_seed=9)
-        cfg = MsConfig(stages=2, c1=1e12)
+        cfg = MsConfig(stages=2)
         _, states = ms_sort(samples, 0.4, cfg)
         for st in states[1:]:
             assert st.region_size() == 60 * 60
@@ -318,14 +320,11 @@ class TestMsSort:
         with pytest.raises(ValueError):
             MsConfig(stages=0)
 
-    @pytest.mark.parametrize("constants", [
-        dict(c1=0.0), dict(c1=-1.0), dict(c1=math.nan), dict(c1=math.inf),
-        dict(threshold_scale=0.0), dict(threshold_scale=math.nan),
-        dict(threshold_scale=math.inf)])
-    def test_constants_must_be_finite_and_positive(self, constants):
-        # a NaN c1 would never open the gate, an infinite scale never close a pair
+    @pytest.mark.parametrize("scale", [0.0, math.nan, math.inf])
+    def test_threshold_scale_must_be_finite_and_positive(self, scale):
+        # an infinite scale would never close a pair
         with pytest.raises(ValueError, match="finite and positive"):
-            MsConfig(stages=2, **constants)
+            MsConfig(stages=2, threshold_scale=scale)
 
     def test_streamed_stages_match_the_list_and_die_one_by_one(self):
         samples = ms_inputs(120, 0.4, 20_000, 3, master_seed=4)
@@ -386,32 +385,32 @@ def _without_replacement_case(n, lam, p, stages, seed):
     return split_without_replacement(full, stages, seed + 1)
 
 
-# (id, stage samples, lam, config); the ids name what the gate does
+# (id, stage samples, lam, config, GATE_C1); the ids name what the gate does
 DENSE_REFERENCE_CASES = [
     ("star-all-then-some", lambda: _with_replacement_case(120, 0.4, 20_000, 3, 4),
-     0.4, MsConfig(stages=3)),
+     0.4, MsConfig(stages=3), GATE_C1),
     ("star-high-signal", lambda: _with_replacement_case(300, 0.45, 5 * math.comb(300, 2), 3, 2),
-     0.45, MsConfig(stages=3)),
+     0.45, MsConfig(stages=3), GATE_C1),
     ("star-theoretical-scale", lambda: _with_replacement_case(120, 0.4, 20_000, 3, 4),
-     0.4, MsConfig(stages=3, threshold_scale=1.0)),
+     0.4, MsConfig(stages=3, threshold_scale=1.0), GATE_C1),
     ("star-four-stages", lambda: _with_replacement_case(120, 0.4, 30_000, 4, 4),
-     0.4, MsConfig(stages=4)),
+     0.4, MsConfig(stages=4), GATE_C1),
     ("star-gate-never", lambda: _with_replacement_case(60, 0.4, 3_000, 2, 9),
-     0.4, MsConfig(stages=2, c1=1e12)),
+     0.4, MsConfig(stages=2), 1e12),
     ("star-small-ties", lambda: _with_replacement_case(12, 0.3, 200, 2, 5),
-     0.3, MsConfig(stages=2, c1=0.01)),
+     0.3, MsConfig(stages=2), 0.01),
     ("random-member", lambda: _with_replacement_case(
         100, 0.3, 5 * math.comb(100, 2), 3, 7, law="random"),
-     0.3, MsConfig(stages=3)),
+     0.3, MsConfig(stages=3), GATE_C1),
     ("random-member-theoretical-scale", lambda: _with_replacement_case(
         100, 0.3, 5 * math.comb(100, 2), 3, 7, law="random"),
-     0.3, MsConfig(stages=3, threshold_scale=1.0)),
+     0.3, MsConfig(stages=3, threshold_scale=1.0), GATE_C1),
     ("without-replacement", lambda: _without_replacement_case(80, 0.35, 0.9, 2, 3),
-     0.35, MsConfig(stages=2, c1=0.5)),
+     0.35, MsConfig(stages=2), 0.5),
     # every pair once per stage, so stage-1 scores are 0..5 and, at this scale,
     # tau is exactly 2.0: stage 2 keeps the records at a gap of exactly tau open
     ("star-gap-at-tau", lambda: [noise_free_full(Permutation.identity(6))] * 2,
-     0.3, MsConfig(stages=2, c1=0.5, threshold_scale=0.027862011325805236)),
+     0.3, MsConfig(stages=2, threshold_scale=0.027862011325805236), 0.5),
 ]
 
 
@@ -420,10 +419,12 @@ class TestDenseReference:
 
     @pytest.mark.parametrize("lam_offset", [0.0, -0.1])
     @pytest.mark.parametrize(
-        "make, lam, config", [c[1:] for c in DENSE_REFERENCE_CASES],
+        "make, lam, config, c1", [c[1:] for c in DENSE_REFERENCE_CASES],
         ids=[c[0] for c in DENSE_REFERENCE_CASES],
     )
-    def test_matches_dense_reference_every_stage(self, make, lam, config, lam_offset):
+    def test_matches_dense_reference_every_stage(self, monkeypatch, make, lam, config, c1,
+                                                 lam_offset):
+        monkeypatch.setattr(estimators, "GATE_C1", c1)  # ms_sort and the reference read it
         samples = make()
         lam_hat = lam + lam_offset
         pi_hat, states = ms_sort(samples, lam_hat, config)
@@ -443,13 +444,16 @@ class TestDenseReference:
 
     @pytest.mark.parametrize("chunk", [1, 7])
     @pytest.mark.parametrize(
-        "make, lam, config", [c[1:] for c in DENSE_REFERENCE_CASES if c[0] != "star-high-signal"],
+        "make, lam, config, c1",
+        [c[1:] for c in DENSE_REFERENCE_CASES if c[0] != "star-high-signal"],
         ids=[c[0] for c in DENSE_REFERENCE_CASES if c[0] != "star-high-signal"],
     )
-    def test_record_blocks_match_dense_reference(self, monkeypatch, make, lam, config, chunk):
+    def test_record_blocks_match_dense_reference(self, monkeypatch, make, lam, config, c1,
+                                                 chunk):
         # the stage's records scored a few at a time: block edges change no bit; the
         # pooled totals, added into what the vector holds, are every item's wins
         # over all stages and leave the permutation and the states as they were
+        monkeypatch.setattr(estimators, "GATE_C1", c1)
         samples = make()
         monkeypatch.setattr(model, "_WIN_CHUNK", chunk)
         pi_hat, states = ms_sort(samples, lam, config)
@@ -500,9 +504,11 @@ class TestDenseReference:
         assert pi_hat == _borda_oracle(merge_datasets(samples))
         assert peak < 8 * min(s.num_pairs for s in samples)
 
-    def test_a_case_holds_a_score_gap_exactly_at_tau(self):
+    def test_a_case_holds_a_score_gap_exactly_at_tau(self, monkeypatch):
         # pins the open-record boundary |S_j - S_i| <= tau_i of fired rows
-        _, make, lam, config = next(c for c in DENSE_REFERENCE_CASES if c[0] == "star-gap-at-tau")
+        _, make, lam, config, c1 = next(c for c in DENSE_REFERENCE_CASES
+                                        if c[0] == "star-gap-at-tau")
+        monkeypatch.setattr(estimators, "GATE_C1", c1)
         samples = make()
         _, states = ms_sort(samples, lam, config)
         fired = states[1]
@@ -510,11 +516,12 @@ class TestDenseReference:
         gaps = np.abs(fired.scores[samples[1].second - 1] - fired.scores[samples[1].first - 1])
         assert np.any(gaps == 2.0) and np.any(gaps > 2.0)
 
-    def test_cases_cover_every_gate_outcome(self):
+    def test_cases_cover_every_gate_outcome(self, monkeypatch):
         outcomes = set()
         kinds = set()
         held = set()  # the stages rows hold as a stage tests its open records
-        for _, make, lam, config in DENSE_REFERENCE_CASES:
+        for _, make, lam, config, c1 in DENSE_REFERENCE_CASES:
+            monkeypatch.setattr(estimators, "GATE_C1", c1)
             samples = make()
             kinds.add(samples[0].tag.kind)
             _, states = ms_sort(samples, lam, config)
@@ -570,12 +577,13 @@ def _uniform_pairs_stage(n, total, rng):
                              tag=SamplingTag(WITH_REPLACEMENT, total))
 
 
-@pytest.mark.parametrize("c1", [8.0, 1e-3])  # default gate, and one firing on every row
-def test_ms_sort_allocates_no_dense_matrix(c1):
+@pytest.mark.parametrize("c1", [GATE_C1, 1e-3])  # default gate, and one firing on every row
+def test_ms_sort_allocates_no_dense_matrix(monkeypatch, c1):
+    monkeypatch.setattr(estimators, "GATE_C1", c1)
     n, total, stages = 6000, 60_000, 3
     rng = np.random.default_rng(6000)
     samples = [_uniform_pairs_stage(n, b, rng) for b in stage_budgets(total, stages)]
-    config = MsConfig(stages=stages, c1=c1)
+    config = MsConfig(stages=stages)
     tracemalloc.start()
     try:
         _, states = ms_sort(samples, 0.25, config)

@@ -7,7 +7,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from noisysort import experiments, model
+from noisysort import estimators, experiments, model
 from noisysort.counting import greedy_maximal_packing
 from noisysort.errors import ResourceCapError
 from noisysort.experiments import (
@@ -462,11 +462,12 @@ class TestStreamedStages:
     eager split they replaced."""
 
     @pytest.mark.parametrize("lambda_hat", [0.3, None])
-    def test_pipeline_matches_ms_sort_on_the_eager_split(self, lambda_hat):
+    def test_pipeline_matches_ms_sort_on_the_eager_split(self, monkeypatch, lambda_hat):
+        monkeypatch.setattr(estimators, "GATE_C1", 1.0)
         n, total, stages, seed = 150, 40_000, 3, 17
         pi_star = random_permutation(n, np.random.default_rng(seed))
         law = star_matrix(n, 0.3)
-        config = MsConfig(stages=stages, c1=1.0)
+        config = MsConfig(stages=stages)
         source, run_lam_hat = draw_stages(pi_star, law, WITH_REPLACEMENT, total, stages, seed,
                                           lambda_hat)
         run_pi, run_states = ms_sort(source, run_lam_hat, config)
