@@ -20,6 +20,7 @@ from .experiments import (
     READ_LINES,
     WRITTEN,
     ExperimentSpec,
+    _replicates,
     check_memory,
     draw_stages,
     emit_regions,
@@ -131,16 +132,14 @@ def _cmd_run_ms(generate_only: list[argparse.Action], args) -> int:
         args = argparse.Namespace(**{"model": "with", "seed": 0, "lam": 0.25, "pi_star": None,
                                      **vars(args)})
         kind, budget = _budget(args)
-        if kind == WITHOUT_REPLACEMENT and args.lambda_hat is None:
-            raise ValueError("without-replacement runs need an explicit margin (--lambda-hat)")
-        check_memory(f"run-ms n={args.n}", args.n, {kind: largest_draw(
-            args.n, kind, budget, args.stages, args.lambda_hat is None)})
         given = "budgets" if kind == WITH_REPLACEMENT else "alphas"  # an experiment cell's rules
-        ExperimentSpec("scaling_n", (args.n,), lambda_hat=args.lambda_hat, stages=args.stages,
-                       estimators=("ms",), sampling=(kind,), workers=1, **{given: (budget,)})
+        spec = ExperimentSpec("scaling_n", (args.n,), lambda_hat=args.lambda_hat,
+                              stages=args.stages, estimators=("ms",), sampling=(kind,),
+                              workers=1, **{given: (budget,)})
+        _, _, budget, stages, _ = next(_replicates(spec))  # the cell's plan; the seed is --seed
         samples, lam_hat = draw_stages(_read_permutation(args.pi_star, args.n),
                                        star_matrix(args.n, args.lam), kind, budget,
-                                       args.stages, args.seed, args.lambda_hat)
+                                       stages, args.seed, args.lambda_hat)
     pi_hat, states = ms_sort(samples, lam_hat, config)
     Path(args.out).write_text(pi_hat.to_line() + "\n")
     if args.regions_dir:

@@ -161,8 +161,8 @@ class ExperimentSpec:
             raise ValueError("lambda_accuracy samples with replacement only")
         ms_without = "ms" in self.estimators and WITHOUT_REPLACEMENT in self.sampling
         if self.lambda_hat is None and ms_without:
-            raise ValueError("ms on without-replacement samples needs a fixed lambda_hat; "
-                             "the margin is estimated with replacement only")
+            raise ValueError("ms without replacement needs a fixed lambda_hat, an explicit margin "
+                             "(--lambda-hat): the margin is estimated with replacement only")
         for n, (bkind, bval), sampling in cells:  # a cell that cannot run raises here
             _cell_plan(self, n, bkind, bval, sampling)
 
@@ -219,14 +219,24 @@ class LambdaResult:
     abs_error: float
 
 
-def _replicates(spec: ExperimentSpec) -> Iterator[tuple[int, str, float, str, int]]:
-    """(n, budget kind, budget value, sampling, seed) of every (cell, replicate)."""
-    for i_n, n in enumerate(spec.n_values):
-        for i_b, (bkind, bval) in enumerate(spec.budget_params()):
-            for i_s, sampling in enumerate(spec.sampling):
-                for rep in range(spec.replicates):
-                    seed = derive_seed(spec.master_seed, i_n, i_b, i_s, rep)
-                    yield n, bkind, bval, sampling, seed
+def _replicates(spec: ExperimentSpec) -> Iterator[tuple[int, str, float, int, int]]:
+    """(n, sampling, budget, stages, seed) of every (cell, replicate), each cell planned once."""
+    for (i_n, n), (i_b, (bkind, bval)), (i_s, sampling) in itertools.product(
+            enumerate(spec.n_values), enumerate(spec.budget_params()), enumerate(spec.sampling)):
+        budget, stages = _cell_plan(spec, n, bkind, bval, sampling)
+        for rep in range(spec.replicates):
+            yield n, sampling, budget, stages, derive_seed(spec.master_seed, i_n, i_b, i_s, rep)
+
+
+def _map_replicates(spec: ExperimentSpec, run) -> list:
+    """``run(index, replicate)`` over every planned replicate of ``spec``, results in order:
+    serially at one worker, else on a pool of ``spec.effective_workers()`` threads."""
+    jobs = list(_replicates(spec))
+    workers = spec.effective_workers()
+    if workers == 1:
+        return [run(index, job) for index, job in enumerate(jobs)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(len(jobs)), jobs))
 
 
 def _pi_star(spec: ExperimentSpec, n: int, seed: int) -> Permutation:
@@ -237,10 +247,11 @@ def _pi_star(spec: ExperimentSpec, n: int, seed: int) -> Permutation:
 
 def _cell_plan(spec: ExperimentSpec, n: int, kind: str, value: float,
                sampling: str) -> tuple[float, int]:
-    """A cell's (budget: N comparisons as a whole float, or p without replacement;
-    stages).  ValueError, naming the cell, if it cannot run; ResourceCapError if mle or
-    sieve would enumerate S_n past perms.ENUMERATION_CAP, or if the replicates of all
-    workers at once would not fit in physical memory."""
+    """A cell's (budget: N comparisons as a whole float, or p without replacement; stages).
+    Refusals name the cell, in this order: n; a budget that is not finite; mle or sieve past
+    perms.ENUMERATION_CAP (ResourceCapError); p outside (0, 1]; the replicates of all workers
+    at once past physical memory (ResourceCapError); then fewer comparisons, or pairs
+    expected, than the stages and the margin need.  The others are ValueErrors."""
     cell = f"cell n={n}, {kind}={value:g}, {sampling}"
     estimated = spec.kind == "lambda_accuracy" or spec.lambda_hat is None
     least_n = 4 if estimated and sampling == WITH_REPLACEMENT else 2
@@ -249,23 +260,23 @@ def _cell_plan(spec: ExperimentSpec, n: int, kind: str, value: float,
     pairs = math.comb(n, 2)
     if not math.isfinite(value * pairs if kind == "alpha" else value):
         raise ValueError(f"{cell}: the budget is not a finite number")
-    stages = spec.stages if spec.stages is not None else default_stage_count(n)
     if n > ENUMERATION_CAP and {"mle", "sieve"} & set(spec.estimators):
         raise ResourceCapError(f"{cell}: mle and sieve enumerate S_n, n > cap {ENUMERATION_CAP}")
+    stages = spec.stages if spec.stages is not None else default_stage_count(n)
     if sampling == WITHOUT_REPLACEMENT:
         budget = value if kind == "alpha" else value / pairs
         if not 0 < budget <= 1:
             raise ValueError(f"{cell}: per-pair probability {budget} outside (0, 1]")
-        if "ms" in spec.estimators and budget * pairs < stages:
-            raise ValueError(f"{cell}: {budget * pairs:g} pairs expected, "
-                             f"fewer than the {stages} stages of ms")
+        count, least = budget * pairs, stages if "ms" in spec.estimators else 0
+        short = f"{count:g} pairs expected, fewer than the {stages} stages of ms"
     else:
-        budget = float(round(value * pairs) if kind == "alpha" else int(value))
+        budget = count = float(round(value * pairs) if kind == "alpha" else int(value))
         least = 2 if spec.kind == "lambda_accuracy" else max(stages, 1 + estimated)
-        if budget < least:
-            raise ValueError(f"{cell}: {budget:g} comparisons, fewer than the {least} it needs")
+        short = f"{budget:g} comparisons, fewer than the {least} it needs"
     check_memory(cell, n, {sampling: largest_draw(n, sampling, budget, stages, estimated)},
                  spec.effective_workers())
+    if count < least:
+        raise ValueError(f"{cell}: {short}")
     return budget, stages
 
 
@@ -349,16 +360,14 @@ def _packing(n: int, radius: int) -> PackingSet:
 def _run_cell_replicate(
     spec: ExperimentSpec,
     n: int,
-    budget_kind: str,
-    budget_value: float,
     sampling: str,
+    budget: float,
+    stages: int,
     seed: int,
 ) -> tuple[list[ResultRow], list[MsState] | None]:
-    budget, stages = _cell_plan(spec, n, budget_kind, budget_value, sampling)
     rng_misc = np.random.default_rng(derive_seed(seed, 9))
     pi_star = _pi_star(spec, n, seed)
     matrix = star_matrix(n, spec.lam)
-    config = MsConfig(stages=stages)
     # ms first: when borda runs too, ms's own pass sums its win totals
     estimators = sorted(spec.estimators, key=lambda e: e != "ms")
     if "random" not in estimators:
@@ -374,7 +383,7 @@ def _run_cell_replicate(
     for estimator in estimators:
         start = time.perf_counter()
         if estimator == "ms":
-            pi_hat, states = ms_sort(source, lam_hat, config, totals=wins)
+            pi_hat, states = ms_sort(source, lam_hat, MsConfig(stages=stages), totals=wins)
         elif estimator == "borda":
             pi_hat = borda_sort(source) if wins is None else _ranks_from_scores(wins)
         elif estimator == "random":
@@ -400,23 +409,15 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     if spec.kind == "lambda_accuracy":
         raise ValueError("use run_lambda_accuracy for the lambda_accuracy kind")
 
-    def run_job(indexed_job):
-        index, job = indexed_job
-        rows, states = _run_cell_replicate(spec, *job)
+    def run_job(index, replicate):
+        rows, states = _run_cell_replicate(spec, *replicate)
         if index == 0 and spec.kind == "region_snapshot":
             emit_regions(states, spec.regions_dir)
             _write_csv(Path(spec.regions_dir) / "region_sizes.csv", ("stage", "region_size"),
                        ((st.stage, st.region_size()) for st in states))
         return rows
 
-    jobs = list(enumerate(_replicates(spec)))
-    workers = spec.effective_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_job, jobs))
-    else:
-        chunks = [run_job(job) for job in jobs]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for chunk in _map_replicates(spec, run_job) for row in chunk]
     rows.sort(key=lambda r: (r.kind, r.n, r.sampling, r.budget, r.lam, r.seed, r.estimator))
     return rows
 
@@ -425,16 +426,15 @@ def run_lambda_accuracy(spec: ExperimentSpec) -> list[LambdaResult]:
     """Margin-estimation accuracy runs (with-replacement sampling)."""
     if spec.kind != "lambda_accuracy":
         raise ValueError("spec.kind must be lambda_accuracy")
-    results: list[LambdaResult] = []
-    for n, bkind, bval, sampling, seed in _replicates(spec):
-        total = int(_cell_plan(spec, n, bkind, bval, sampling)[0])
+
+    def run_job(index, replicate):
+        n, sampling, budget, _, seed = replicate
         lam_hat = draw_stages(_pi_star(spec, n, seed), star_matrix(n, spec.lam),
-                              sampling, total, 1, seed)[1]  # draws only the halves
-        results.append(LambdaResult(
-            n=n, budget=total, lam=spec.lam, seed=seed,
-            lambda_hat=lam_hat, abs_error=abs(lam_hat - spec.lam),
-        ))
-    return results
+                              sampling, budget, 1, seed)[1]  # draws only the halves
+        return LambdaResult(n=n, budget=int(budget), lam=spec.lam, seed=seed,
+                            lambda_hat=lam_hat, abs_error=abs(lam_hat - spec.lam))
+
+    return _map_replicates(spec, run_job)
 
 
 @dataclass(frozen=True)

@@ -594,12 +594,22 @@ class TestExitCodes:
         assert captured.out == ""
 
     def test_cap_refusal_is_two(self, tmp_path, capsys):
+        # the memory rule comes before the count rules, from experiment and run-ms alike: at
+        # n = 10^13, p = 1e-30 the 5e-05 pairs expected are fewer than the 5 stages of ms
         out = tmp_path / "r.csv"
-        for budget in (["--alphas", "1.0"], ["--budgets", str(10**30)]):
-            code = main(["experiment", "scaling-n", "--n-values", "1000000", *budget,
-                         "--replicates", "1", "--out", str(out)])
-            assert code == 2
-            assert "physical memory" in capsys.readouterr().err
+        far = f"cell n={10**13}, alpha=1e-30, without_replacement: "
+        for command, cell in [
+                ("experiment scaling-n --n-values 1000000 --alphas 1.0 --replicates 1",
+                 "cell n=1000000, alpha=1, with_replacement: "),
+                (f"experiment scaling-n --n-values 1000000 --budgets {10**30} --replicates 1",
+                 "cell n=1000000, absolute=1e+30, with_replacement: "),
+                (f"experiment scaling-n --n-values {10**13} --alphas 1e-30 --sampling without "
+                 "--estimators ms --replicates 1", far),
+                (f"run-ms --generate --n {10**13} --model without --budget 1e-30 --T 5 "
+                 "--lambda-hat 0.25", far)]:
+            assert main([*command.split(), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"refused: {cell}") and "physical memory" in err
         assert not out.exists()
 
     def test_the_north_star_cell_fits(self, tmp_path):
@@ -635,7 +645,8 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         err = capsys.readouterr().err
-        assert code == 2 and err.startswith(f"refused: {command[0]} n={n}: ")
+        prefix = f"cell n={n}, " if command[0] == "run-ms" else f"simulate n={n}: "
+        assert code == 2 and err.startswith(f"refused: {prefix}")
         assert "physical memory" in err and "Traceback" not in err
         assert not out.exists() and peak < 4 * 2**20
 

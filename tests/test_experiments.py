@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 import tracemalloc
 import weakref
 from dataclasses import astuple
@@ -417,6 +418,24 @@ class TestRunExperiment:
         assert len(results) == 2
         assert all(abs(r.lambda_hat - 0.3) == r.abs_error for r in results)
 
+    def test_lambda_replicates_run_on_the_worker_pool(self, monkeypatch):
+        # each draw waits for a second one at a barrier, which a lone thread never passes
+        barrier, threads, draw = threading.Barrier(2, timeout=2), set(), draw_stages
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+            return draw(*args)
+
+        monkeypatch.setattr(experiments, "draw_stages", spy)
+        spec = small_spec(kind="lambda_accuracy", budgets=(2000,), alphas=None,
+                          n_values=(50,), replicates=4, workers=2)
+        assert len(run_lambda_accuracy(spec)) == 4
+        assert len(threads) == 2
+
 
 class TestSieveNet:
     # the radius is the minimax rate n^3/(N lam^2) or n/(p lam^2) at lam = 1/4, at least
@@ -525,8 +544,8 @@ class TestOneStageSource:
         spec = small_spec(n_values=(n,), alphas=(1.0,), stages=3, lambda_hat=lambda_hat,
                           estimators=("borda", "ms", "random"), sampling=(sampling,),
                           pi_star="random")
-        rows, states = experiments._run_cell_replicate(spec, n, "alpha", 1.0, sampling, seed)
         budget, stages = experiments._cell_plan(spec, n, "alpha", 1.0, sampling)
+        rows, states = experiments._run_cell_replicate(spec, n, sampling, budget, stages, seed)
         pi_star = experiments._pi_star(spec, n, seed)
         source, lam_hat = draw_stages(pi_star, star_matrix(n, 0.3), sampling, budget, stages,
                                       seed, lambda_hat)

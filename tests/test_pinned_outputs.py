@@ -88,6 +88,7 @@ POOL = ("experiment scaling-n --n-values 500 1000 --replicates 4 --estimators ms
         "--out r.csv")
 BUDGET = ("experiment scaling-budget --n-values 600 --alphas 1.0 --sampling without --replicates 2 "
           "--out r.csv")
+LAMBDA = "experiment lambda --replicates 3 --out l.csv"
 ONE_STAGE = ("run-ms --generate --n 2000 --model without --budget 1.0 --T 1 --lambda-hat 0.25 "
              "--seed 3 --out pi.txt")
 EQUAL = [
@@ -100,6 +101,8 @@ EQUAL = [
      "invert at different tables",
      [POOL + " --lambda 0.2 --lambda-hat 0.2 --pi-star random --workers 1"],
      [POOL + " --lambda 0.2 --lambda-hat 0.2 --pi-star random --workers 2"], "r.csv", ""),
+    ("Margin estimates under the thread pool: each replicate draws its halves from its own seed",
+     [LAMBDA + " --workers 1"], [LAMBDA + " --workers 2"], "l.csv", ""),
     ("Borda rows do not depend on ms: with ms, borda's totals come from ms's pass, whose gate "
      "fires on every stage here",
      [BUDGET + " --estimators ms borda random"], [BUDGET + " --estimators borda random"],
