@@ -75,9 +75,11 @@ WORKERS_ENV_VAR = "NOISYSORT_WORKERS"
 # with-replacement one its drawn cell, _cell_dtype(n) wide, as the sampler holds the drawn
 # cells, a run-mark byte per draw and its counts, then the cells, counts and int32 seconds
 # (8 + 1 + 1, then 8 + 1 + 4 bytes per comparison from n = 92683, traced); and a
-# without-replacement one its column offset, _col_dtype(n) wide.  WRITTEN records are a
-# simulated dataset's, written with a place per pair beside it, their block the writer's
-# (two lines per record, _WRITE_BLOCK_ROWS at most; simulate at n = 50-2000, traced);
+# without-replacement one its column offset, _col_dtype(n) wide, beside 1/8 byte of win bit
+# and 1/8 per stage-label bit plane, ceil(log2 T) planes (T = 257's nine traced at 0.97 of
+# the term, n = 4000, p = 1).  WRITTEN records are a simulated dataset's, written with a
+# place per pair beside it, their block the writer's (two lines per record,
+# _WRITE_BLOCK_ROWS at most; simulate at n = 50-2000, traced);
 # DATASET_LINES the lines of run-ms's files, one per 8 bytes at most, held once read;
 # READ_LINES the largest file's, read on top; then a run's fixed costs (README "Scale and memory").
 WRITTEN, DATASET_LINES, READ_LINES = "written", "dataset_lines", "read_lines"

@@ -10,10 +10,10 @@ Two sampling schemes produce a ``ComparisonDataset``:
 * without replacement: every unordered pair is observed once with
   probability p, independently.  The observed pairs are one Bernoulli(p)
   process over the numbered pair cells, drawn as Geometric(p) gaps, and the
-  multistage split gives each observed pair one uniform stage label, even
-  at one stage.  The draw is held while its stages are built as its pairs
+  multistage split gives each observed pair one uniform stage label (none
+  at one stage).  The draw is held while its stages are built as its pairs
   per row, one column offset per pair in the narrowest unsigned type that
-  holds n - 2, and the first-won bits packed eight to a byte;
+  holds n - 2, and the win bits and label bit planes packed eight to a byte;
 * with replacement: a fixed number N of comparisons, each between a
   uniformly drawn pair.
 
@@ -406,10 +406,12 @@ def _compact_runs(cells: np.ndarray, new: np.ndarray) -> np.ndarray:
     while True:
         counts, start, done, top = np.empty(kept, dtype), 0, 0, 0
         for lo in range(1, len(new), _WIN_CHUNK):
-            starts = np.flatnonzero(new[lo: lo + _WIN_CHUNK]) + lo
-            lengths = np.diff(starts, prepend=start)
-            top = max(top, int(lengths.max(initial=0)))
-            counts[done: done + len(starts)] = lengths  # wraps past dtype, to be filled again
+            starts = np.flatnonzero(new[lo: lo + _WIN_CHUNK])
+            starts += lo  # in place, and the first length apart: np.diff's prepend would copy
+            head, lengths = starts[:1] - start, np.diff(starts)
+            top = max(top, int(head.max(initial=0)), int(lengths.max(initial=0)))
+            counts[done: done + len(head)] = head  # both wrap past dtype, to be filled again
+            counts[done + len(head): done + len(starts)] = lengths
             done, start = done + len(starts), starts[-1] if len(starts) else start
         top = max(top, len(new) - start)
         if top <= np.iinfo(dtype).max:
@@ -519,25 +521,36 @@ class StageSource:
     def without_replacement(cls, pi_star: Permutation, matrix: ProbabilityMatrix, p: float,
                             parts: int, seed: int) -> StageSource:
         """The stages of one without-replacement draw from derive_seed(seed, 0), held as
-        _draw_pairs' (rows, cols, bits): each pair gets one of ``parts`` uniform labels, drawn
-        once from derive_seed(seed, 1); stage t is the pairs labelled t, keyed
+        _draw_pairs' (rows, cols, bits) and the pairs' stage labels: each pair gets one of
+        ``parts`` uniform labels, drawn once from derive_seed(seed, 1) and held as
+        int(parts - 1).bit_length() bit planes packed by np.packbits, plane k the labels' bit
+        k (none, and no draw, at one stage); stage t is the pairs labelled t, keyed
         derive_seed(derive_seed(seed, 1), t).  Each stage is decoded into new arrays and the
         draw is never written, so every pass replays the first."""
         if parts < 1:
             raise ValueError("parts must be positive")
         rows, cols, bits = _draw_pairs(pi_star, matrix, p, derive_seed(seed, 0))
-        n, item, seed = pi_star.n, _item_dtype(pi_star.n), derive_seed(seed, 1)
-        rng = np.random.default_rng(seed)
-        labels = rng.integers(0, parts, size=len(cols), dtype=np.min_scalar_type(parts - 1))
-        counts, ends = _counts(labels, parts), np.cumsum(rows)
+        n, seed, ends = pi_star.n, derive_seed(seed, 1), np.cumsum(rows)
+        planes, counts = np.empty((int(parts - 1).bit_length(), len(bits)), np.uint8), [len(cols)]
+        if len(planes):  # the labels are freed on return: only the planes are held
+            labels = np.random.default_rng(seed).integers(
+                0, parts, size=len(cols), dtype=np.min_scalar_type(parts - 1))
+            counts, step = _counts(labels, parts).tolist(), -(-_WIN_CHUNK // 8) * 8
+            for lo in range(0, len(labels), step):  # whole bytes: no label-sized temporary
+                for k, plane in enumerate(planes):
+                    plane[lo // 8: (lo + step) // 8] = np.packbits(labels[lo: lo + step] & 1 << k)
 
         def stage(t: int) -> ComparisonDataset:
             # gathered a block at a time into arrays of the stage's count: no record-sized index
             part_rows, at = np.zeros(n + 1, np.int64), 0
-            part, won = np.empty(counts[t], item), np.empty(counts[t], bool)
+            part, won = np.empty(counts[t], _item_dtype(n)), np.empty(counts[t], bool)
+            flip = np.array([0 if t >> k & 1 else 255 for k in range(len(planes))], np.uint8)
             for lo in range(0, len(cols), _WIN_CHUNK):
                 hi = min(lo + _WIN_CHUNK, len(cols))
-                keep = np.flatnonzero(labels[lo: hi] == t)
+                # the block's bits set where a pair's label bits all equal t's, unpacked once
+                mine = np.bitwise_and.reduce(planes[:, lo // 8: (hi + 7) // 8] ^ flip[:, None],
+                                             axis=0, initial=255)
+                keep = np.flatnonzero(_unpack(mine, lo % 8, lo % 8 + hi - lo))
                 a, bounds = _row_bounds(ends, lo, hi)
                 part_rows[a: a + len(bounds) - 1] += np.diff(np.searchsorted(keep, bounds))
                 for held, out in ((cols[lo: hi], part), (_unpack(bits, lo, hi), won)):
@@ -545,7 +558,7 @@ class StageSource:
                 at += len(keep)
             return _decode(n, part_rows, part, won, p, derive_seed(seed, t))
 
-        return cls(n, tuple(counts.tolist()), lambda: map(stage, range(parts)))
+        return cls(n, tuple(counts), lambda: map(stage, range(parts)))
 
 
 def split_with_replacement(pi_star: Permutation, matrix: ProbabilityMatrix, budgets: list[int],

@@ -637,13 +637,13 @@ class TestWithoutStream:
             ms_sort(source, lam_hat, MsConfig(stages=2))
 
     @staticmethod
-    def _dense_pipeline_peak(n):
-        """The traced peak of an ms pipeline on n items at p = 1 and T = 3."""
-        config = MsConfig(stages=3)
+    def _dense_pipeline_peak(n, stages=3):
+        """The traced peak of an ms pipeline on n items at p = 1 and T = ``stages``."""
+        config = MsConfig(stages=stages)
 
         def run(size):
             return ms_sort(*draw_stages(Permutation.identity(size), star_matrix(size, 0.25),
-                                        WITHOUT_REPLACEMENT, 1.0, 3, 0, 0.25), config)
+                                        WITHOUT_REPLACEMENT, 1.0, stages, 0, 0.25), config)
 
         run(200)  # numpy imports some modules on first use
         return traced_peak(lambda: run(n))[1]
@@ -653,12 +653,19 @@ class TestWithoutStream:
         assert self._dense_pipeline_peak(2000) < 11 * math.comb(2000, 2)
 
     def test_pipeline_peak_stays_under_8_5_bytes_per_pair(self):
-        # the held draw (uint16 column offsets, packed bits) and the stage labels hold 3.1
-        # bytes per pair; a third of the pairs are decoded at a time, at 9 bytes each (int32
-        # first, second written over the gathered offsets, bool wins, a count column of no
-        # bytes), and ms_sort reads the stage in place: 6.1 bytes per pair, 7.5 traced at
-        # n = 2000; 10.4 with the draw held as uint32 pair numbers and bool wins
+        # the held draw (uint16 column offsets, packed bits) and its two label bit planes
+        # hold 2.4 bytes per pair; a third of the pairs are decoded at a time, at 9 bytes
+        # each (int32 first, second written over the gathered offsets, bool wins, a count
+        # column of no bytes), and ms_sort reads the stage in place: 5.4 bytes per pair, 5.4
+        # traced at n = 2000; 10.4 with the draw held as uint32 pair numbers and bool wins
         assert self._dense_pipeline_peak(2000) < 8.5 * math.comb(2000, 2)
+
+    @pytest.mark.parametrize("stages, bound", [(3, 5.8), (1, 8.8)])
+    def test_pipeline_peak_holds_the_labels_as_bit_planes(self, stages, bound):
+        # the stage labels take one bit plane per bit of T - 1, 1/8 byte per pair each: two
+        # at T = 3 (5.4 traced), none at T = 1 (8.3 traced); held as one uint8 per pair, they
+        # traced 6.2 and 9.3
+        assert self._dense_pipeline_peak(2000, stages) < bound * math.comb(2000, 2)
 
 
 class TestSummaries:

@@ -318,14 +318,16 @@ class TestWithReplacement:
     # chunks of 1 and 7 cross every edge; at n <= 3 the cells hold thousands of draws,
     # so the binomial takes its large-count branch; a member law varies p pair by pair.
     # At lam 0.2 and 0.3 the star law's sides invert at v one ulp apart; at lam 0.45 and
-    # n = 40, counts pass numpy's redraw bound; identity pi* puts the stronger item second
+    # n = 40, counts pass numpy's redraw bound; identity pi* puts the stronger item second.
+    # At n = 3, N = 370, seed 35 only the first pair's run (145 draws) passes int8, and its
+    # length is its block's first
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
     @pytest.mark.parametrize("n, total, seed, law, pi_kind", [
         (2, 5000, 1, "star", "random"), (3, 20_000, 6, "member", "random"),
         (30, 12345, 3, "star", "random"), (40, 3000, 8, "member", "random"),
         (300, 400, 4, "star", "random"), (500, 3000, 9, 0.3, "identity"),
         (500, 3000, 10, 0.2, "random"), (40, 3000, 11, 0.3, "random"),
-        (40, 20_000, 12, 0.45, "identity"),
+        (40, 20_000, 12, 0.45, "identity"), (3, 370, 35, "star", "random"),
     ])
     def test_chunked_draw_matches_unique(self, monkeypatch, chunk, n, total, seed, law, pi_kind):
         monkeypatch.setattr(model, "_WIN_CHUNK", chunk)
@@ -828,13 +830,17 @@ class TestWithoutStream:
 
 @settings(max_examples=60, deadline=None)
 @given(n=hst.integers(1, 40), seed=hst.integers(0, 2**32 - 1), p=hst.floats(1e-12, 1.0),
-       parts=hst.sampled_from([1, 3, 257]), chunk=hst.sampled_from([4, 1000, 1 << 16]),
+       parts=hst.sampled_from([1, 2, 3, 4, 5, 9, 257]),
+       chunk=hst.sampled_from([4, 1000, 1 << 16]),
        pi_kind=hst.sampled_from(["identity", "random"]))
 @example(n=40, seed=0, p=1.0, parts=257, chunk=4, pi_kind="random")
+@example(n=40, seed=1, p=1.0, parts=2, chunk=4, pi_kind="random")
+@example(n=40, seed=2, p=1.0, parts=5, chunk=4, pi_kind="random")
+@example(n=40, seed=3, p=1.0, parts=9, chunk=4, pi_kind="random")
 def test_held_draw_stages_match_the_cells_draw(n, seed, p, parts, chunk, pi_kind):
-    """Every stage of the held draw (pairs per row, column offsets, packed bits) equals the
-    former cells draw's and its stage split's, arrays, seeds and counts; blocks of 4 and 1000
-    pairs start the bits mid-byte and rows mid-block."""
+    """Every stage of the held draw (pairs per row, column offsets, packed bits, 0 to 4 and 9
+    label bit planes) equals the former cells draw's and its stage split's, arrays, seeds and
+    counts; blocks of 4 and 1000 pairs start the bits and planes mid-byte and rows mid-block."""
     pi = random_permutation(n, np.random.default_rng(seed)) if pi_kind == "random" else (
         Permutation.identity(n))
     law = star_matrix(n, 0.2)
