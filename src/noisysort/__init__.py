@@ -25,6 +25,7 @@ from .estimators import (
     CALIBRATED_THRESHOLD_SCALE,
     MsConfig,
     MsState,
+    agreements,
     borda_sort,
     brute_force_mle,
     estimate_lambda,

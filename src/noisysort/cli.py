@@ -35,7 +35,9 @@ from .experiments import (
 from .model import (
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
+    _cell_dtype,
     _int64,
+    _item_dtype,
     read_dataset,
     sample_with_replacement,
     sample_without_replacement,
@@ -90,8 +92,12 @@ def _cmd_simulate(args) -> int:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     kind, budget = _budget(args)
     matrix = star_matrix(args.n, args.lam)
-    records = largest_draw(args.n, kind, budget, 1, False)
-    check_memory(f"simulate n={args.n}", args.n, {kind: records, WRITTEN: records})
+    n, records = args.n, largest_draw(args.n, kind, budget, 1, False)
+    # the draw, then its write with the dataset held: min(N, C(n,2)) pairs, or all N draws
+    # where a with-replacement dataset's seconds view them (items as wide as cells)
+    view = kind == WITH_REPLACEMENT and _item_dtype(n)().itemsize == _cell_dtype(n)().itemsize
+    for phase in {kind: records}, {WRITTEN: records if view else min(records, n * (n - 1) // 2)}:
+        check_memory(f"simulate n={n}", n, phase)
     pi_star = _read_permutation(args.pi_star, args.n)
     if kind == WITH_REPLACEMENT:
         dataset = sample_with_replacement(pi_star, matrix, budget, args.seed)
@@ -103,18 +109,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _check_files(paths: list[str]) -> None:
+def _check_files(paths: list[str], stages: int) -> None:
     """Refuse dataset files that would not fit once read, before any is parsed: the largest
     header n, by the reader's rule (a header n it refuses counts as 1: read_dataset names
-    it), at most one record line per 8 bytes of each file held, and the largest file's
-    read on top."""
+    it), at most one record line per 8 bytes of each file held, the largest file's read on
+    top, and ms's state of ``stages`` stages."""
     n = 1
     for path in paths:
         with open(path, "rb") as f:
             head = next((line.split()[0] for line in f if line.strip()), b"")
         n = max(n, _int64(head.decode(errors="replace")) or 1)
     lines = [os.path.getsize(path) // 8 for path in paths]
-    check_memory(f"run-ms n={n}", n, {DATASET_LINES: sum(lines), READ_LINES: max(lines)})
+    check_memory(f"run-ms n={n}", n, {DATASET_LINES: sum(lines), READ_LINES: max(lines)},
+                 stages=stages)
 
 
 def _cmd_run_ms(generate_only: list[argparse.Action], args) -> int:
@@ -124,7 +131,7 @@ def _cmd_run_ms(generate_only: list[argparse.Action], args) -> int:
             raise ValueError(f"{given[0]} is read only with --generate, not with --in")
         if args.lambda_hat is None:
             raise ValueError("--lambda-hat is required when stages come from files")
-        _check_files(args.infiles)  # every file is held while ms sorts
+        _check_files(args.infiles, args.stages)  # every file is held while ms sorts
         samples, lam_hat = [read_dataset(f) for f in args.infiles], args.lambda_hat
     else:
         if "n" not in args or "budget" not in args:

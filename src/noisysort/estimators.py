@@ -85,19 +85,37 @@ def borda_sort(samples: StageSource | Iterable[ComparisonDataset]) -> Permutatio
     return _ranks_from_scores(wins[1:])
 
 
+def agreements(samples: StageSource | Iterable[ComparisonDataset], pi: Permutation,
+               gap: int = 0) -> int:
+    """The comparisons over the stages of ``samples`` won by the item that ``pi`` ranks more
+    than ``gap`` above the other; at gap 0 the objective the MLE maximizes, the sum of
+    A[i, j] over pi(i) > pi(j).  Records are read model._WIN_CHUNK at a time: integer sums."""
+    source = StageSource.of(samples)
+    if pi.n != source.n:
+        raise SizeMismatchError(f"permutation n={pi.n} vs dataset n={source.n}")
+    ranks, total = np.concatenate(([0], pi.to_array())), 0  # by item, 1-based
+    for stage in source:
+        for lo in range(0, stage.num_pairs, model._WIN_CHUNK):
+            fi, se, num, fw = (a[lo: lo + model._WIN_CHUNK] for a in (
+                stage.first, stage.second, stage.num, stage.first_wins))
+            d = ranks[fi.astype(np.intp)] - ranks[se.astype(np.intp)]
+            total += int(fw[d > gap].sum()) + int((num - fw)[-d > gap].sum())
+    return total
+
+
 def estimate_lambda(halves: StageSource | Iterable[ComparisonDataset]) -> float:
     """Estimate the win margin from two independent with-replacement samples.
 
-    Sorts items by win count in the first half; pairs separated by more
-    than n/2 positions in that order are near-certainly ordered correctly, so
-    their win frequency in the second concentrates at 1/2 + margin.  The
-    win sum over those pairs is rescaled by the index-set size and recentred:
+    Ranks items by win count in the first half (pi_1 = borda_sort); pairs more
+    than n/2 apart in pi_1 are near-certainly ordered correctly, so their win
+    frequency in the second concentrates at 1/2 + margin.  Their agreements are
+    rescaled by the index-set size and recentred:
 
-        lambda_hat = (2/N) * C(n,2) / C(n//2, 2) * win_sum - 1/2
+        lambda_hat = (2/N) * C(n,2) / C(n//2, 2) * agreements([second], pi_1, n//2) - 1/2
 
-    with N the combined size of the two halves.  The result is clamped into
-    (1e-6, 1/2 - 1e-6) so downstream corrections stay well-defined.  The halves
-    are one pass over StageSource.of(halves), the first ranked by borda_sort.
+    with N the combined size of the two halves, clamped into (1e-6, 1/2 - 1e-6)
+    so downstream corrections stay well-defined.  The halves are one pass over
+    StageSource.of(halves).
     """
     source = StageSource.of(halves)
     n, total = source.n, sum(source.counts)
@@ -106,19 +124,14 @@ def estimate_lambda(halves: StageSource | Iterable[ComparisonDataset]) -> float:
                          f"{len(source.counts)} of n={n}")
     if total < 1:
         raise ValueError("empty samples")
-    ranks = None
-    for second in source:  # the first half is reduced to its ranks before the second is pulled
+    pi_1 = None
+    for second in source:  # the first half is reduced to pi_1 before the second is pulled
         if second.tag.kind != WITH_REPLACEMENT:
             raise ValueError("margin estimation expects with-replacement samples")
-        if ranks is None:
-            ranks, second = borda_sort([second]).to_array(), None
-    gap, win_sum, ranks = n // 2, 0, np.concatenate(([0], ranks))  # by item, 1-based
-    for lo in range(0, second.num_pairs, model._WIN_CHUNK):  # integer sums: blocks are exact
-        fi, se, num, fw = (a[lo: lo + model._WIN_CHUNK] for a in (
-            second.first, second.second, second.num, second.first_wins))
-        d = ranks[fi.astype(np.intp)] - ranks[se.astype(np.intp)]
-        win_sum += int(fw[d > gap].sum()) + int((num - fw)[-d > gap].sum())
-    raw = (2.0 / total) * math.comb(n, 2) / math.comb(gap, 2) * win_sum - 0.5
+        if pi_1 is None:
+            pi_1, second = borda_sort([second]), None
+    gap = n // 2
+    raw = 2.0 / total * math.comb(n, 2) / math.comb(gap, 2) * agreements([second], pi_1, gap) - 0.5
     return float(min(max(raw, LAMBDA_CLAMP), 0.5 - LAMBDA_CLAMP))
 
 
@@ -305,13 +318,11 @@ def ms_sort(
     return _ranks_from_scores(scores), states
 
 
-def _best_candidate(
-    samples: Iterable[ComparisonDataset], maps: Iterable[tuple[int, ...]]
-) -> tuple[tuple[int, ...], int]:
-    """The one-line map maximizing the objective summed over ``samples``, and
-    the maximum; ties go to the lexicographically smallest map, whatever the
-    candidate order.  Candidates are scored as stacked rank vectors, and
-    ``samples`` is read once per chunk of them."""
+def _best_candidate(samples: Iterable[ComparisonDataset],
+                    maps: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+    """The one-line map maximizing agreements summed over ``samples``; ties go to the
+    lexicographically smallest map, whatever the candidate order.  Candidates are scored
+    as stacked rank vectors, and ``samples`` is read once per chunk of them."""
     best: tuple[int, ...] | None = None
     best_obj = -1
     maps = iter(maps)
@@ -328,18 +339,18 @@ def _best_candidate(
                 tied.append(best)
             best, best_obj = min(tied), top
     assert best is not None
-    return best, best_obj
+    return best
 
 
 def brute_force_mle(samples: StageSource | Iterable[ComparisonDataset]) -> Permutation:
-    """Exhaustive maximizer of the objective summed over ``samples`` (no combined
+    """Exhaustive maximizer of agreements summed over ``samples`` (no combined
     copy is built); ties go to the lexicographically smallest one-line map."""
     source = StageSource.of(samples)
-    return Permutation(_best_candidate(source, enumerate_maps(source.n))[0])
+    return Permutation(_best_candidate(source, enumerate_maps(source.n)))
 
 
 def sieve_mle(samples: StageSource | Iterable[ComparisonDataset], net: PackingSet) -> Permutation:
-    """Maximizer of the objective summed over ``samples``, restricted to a net
+    """Maximizer of agreements summed over ``samples``, restricted to a net
     of the permutation space; ties resolve to the lexicographically smallest
     maximizer regardless of member order."""
     samples = StageSource.of(samples)
@@ -347,4 +358,4 @@ def sieve_mle(samples: StageSource | Iterable[ComparisonDataset], net: PackingSe
         raise SizeMismatchError(f"net n={net.n} vs dataset n={samples.n}")
     if not net.members:
         raise ValueError("empty net")
-    return Permutation(_best_candidate(samples, (pi.map for pi in net.members))[0])
+    return Permutation(_best_candidate(samples, (pi.map for pi in net.members)))

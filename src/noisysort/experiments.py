@@ -68,25 +68,27 @@ RESULT_COLUMNS = ("kind", "n", "sampling", "budget", "lam", "seed", "estimator",
                   "d_kt", "l1", "linf")
 WORKERS_ENV_VAR = "NOISYSORT_WORKERS"
 # Peak bytes per record of a run's largest draw, per record of its first _WIN_CHUNK (the
-# block temporaries) and per item: the largest tracemalloc peaks, rounded up, of one ms +
-# borda + random replicate after a warm-up run (n = 50-60000, on both sides of 2**15,
-# alpha = 0.01-1, T = 1-3, fixed and estimated margins; the item bytes at N of a few
-# hundred, n = 2*10^4-2*10^5).  A record also holds its two items, _item_dtype(n) wide; a
-# with-replacement one its drawn cell, _cell_dtype(n) wide, as the sampler holds the drawn
-# cells, a run-mark byte per draw and its counts, then the cells, counts and int32 seconds
-# (8 + 1 + 1, then 8 + 1 + 4 bytes per comparison from n = 92683, traced); and a
-# without-replacement one its column offset, _col_dtype(n) wide, beside 1/8 byte of win bit
-# and 1/8 per stage-label bit plane, ceil(log2 T) planes (T = 257's nine traced at 0.97 of
-# the term, n = 4000, p = 1).  WRITTEN records are a simulated dataset's, written with a
-# place per pair beside it, their block the writer's (two lines per record,
-# _WRITE_BLOCK_ROWS at most; simulate at n = 50-2000, traced);
+# block temporaries), per item and per item per ms stage: the largest tracemalloc peaks,
+# rounded up, of one ms + borda + random replicate after a warm-up run (n = 50-60000, on
+# both sides of 2**15, alpha = 0.01-1, T = 1-3, fixed and estimated margins; the item and
+# stage bytes at N of a few hundred, n = 2*10^4-2*10^5, their sum at T = 1, 228, fitted
+# with the rest at n = 358, p = 1).  Each stage keeps an MsState, five n-arrays and a score
+# row: 41 bytes per item traced at T = 1-40.  A record also holds its two items,
+# _item_dtype(n) wide; a with-replacement one its drawn cell, _cell_dtype(n) wide, as the
+# sampler holds the drawn cells, a run-mark byte per draw and its counts, then the cells,
+# counts and int32 seconds (8 + 1 + 1, then 8 + 1 + 4 bytes per comparison from n = 92683,
+# traced); and a without-replacement one its column offset, _col_dtype(n) wide, beside 1/8
+# byte of win bit and 1/8 per stage-label bit plane, ceil(log2 T) planes (T = 257's nine
+# traced at 0.97 of the term, n = 4000, p = 1).  WRITTEN records are a simulated dataset's,
+# with its two items, held beside a place per pair while the writer formats a block (two
+# lines per record, _WRITE_BLOCK_ROWS at most; simulate's write at n = 50-100000, traced);
 # DATASET_LINES the lines of run-ms's files, one per 8 bytes at most, held once read;
 # READ_LINES the largest file's, read on top; then a run's fixed costs (README "Scale and memory").
 WRITTEN, DATASET_LINES, READ_LINES = "written", "dataset_lines", "read_lines"
-_RECORD_BYTES = {WITH_REPLACEMENT: 1, WITHOUT_REPLACEMENT: 3, WRITTEN: 3,
+_RECORD_BYTES = {WITH_REPLACEMENT: 1, WITHOUT_REPLACEMENT: 3, WRITTEN: 6,
                  DATASET_LINES: 9, READ_LINES: 26}
-_BLOCK_BYTES = {WITH_REPLACEMENT: 40, WITHOUT_REPLACEMENT: 48, WRITTEN: 66}
-_ITEM_BYTES, _FIXED_BYTES = 228, 32 * 1024
+_BLOCK_BYTES = {WITH_REPLACEMENT: 40, WITHOUT_REPLACEMENT: 48, WRITTEN: 78}
+_ITEM_BYTES, _STAGE_BYTES, _FIXED_BYTES = 186, 42, 32 * 1024
 
 
 def default_stage_count(n: int) -> int:
@@ -276,7 +278,7 @@ def _cell_plan(spec: ExperimentSpec, n: int, kind: str, value: float,
         least = 2 if spec.kind == "lambda_accuracy" else max(stages, 1 + estimated)
         short = f"{budget:g} comparisons, fewer than the {least} it needs"
     check_memory(cell, n, {sampling: largest_draw(n, sampling, budget, stages, estimated)},
-                 spec.effective_workers())
+                 spec.effective_workers(), stages)
     if count < least:
         raise ValueError(f"{cell}: {short}")
     return budget, stages
@@ -291,14 +293,15 @@ def largest_draw(n: int, sampling: str, budget: float, stages: int, estimated: b
     return max(math.ceil(budget / stages), math.ceil(budget / 2) if estimated else 0)
 
 
-def check_memory(what: str, n: int, records: dict[str, float], workers: int = 1) -> None:
+def check_memory(what: str, n: int, records: dict[str, float], workers: int = 1,
+                 stages: int = 0) -> None:
     """ResourceCapError, naming ``what``, if ``workers`` runs at once, each on n items with
     ``records[kind]`` records of each kind (a sampling, WRITTEN, DATASET_LINES or
-    READ_LINES), would not fit in physical memory."""
+    READ_LINES) and ms's state of ``stages`` stages, would not fit in physical memory."""
     items = 2 * np.dtype(_item_dtype(n)).itemsize
     width = {WITH_REPLACEMENT: items + np.dtype(_cell_dtype(n)).itemsize,
-             WITHOUT_REPLACEMENT: items + _col_dtype(n).itemsize}
-    need = workers * (_FIXED_BYTES + n * _ITEM_BYTES + sum(
+             WITHOUT_REPLACEMENT: items + _col_dtype(n).itemsize, WRITTEN: items}
+    need = workers * (_FIXED_BYTES + n * (_ITEM_BYTES + stages * _STAGE_BYTES) + sum(
         count * (_RECORD_BYTES[kind] + width.get(kind, 0))
         + (min(2 * count, _WRITE_BLOCK_ROWS) if kind == WRITTEN else min(count, _WIN_CHUNK))
         * _BLOCK_BYTES.get(kind, 0)

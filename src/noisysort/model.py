@@ -637,6 +637,8 @@ def write_dataset(dataset: ComparisonDataset, path: str | Path) -> None:
     whole items, _WRITE_BLOCK_ROWS lines or one item, are formatted at a time.
     """
     f, s, m, w = dataset.first, dataset.second, dataset.num, dataset.first_wins
+    if dataset.tag.kind == WITHOUT_REPLACEMENT:  # every count is 1: int8 keeps the lines narrow
+        m = np.broadcast_to(np.int8(1), len(f))
     n, keys = dataset.n, (f, s)
     if n > len(f):  # more items than pairs: ranks 1..(items named)
         names, ranks = np.unique(np.concatenate(keys), return_inverse=True)
@@ -679,7 +681,7 @@ def _int64(token: str) -> int | None:
 
 
 def read_dataset(path: str | Path) -> ComparisonDataset:
-    """Read the write_dataset format; ValueError on any inconsistent file.
+    """Read the write_dataset format; ValueError, naming the file, on any inconsistent file.
 
     Every line after the header must be exactly four integers: blank and
     ``#`` lines are errors, not skipped.  The header's n and with-replacement
@@ -713,8 +715,12 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
     n, kind = _int64(head[0]), head[1]
     # seeds such as derive_seed's reach 2**64: only the records' digit syntax applies
     seed = int(head[3]) if _DECIMAL.fullmatch(head[3]) else None
-    budget = _int64(head[2]) if kind == WITH_REPLACEMENT else float(head[2])
-    if n is None or seed is None or budget is None or kind == WITH_REPLACEMENT and budget < 0:
+    try:  # N, or p, a float
+        budget = _int64(head[2]) if kind == WITH_REPLACEMENT else float(head[2])
+    except ValueError:
+        budget = None
+    ok = budget is not None and (0 <= budget if kind == WITH_REPLACEMENT else 0 < budget <= 1)
+    if n is None or seed is None or not ok or kind not in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
         raise ValueError(f"bad header in {path!s}: {header!r}")
     if n < 1:
         raise ValueError(f"bad header in {path!s}: n must be >= 1, got {n}")
@@ -736,7 +742,7 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
                                      f"integers of the header's width, {parse.__name__}, "
                                      f"got {line!r}")
             raise ValueError(f"every record line of {path!s} must be four integers")
-    first, second, num, wins = _orient(rows, n, kind)
+    first, second, num, wins = _orient(rows, n, kind, path)
     del rows  # the loaded rows are freed here, before the sort
     if num is not None:  # the type of the largest magnitude holds every value exactly
         top = max((max(int(a.max()), -1 - int(a.min())) for a in (num, wins) if len(a)),
@@ -764,25 +770,25 @@ def read_dataset(path: str | Path) -> ComparisonDataset:
     clash = np.flatnonzero(repeat & differ)
     if len(clash):
         k = clash[0]
-        raise ValueError(f"inconsistent records for pair {(int(first[k]), int(second[k]))}")
+        raise ValueError(f"{path!s}: inconsistent records for pair ({first[k]}, {second[k]})")
     keep = np.ones(len(first), dtype=bool)
     keep[1:] = ~repeat
     first, second, wins = first[keep], second[keep], wins[keep]
-    dataset = ComparisonDataset(
-        n=n, first=first, second=second, first_wins=wins, tag=SamplingTag(kind, budget),
-        num=np.broadcast_to(np.int64(1), len(first)) if num is None else num[keep], seed=seed,
-    )
+    try:  # the dataset's record checks, which name no file
+        dataset = ComparisonDataset(
+            n=n, first=first, second=second, first_wins=wins, tag=SamplingTag(kind, budget),
+            num=np.broadcast_to(np.int64(1), len(first)) if num is None else num[keep], seed=seed)
+    except ValueError as exc:
+        raise ValueError(f"{path!s}: {exc}") from None
     # counts are >= 1, so an int64 running sum that wraps turns negative where it does
     if kind == WITH_REPLACEMENT and np.cumsum(dataset.num).min(initial=0) < 0:
         raise ValueError(f"the comparison counts of {path!s} sum past int64")
-    if kind == WITH_REPLACEMENT and budget != dataset.total_comparisons():
-        raise ValueError(f"header budget {budget} but {dataset.total_comparisons()} comparisons")
-    if kind == WITHOUT_REPLACEMENT and not 0 < budget <= 1:
-        raise ValueError(f"without-replacement data needs p in (0, 1], got {budget}")
+    if kind == WITH_REPLACEMENT and budget != (total := dataset.total_comparisons()):
+        raise ValueError(f"{path!s}: header budget {budget} but {total} comparisons")
     return dataset  # the samplers' types: a file with other values failed its checks
 
 
-def _orient(rows: np.ndarray, n: int, kind: str) -> tuple[np.ndarray, ...]:
+def _orient(rows: np.ndarray, n: int, kind: str, path: str | Path) -> tuple[np.ndarray, ...]:
     """(first, second, num, wins) of record rows (i, j, N_ij, A_ij), the items in _item_dtype(n),
     checked to lie in 1..n before the cast, and the rest in the rows' type; both lines of a pair
     state (count, wins of first).  A without-replacement file whose counts are all 1 and whose
@@ -798,7 +804,7 @@ def _orient(rows: np.ndarray, n: int, kind: str) -> tuple[np.ndarray, ...]:
         i, j, m, a = rows[lo: lo + _WIN_CHUNK].T
         low, high = np.minimum(i, j), np.maximum(i, j)
         if not (low.min() >= 1 and high.max() <= n):
-            raise ValueError("invalid pair record (ordering, range, or win count)")
+            raise ValueError(f"{path!s}: invalid pair record (ordering, range, or win count)")
         at = slice(lo, lo + _WIN_CHUNK)
         first[at], second[at], wins[at] = low, high, np.where(i < j, a, m - a)
     return first, second, num, wins

@@ -16,7 +16,7 @@ import numpy as np
 from noisysort import counting, estimators, model
 from noisysort.counting import PackingSet
 from noisysort.errors import SizeMismatchError
-from noisysort.estimators import LAMBDA_CLAMP, _best_candidate, borda_sort
+from noisysort.estimators import LAMBDA_CLAMP, borda_sort
 from noisysort.model import (
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
@@ -124,6 +124,16 @@ BAD_HEADER_FILES = (
     ["3 without_replacement 7.5 0", "1 2 1 1"],  # p outside (0, 1]
     ["1_0 with_replacement 1 0", "1 2 1 1"],  # n = 10 to int(), not an ASCII decimal
     ["3 with_replacement 3 1_0", "1 2 3 1"],  # the seed, likewise
+    ["3 without_replacement abc 0", "1 2 1 1"],  # p not a number
+    ["3 foo 3 0", "1 2 3 1"],  # an unknown sampling kind
+)
+
+# Dataset files whose records break the dataset's own checks.
+BAD_RECORD_FILES = (
+    ["3 with_replacement 1 0", "1 1 1 0"],  # a pair of one item
+    ["3 with_replacement 1 0", "1 4 1 0"],  # an item past n
+    ["3 with_replacement 1 0", "1 2 1 2"],  # more wins than comparisons
+    ["3 with_replacement 0 0", "1 2 0 0"],  # a pair compared no times
 )
 
 # Dataset files that break the line rules: every record line is exactly four
@@ -638,14 +648,6 @@ def write_pbm(mask, path):
     with open(path, "wb") as fh:
         fh.write(f"P1\n{n_cols} {n_rows}\n".encode())
         fh.write(buf.tobytes())
-
-
-def mle_objective(dataset, pi):
-    """Total wins along the order ``pi``: sum of A[i, j] over pi(i) > pi(j),
-    through the library's one-pass candidate scorer."""
-    if pi.n != dataset.n:
-        raise SizeMismatchError(f"permutation n={pi.n} vs dataset n={dataset.n}")
-    return _best_candidate([dataset], [pi.map])[1]
 
 
 def loop_mle_objective(dataset, pi):

@@ -309,6 +309,18 @@ class TestSimulateAndRunMs:
         assert not (tmp_path / "p.txt").exists()
 
 
+    def test_run_ms_names_the_bad_file_among_several(self, tmp_path, capsys):
+        paths = [str(tmp_path / f"stage_{k}.txt") for k in (1, 2, 3)]
+        for k, path in enumerate(paths):
+            assert main(["simulate", "--n", "30", "--lambda", "0.25", "--model", "with",
+                         "--budget", "90", "--seed", str(k), "--out", path]) == 0
+        lines = Path(paths[1]).read_text().split("\n", 1)
+        Path(paths[1]).write_text(lines[0].replace("with_replacement", "foo") + "\n" + lines[1])
+        assert main(["run-ms", "--in", *paths, "--T", "3", "--lambda-hat", "0.25",
+                     "--out", str(tmp_path / "pi.txt")]) == 1
+        err = capsys.readouterr().err
+        assert paths[1] in err and paths[0] not in err and paths[2] not in err
+
 # one value per config key, and the flags that say the same
 CONFIG_CASES = [
     ("n_values", "24, 30", ["--n-values", "24", "30"]),
@@ -364,6 +376,7 @@ class TestReadme:
         record, block = experiments._RECORD_BYTES, experiments._BLOCK_BYTES
         assert {term: [int(f) for f in re.findall(r"\b\d+\b", cell)] for term, cell in rows} == {
             "fixed": [experiments._FIXED_BYTES], "per item": [experiments._ITEM_BYTES],
+            "per item per stage": [experiments._STAGE_BYTES],
             "per record, with": [record[WITH_REPLACEMENT]],
             "per record, without": [record[WITHOUT_REPLACEMENT]],
             "per block record, with": [block[WITH_REPLACEMENT]],
@@ -696,13 +709,15 @@ class TestExitCodes:
         assert err.startswith("refused: run-ms n=30: ") and "physical memory" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("model, n, budget", [
-        ("with", 400, "40000"), ("with", 1000, "400000"), ("without", 400, "0.5"),
-        ("without", 1000, "1.0"),
+    @pytest.mark.parametrize("model, n, budget, fits", [
+        ("with", 400, "40000", 2), ("with", 1000, "400000", 2), ("without", 400, "0.5", 2),
+        ("without", 1000, "1.0", 2),
         # under one writer's block of 32768 lines, which sets the peak
-        ("without", 600, "0.1"), ("without", 300, "0.5"), ("with", 600, "18000")])
+        ("without", 600, "0.1", 2), ("without", 300, "0.5", 2), ("with", 600, "18000", 2),
+        # the draw and the write are charged apart: summed, they charged 2.0 times the peak
+        ("with", 1000, "499500", 1.5)])
     def test_simulate_estimate_bounds_the_traced_peak(self, tmp_path, monkeypatch, model, n,
-                                                      budget):
+                                                      budget, fits):
         # the dataset is held while write_dataset orders and formats its lines
         out = tmp_path / "stage.txt"
         args = ["simulate", "--n", str(n), "--lambda", "0.25", "--model", model,
@@ -717,7 +732,8 @@ class TestExitCodes:
         out.unlink()
         monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": peak, "SC_PAGE_SIZE": 1}.get)
         assert main(args) == 2 and not out.exists()
-        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2 * peak, "SC_PAGE_SIZE": 1}.get)
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": int(fits * peak),
+                                            "SC_PAGE_SIZE": 1}.get)
         assert main(args) == 0
 
     def test_simulate_with_replacement_peak_per_comparison(self, tmp_path):

@@ -16,6 +16,7 @@ from noisysort.estimators import (
     LAMBDA_CLAMP,
     MsConfig,
     _count_below,
+    agreements,
     borda_sort,
     brute_force_mle,
     estimate_lambda,
@@ -52,7 +53,6 @@ from oracles import (
     loop_mle,
     loop_mle_objective,
     make_dataset,
-    mle_objective,
     merge_datasets,
     noise_free_full,
     random_member_matrix,
@@ -594,11 +594,25 @@ def test_ms_sort_allocates_no_dense_matrix(monkeypatch, c1):
     assert peak < n * n / 4
 
 
-class TestMleObjective:
+def _stage_sources(n, seed):
+    """A with-replacement and a without-replacement StageSource over n items, three stages."""
+    pi_star = random_permutation(n, np.random.default_rng(seed))
+    law = star_matrix(n, 0.2)
+    return (StageSource.with_replacement(pi_star, law, stage_budgets(4 * n, 3), seed),
+            StageSource.without_replacement(pi_star, law, 0.7, 3, seed))
+
+
+def _dense_agreements(dataset, pi, gap):
+    """Wins of the item ranked more than ``gap`` above the other, over the dense win matrix."""
+    ranks = pi.to_array()
+    return int(wins_dense(dataset)[ranks[:, None] - ranks[None, :] > gap].sum())
+
+
+class TestAgreements:
     def test_empty_dataset(self):
         d = make_dataset(5, [])
         for pi in (Permutation.identity(5), Permutation.reverse(5)):
-            assert mle_objective(d, pi) == 0
+            assert agreements([d], pi) == 0
 
     def test_complement_identity(self):
         d = sample_with_replacement(Permutation.identity(7), star_matrix(7, 0.2), 300, 3)
@@ -606,7 +620,7 @@ class TestMleObjective:
         flip = Permutation.reverse(7)
         for _ in range(10):
             pi = random_permutation(7, rng)
-            total = mle_objective(d, pi) + mle_objective(d, compose(pi, flip))
+            total = agreements([d], pi) + agreements([d], compose(pi, flip))
             assert total == d.total_comparisons()
 
     def test_matrix_traversal_oracle(self):
@@ -619,22 +633,58 @@ class TestMleObjective:
             expected = int(sum(
                 a[i, j] for i in range(8) for j in range(8) if ranks[i] > ranks[j]
             ))
-            assert mle_objective(d, pi) == expected
+            assert agreements([d], pi) == expected
 
     def test_noise_free_unique_maximum(self):
         rng = np.random.default_rng(2)
         for n in (4, 5, 6, 7):
             pi_star = random_permutation(n, rng)
             d = noise_free_full(pi_star)
-            best = mle_objective(d, pi_star)
+            best = agreements([d], pi_star)
             for pi in (random_permutation(n, rng) for _ in range(30)):
                 if pi != pi_star:
-                    assert mle_objective(d, pi) < best
+                    assert agreements([d], pi) < best
 
     def test_dimension_mismatch(self):
         d = make_dataset(5, [])
         with pytest.raises(SizeMismatchError):
-            mle_objective(d, Permutation.identity(4))
+            agreements([d], Permutation.identity(4))
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("sampling", [0, 1])  # with, without replacement
+    def test_sums_the_loop_objective_over_stages(self, n, sampling):
+        source = _stage_sources(n, n)[sampling]
+        rng = np.random.default_rng(n)
+        for pi in (random_permutation(n, rng) for _ in range(10)):
+            assert agreements(source, pi) == sum(loop_mle_objective(s, pi) for s in source)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("sampling", [0, 1])
+    def test_the_mle_winner_attains_the_maximum(self, n, sampling):
+        source = _stage_sources(n, 10 + n)[sampling]
+        merged = merge_datasets(list(source))
+        best = max(loop_mle_objective(merged, pi) for pi in enumerate_permutations(n))
+        assert agreements(source, brute_force_mle(source)) == best
+
+    @pytest.mark.parametrize("n", [4, 31, 60])
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_blocked_sums_equal_a_dense_count(self, n, chunk):
+        d = sample_with_replacement(random_permutation(n, np.random.default_rng(n)),
+                                    star_matrix(n, 0.2), 5 * n, n)
+        rng = np.random.default_rng(chunk)
+        for gap in (0, 1, n // 2):
+            for pi in (random_permutation(n, rng) for _ in range(3)):
+                with mock.patch.object(model, "_WIN_CHUNK", chunk):
+                    assert agreements([d], pi, gap) == _dense_agreements(d, pi, gap)
+
+    @pytest.mark.parametrize("sampling", [0, 1])
+    def test_a_stage_source_counts_as_its_merge(self, sampling):
+        source = _stage_sources(40, 3)[sampling]
+        merged = merge_datasets(list(source))
+        rng = np.random.default_rng(4)
+        for gap in (0, 1, 20):
+            pi = random_permutation(40, rng)
+            assert agreements(source, pi, gap) == agreements([merged], pi, gap)
 
 
 class TestBruteForceMle:
@@ -741,4 +791,4 @@ def test_stage_sample_estimators_match_pooled_oracles(n, with_r, stages, total, 
         assert brute_force_mle(samples) == loop_mle(merged, enumerate_permutations(n))
         assert sieve_mle(samples, net) == loop_mle(merged, net.members)
     for pi in members[:5]:
-        assert sum(mle_objective(s, pi) for s in samples) == loop_mle_objective(merged, pi)
+        assert agreements(samples, pi) == loop_mle_objective(merged, pi)

@@ -211,14 +211,15 @@ def physical_memory(monkeypatch, nbytes):
     monkeypatch.setattr(os, "sysconf", values.__getitem__)
 
 
-def rule_bytes(sampling, records, n):
+def rule_bytes(sampling, records, n, stages=0):
     """The memory rule's bytes for one replicate: per record of its largest draw (with its
     two items and its drawn cell with replacement, its column offset without), per record
-    of that draw's first block, per item, and its fixed bytes."""
+    of that draw's first block, per item and per item per stage, and its fixed bytes."""
     cell = 4 if math.comb(n, 2) < 2**32 else 8
     width = 2 * (2 if n < 2**15 else 4) + (
         model._col_dtype(n).itemsize if sampling == WITHOUT_REPLACEMENT else cell)
-    return (records * (experiments._RECORD_BYTES[sampling] + width) + n * experiments._ITEM_BYTES
+    items = n * (experiments._ITEM_BYTES + stages * experiments._STAGE_BYTES)
+    return (records * (experiments._RECORD_BYTES[sampling] + width) + items
             + min(records, model._WIN_CHUNK) * experiments._BLOCK_BYTES[sampling]
             + experiments._FIXED_BYTES)
 
@@ -244,7 +245,10 @@ class TestMemoryRule:
         # small cells, whose fixed costs set their peaks, and n = 358, whose 63903 pairs
         # are nearly one block: the most any traced cell held above the rest of the rule
         (50, 1.0, 1, WITHOUT_REPLACEMENT, 0.3), (50, 1.0, 3, WITHOUT_REPLACEMENT, 0.3),
-        (30, 0.05, None, WITH_REPLACEMENT, 0.3), (358, 1.0, 1, WITHOUT_REPLACEMENT, 0.3)])
+        (30, 0.05, None, WITH_REPLACEMENT, 0.3), (358, 1.0, 1, WITHOUT_REPLACEMENT, 0.3),
+        # forty stages of ms's per-item state: 7.30 MB traced, past the 4.81 MB charged
+        # before the rule counted stages
+        (4000, 0.01, 40, WITHOUT_REPLACEMENT, 0.3)])
     def test_estimate_bounds_the_traced_peak(self, monkeypatch, n, alpha, stages, sampling,
                                              lambda_hat):
         fields = dict(n_values=(n,), alphas=(alpha,), stages=stages, replicates=1,
@@ -277,7 +281,7 @@ class TestMemoryRule:
     def test_estimate_is_the_largest_draw(self, monkeypatch, lambda_hat, budget, records):
         # N comparisons: three stages of N/3, or margin halves of N/2 first; the block
         # term counts the records of one _WIN_CHUNK block at most
-        need = rule_bytes(WITH_REPLACEMENT, records, 50)
+        need = rule_bytes(WITH_REPLACEMENT, records, 50, stages=3)
         fields = dict(n_values=(50,), alphas=None, budgets=(budget,), stages=3,
                       lambda_hat=lambda_hat)
         physical_memory(monkeypatch, need)
@@ -296,7 +300,7 @@ class TestMemoryRule:
         # each pair's column offset is held in the narrowest unsigned type that holds n - 2,
         # and its items in int16 up to n = 32767, int32 above
         assert model._col_dtype(n).itemsize == width
-        need = rule_bytes(WITHOUT_REPLACEMENT, 0.5 * math.comb(n, 2), n)
+        need = rule_bytes(WITHOUT_REPLACEMENT, 0.5 * math.comb(n, 2), n, stages=3)
         fields = dict(n_values=(n,), sampling=(WITHOUT_REPLACEMENT,), stages=3, workers=1)
         physical_memory(monkeypatch, math.ceil(need))
         small_spec(**fields)

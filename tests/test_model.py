@@ -40,7 +40,9 @@ from noisysort.perms import Permutation, random_permutation
 
 from oracles import (
     BAD_HEADER_FILES,
+    BAD_LINE_FILES,
     BAD_N_FILES,
+    BAD_RECORD_FILES,
     DISAGREEING_RECORDS,
     MemberLaw,
     _pair_items,
@@ -1087,6 +1089,21 @@ class TestMergeAndIO:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"data.txt, line {line}:"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("lines", [
+        *BAD_HEADER_FILES, *BAD_RECORD_FILES, *BAD_LINE_FILES, *BAD_N_FILES,
+        *(["3 with_replacement 3 0", *body] for body in DISAGREEING_RECORDS),
+        ["3 with_replacement 9 0", "1 2 3 1"],  # budget 9 over 3 comparisons
+        ["3 without_replacement 1.5 0", "1 2 1 1"], ["3 without_replacement nan 0", "1 2 1 1"],
+        ["3 without_replacement 0.5 0", "1 2 2 1"],  # a pair compared twice
+    ])
+    def test_every_read_error_names_its_file(self, tmp_path, lines):
+        # among several run-ms --in files, the message must say which one is bad
+        path = tmp_path / "stage_2.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_dataset(path)
+        assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("text", [
         "\n \n\t\n  3 with_replacement 5 0\n2 1 3 2\n1 2 3 1\n2 3 2 2\n",  # blank lines first
